@@ -18,15 +18,11 @@ from .errors import (
 )
 from .hilbert import (
     BranchOutcome,
-    Detector,
     HybridState,
-    ProjectorSet,
-    SpinX,
     StateLayout,
     apply_single_photon_op,
     apply_spin_conditional_op,
     format_state,
-    measure,
     overlap,
     product_state,
     zero_state,
@@ -37,12 +33,6 @@ from .optics import (
     ElementKind,
     TrackedBranch,
     TrackedRun,
-    apply_bs,
-    apply_cpbs,
-    apply_hp,
-    apply_pbs,
-    apply_wfc,
-    apply_z,
     parse_circuit,
     run_circuit,
     run_circuit_tracked,

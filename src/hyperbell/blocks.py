@@ -1,16 +1,18 @@
 """The error-heralded quantum-dot block and its parity-gate variant.
 
-Both wrap the same Hp - QD reflection - Hp arm on one path. Writing
-s = (r_o - r_h)/2 and h = (r_o + r_h)/2, the arm acts on (polarization,
-spin) at the bound path as  h * identity + s * (pol flip (x) spin X-flip),
-so the two components separate exactly:
+Both run the same Hp - qdarm - Hp arm on one path through the circuit
+runner. Writing s = (r_o - r_h)/2 and h = (r_o + r_h)/2, the arm acts on
+(polarization, spin) at the bound path as  h * identity + s * (pol flip
+(x) spin X-flip), and the runner keeps the two components apart as the
+leak layers of its branch:
 
-* heralded mode (definite L input): a trailing circular splitter sends
-  the h component (still L) to a detector while the s component exits R
-  with the spin X-flipped -- imperfect interaction is heralded.
+* heralded mode (definite L input): the s component exits R with the
+  spin X-flipped, while the h component (still L) is what the macro's
+  trailing circular splitter sends to a detector -- imperfect
+  interaction is heralded.
 * parity-gate mode (any input): a trailing polarization bit flip folds
   the arm into  h * pol-flip + s * spin-X-flip; the h leakage stays in
-  the state and is tracked by the run machinery.
+  the state.
 """
 
 from __future__ import annotations
@@ -19,17 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import ReflectionPair, reflection_operator
+from .cavity import ReflectionPair
 from .errors import ConfigurationError, PreconditionError
-from .hilbert import (
-    AMP_TOL,
-    BranchOutcome,
-    HybridState,
-    L,
-    _project_path,
-    apply_spin_conditional_op,
+from .hilbert import AMP_TOL, BranchOutcome, HybridState, R
+from .optics import (
+    Circuit,
+    Element,
+    ElementKind,
+    PhotonDecl,
+    QDDecl,
+    TrackedBranch,
+    _BRANCH_DROP,
+    block_arm,
+    run_circuit_tracked,
 )
-from .optics import apply_hp, apply_z
+
+_QDS = (QDDecl("QD1", "+"), QDDecl("QD2", "+"))  # spin slots 1, 2; basis is unread
 
 
 @dataclass(frozen=True)
@@ -38,22 +45,23 @@ class BlockConfig:
 
     qd: int  # spin slot, 1 or 2
     pair: ReflectionPair
-    mode: str = "heralded"  # "heralded" or "parity-gate"
     herald_label: str = "D"
 
     def __post_init__(self):
         if self.qd not in (1, 2):
             raise ConfigurationError("block qd must be spin 1 or 2")
-        if self.mode not in ("heralded", "parity-gate"):
-            raise ConfigurationError("block mode must be 'heralded' or 'parity-gate'")
 
 
-def _arm(state: HybridState, photon: str, path: str, cfg: BlockConfig) -> HybridState:
-    """Hp - spin-selective reflection - Hp on the bound path."""
-    out = apply_hp(state, photon, path)
-    out = apply_spin_conditional_op(out, photon, cfg.qd,
-                                    reflection_operator(cfg.pair), path)
-    return apply_hp(out, photon, path)
+def _run_arm(state: HybridState, photon: str, path: str, cfg: BlockConfig,
+             *tail: ElementKind) -> TrackedBranch:
+    """Run Hp - qdarm - Hp (then any tail elements) on the bound path."""
+    layout = state.layout
+    ops = block_arm(photon, path, _QDS[cfg.qd - 1].name)
+    ops += [Element(kind, photon=photon, path=path) for kind in tail]
+    circuit = Circuit(qds=_QDS, ops=tuple(ops), photons=tuple(
+        PhotonDecl(name, paths) for name, paths in zip(layout.photons, layout.paths)))
+    (branch,) = run_circuit_tracked(circuit, state, cfg.pair).branches
+    return branch
 
 
 def heralded_block(state: HybridState, photon: str, path: str,
@@ -65,29 +73,22 @@ def heralded_block(state: HybridState, photon: str, path: str,
     amplitude (r_o + r_h)/2), both renormalized with their probabilities.
     """
     slot = state.layout.photon_slot(photon)
-    idx = state.layout.path_index(photon, path)
-    on_path = _project_path(state.amps, slot, idx)
-    r_weight = float(np.sum(np.abs(np.take(on_path, 0, axis=2 * slot)) ** 2))
+    sel = [slice(None)] * 6
+    sel[2 * slot], sel[2 * slot + 1] = R, state.layout.path_index(photon, path)
+    r_weight = float(np.sum(np.abs(state.amps[tuple(sel)]) ** 2))
     if r_weight > AMP_TOL:
         raise PreconditionError(
             "heralded block requires pure L polarization on the bound path "
             f"(found R weight {r_weight:.3e})")
-    after = _arm(state, photon, path, cfg)
-    # the right splitter keeps R on the path and turns L into a detector click
-    amps = after.amps
-    l_part = np.zeros_like(amps)
-    sel = [slice(None)] * 6
-    sel[2 * slot] = L
-    sel[2 * slot + 1] = idx
-    l_part[tuple(sel)] = amps[tuple(sel)]
-    success_amps = amps - l_part
+    # the leak layer is what the macro's trailing splitter sends to the detector
+    no_click, *leaked = _run_arm(state, photon, path, cfg).layers
     branches = []
-    for outcome, arr in ((("click",), l_part), (("no_click",), success_amps)):
+    for outcome, arr in (("click", sum(leaked)), ("no_click", no_click)):
         prob = float(np.sum(np.abs(arr) ** 2))
-        if prob <= 1e-20:
+        if prob <= _BRANCH_DROP:
             continue
         branches.append(BranchOutcome(
-            ((cfg.herald_label, outcome[0]),),
+            ((cfg.herald_label, outcome),),
             HybridState(state.layout, arr / np.sqrt(prob)),
             prob,
         ))
@@ -102,4 +103,4 @@ def parity_gate(state: HybridState, photon: str, path: str,
     spin X-flipped. Leakage component: amplitude (r_o + r_h)/2 with the
     polarization flipped, retained in the state.
     """
-    return apply_z(_arm(state, photon, path, cfg), photon, path)
+    return _run_arm(state, photon, path, cfg, ElementKind.Z).physical_state()

@@ -5,13 +5,13 @@ lexicographic in that tuple. Polarization uses the circular basis
 {R, L}; electron spins use the z basis {up, down}, with the X basis
 written "+" / "-" for (up +/- down)/sqrt(2). States may be
 subnormalized: heralding and waveform correction deliberately shrink
-the squared norm, and renormalization happens only inside measure().
+the squared norm. Measurement is done by the circuit runner in optics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -22,6 +22,8 @@ R, L = 0, 1
 UP, DOWN = 0, 1
 
 _SQRT2 = np.sqrt(2.0)
+# Hadamard: R/L <-> H/V for polarization, z <-> x basis for spins
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
 
 # named single-factor vectors
 POL_R = np.array([1.0, 0.0], dtype=complex)
@@ -36,9 +38,7 @@ SPIN_MINUS = np.array([1.0, -1.0], dtype=complex) / _SQRT2
 _POL_NAMES = {"R": POL_R, "L": POL_L, "H": POL_H, "V": POL_V}
 _SPIN_NAMES = {"up": SPIN_UP, "down": SPIN_DOWN, "+": SPIN_PLUS, "-": SPIN_MINUS}
 
-AMP_TOL = 1e-12   # amplitude comparisons
-PROB_TOL = 1e-10  # probability comparisons
-_DROP_TOL = 1e-20  # measurement branches below this weight are dropped
+AMP_TOL = 1e-12  # amplitude comparisons
 
 
 def pol_vector(x) -> np.ndarray:
@@ -146,9 +146,6 @@ class HybridState:
         if n2 <= 0.0:
             raise ConfigurationError("cannot normalize a zero state")
         return HybridState(self.layout, self.amps / np.sqrt(n2))
-
-    def copy(self) -> "HybridState":
-        return HybridState(self.layout, self.amps.copy())
 
 
 def zero_state(layout: StateLayout) -> HybridState:
@@ -271,40 +268,6 @@ def overlap(a: HybridState, b: HybridState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-# ---------------------------------------------------------------------------
-# measurement
-
-@dataclass(frozen=True)
-class SpinX:
-    """Complete X-basis measurement of one electron spin (outcomes "+", "-")."""
-
-    spin: int  # 1 or 2
-    name: str | None = None
-
-    @property
-    def record_name(self) -> str:
-        return self.name if self.name is not None else f"spin{self.spin}"
-
-
-@dataclass(frozen=True)
-class Detector:
-    """Click / no-click projection onto one path of one photon."""
-
-    photon: str
-    path: str
-    label: str
-
-
-@dataclass(frozen=True)
-class ProjectorSet:
-    """Explicit complete set of orthogonal projectors (small layouts only)."""
-
-    outcomes: tuple[tuple[str, np.ndarray], ...]
-
-
-Observable = Union[SpinX, Detector, ProjectorSet]
-
-
 @dataclass(frozen=True)
 class BranchOutcome:
     """One measurement branch: record of outcomes, collapsed state, probability."""
@@ -314,66 +277,6 @@ class BranchOutcome:
     probability: float
 
 
-_SPIN_X_PROJ = {
-    "+": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    "-": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-}
-
-
-def _measure_projections(state: HybridState, observable: Observable):
-    """Yield (record entry, projected raw amplitudes) per outcome."""
-    if isinstance(observable, SpinX):
-        if observable.spin not in (1, 2):
-            raise ConfigurationError("spin must be 1 or 2")
-        for sign, proj in _SPIN_X_PROJ.items():
-            yield (observable.record_name, sign), _apply_spin_matrix(
-                state.amps, observable.spin - 1, proj)
-    elif isinstance(observable, Detector):
-        slot = state.layout.photon_slot(observable.photon)
-        idx = state.layout.path_index(observable.photon, observable.path)
-        clicked = _project_path(state.amps, slot, idx)
-        yield (observable.label, "click"), clicked
-        yield (observable.label, "no_click"), state.amps - clicked
-    elif isinstance(observable, ProjectorSet):
-        dim = state.layout.dim
-        mats = [np.asarray(p, dtype=complex) for _, p in observable.outcomes]
-        for p in mats:
-            if p.shape != (dim, dim):
-                raise ConfigurationError("projector shape does not match state dimension")
-        total = sum(mats)
-        if not np.allclose(total, np.eye(dim), atol=PROB_TOL):
-            raise ConfigurationError("projector set is not complete")
-        for i, p in enumerate(mats):
-            if not np.allclose(p, p.conj().T, atol=PROB_TOL):
-                raise ConfigurationError("projectors must be Hermitian")
-            for q in mats[i:]:
-                expect = p if q is p else np.zeros_like(p)
-                if not np.allclose(p @ q, expect, atol=PROB_TOL):
-                    raise ConfigurationError("projector set is not orthogonal")
-        flat = state.amps.reshape(-1)
-        for (label, _), p in zip(observable.outcomes, mats):
-            yield (label, ""), (p @ flat).reshape(state.layout.shape)
-    else:
-        raise ConfigurationError(f"unknown observable {observable!r}")
-
-
-def measure(state: HybridState, observable: Observable) -> list[BranchOutcome]:
-    """Project onto a complete set of orthogonal outcomes.
-
-    Returns one BranchOutcome per outcome with nonzero probability; residuals
-    are renormalized and probabilities are the squared projected norms (they
-    sum to the pre-measurement squared norm).
-    """
-    branches = []
-    for entry, amps in _measure_projections(state, observable):
-        prob = float(np.sum(np.abs(amps) ** 2))
-        if prob <= _DROP_TOL:
-            continue
-        residual = HybridState(state.layout, amps / np.sqrt(prob))
-        branches.append(BranchOutcome((entry,), residual, prob))
-    return branches
-
-
 # ---------------------------------------------------------------------------
 # display helper
 
@@ -381,8 +284,7 @@ def format_state(state: HybridState, tol: float = 1e-9, spin_basis: str = "x") -
     """Human-readable ket expansion, spins shown in the X basis by default."""
     amps = state.amps
     if spin_basis == "x":
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
-        amps = _apply_spin_matrix(_apply_spin_matrix(amps, 0, h), 1, h)
+        amps = _apply_spin_matrix(_apply_spin_matrix(amps, 0, _HADAMARD), 1, _HADAMARD)
         spin_names = ("+", "-")
     elif spin_basis == "z":
         spin_names = ("up", "dn")

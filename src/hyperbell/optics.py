@@ -29,6 +29,7 @@ import numpy as np
 from .cavity import IDEAL_PAIR, ReflectionPair
 from .errors import ConfigurationError
 from .hilbert import (
+    _HADAMARD,
     BranchOutcome,
     HybridState,
     StateLayout,
@@ -36,17 +37,18 @@ from .hilbert import (
     _apply_polspin_at_path,
     _apply_spin_matrix,
     _project_path,
-    _SPIN_X_PROJ,
-    apply_single_photon_op,
 )
 
-_SQRT2 = np.sqrt(2.0)
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PROJ_H = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)   # |H><H| in R/L
 _PROJ_V = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)  # |V><V| in R/L
 # qdarm success component: pol sigma_z (x) spin sigma_z in {R up, R down, L up, L down}
 _SUCC4 = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+# X-basis spin projectors, one per measurement outcome
+_SPIN_X_PROJ = {
+    "+": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
+    "-": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
+}
 
 _BRANCH_DROP = 1e-26  # squared-norm threshold below which a branch is discarded
 
@@ -189,14 +191,6 @@ def bs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.ndarr
         for i in (0, 1):
             for j in (0, 1):
                 path_mat[y[i], x[j]] = _HADAMARD[i, j]
-        # clear stale identity entries on the rotated columns
-        for j in (0, 1):
-            for k in range(n):
-                if k not in y:
-                    path_mat[k, x[j]] = 0.0
-        for i in range(n):
-            if i in y and i not in x:
-                path_mat[i, i] = 0.0
     elif not set(x) & set(y):
         for j in (0, 1):
             path_mat[x[j], x[j]] = 0.0
@@ -261,48 +255,6 @@ def element_matrix(el: Element, layout: StateLayout,
     if el.kind == ElementKind.PBS:
         return pbs_matrix(layout, el.photon, el.path, el.out_paths)
     raise ConfigurationError(f"element kind {el.kind.value} has no single-photon matrix")
-
-
-# ---------------------------------------------------------------------------
-# direct application API
-
-def apply_hp(state: HybridState, photon: str, path: str) -> HybridState:
-    """Polarization Hadamard on one path: R -> (R+L)/sqrt2, L -> (R-L)/sqrt2."""
-    return apply_single_photon_op(state, photon, hp_matrix(state.layout, photon, path))
-
-
-def apply_z(state: HybridState, photon: str, path: str) -> HybridState:
-    """Polarization bit flip R <-> L on one path."""
-    return apply_single_photon_op(state, photon, z_matrix(state.layout, photon, path))
-
-
-def apply_wfc(state: HybridState, photon: str, path: str,
-              pair: ReflectionPair) -> HybridState:
-    """Scale one path by the per-passage success amplitude (r_o - r_h)/2.
-
-    Deliberately subnormalizing: it trades success probability for arm
-    balance against the quantum-dot arm.
-    """
-    return apply_single_photon_op(
-        state, photon, wfc_matrix(state.layout, photon, path, pair))
-
-
-def apply_bs(state: HybridState, photon: str, in_paths, out_paths) -> HybridState:
-    """50:50 beam splitter between two paths (spatial-mode Hadamard)."""
-    return apply_single_photon_op(
-        state, photon, bs_matrix(state.layout, photon, tuple(in_paths), tuple(out_paths)))
-
-
-def apply_cpbs(state: HybridState, photon: str, in_paths, out_paths) -> HybridState:
-    """Circular-polarization beam splitter (R transmits across, L reflects)."""
-    return apply_single_photon_op(
-        state, photon, cpbs_matrix(state.layout, photon, tuple(in_paths), tuple(out_paths)))
-
-
-def apply_pbs(state: HybridState, photon: str, path: str, out_paths) -> HybridState:
-    """Linear-polarization beam splitter (H transmits, V reflects)."""
-    return apply_single_photon_op(
-        state, photon, pbs_matrix(state.layout, photon, path, tuple(out_paths)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +372,13 @@ def _validate_element_structure(el: Element, lineno: int):
             raise ConfigurationError(f"line {lineno}: pbs needs out=transmit,reflect")
 
 
+def block_arm(photon: str, path: str, qd: str) -> list[Element]:
+    """The Hp - qdarm - Hp arm that both block modes start with."""
+    return [Element(ElementKind.HP, photon=photon, path=path),
+            Element(ElementKind.QDARM, photon=photon, path=path, qd=qd),
+            Element(ElementKind.HP, photon=photon, path=path)]
+
+
 def _expand_block(kv: dict[str, str], st: _ParserState, lineno: int) -> list[Element]:
     for key in ("mode", "qd", "photon", "path"):
         if key not in kv:
@@ -430,11 +389,7 @@ def _expand_block(kv: dict[str, str], st: _ParserState, lineno: int) -> list[Ele
             raise ConfigurationError(f"line {lineno}: key {key!r} not allowed for block")
     st.check_qd(qd, lineno)
     st.check_path(photon, path, lineno)
-    arm = [
-        Element(ElementKind.HP, photon=photon, path=path),
-        Element(ElementKind.QDARM, photon=photon, path=path, qd=qd),
-        Element(ElementKind.HP, photon=photon, path=path),
-    ]
+    arm = block_arm(photon, path, qd)
     if mode == "parity":
         if "label" in kv:
             raise ConfigurationError(f"line {lineno}: parity block takes no label")
@@ -550,9 +505,11 @@ class TrackedBranch:
     """One run branch with its amplitude split by leak count.
 
     layers[k] holds the component that leaked exactly k times through a
-    quantum-dot arm (the unheralded (r_o + r_h)/2 component). The physical
-    state is the coherent sum of all layers; the split is exact by
-    linearity and exists purely for error accounting.
+    quantum-dot arm (the (r_o + r_h)/2 component). The physical state is
+    the coherent sum of all layers; the split is exact by linearity. It
+    serves error accounting and also defines the herald split: after one
+    Hp - qdarm - Hp arm on a purely L input, layers[1] is exactly what a
+    heralding detector would catch and layers[0] what passes it.
     """
 
     record: tuple[tuple[str, str], ...]
@@ -633,6 +590,21 @@ def _prune_layers(layers: list[np.ndarray]) -> list[np.ndarray]:
     return layers
 
 
+def _outcomes(action, layers: list[np.ndarray]) -> list:
+    """(record entry, projected layers) per outcome of a measurement action.
+
+    A detector's no-click outcome adds no record entry (None).
+    """
+    if action[0] == "detector":
+        _, slot, path_idx, label = action
+        clicked = [_project_path(a, slot, path_idx) for a in layers]
+        return [((label, "click"), clicked),
+                (None, [a - c for a, c in zip(layers, clicked)])]
+    _, spin_slot, qd_name = action
+    return [((qd_name, sign), [_apply_spin_matrix(a, spin_slot, proj) for a in layers])
+            for sign, proj in _SPIN_X_PROJ.items()]
+
+
 def run_circuit_tracked(circuit: Circuit, state: HybridState,
                         pair: ReflectionPair = IDEAL_PAIR,
                         drop_clicked: bool = False) -> TrackedRun:
@@ -664,31 +636,19 @@ def run_circuit_tracked(circuit: Circuit, state: HybridState,
                     out[k + 1] += h_amp * _project_path(a, slot, path_idx)
                 new_branches.append((rec, _prune_layers(out)))
             branches = new_branches
-        elif kind == "detector":
-            _, slot, path_idx, label = action
+        else:  # detector or spin measurement: one branch per outcome
             new_branches = []
             for rec, layers in branches:
-                clicked = [_project_path(a, slot, path_idx) for a in layers]
-                silent = [a - c for a, c in zip(layers, clicked)]
-                clicks[label] = clicks.get(label, 0.0) + float(
-                    np.sum(np.abs(sum(clicked)) ** 2))
-                forks = [(rec, silent)]
-                if not drop_clicked:
-                    forks.insert(0, (rec + ((label, "click"),), clicked))
-                for new_rec, new_layers in forks:
+                for entry, new_layers in _outcomes(action, layers):
+                    if entry is not None and entry[1] == "click":
+                        clicks[entry[0]] = clicks.get(entry[0], 0.0) + float(
+                            np.sum(np.abs(sum(new_layers)) ** 2))
+                        if drop_clicked:
+                            continue
                     new_layers = _prune_layers(new_layers)
                     if sum(np.sum(np.abs(a) ** 2) for a in new_layers) > _BRANCH_DROP:
-                        new_branches.append((new_rec, new_layers))
-            branches = new_branches
-        else:  # spin measurement
-            _, spin_slot, qd_name = action
-            new_branches = []
-            for rec, layers in branches:
-                for sign, proj in _SPIN_X_PROJ.items():
-                    new_layers = _prune_layers(
-                        [_apply_spin_matrix(a, spin_slot, proj) for a in layers])
-                    if sum(np.sum(np.abs(a) ** 2) for a in new_layers) > _BRANCH_DROP:
-                        new_branches.append((rec + ((qd_name, sign),), new_layers))
+                        new_branches.append(
+                            (rec if entry is None else rec + (entry,), new_layers))
             branches = new_branches
     return TrackedRun(
         branches=[TrackedBranch(rec, layout, layers) for rec, layers in branches],

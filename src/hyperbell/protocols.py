@@ -26,6 +26,8 @@ import numpy as np
 from .cavity import IDEAL_PAIR, ReflectionPair
 from .errors import ConfigurationError, InconsistentOutcomeError, PreconditionError
 from .hilbert import (
+    _HADAMARD,
+    _SQRT2,
     HybridState,
     StateLayout,
     apply_single_photon_op,
@@ -134,7 +136,7 @@ def _bell_matrix(index: Bell) -> np.ndarray:
     else:
         m[0, 0] = 1.0
         m[1, 1] = sign
-    return m / np.sqrt(2.0)
+    return m / _SQRT2
 
 
 def make_bell(pol: Bell, spatial: Bell, layout: StateLayout = _MIN_LAYOUT,
@@ -433,8 +435,7 @@ class Stage1Result:
 
 def _definite_spins(state: HybridState) -> SpinOutcome | None:
     signs = []
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-    x_amps = np.tensordot(h, np.tensordot(h, state.amps, axes=([1], [4])),
+    x_amps = np.tensordot(_HADAMARD, np.tensordot(_HADAMARD, state.amps, axes=([1], [4])),
                           axes=([1], [5]))
     # axes now: (spin2_x, spin1_x, polA, pathA, polB, pathB) after two tensordots
     w2 = np.sum(np.abs(x_amps) ** 2, axis=(1, 2, 3, 4, 5))
@@ -501,8 +502,8 @@ def _single_photon_bell(port: int, minus: bool) -> tuple[tuple, tuple]:
     Bell state: port 1 = (R x2 +- L x1)/sqrt2, port 2 = (R x1 +- L x2)/sqrt2."""
     sign = -1.0 if minus else 1.0
     if port == 1:
-        return ((0, 1, 1 / np.sqrt(2)), (1, 0, sign / np.sqrt(2)))
-    return ((0, 0, 1 / np.sqrt(2)), (1, 1, sign / np.sqrt(2)))
+        return ((0, 1, 1 / _SQRT2), (1, 0, sign / _SQRT2))
+    return ((0, 0, 1 / _SQRT2), (1, 1, sign / _SQRT2))
 
 
 def _detector_bell(name: str) -> tuple[int, bool]:

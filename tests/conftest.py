@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hyperbell.hilbert import HybridState, StateLayout
+from hyperbell.optics import parse_circuit, run_circuit
 
 
 @pytest.fixture
@@ -19,3 +20,15 @@ def random_state(layout: StateLayout, rng, normalize=True) -> HybridState:
     if normalize:
         amps /= np.linalg.norm(amps)
     return HybridState(layout, amps)
+
+
+def measure_op(state: HybridState, op: str):
+    """Run one measurement op (e.g. "measure_spin qd=QD1") on a state as a
+    one-op circuit on the state's own layout, with spins QD1 and QD2."""
+    lo = state.layout
+    circuit = parse_circuit(
+        "qd QD1 basis=+\nqd QD2 basis=+\n"
+        f"photon {lo.photons[0]} paths={','.join(lo.paths[0])}\n"
+        f"photon {lo.photons[1]} paths={','.join(lo.paths[1])}\n"
+        f"op {op}\n")
+    return run_circuit(circuit, state)

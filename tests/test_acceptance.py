@@ -7,7 +7,7 @@ import time
 import mpmath
 import numpy as np
 
-from conftest import random_state
+from conftest import measure_op, random_state
 from hyperbell.analysis import (
     SweepGrid,
     efficiency_closed_form,
@@ -25,13 +25,10 @@ from hyperbell.cavity import (
     reflection_coefficients,
 )
 from hyperbell.hilbert import (
-    Detector,
     HybridState,
-    SpinX,
     StateLayout,
     apply_single_photon_op,
     apply_spin_conditional_op,
-    measure,
     overlap,
     product_state,
 )
@@ -292,12 +289,12 @@ def test_criterion_9_property_suites():
         state = random_state(layout, rng)
         state = HybridState(layout, state.amps * rng.uniform(0.2, 1.0))
         if rng.random() < 0.5:
-            obs = SpinX(int(rng.integers(1, 3)))
+            op = f"measure_spin qd=QD{int(rng.integers(1, 3))}"
         else:
             photon = "A" if rng.random() < 0.5 else "B"
             path = str(rng.choice(layout.paths[0 if photon == "A" else 1]))
-            obs = Detector(photon, path, "D")
-        branches = measure(state, obs)
+            op = f"detector photon={photon} path={path} label=D"
+        branches = measure_op(state, op)
         assert abs(sum(br.probability for br in branches) - state.norm2) < 1e-10
 
     for _ in range(1000):  # parser round trip

@@ -12,6 +12,7 @@ from hyperbell.cavity import (
 )
 from hyperbell.errors import PreconditionError
 from hyperbell.hilbert import HybridState, overlap, product_state
+from hyperbell.optics import parse_circuit, run_circuit_tracked
 
 EXAMPLE_PAIR = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
 SQ2 = np.sqrt(2.0)
@@ -115,13 +116,13 @@ class TestParityGate:
     def test_ideal_on_phi_plus(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1", "+", "+")
         out = parity_gate(state, "A", "a1",
-                          BlockConfig(qd=1, pair=IDEAL_PAIR, mode="parity-gate"))
+                          BlockConfig(qd=1, pair=IDEAL_PAIR))
         expected = -product_state(small_layout, "R", "a1", "R", "b1", "-", "+").amps
         np.testing.assert_allclose(out.amps, expected, atol=1e-12)
 
     def test_ideal_involution(self, small_layout, rng):
         state = random_state(small_layout, rng)
-        cfg = BlockConfig(qd=1, pair=IDEAL_PAIR, mode="parity-gate")
+        cfg = BlockConfig(qd=1, pair=IDEAL_PAIR)
         out = parity_gate(parity_gate(state, "A", "a1", cfg), "A", "a1", cfg)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
 
@@ -129,7 +130,7 @@ class TestParityGate:
         # the gate must equal h * pol-flip + s * spin-X-flip on the bound path
         pair = ReflectionPair(r_o=rng.normal() + 1j * rng.normal(),
                               r_h=rng.normal() + 1j * rng.normal())
-        cfg = BlockConfig(qd=1, pair=pair, mode="parity-gate")
+        cfg = BlockConfig(qd=1, pair=pair)
         s, h = pair.success_amplitude, pair.herald_amplitude
         state = random_state(small_layout, rng)
         out = parity_gate(state, "A", "a1", cfg)
@@ -147,7 +148,7 @@ class TestParityGate:
 
         for pol in (Bell.PHI_PLUS, Bell.PHI_MINUS):
             state = make_bell(pol, Bell.PSI_PLUS)
-            cfg = BlockConfig(qd=1, pair=IDEAL_PAIR, mode="parity-gate")
+            cfg = BlockConfig(qd=1, pair=IDEAL_PAIR)
             out = parity_gate(state, "A", "a1", cfg)
             out = parity_gate(out, "B", "b1", cfg)
             target = make_bell(pol, Bell.PSI_PLUS, spins=("-", "+"))
@@ -158,7 +159,54 @@ class TestParityGate:
         from hyperbell.protocols import Bell, make_bell
 
         state = make_bell(Bell.PSI_MINUS, Bell.PHI_MINUS)
-        cfg = BlockConfig(qd=1, pair=IDEAL_PAIR, mode="parity-gate")
+        cfg = BlockConfig(qd=1, pair=IDEAL_PAIR)
         out = parity_gate(parity_gate(state, "A", "a1", cfg), "B", "b1", cfg)
         target = make_bell(Bell.PSI_MINUS, Bell.PHI_MINUS, spins=("+", "+"))
         assert abs(abs(overlap(target, out)) - 1.0) < 1e-12
+
+
+class TestBlockMatchesMacro:
+    """The Python API and the circuit-language block macro agree."""
+
+    MACRO = ("qd QD1 basis=+\nqd QD2 basis=+\n"
+             "photon A paths=a1,a2\nphoton B paths=b1,b2\n"
+             "block mode={mode} qd=QD2 photon=B path=b2{label}\n")
+
+    @staticmethod
+    def random_pair(rng):
+        r_o, r_h = rng.uniform(0, 1, size=2) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
+        return ReflectionPair(r_o=r_o, r_h=r_h)
+
+    def test_heralded_block(self, small_layout, rng):
+        circuit = parse_circuit(self.MACRO.format(mode="heralded", label=" label=D"))
+        layout = circuit.layout()  # photon B gains the herald path hD
+        assert layout.paths[1] == ("b1", "b2", "hD")
+        for _ in range(20):
+            pair = self.random_pair(rng)
+            spins = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            # L on the bound path b2, any polarization off it
+            pol_b1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+            amps = (product_state(small_layout, "R", "a1", pol_b1, "b1", *spins).amps
+                    + product_state(small_layout, "H", "a2", "L", "b2", *spins).amps)
+            state = HybridState(small_layout, amps)
+            by = {b.record[0][1]: b for b in heralded_block(
+                state, "B", "b2", BlockConfig(qd=2, pair=pair))}
+            wide = np.zeros(layout.shape, dtype=complex)
+            wide[:, :, :, :2] = amps
+            run = run_circuit_tracked(circuit, HybridState(layout, wide), pair)
+            assert abs(by["click"].probability - run.click_probability["D"]) < 1e-12
+            (silent,) = [b for b in run.branches if b.record == ()]
+            np.testing.assert_allclose(
+                by["no_click"].residual.amps * np.sqrt(by["no_click"].probability),
+                silent.physical_state().amps[:, :, :, :2], atol=1e-12)
+            assert np.all(silent.physical_state().amps[:, :, :, 2] == 0)
+
+    def test_parity_gate(self, small_layout, rng):
+        circuit = parse_circuit(self.MACRO.format(mode="parity", label=""))
+        assert circuit.layout() == small_layout
+        for _ in range(20):
+            pair = self.random_pair(rng)
+            state = random_state(small_layout, rng)
+            out = parity_gate(state, "B", "b2", BlockConfig(qd=2, pair=pair))
+            (branch,) = run_circuit_tracked(circuit, state, pair).branches
+            np.testing.assert_allclose(out.amps, branch.physical_state().amps, atol=1e-12)

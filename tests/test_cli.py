@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -46,6 +47,36 @@ class TestBlock:
         kv = parse_kv(out)
         assert abs(float(kv["no_click: probability"]) - (40 / 41) ** 2) < 1e-10
         assert abs(float(kv["click: probability"]) - (1 / 41) ** 2) < 1e-10
+
+    GOLDEN = {
+        ("--g", "1.0", "--gamma", "0.1"): """\
+input: +1.000000|L a1; R b1; ++>
+click: probability=0.0005948839976204652
+  state: -1.000000|L a1; R b1; ++>
+no_click: probability=0.9518143961927418
+  state: -1.000000|R a1; R b1; -+>
+absorbed=0.047590719809637805
+""",
+        ("--g", "0.5", "--kappa-s", "0.3", "--gamma", "0.2", "--detuning", "0.4"): """\
+input: +1.000000|L a1; R b1; ++>
+click: probability=0.06435698067116895
+  state: +(-0.599589-0.800308i)|L a1; R b1; ++>
+no_click: probability=0.23524695755109776
+  state: +(0.074693-0.997207i)|R a1; R b1; -+>
+absorbed=0.7003960617777333
+""",
+    }
+    NUMBER = re.compile(r"[-+]?\d+\.\d+(?:e[-+]?\d+)?")
+
+    @pytest.mark.parametrize("args", list(GOLDEN), ids=["paper-point", "detuned"])
+    def test_golden_stdout(self, capsys, args):
+        # exact text and line structure; numbers may move in the last digits
+        code, out, _ = run_cli(capsys, "block", *args)
+        assert code == 0
+        golden = self.GOLDEN[args]
+        assert self.NUMBER.sub("#", out) == self.NUMBER.sub("#", golden)
+        for got, want in zip(self.NUMBER.findall(out), self.NUMBER.findall(golden)):
+            assert abs(float(got) - float(want)) < 1e-12
 
 
 class TestHbsg:

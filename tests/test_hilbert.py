@@ -1,22 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import measure_op, random_state
 from hyperbell.errors import ConfigurationError
 from hyperbell.hilbert import (
     POL_H,
     POL_L,
     POL_R,
     POL_V,
-    Detector,
     HybridState,
-    ProjectorSet,
-    SpinX,
     StateLayout,
     apply_single_photon_op,
     apply_spin_conditional_op,
     format_state,
-    measure,
     overlap,
     product_state,
     zero_state,
@@ -141,16 +137,18 @@ class TestApplySpinConditionalOp:
 
 
 class TestMeasure:
+    """Measurement is the runner's: each case runs a one-op circuit."""
+
     def test_spin_x_eigenstate(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1", "+", "+")
-        branches = measure(state, SpinX(1))
+        branches = measure_op(state, "measure_spin qd=QD1")
         assert len(branches) == 1
-        assert branches[0].record == (("spin1", "+"),)
+        assert branches[0].record == (("QD1", "+"),)
         assert abs(branches[0].probability - 1.0) < 1e-12
 
     def test_spin_x_on_up_is_fifty_fifty(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1", "up", "+")
-        branches = measure(state, SpinX(1))
+        branches = measure_op(state, "measure_spin qd=QD1")
         assert sorted(b.record[0][1] for b in branches) == ["+", "-"]
         for b in branches:
             assert abs(b.probability - 0.5) < 1e-12
@@ -171,8 +169,8 @@ class TestMeasure:
         state = HybridState(small_layout, amps)
         assert abs(state.norm2 - 1.0) < 1e-12
         joint = []
-        for b1 in measure(state, SpinX(1)):
-            for b2 in measure(b1.residual, SpinX(2)):
+        for b1 in measure_op(state, "measure_spin qd=QD1"):
+            for b2 in measure_op(b1.residual, "measure_spin qd=QD2"):
                 joint.append((b1.record + b2.record,
                               b1.probability * b2.probability))
         assert len(joint) == 4
@@ -182,42 +180,18 @@ class TestMeasure:
     def test_detector_click_and_no_click(self, small_layout):
         state = product_state(small_layout, "R", {"a1": 1 / SQ2, "a2": 1j / SQ2},
                               "R", "b1")
-        branches = measure(state, Detector("A", "a1", "D"))
-        by_outcome = {b.record[0][1]: b for b in branches}
-        assert abs(by_outcome["click"].probability - 0.5) < 1e-12
-        assert abs(by_outcome["no_click"].probability - 0.5) < 1e-12
+        branches = measure_op(state, "detector photon=A path=a1 label=D")
+        by_record = {b.record: b for b in branches}
+        # a silent detector adds no record entry
+        assert set(by_record) == {(("D", "click"),), ()}
+        assert abs(by_record[(("D", "click"),)].probability - 0.5) < 1e-12
+        assert abs(by_record[()].probability - 0.5) < 1e-12
 
     def test_completeness_preserves_subnormalized_weight(self, small_layout, rng):
         state = random_state(small_layout, rng)
         state = HybridState(small_layout, 0.7 * state.amps)
-        branches = measure(state, SpinX(2))
+        branches = measure_op(state, "measure_spin qd=QD2")
         assert abs(sum(b.probability for b in branches) - state.norm2) < 1e-10
-
-    def test_projector_set(self, small_layout):
-        dim = small_layout.dim
-        p0 = np.zeros((dim, dim), dtype=complex)
-        p0[0, 0] = 1.0
-        outcomes = (("first", p0), ("rest", np.eye(dim) - p0))
-        state = random_state(small_layout, np.random.default_rng(3))
-        branches = measure(state, ProjectorSet(outcomes))
-        assert abs(sum(b.probability for b in branches) - 1.0) < 1e-10
-
-    def test_non_orthogonal_projectors_rejected(self, small_layout, rng):
-        dim = small_layout.dim
-        p0 = np.zeros((dim, dim), dtype=complex)
-        p0[0, 0] = 1.0
-        p0[0, 1] = 0.5  # not a projector, set not orthogonal
-        state = random_state(small_layout, rng)
-        with pytest.raises(ConfigurationError):
-            measure(state, ProjectorSet((("bad", p0), ("rest", np.eye(dim) - p0))))
-
-    def test_incomplete_projectors_rejected(self, small_layout, rng):
-        dim = small_layout.dim
-        p0 = np.zeros((dim, dim), dtype=complex)
-        p0[0, 0] = 1.0
-        state = random_state(small_layout, rng)
-        with pytest.raises(ConfigurationError):
-            measure(state, ProjectorSet((("only", p0),)))
 
 
 class TestOverlap:

@@ -4,22 +4,28 @@ import pytest
 from conftest import random_state
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import ConfigurationError
-from hyperbell.hilbert import HybridState, StateLayout, overlap, product_state
+from hyperbell.hilbert import (
+    HybridState,
+    StateLayout,
+    apply_single_photon_op,
+    overlap,
+    product_state,
+)
 from hyperbell.optics import (
     Circuit,
     Element,
     ElementKind,
-    apply_bs,
-    apply_cpbs,
-    apply_hp,
-    apply_pbs,
-    apply_wfc,
-    apply_z,
+    bs_matrix,
+    cpbs_matrix,
     element_matrix,
+    hp_matrix,
     parse_circuit,
+    pbs_matrix,
     run_circuit,
     run_circuit_tracked,
     serialize_circuit,
+    wfc_matrix,
+    z_matrix,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -29,33 +35,35 @@ EXAMPLE_PAIR = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
 class TestHalfWavePlate:
     def test_involution(self, small_layout, rng):
         state = random_state(small_layout, rng)
-        out = apply_hp(apply_hp(state, "A", "a1"), "A", "a1")
+        hp = hp_matrix(small_layout, "A", "a1")
+        out = apply_single_photon_op(apply_single_photon_op(state, "A", hp), "A", hp)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
 
     def test_l_to_difference(self, small_layout):
         state = product_state(small_layout, "L", "a1", "R", "b1")
-        out = apply_hp(state, "A", "a1")
+        out = apply_single_photon_op(state, "A", hp_matrix(small_layout, "A", "a1"))
         expected = (product_state(small_layout, "R", "a1", "R", "b1").amps
                     - product_state(small_layout, "L", "a1", "R", "b1").amps) / SQ2
         np.testing.assert_allclose(out.amps, expected, atol=1e-15)
 
     def test_disjoint_path_untouched(self, small_layout):
         state = product_state(small_layout, "R", "a2", "R", "b1")
-        out = apply_hp(state, "A", "a1")
+        out = apply_single_photon_op(state, "A", hp_matrix(small_layout, "A", "a1"))
         assert np.array_equal(out.amps, state.amps)
 
 
 class TestBeamSplitter:
     def test_involution(self, small_layout, rng):
         state = random_state(small_layout, rng)
-        once = apply_bs(state, "A", ("a1", "a2"), ("a1", "a2"))
-        out = apply_bs(once, "A", ("a1", "a2"), ("a1", "a2"))
+        bs = bs_matrix(small_layout, "A", ("a1", "a2"), ("a1", "a2"))
+        out = apply_single_photon_op(apply_single_photon_op(state, "A", bs), "A", bs)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
 
     def test_constructive_interference(self, small_layout):
         state = product_state(small_layout, "R", {"a1": 1 / SQ2, "a2": 1 / SQ2},
                               "R", "b1")
-        out = apply_bs(state, "A", ("a1", "a2"), ("a1", "a2"))
+        out = apply_single_photon_op(
+            state, "A", bs_matrix(small_layout, "A", ("a1", "a2"), ("a1", "a2")))
         expected = product_state(small_layout, "R", "a1", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
@@ -66,8 +74,10 @@ class TestBeamSplitter:
         from hyperbell.protocols import Bell, make_bell
 
         psi_minus = make_bell(Bell.PHI_PLUS, Bell.PSI_MINUS, layout)
-        out = apply_bs(psi_minus, "A", ("a1", "a2"), ("c1", "c2"))
-        out = apply_bs(out, "B", ("b1", "b2"), ("d1", "d2"))
+        out = apply_single_photon_op(
+            psi_minus, "A", bs_matrix(layout, "A", ("a1", "a2"), ("c1", "c2")))
+        out = apply_single_photon_op(
+            out, "B", bs_matrix(layout, "B", ("b1", "b2"), ("d1", "d2")))
         h = np.array([[1, 1], [1, -1]]) / SQ2
         spatial_in = np.array([0, 1, -1, 0]) / SQ2  # a1 b2 - a2 b1
         spatial_out = np.kron(h, h) @ spatial_in  # rail-pair oracle
@@ -80,26 +90,29 @@ class TestBeamSplitter:
         layout = StateLayout(photons=("A", "B"),
                              paths=(("a1", "a2", "c1", "c2"), ("b1",)))
         state = product_state(layout, "R", "a1", "R", "b1")
-        out = apply_bs(state, "A", ("a1", "a2"), ("c1", "c2"))
+        out = apply_single_photon_op(
+            state, "A", bs_matrix(layout, "A", ("a1", "a2"), ("c1", "c2")))
         expected = product_state(layout, "R", {"c1": 1 / SQ2, "c2": 1 / SQ2},
                                  "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
-    def test_partial_overlap_rejected(self, small_layout, rng):
+    def test_partial_overlap_rejected(self, small_layout):
         with pytest.raises(ConfigurationError):
-            apply_bs(random_state(small_layout, rng), "A", ("a1", "a2"), ("a1", "b1"))
+            bs_matrix(small_layout, "A", ("a1", "a2"), ("a1", "b1"))
 
 
 class TestCircularPBS:
     def test_r_transmits_to_cross_port(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1")
-        out = apply_cpbs(state, "A", ("a1",), ("a1", "a2"))
+        out = apply_single_photon_op(
+            state, "A", cpbs_matrix(small_layout, "A", ("a1",), ("a1", "a2")))
         expected = product_state(small_layout, "R", "a2", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_h_input_splits_across_ports(self, small_layout):
         state = product_state(small_layout, "H", "a1", "R", "b1")
-        out = apply_cpbs(state, "A", ("a1",), ("a1", "a2"))
+        out = apply_single_photon_op(
+            state, "A", cpbs_matrix(small_layout, "A", ("a1",), ("a1", "a2")))
         expected = (product_state(small_layout, "R", "a2", "R", "b1").amps
                     + product_state(small_layout, "L", "a1", "R", "b1").amps) / SQ2
         np.testing.assert_allclose(out.amps, expected, atol=1e-15)
@@ -109,32 +122,35 @@ class TestCircularPBS:
         state = HybridState(small_layout, (
             product_state(small_layout, "R", "a2", "R", "b1").amps
             + product_state(small_layout, "L", "a1", "R", "b1").amps) / SQ2)
-        out = apply_cpbs(state, "A", ("a1", "a2"), ("a1", "a2"))
+        out = apply_single_photon_op(
+            state, "A", cpbs_matrix(small_layout, "A", ("a1", "a2"), ("a1", "a2")))
         expected = product_state(small_layout, "H", "a1", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
-    def test_duplicate_output_rejected(self, small_layout, rng):
+    def test_duplicate_output_rejected(self, small_layout):
         with pytest.raises(ConfigurationError):
-            apply_cpbs(random_state(small_layout, rng), "A", ("a1", "a2"),
-                       ("a1", "a1"))
+            cpbs_matrix(small_layout, "A", ("a1", "a2"), ("a1", "a1"))
 
 
 class TestLinearPBS:
     def test_h_transmits(self, small_layout):
         state = product_state(small_layout, "H", "a1", "R", "b1")
-        out = apply_pbs(state, "A", "a1", ("a1", "a2"))
+        out = apply_single_photon_op(
+            state, "A", pbs_matrix(small_layout, "A", "a1", ("a1", "a2")))
         expected = product_state(small_layout, "H", "a1", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_v_reflects(self, small_layout):
         state = product_state(small_layout, "V", "a1", "R", "b1")
-        out = apply_pbs(state, "A", "a1", ("a1", "a2"))
+        out = apply_single_photon_op(
+            state, "A", pbs_matrix(small_layout, "A", "a1", ("a1", "a2")))
         expected = product_state(small_layout, "V", "a2", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_r_splits_into_h_and_v(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1")
-        out = apply_pbs(state, "A", "a1", ("a1", "a2"))
+        out = apply_single_photon_op(
+            state, "A", pbs_matrix(small_layout, "A", "a1", ("a1", "a2")))
         expected = (product_state(small_layout, "H", "a1", "R", "b1").amps
                     + product_state(small_layout, "V", "a2", "R", "b1").amps) / SQ2
         np.testing.assert_allclose(out.amps, expected, atol=1e-15)
@@ -143,26 +159,29 @@ class TestLinearPBS:
 class TestZAndWfc:
     def test_z_flips_polarization(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1")
-        out = apply_z(state, "A", "a1")
+        out = apply_single_photon_op(state, "A", z_matrix(small_layout, "A", "a1"))
         expected = product_state(small_layout, "L", "a1", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_z_involution_and_disjoint_path(self, small_layout, rng):
         state = random_state(small_layout, rng)
+        z = z_matrix(small_layout, "A", "a1")
         np.testing.assert_allclose(
-            apply_z(apply_z(state, "A", "a1"), "A", "a1").amps, state.amps,
-            atol=1e-13)
+            apply_single_photon_op(apply_single_photon_op(state, "A", z), "A", z).amps,
+            state.amps, atol=1e-13)
         on_a2 = product_state(small_layout, "R", "a2", "R", "b1")
-        assert np.array_equal(apply_z(on_a2, "A", "a1").amps, on_a2.amps)
+        assert np.array_equal(apply_single_photon_op(on_a2, "A", z).amps, on_a2.amps)
 
     def test_wfc_ideal_pair_preserves_norm(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1")
-        out = apply_wfc(state, "A", "a1", IDEAL_PAIR)
+        out = apply_single_photon_op(
+            state, "A", wfc_matrix(small_layout, "A", "a1", IDEAL_PAIR))
         np.testing.assert_allclose(out.amps, -state.amps, atol=1e-15)
 
     def test_wfc_example_pair_scaling(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1")
-        out = apply_wfc(state, "A", "a1", EXAMPLE_PAIR)
+        out = apply_single_photon_op(
+            state, "A", wfc_matrix(small_layout, "A", "a1", EXAMPLE_PAIR))
         np.testing.assert_allclose(out.amps, -0.975610 * state.amps, atol=1e-6)
         assert abs(out.norm2 - abs(EXAMPLE_PAIR.success_amplitude) ** 2) < 1e-12
 
@@ -176,7 +195,8 @@ class TestZAndWfc:
             r_h = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             pair = ReflectionPair(r_o=r_o, r_h=r_h)
             state = random_state(small_layout, rng)
-            assert apply_wfc(state, "A", "a1", pair).norm2 <= 1 + 1e-12
+            wfc = wfc_matrix(small_layout, "A", "a1", pair)
+            assert apply_single_photon_op(state, "A", wfc).norm2 <= 1 + 1e-12
             reflected = apply_spin_conditional_op(
                 state, "B", 2, reflection_operator(pair), "b2")
             assert reflected.norm2 <= 1 + 1e-12
