@@ -1,7 +1,8 @@
 """Fidelity and efficiency metrics, the parameter sweep, CSV/SVG output.
 
-The sweep runs the full generation circuit at every grid point and
-reports, per point: the closed-form efficiency |(r_h - r_o)/2|^8, the
+The sweep runs the heralded generation circuit once, as a polynomial in
+s = (r_o - r_h)/2 and h = (r_o + r_h)/2, evaluates it at every grid point
+and reports, per point: the closed-form efficiency |(r_h - r_o)/2|^8, the
 simulated end-to-end success probability (they must agree to 1e-10),
 the herald rate, the silent-leak share of the surviving weight, and the
 fidelity of the surviving unleaked component against its target.
@@ -16,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cavity import (
+    IDEAL_PAIR,
     CavityParams,
     DephasingParams,
     ReflectionPair,
@@ -36,7 +38,7 @@ from .protocols import (
     hbsg_input,
     make_bell,
 )
-from .optics import run_circuit_tracked
+from .optics import PolynomialRun, run_circuit_polynomial, run_circuit_tracked
 
 CSV_COLUMNS = ("kappa_s_over_kappa,g_over_sum,r_o_re,r_o_im,r_h_re,r_h_im,"
                "eta_closed,eta_sim,herald_rate,leakage_rate,cond_fidelity")
@@ -76,29 +78,32 @@ class GenerationStats:
 
 
 @lru_cache(maxsize=1)
+def _hbsg_polynomial_run() -> PolynomialRun:
+    """The generation circuit, spins unmeasured, clicked branches dropped."""
+    circuit = hbsg_circuit_premeasure()
+    return run_circuit_polynomial(circuit, hbsg_input(circuit))
+
+
+@lru_cache(maxsize=1)
 def _hbsg_ideal_premeasure() -> np.ndarray:
     """Unit-norm output of the lossless generation circuit, spins unmeasured."""
-    circuit = hbsg_circuit_premeasure()
-    from .cavity import IDEAL_PAIR
-
-    run = run_circuit_tracked(circuit, hbsg_input(circuit), IDEAL_PAIR,
-                              drop_clicked=True)
-    amps = run.branches[0].layers[0]
+    amps = _hbsg_polynomial_run().at(IDEAL_PAIR).branches[0].layers[0]
     return amps / np.sqrt(np.sum(np.abs(amps) ** 2))
 
 
 def hbsg_statistics(pair: ReflectionPair) -> GenerationStats:
-    """Simulate the generation circuit and aggregate its statistics.
+    """Aggregate the statistics of the generation circuit at one pair.
 
-    The herald rate is the probability that at least one herald detector
-    fires; eta and the leak share are conditioned on no click. The waveform
-    correctors keep the unleaked component proportional to the lossless
-    output, so conditional_fidelity (its fidelity against that output,
-    equal to the per-branch post-measurement value) is 1 up to rounding;
-    it is vacuously 1.0 when nothing unleaked survives (e.g. g = 0).
+    The circuit is run once, as a polynomial in (s, h), and evaluated at
+    the pair. The herald rate is the probability that at least one herald
+    detector fires; eta and the leak share are conditioned on no click.
+    The waveform correctors keep the unleaked component proportional to
+    the lossless output, so conditional_fidelity (its fidelity against
+    that output, equal to the per-branch post-measurement value) is 1 up
+    to rounding; it is vacuously 1.0 when nothing unleaked survives
+    (e.g. g = 0).
     """
-    circuit = hbsg_circuit_premeasure()
-    run = run_circuit_tracked(circuit, hbsg_input(circuit), pair, drop_clicked=True)
+    run = _hbsg_polynomial_run().at(pair)
     herald_rate = sum(run.click_probability.values())
     if not run.branches:
         return GenerationStats(0.0, herald_rate, 1.0, 1.0)
@@ -172,16 +177,20 @@ class SweepGrid:
     detuning: float = 0.0
 
     def __post_init__(self):
+        if not self.kappa_s_over_kappa or not self.g_over_sum:
+            raise ConfigurationError("sweep grid axes must not be empty")
         values = list(self.kappa_s_over_kappa) + list(self.g_over_sum)
-        if not values:
-            raise ConfigurationError("sweep grid must not be empty")
         if any(not math.isfinite(v) or v < 0 for v in values):
             raise ConfigurationError("grid values must be finite and non-negative")
+        if not (math.isfinite(self.gamma_over_kappa) and math.isfinite(self.detuning)):
+            raise ConfigurationError("gamma_over_kappa and detuning must be finite")
 
     @staticmethod
     def regular(ks_min=0.0, ks_max=1.0, ks_steps=101,
                 g_min=0.0, g_max=2.5, g_steps=101,
                 gamma_over_kappa=0.1, detuning=0.0) -> "SweepGrid":
+        if ks_steps < 1 or g_steps < 1:
+            raise ConfigurationError("sweep axes need at least one step")
         return SweepGrid(
             tuple(np.linspace(ks_min, ks_max, ks_steps)),
             tuple(np.linspace(g_min, g_max, g_steps)),

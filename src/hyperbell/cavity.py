@@ -12,7 +12,8 @@ and hot reflection emerges automatically.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +33,9 @@ class CavityParams:
     omega_x: float = 0.0     # trion transition frequency
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ConfigurationError(f"{field.name} must be finite")
         if not self.kappa > 0:
             raise ConfigurationError("kappa must be positive")
         if self.kappa_s < 0 or self.gamma < 0 or self.g < 0:

@@ -205,13 +205,16 @@ def _apply_polspin_at_path(amps: np.ndarray, slot: int, path_idx: int,
     return out
 
 
+def _path_slice(slot: int, path_idx: int) -> tuple:
+    """Index selecting the amplitudes with photon ``slot`` on one path."""
+    return (slice(None), path_idx) if slot == 0 else (slice(None),) * 3 + (path_idx,)
+
+
 def _project_path(amps: np.ndarray, slot: int, path_idx: int) -> np.ndarray:
     """Keep only amplitudes with the photon on the given path."""
     out = np.zeros_like(amps)
-    if slot == 0:
-        out[:, path_idx] = amps[:, path_idx]
-    else:
-        out[:, :, :, path_idx] = amps[:, :, :, path_idx]
+    on_path = _path_slice(slot, path_idx)
+    out[on_path] = amps[on_path]
     return out
 
 

@@ -3,7 +3,9 @@
 Elements act on a HybridState through their single-photon matrices; the
 quantum-dot arm (qdarm) is the one element that couples a photon to a
 spin. Circuits are immutable after parsing and run_circuit is a pure
-function of (circuit, input, pair).
+function of (circuit, input, pair). The pair enters only through
+s = (r_o - r_h)/2 and h = (r_o + r_h)/2 at qdarm and wfc, so
+run_circuit_polynomial can run a circuit once for every pair.
 
 Circuit file format (UTF-8, line oriented, ``#`` comments)::
 
@@ -36,6 +38,7 @@ from .hilbert import (
     _apply_photon_matrix,
     _apply_polspin_at_path,
     _apply_spin_matrix,
+    _path_slice,
     _project_path,
 )
 
@@ -165,19 +168,6 @@ def z_matrix(layout: StateLayout, photon: str, path: str) -> np.ndarray:
                               layout.path_index(photon, path), _PAULI_X)
 
 
-def wfc_matrix(layout: StateLayout, photon: str, path: str,
-               pair: ReflectionPair) -> np.ndarray:
-    """Waveform corrector: scale the bound path by (r_o - r_h)/2."""
-    slot = layout.photon_slot(photon)
-    n = len(layout.paths[slot])
-    idx = layout.path_index(photon, path)
-    mat = np.eye(2 * n, dtype=complex)
-    s = pair.success_amplitude
-    mat[idx, idx] = s
-    mat[n + idx, n + idx] = s
-    return mat
-
-
 def bs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.ndarray:
     """50:50 beam splitter: |x1> -> (|y1>+|y2>)/sqrt2, |x2> -> (|y1>-|y2>)/sqrt2."""
     slot = layout.photon_slot(photon)
@@ -239,15 +229,12 @@ def pbs_matrix(layout: StateLayout, photon: str, path: str, out_paths) -> np.nda
     return np.kron(_PROJ_H, perm_h) + np.kron(_PROJ_V, perm_v)
 
 
-def element_matrix(el: Element, layout: StateLayout,
-                   pair: ReflectionPair = IDEAL_PAIR) -> np.ndarray:
-    """Single-photon matrix of a matrix-type element (not qdarm/detector/measure)."""
+def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
+    """Single-photon matrix of a passive element (not wfc/qdarm/detector/measure)."""
     if el.kind == ElementKind.HP:
         return hp_matrix(layout, el.photon, el.path)
     if el.kind == ElementKind.Z:
         return z_matrix(layout, el.photon, el.path)
-    if el.kind == ElementKind.WFC:
-        return wfc_matrix(layout, el.photon, el.path, pair)
     if el.kind == ElementKind.BS:
         return bs_matrix(layout, el.photon, el.in_paths, el.out_paths)
     if el.kind == ElementKind.CPBS:
@@ -505,8 +492,10 @@ class TrackedBranch:
     """One run branch with its amplitude split by leak count.
 
     layers[k] holds the component that leaked exactly k times through a
-    quantum-dot arm (the (r_o + r_h)/2 component). The physical state is
-    the coherent sum of all layers; the split is exact by linearity. It
+    quantum-dot arm, i.e. the coefficient of h^k with h = (r_o + r_h)/2
+    (the success amplitude s = (r_o - r_h)/2 multiplied in). Trailing
+    layers below the branch-drop threshold are pruned. The physical state
+    is the coherent sum of all layers; the split is exact by linearity. It
     serves error accounting and also defines the herald split: after one
     Hp - qdarm - Hp arm on a purely L input, layers[1] is exactly what a
     heralding detector would catch and layers[0] what passes it.
@@ -564,45 +553,178 @@ def initial_spins(circuit: Circuit) -> tuple[str, str]:
     return tuple(prep)
 
 
-def _compile(circuit: Circuit, layout: StateLayout, pair: ReflectionPair):
+def _compile(circuit: Circuit, layout: StateLayout):
+    """Parameter-free actions; the cavity enters only at qdarm and wfc."""
     actions = []
     for el in circuit.ops:
+        if el.kind == ElementKind.MEASURE_SPIN:
+            actions.append(("spin", circuit.qd_slot(el.qd), el.qd))
+            continue
+        slot = layout.photon_slot(el.photon)
         if el.kind == ElementKind.QDARM:
-            slot = layout.photon_slot(el.photon)
             actions.append(("qdarm", slot, layout.path_index(el.photon, el.path),
-                            circuit.qd_slot(el.qd),
-                            pair.success_amplitude, pair.herald_amplitude))
+                            circuit.qd_slot(el.qd)))
+        elif el.kind == ElementKind.WFC:
+            actions.append(("wfc", slot, layout.path_index(el.photon, el.path)))
         elif el.kind == ElementKind.DETECTOR:
-            slot = layout.photon_slot(el.photon)
             actions.append(("detector", slot,
                             layout.path_index(el.photon, el.path), el.label))
-        elif el.kind == ElementKind.MEASURE_SPIN:
-            actions.append(("spin", circuit.qd_slot(el.qd), el.qd))
         else:
-            slot = layout.photon_slot(el.photon)
-            actions.append(("matrix", slot, element_matrix(el, layout, pair)))
+            actions.append(("matrix", slot, element_matrix(el, layout)))
     return actions
 
 
-def _prune_layers(layers: list[np.ndarray]) -> list[np.ndarray]:
-    while len(layers) > 1 and np.sum(np.abs(layers[-1]) ** 2) < _BRANCH_DROP:
-        layers.pop()
+# A branch's layers are a dict keyed by (s-degree, h-degree). The two run
+# modes differ only in how a lossy passage (qdarm, wfc) acts on that key,
+# in how a click is kept and in which negligible layers are pruned.
+
+def _weight(a: np.ndarray) -> float:
+    return float(np.sum(np.abs(a) ** 2))
+
+
+def _add(layers: dict, key: tuple[int, int], a: np.ndarray):
+    if key in layers:
+        layers[key] += a
+    else:
+        layers[key] = a
+
+
+def _prune_trailing(layers: dict) -> dict:
+    """Drop the highest leak layers while they are below _BRANCH_DROP.
+
+    For layers keyed (0, k) with k = 0, 1, ..., len - 1.
+    """
+    while len(layers) > 1 and _weight(layers[(0, len(layers) - 1)]) < _BRANCH_DROP:
+        del layers[(0, len(layers) - 1)]
     return layers
 
 
-def _outcomes(action, layers: list[np.ndarray]) -> list:
+class _Numeric:
+    """s and h multiplied in as numbers: the key's s-degree stays 0."""
+
+    def __init__(self, pair: ReflectionPair):
+        self.s = pair.success_amplitude
+        self.h = pair.herald_amplitude
+        self.clicks: dict[str, float] = {}
+
+    @staticmethod
+    def success_key(key):
+        return key
+
+    prune = staticmethod(_prune_trailing)
+
+    def click(self, label: str, layers: dict):
+        self.clicks[label] = self.clicks.get(label, 0.0) + _weight(sum(layers.values()))
+
+
+class _Polynomial:
+    """s = h = 1: a passage raises the key's s- or h-degree by one."""
+
+    s = h = 1.0
+
+    def __init__(self):
+        self.clicks: list[tuple[str, dict]] = []
+
+    @staticmethod
+    def success_key(key):
+        return (key[0] + 1, key[1])
+
+    @staticmethod
+    def prune(layers: dict) -> dict:
+        # |s|, |h| <= 1, so a coefficient this small stays negligible
+        for key in [key for key, a in layers.items() if _weight(a) < _BRANCH_DROP]:
+            del layers[key]
+        return layers
+
+    def click(self, label: str, layers: dict):
+        # clicked branches are dropped, so these arrays belong to the click alone
+        self.clicks.append((label, self.prune(layers)))
+
+
+def _lossy_passage(action, layers: dict, mode) -> dict:
+    """One qdarm or wfc passage through every layer.
+
+    On the bound path a wfc multiplies by s, and a qdarm maps a layer to
+    s·_SUCC4 (success) plus h·(itself) one h-degree up (leak); amplitudes
+    off the path pass unchanged. mode.success_key says where the s term
+    lands: on the same key when s is a number, so the layer is transformed
+    whole, or one s-degree up, so the on-path part is split off.
+    """
+    kind, slot, path_idx = action[:3]
+    on_path = _path_slice(slot, path_idx)
+    out: dict = {}
+    for key, a in layers.items():
+        raised = mode.success_key(key)
+        if kind == "wfc":
+            if raised == key:  # in place: every layer array belongs to one branch
+                a[on_path] *= mode.s
+                _add(out, key, a)
+            else:
+                on = _project_path(a, slot, path_idx)
+                _add(out, key, a - on)
+                _add(out, raised, on)
+            continue
+        spin_slot = action[3]
+        on = _project_path(a, slot, path_idx)
+        if raised == key:
+            _add(out, key, _apply_polspin_at_path(a, slot, path_idx, spin_slot,
+                                                  mode.s * _SUCC4))
+        else:
+            _add(out, key, a - on)
+            _add(out, raised, _apply_polspin_at_path(on, slot, path_idx, spin_slot,
+                                                     _SUCC4))
+        _add(out, (key[0], key[1] + 1), mode.h * on)
+    return out if kind == "wfc" else mode.prune(out)
+
+
+def _outcomes(action, layers: dict) -> list:
     """(record entry, projected layers) per outcome of a measurement action.
 
     A detector's no-click outcome adds no record entry (None).
     """
     if action[0] == "detector":
         _, slot, path_idx, label = action
-        clicked = [_project_path(a, slot, path_idx) for a in layers]
+        clicked = {key: _project_path(a, slot, path_idx) for key, a in layers.items()}
         return [((label, "click"), clicked),
-                (None, [a - c for a, c in zip(layers, clicked)])]
+                (None, {key: a - clicked[key] for key, a in layers.items()})]
     _, spin_slot, qd_name = action
-    return [((qd_name, sign), [_apply_spin_matrix(a, spin_slot, proj) for a in layers])
+    return [((qd_name, sign),
+             {key: _apply_spin_matrix(a, spin_slot, proj) for key, a in layers.items()})
             for sign, proj in _SPIN_X_PROJ.items()]
+
+
+def _run(circuit: Circuit, state: HybridState, mode, drop_clicked: bool):
+    """The runner loop shared by both modes: (layout, [(record, layers)])."""
+    layout = circuit.layout()
+    if state.layout != layout:
+        raise ConfigurationError("input state layout does not match circuit declarations")
+    branches: list[tuple[tuple, dict]] = [((), {(0, 0): state.amps.copy()})]
+    for action in _compile(circuit, layout):
+        kind = action[0]
+        if kind == "matrix":
+            _, slot, mat = action
+            branches = [(rec, {key: _apply_photon_matrix(a, slot, mat)
+                               for key, a in layers.items()})
+                        for rec, layers in branches]
+        elif kind in ("qdarm", "wfc"):
+            branches = [(rec, _lossy_passage(action, layers, mode))
+                        for rec, layers in branches]
+        else:  # detector or spin measurement: one branch per outcome
+            if kind == "detector":  # an entry even when no branch reaches it
+                mode.click(action[3], {})
+            new_branches = []
+            for rec, layers in branches:
+                for entry, new_layers in _outcomes(action, layers):
+                    if entry is not None and entry[1] == "click":
+                        mode.click(entry[0], new_layers)
+                        if drop_clicked:
+                            continue
+                    new_layers = mode.prune(new_layers)
+                    if sum(_weight(a) for a in new_layers.values()) > _BRANCH_DROP:
+                        new_branches.append(
+                            (rec if entry is None else rec + (entry,), new_layers))
+            branches = new_branches
+    return layout, branches
 
 
 def run_circuit_tracked(circuit: Circuit, state: HybridState,
@@ -613,47 +735,66 @@ def run_circuit_tracked(circuit: Circuit, state: HybridState,
     With drop_clicked, branches where a detector fired are discarded after
     their click probability is recorded (statistics-only fast path).
     """
-    layout = circuit.layout()
-    if state.layout != layout:
-        raise ConfigurationError("input state layout does not match circuit declarations")
-    actions = _compile(circuit, layout, pair)
-    branches: list[tuple[tuple, list[np.ndarray]]] = [((), [state.amps.copy()])]
-    clicks: dict[str, float] = {}
-    for action in actions:
-        kind = action[0]
-        if kind == "matrix":
-            _, slot, mat = action
-            branches = [(rec, [_apply_photon_matrix(a, slot, mat) for a in layers])
-                        for rec, layers in branches]
-        elif kind == "qdarm":
-            _, slot, path_idx, spin_slot, s_amp, h_amp = action
-            new_branches = []
-            for rec, layers in branches:
-                out = [np.zeros_like(layers[0]) for _ in range(len(layers) + 1)]
-                for k, a in enumerate(layers):
-                    out[k] += _apply_polspin_at_path(a, slot, path_idx, spin_slot,
-                                                     s_amp * _SUCC4)
-                    out[k + 1] += h_amp * _project_path(a, slot, path_idx)
-                new_branches.append((rec, _prune_layers(out)))
-            branches = new_branches
-        else:  # detector or spin measurement: one branch per outcome
-            new_branches = []
-            for rec, layers in branches:
-                for entry, new_layers in _outcomes(action, layers):
-                    if entry is not None and entry[1] == "click":
-                        clicks[entry[0]] = clicks.get(entry[0], 0.0) + float(
-                            np.sum(np.abs(sum(new_layers)) ** 2))
-                        if drop_clicked:
-                            continue
-                    new_layers = _prune_layers(new_layers)
-                    if sum(np.sum(np.abs(a) ** 2) for a in new_layers) > _BRANCH_DROP:
-                        new_branches.append(
-                            (rec if entry is None else rec + (entry,), new_layers))
-            branches = new_branches
+    mode = _Numeric(pair)
+    layout, branches = _run(circuit, state, mode, drop_clicked)
     return TrackedRun(
-        branches=[TrackedBranch(rec, layout, layers) for rec, layers in branches],
-        click_probability=clicks,
+        branches=[TrackedBranch(rec, layout, [layers[(0, k)] for k in range(len(layers))])
+                  for rec, layers in branches],
+        click_probability=mode.clicks,
     )
+
+
+@dataclass(frozen=True)
+class PolynomialRun:
+    """One run with s and h left symbolic, valid for every ReflectionPair.
+
+    Each branch's layers, and each click's projected layers, are
+    coefficient arrays keyed by (s-degree, h-degree). at(pair) evaluates
+    them into the TrackedRun that run_circuit_tracked returns at that pair,
+    up to rounding and branches whose weight there is at most the drop
+    threshold.
+    """
+
+    layout: StateLayout
+    branches: tuple[tuple[tuple, dict], ...]
+    clicks: tuple[tuple[str, dict], ...]
+
+    def _evaluate(self, coeffs: dict, s: complex, h: complex) -> dict:
+        layers = {(0, k): np.zeros(self.layout.shape, dtype=complex)
+                  for k in range(1 + max((k for _, k in coeffs), default=0))}
+        for (i, k), c in coeffs.items():
+            layers[(0, k)] += (s ** i * h ** k) * c
+        return layers
+
+    def at(self, pair: ReflectionPair) -> TrackedRun:
+        """The run at one pair; its arrays are new and never alias the coefficients."""
+        s, h = pair.success_amplitude, pair.herald_amplitude
+        branches = []
+        for rec, coeffs in self.branches:
+            layers = _prune_trailing(self._evaluate(coeffs, s, h))
+            if sum(_weight(a) for a in layers.values()) > _BRANCH_DROP:
+                branches.append(TrackedBranch(rec, self.layout, list(layers.values())))
+        clicks: dict[str, float] = {}
+        for label, coeffs in self.clicks:
+            amps = sum((s ** i * h ** k) * c for (i, k), c in coeffs.items())
+            clicks[label] = clicks.get(label, 0.0) + _weight(amps)
+        return TrackedRun(branches=branches, click_probability=clicks)
+
+
+def run_circuit_polynomial(circuit: Circuit, state: HybridState) -> PolynomialRun:
+    """Run a circuit once for all cavity points, as a polynomial in (s, h).
+
+    Branches where a detector fired are dropped after their click is
+    recorded, as run_circuit_tracked does with drop_clicked.
+
+    Worth it only when one circuit and input are evaluated at many pairs:
+    unlike run_circuit_tracked it cannot prune the leak layers that vanish
+    at a given pair.
+    """
+    mode = _Polynomial()
+    layout, branches = _run(circuit, state, mode, drop_clicked=True)
+    return PolynomialRun(layout, tuple((rec, mode.prune(layers)) for rec, layers in branches),
+                         tuple(mode.clicks))
 
 
 def run_circuit(circuit: Circuit, state: HybridState,

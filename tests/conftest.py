@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hyperbell.hilbert import HybridState, StateLayout
-from hyperbell.optics import parse_circuit, run_circuit
+from hyperbell.cavity import IDEAL_PAIR
+from hyperbell.optics import parse_circuit, run_circuit, run_circuit_tracked
 
 
 @pytest.fixture
@@ -22,13 +23,24 @@ def random_state(layout: StateLayout, rng, normalize=True) -> HybridState:
     return HybridState(layout, amps)
 
 
-def measure_op(state: HybridState, op: str):
-    """Run one measurement op (e.g. "measure_spin qd=QD1") on a state as a
-    one-op circuit on the state's own layout, with spins QD1 and QD2."""
-    lo = state.layout
-    circuit = parse_circuit(
+def one_op_circuit(layout: StateLayout, op: str):
+    """A circuit of the one op (e.g. "measure_spin qd=QD1") on a two-photon
+    layout, with spins QD1 and QD2."""
+    return parse_circuit(
         "qd QD1 basis=+\nqd QD2 basis=+\n"
-        f"photon {lo.photons[0]} paths={','.join(lo.paths[0])}\n"
-        f"photon {lo.photons[1]} paths={','.join(lo.paths[1])}\n"
+        f"photon {layout.photons[0]} paths={','.join(layout.paths[0])}\n"
+        f"photon {layout.photons[1]} paths={','.join(layout.paths[1])}\n"
         f"op {op}\n")
-    return run_circuit(circuit, state)
+
+
+def measure_op(state: HybridState, op: str):
+    """Run one measurement op on a state as a one-op circuit on the state's
+    own layout."""
+    return run_circuit(one_op_circuit(state.layout, op), state)
+
+
+def apply_op(state: HybridState, op: str, pair=IDEAL_PAIR) -> HybridState:
+    """Run one op that does not measure (e.g. "wfc photon=A path=a1") on a
+    state, unnormalized, as a one-op circuit on the state's own layout."""
+    (branch,) = run_circuit_tracked(one_op_circuit(state.layout, op), state, pair).branches
+    return branch.physical_state()

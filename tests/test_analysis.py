@@ -30,7 +30,14 @@ from hyperbell.cavity import (
     reflection_coefficients,
 )
 from hyperbell.errors import ConfigurationError
-from hyperbell.protocols import Bell, HyperBellLabel, make_bell
+from hyperbell.optics import run_circuit_tracked
+from hyperbell.protocols import (
+    Bell,
+    HyperBellLabel,
+    hbsg_circuit_premeasure,
+    hbsg_input,
+    make_bell,
+)
 
 EXAMPLE_PAIR = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
 
@@ -114,6 +121,41 @@ class TestGenerationStatistics:
         assert stats.conditional_fidelity == 1.0  # vacuous: nothing survives
 
 
+def _numeric_statistics(pair):
+    """Reference: run the generation circuit at the pair and aggregate."""
+    circuit = hbsg_circuit_premeasure()
+    state = hbsg_input(circuit)
+    ideal = run_circuit_tracked(circuit, state, IDEAL_PAIR,
+                                drop_clicked=True).branches[0].layers[0]
+    ideal = ideal / np.linalg.norm(ideal)
+    run = run_circuit_tracked(circuit, state, pair, drop_clicked=True)
+    herald_rate = sum(run.click_probability.values())
+    if not run.branches:
+        return 0.0, herald_rate, 1.0, 1.0
+    tb = run.branches[0]
+    eta, leak = tb.clean_weight, tb.leaked_weight
+    leakage_rate = leak / (eta + leak) if eta + leak > 1e-30 else 1.0
+    fid = min(1.0, abs(np.vdot(ideal, tb.layers[0])) ** 2 / eta) if eta > 1e-30 else 1.0
+    return eta, herald_rate, leakage_rate, fid
+
+
+class TestSweepPointMatchesNumericRun:
+    # the sweep evaluates one polynomial run; the reference runs the circuit
+    @pytest.mark.parametrize("kappa_s,g_over_sum", [
+        (0.0, 0.0), (0.37, 0.0), (1.0, 0.0),  # g = 0 row: s = 0 exactly
+        (0.0, 1.0),                            # the paper's spot point
+        (0.5, 0.5), (0.2, 2.5)])
+    def test_sweep_point(self, kappa_s, g_over_sum):
+        record = sweep_point(kappa_s, g_over_sum)
+        pair = ReflectionPair(record.r_o, record.r_h)
+        got = (record.eta_simulated, record.herald_rate, record.leakage_rate,
+               record.conditional_fidelity)
+        for a, b in zip(got, _numeric_statistics(pair)):
+            assert abs(a - b) < 1e-12
+        if g_over_sum == 0.0:
+            assert record.eta_simulated == 0.0
+
+
 class TestHbsaRates:
     def test_leakage_rate_vanishes_at_ideal(self):
         assert hbsa_leakage_rate(IDEAL_PAIR) < 1e-20
@@ -155,6 +197,17 @@ class TestSweep:
             SweepGrid(kappa_s_over_kappa=(), g_over_sum=())
         with pytest.raises(ConfigurationError):
             SweepGrid(kappa_s_over_kappa=(-0.1,), g_over_sum=(1.0,))
+        for axes in (((), (1.0,)), ((0.5,), ())):
+            with pytest.raises(ConfigurationError):
+                SweepGrid(*axes)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                SweepGrid((0.5,), (1.0,), gamma_over_kappa=bad)
+            with pytest.raises(ConfigurationError):
+                SweepGrid((0.5,), (1.0,), detuning=bad)
+        for steps in ({"ks_steps": 0}, {"g_steps": 0}, {"ks_steps": -1}):
+            with pytest.raises(ConfigurationError):
+                SweepGrid.regular(**steps)
 
 
 class TestCsv:

@@ -61,6 +61,10 @@ class TestReflectionCoefficients:
             CavityParams(g=-1.0)
         with pytest.raises(ConfigurationError):
             CavityParams(g=1.0, gamma=-0.1)
+        for field in ("g", "kappa", "kappa_s", "gamma", "omega", "omega_c", "omega_x"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigurationError):
+                    CavityParams(**{"g": 1.0, field: bad})
 
     def test_moduli_bounded_over_random_physical_parameters(self):
         rng = np.random.default_rng(7)

@@ -141,6 +141,24 @@ class TestSweep:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ("coeffs", "--g", "nan"),
+        ("coeffs", "--kappa-s", "inf"),
+        ("block", "--gamma", "nan"),
+        ("hbsg", "--g", "nan"),
+        ("hbsa", "--input", "phi+,phi+", "--detuning=-inf"),
+        ("sweep", "--gamma", "nan", "--ks-steps", "2", "--g-steps", "2"),
+        ("sweep", "--detuning", "inf", "--ks-steps", "2", "--g-steps", "2"),
+        ("sweep", "--ks-steps", "0"),
+        ("sweep", "--ks-steps", "-1"),
+        ("sweep", "--g-steps", "0"),
+    ])
+    def test_non_finite_or_empty_input_exits_2(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert "configuration error" in err
+        assert out == ""
+
     def test_numeric_domain_error_maps_to_3(self, capsys, monkeypatch):
         import hyperbell.cli as cli
 

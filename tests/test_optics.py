@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import apply_op, random_state
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import ConfigurationError
 from hyperbell.hilbert import (
@@ -22,9 +22,9 @@ from hyperbell.optics import (
     parse_circuit,
     pbs_matrix,
     run_circuit,
+    run_circuit_polynomial,
     run_circuit_tracked,
     serialize_circuit,
-    wfc_matrix,
     z_matrix,
 )
 
@@ -174,16 +174,17 @@ class TestZAndWfc:
 
     def test_wfc_ideal_pair_preserves_norm(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1")
-        out = apply_single_photon_op(
-            state, "A", wfc_matrix(small_layout, "A", "a1", IDEAL_PAIR))
+        out = apply_op(state, "wfc photon=A path=a1", IDEAL_PAIR)
         np.testing.assert_allclose(out.amps, -state.amps, atol=1e-15)
 
     def test_wfc_example_pair_scaling(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1")
-        out = apply_single_photon_op(
-            state, "A", wfc_matrix(small_layout, "A", "a1", EXAMPLE_PAIR))
+        out = apply_op(state, "wfc photon=A path=a1", EXAMPLE_PAIR)
         np.testing.assert_allclose(out.amps, -0.975610 * state.amps, atol=1e-6)
         assert abs(out.norm2 - abs(EXAMPLE_PAIR.success_amplitude) ** 2) < 1e-12
+        on_a2 = product_state(small_layout, "R", "a2", "R", "b1")
+        assert np.array_equal(apply_op(on_a2, "wfc photon=A path=a1", EXAMPLE_PAIR).amps,
+                              on_a2.amps)
 
     def test_wfc_and_reflection_are_contractions(self, small_layout, rng):
         # neither may grow the squared norm while |r_o|, |r_h| <= 1
@@ -195,8 +196,7 @@ class TestZAndWfc:
             r_h = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             pair = ReflectionPair(r_o=r_o, r_h=r_h)
             state = random_state(small_layout, rng)
-            wfc = wfc_matrix(small_layout, "A", "a1", pair)
-            assert apply_single_photon_op(state, "A", wfc).norm2 <= 1 + 1e-12
+            assert apply_op(state, "wfc photon=A path=a1", pair).norm2 <= 1 + 1e-12
             reflected = apply_spin_conditional_op(
                 state, "B", 2, reflection_operator(pair), "b2")
             assert reflected.norm2 <= 1 + 1e-12
@@ -423,6 +423,61 @@ def random_circuit_text(rng) -> str:
                 lines.append(f"block mode=parity qd={rng.choice(qds)} "
                              f"photon={photon} path={p}")
     return "\n".join(lines) + "\n"
+
+
+class TestPolynomialRun:
+    """run_circuit_polynomial(...).at(pair) against run_circuit_tracked."""
+
+    @staticmethod
+    def _pairs(rng):
+        pairs = [IDEAL_PAIR,
+                 reflection_coefficients(CavityParams(g=0.0, kappa_s=0.3, gamma=0.1))]
+        for _ in range(2):
+            pairs.append(reflection_coefficients(CavityParams(
+                g=float(rng.uniform(0.05, 3.0)), kappa_s=float(rng.uniform(0, 1)),
+                gamma=float(rng.uniform(0, 0.3)), omega=float(rng.uniform(-1, 1)))))
+        return pairs
+
+    @staticmethod
+    def _assert_same_run(got, want):
+        assert list(got.click_probability) == list(want.click_probability)
+        for label, p in want.click_probability.items():
+            assert abs(got.click_probability[label] - p) < 1e-10
+        got_b = [b for b in got.branches if b.probability > 1e-20]
+        want_b = [b for b in want.branches if b.probability > 1e-20]
+        assert [b.record for b in got_b] == [b.record for b in want_b]
+        for g, w in zip(got_b, want_b):
+            n = max(len(g.layers), len(w.layers))
+            zero = np.zeros_like(w.layers[0])
+            for k in range(n):
+                np.testing.assert_allclose(
+                    g.layers[k] if k < len(g.layers) else zero,
+                    w.layers[k] if k < len(w.layers) else zero, rtol=0, atol=1e-12)
+            assert abs(g.probability - w.probability) < 1e-10
+            assert abs(g.clean_weight - w.clean_weight) < 1e-10
+            assert abs(g.leaked_weight - w.leaked_weight) < 1e-10
+
+    def test_matches_tracked_run_on_random_circuits(self, rng):
+        for _ in range(60):
+            circuit = parse_circuit(random_circuit_text(rng))
+            state = random_state(circuit.layout(), rng)
+            poly = run_circuit_polynomial(circuit, state)
+            for pair in self._pairs(rng):
+                self._assert_same_run(
+                    poly.at(pair), run_circuit_tracked(circuit, state, pair, drop_clicked=True))
+
+    def test_at_returns_fresh_arrays(self):
+        from hyperbell.protocols import hbsg_circuit, hbsg_input
+
+        circuit = hbsg_circuit()
+        poly = run_circuit_polynomial(circuit, hbsg_input(circuit))
+        first = poly.at(EXAMPLE_PAIR)
+        for tb in first.branches:
+            for a in tb.layers:
+                a[...] = np.nan
+        self._assert_same_run(
+            poly.at(EXAMPLE_PAIR),
+            run_circuit_tracked(circuit, hbsg_input(circuit), EXAMPLE_PAIR, drop_clicked=True))
 
 
 class TestRandomCircuitRoundTrip:
