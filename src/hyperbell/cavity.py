@@ -81,6 +81,8 @@ class DephasingParams:
     big_gamma: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau) and math.isfinite(self.big_gamma)):
+            raise ConfigurationError("tau and Gamma must be finite")
         if not (self.tau >= 0 and self.big_gamma > 0):
             raise ConfigurationError("tau must be >= 0 and Gamma > 0")
 
@@ -89,20 +91,25 @@ def reflection_coefficients(params: CavityParams) -> ReflectionPair:
     """Evaluate the cold and hot reflection coefficients for a parameter set.
 
     Raises NumericDomainError if the hot-cavity denominator vanishes
-    exactly. At g = 0 the hot coefficient reduces to the cold one and is
-    returned bit-identically.
+    exactly or a coefficient overflows. At g = 0 the hot coefficient
+    reduces to the cold one and is returned bit-identically.
     """
     y = 1j * (params.omega_c - params.omega) + (params.kappa + params.kappa_s) / 2
     r_o = (1j * (params.omega_c - params.omega)
            - params.kappa / 2 + params.kappa_s / 2) / y
-    if params.g == 0:
-        return ReflectionPair(r_o=r_o, r_h=r_o)
-    x = 1j * (params.omega_x - params.omega) + params.gamma / 2
-    denom = x * y + params.g ** 2
-    if denom == 0:
-        raise NumericDomainError(
-            f"hot-cavity denominator vanishes for parameters {params}")
-    r_h = 1 - params.kappa * x / denom
+    r_h = r_o
+    if params.g != 0:
+        x = 1j * (params.omega_x - params.omega) + params.gamma / 2
+        try:
+            denom = x * y + params.g ** 2
+        except OverflowError:
+            raise NumericDomainError(f"g**2 overflows for parameters {params}") from None
+        if denom == 0:
+            raise NumericDomainError(
+                f"hot-cavity denominator vanishes for parameters {params}")
+        r_h = 1 - params.kappa * x / denom
+    if not (cmath.isfinite(r_o) and cmath.isfinite(r_h)):
+        raise NumericDomainError(f"reflection coefficients overflow for parameters {params}")
     return ReflectionPair(r_o=r_o, r_h=r_h)
 
 

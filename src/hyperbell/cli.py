@@ -58,12 +58,12 @@ def _cmd_block(args) -> int:
     state = product_state(layout, "L", "a1", "R", "b1", "+", "+")
     cfg = BlockConfig(qd=1, pair=pair, herald_label="D")
     print(f"input: {format_state(state)}")
-    for branch in heralded_block(state, "A", "a1", cfg):
+    branches = heralded_block(state, "A", "a1", cfg)
+    for branch in branches:
         name = dict(branch.record)["D"]
         print(f"{name}: probability={branch.probability!r}")
         print(f"  state: {format_state(branch.residual)}")
-    absorbed = 1.0 - sum(
-        b.probability for b in heralded_block(state, "A", "a1", cfg))
+    absorbed = 1.0 - sum(b.probability for b in branches)
     print(f"absorbed={absorbed!r}")
     return 0
 
@@ -107,27 +107,33 @@ def _cmd_classify_table(args) -> int:
     return 0
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_sweep(args) -> int:
     grid = analysis.SweepGrid.regular(
         ks_min=args.ks_min, ks_max=args.ks_max, ks_steps=args.ks_steps,
         g_min=args.g_min, g_max=args.g_max, g_steps=args.g_steps,
         gamma_over_kappa=args.gamma, detuning=args.detuning)
-    records = analysis.run_sweep(grid)
     dephasing = None
     if (args.tau is None) != (args.big_gamma is None):
         raise ConfigurationError("--tau and --big-gamma must be given together")
     if args.tau is not None:
         dephasing = DephasingParams(tau=args.tau, big_gamma=args.big_gamma)
         print(f"# dephasing_penalty={dephasing_penalty(dephasing)!r}", file=sys.stderr)
+    records = analysis.run_sweep(grid)
     csv_text = analysis.emit_csv(records, dephasing)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(analysis.emit_svg_heatmap(records, args.svg_column))
+        _write(args.svg, analysis.emit_svg_heatmap(records, args.svg_column))
     return 0
 
 

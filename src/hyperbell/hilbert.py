@@ -10,6 +10,7 @@ the squared norm. Measurement is done by the circuit runner in optics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -168,46 +169,41 @@ def product_state(layout: StateLayout, pol_a, path_a, pol_b, path_b,
 
 
 # ---------------------------------------------------------------------------
-# low-level kernels (operate on raw amplitude arrays)
+# low-level kernels (operate on raw amplitude arrays whose last six axes are
+# the basis; any leading axes, such as the runner's degree axes, are batched)
 
 def _apply_photon_matrix(amps: np.ndarray, slot: int, mat: np.ndarray) -> np.ndarray:
     """Apply a (2n x 2n) matrix over the pol-major (pol, path) index of one photon."""
-    if slot == 0:
-        d = amps.shape[0] * amps.shape[1]
-        return (mat @ amps.reshape(d, -1)).reshape(amps.shape)
-    moved = np.moveaxis(amps, (2, 3), (0, 1))
-    d = moved.shape[0] * moved.shape[1]
-    out = (mat @ moved.reshape(d, -1)).reshape(moved.shape)
-    return np.moveaxis(out, (0, 1), (2, 3))
+    if slot == 1:
+        amps = np.moveaxis(amps, (-4, -3), (-6, -5))
+    d = amps.shape[-6] * amps.shape[-5]
+    out = (mat @ amps.reshape(math.prod(amps.shape[:-6]), d, -1)).reshape(amps.shape)
+    return out if slot == 0 else np.moveaxis(out, (-6, -5), (-4, -3))
 
 
-def _apply_polspin_at_path(amps: np.ndarray, slot: int, path_idx: int,
-                           spin_slot: int, mat4: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 map on (photon polarization (x) one spin), restricted to a path.
+# einsum of _polspin per (photon slot, spin slot), on the view of one path:
+# photon A's view has axes (polA, polB, pathB, s1, s2), photon B's
+# (polA, pathA, polB, s1, s2)
+_POLSPIN_EINSUM = {
+    (0, 0): "PSps,...pqbst->...PqbSt",
+    (0, 1): "PTpt,...pqbst->...PqbsT",
+    (1, 0): "QSqs,...paqst->...paQSt",
+    (1, 1): "QTqt,...paqst->...paQsT",
+}
 
-    mat4 is in the pol-major basis {R up, R down, L up, L down}. Amplitudes
-    with the photon on any other path are untouched.
+
+def _polspin(view: np.ndarray, slot: int, spin_slot: int, mat4: np.ndarray) -> np.ndarray:
+    """Apply a 4x4 map on (photon polarization (x) one spin) to a one-path view.
+
+    view is ``amps[_path_slice(slot, path)]``; mat4 is in the pol-major
+    basis {R up, R down, L up, L down}. Returns a new array.
     """
-    m = mat4.reshape(2, 2, 2, 2)  # [pol', spin', pol, spin]
-    out = amps.copy()
-    if slot == 0:
-        view = amps[:, path_idx]  # axes: polA, polB, pathB, s1, s2
-        if spin_slot == 0:
-            out[:, path_idx] = np.einsum("PSps,pqbst->PqbSt", m, view)
-        else:
-            out[:, path_idx] = np.einsum("PTpt,pqbst->PqbsT", m, view)
-    else:
-        view = amps[:, :, :, path_idx]  # axes: polA, pathA, polB, s1, s2
-        if spin_slot == 0:
-            out[:, :, :, path_idx] = np.einsum("QSqs,paqst->paQSt", m, view)
-        else:
-            out[:, :, :, path_idx] = np.einsum("QTqt,paqst->paQsT", m, view)
-    return out
+    return np.einsum(_POLSPIN_EINSUM[slot, spin_slot], mat4.reshape(2, 2, 2, 2), view)
 
 
 def _path_slice(slot: int, path_idx: int) -> tuple:
     """Index selecting the amplitudes with photon ``slot`` on one path."""
-    return (slice(None), path_idx) if slot == 0 else (slice(None),) * 3 + (path_idx,)
+    return (Ellipsis, path_idx) + (slice(None),) * (4 if slot == 0 else 2)
 
 
 def _project_path(amps: np.ndarray, slot: int, path_idx: int) -> np.ndarray:
@@ -219,7 +215,7 @@ def _project_path(amps: np.ndarray, slot: int, path_idx: int) -> np.ndarray:
 
 
 def _apply_spin_matrix(amps: np.ndarray, spin_slot: int, mat2: np.ndarray) -> np.ndarray:
-    axis = 4 + spin_slot
+    axis = amps.ndim - 2 + spin_slot
     moved = np.moveaxis(amps, axis, 0)
     out = np.tensordot(mat2, moved, axes=([1], [0]))
     return np.moveaxis(out, 0, axis)
@@ -258,10 +254,10 @@ def apply_spin_conditional_op(state: HybridState, photon: str, spin: int,
     op = np.asarray(op, dtype=complex)
     if op.shape != (4, 4):
         raise ConfigurationError("spin-conditional operator must be 4x4")
-    return HybridState(
-        state.layout,
-        _apply_polspin_at_path(state.amps, slot, path_idx, spin - 1, op),
-    )
+    amps = state.amps.copy()
+    on_path = _path_slice(slot, path_idx)
+    amps[on_path] = _polspin(amps[on_path], slot, spin - 1, op)
+    return HybridState(state.layout, amps)
 
 
 def overlap(a: HybridState, b: HybridState) -> complex:

@@ -4,8 +4,12 @@ Elements act on a HybridState through their single-photon matrices; the
 quantum-dot arm (qdarm) is the one element that couples a photon to a
 spin. Circuits are immutable after parsing and run_circuit is a pure
 function of (circuit, input, pair). The pair enters only through
-s = (r_o - r_h)/2 and h = (r_o + r_h)/2 at qdarm and wfc, so
-run_circuit_polynomial can run a circuit once for every pair.
+s = (r_o - r_h)/2 and h = (r_o + r_h)/2 at qdarm (s·success + h·leak on
+its path) and wfc (s on its path). The runner keeps each branch as one
+coefficient array indexed [s-degree, h-degree, *state axes] and takes s
+and h as coefficient tuples by degree: (s,) and (0, h) at one pair, so
+they are multiplied in, or (0, 1) for both, so that
+run_circuit_polynomial runs a circuit once for every pair.
 
 Circuit file format (UTF-8, line oriented, ``#`` comments)::
 
@@ -36,9 +40,9 @@ from .hilbert import (
     HybridState,
     StateLayout,
     _apply_photon_matrix,
-    _apply_polspin_at_path,
     _apply_spin_matrix,
     _path_slice,
+    _polspin,
     _project_path,
 )
 
@@ -493,12 +497,14 @@ class TrackedBranch:
 
     layers[k] holds the component that leaked exactly k times through a
     quantum-dot arm, i.e. the coefficient of h^k with h = (r_o + r_h)/2
-    (the success amplitude s = (r_o - r_h)/2 multiplied in). Trailing
-    layers below the branch-drop threshold are pruned. The physical state
-    is the coherent sum of all layers; the split is exact by linearity. It
-    serves error accounting and also defines the herald split: after one
-    Hp - qdarm - Hp arm on a purely L input, layers[1] is exactly what a
-    heralding detector would catch and layers[0] what passes it.
+    (the success amplitude s = (r_o - r_h)/2 multiplied in). The layers
+    are the branch's coefficient array evaluated at one pair, as new
+    arrays. Trailing layers below the branch-drop threshold are pruned.
+    The physical state is the coherent sum of all layers; the split is
+    exact by linearity. It serves error accounting and also defines the
+    herald split: after one Hp - qdarm - Hp arm on a purely L input,
+    layers[1] is exactly what a heralding detector would catch and
+    layers[0] what passes it.
     """
 
     record: tuple[tuple[str, str], ...]
@@ -574,157 +580,125 @@ def _compile(circuit: Circuit, layout: StateLayout):
     return actions
 
 
-# A branch's layers are a dict keyed by (s-degree, h-degree). The two run
-# modes differ only in how a lossy passage (qdarm, wfc) acts on that key,
-# in how a click is kept and in which negligible layers are pruned.
-
 def _weight(a: np.ndarray) -> float:
     return float(np.sum(np.abs(a) ** 2))
 
 
-def _add(layers: dict, key: tuple[int, int], a: np.ndarray):
-    if key in layers:
-        layers[key] += a
-    else:
-        layers[key] = a
+def _trim(c: np.ndarray) -> np.ndarray:
+    """c without its trailing h- and s-degrees of weight below _BRANCH_DROP."""
+    s_len, h_len = c.shape[:2]
+    while h_len > 1 and _weight(c[:, h_len - 1]) < _BRANCH_DROP:
+        h_len -= 1
+    while s_len > 1 and _weight(c[s_len - 1, :h_len]) < _BRANCH_DROP:
+        s_len -= 1
+    return c[:s_len, :h_len]
 
 
-def _prune_trailing(layers: dict) -> dict:
-    """Drop the highest leak layers while they are below _BRANCH_DROP.
+def _lossy_passage(action, c: np.ndarray, s: tuple, h: tuple) -> np.ndarray:
+    """One qdarm or wfc passage of a branch's coefficient array c.
 
-    For layers keyed (0, k) with k = 0, 1, ..., len - 1.
-    """
-    while len(layers) > 1 and _weight(layers[(0, len(layers) - 1)]) < _BRANCH_DROP:
-        del layers[(0, len(layers) - 1)]
-    return layers
-
-
-class _Numeric:
-    """s and h multiplied in as numbers: the key's s-degree stays 0."""
-
-    def __init__(self, pair: ReflectionPair):
-        self.s = pair.success_amplitude
-        self.h = pair.herald_amplitude
-        self.clicks: dict[str, float] = {}
-
-    @staticmethod
-    def success_key(key):
-        return key
-
-    prune = staticmethod(_prune_trailing)
-
-    def click(self, label: str, layers: dict):
-        self.clicks[label] = self.clicks.get(label, 0.0) + _weight(sum(layers.values()))
-
-
-class _Polynomial:
-    """s = h = 1: a passage raises the key's s- or h-degree by one."""
-
-    s = h = 1.0
-
-    def __init__(self):
-        self.clicks: list[tuple[str, dict]] = []
-
-    @staticmethod
-    def success_key(key):
-        return (key[0] + 1, key[1])
-
-    @staticmethod
-    def prune(layers: dict) -> dict:
-        # |s|, |h| <= 1, so a coefficient this small stays negligible
-        for key in [key for key, a in layers.items() if _weight(a) < _BRANCH_DROP]:
-            del layers[key]
-        return layers
-
-    def click(self, label: str, layers: dict):
-        # clicked branches are dropped, so these arrays belong to the click alone
-        self.clicks.append((label, self.prune(layers)))
-
-
-def _lossy_passage(action, layers: dict, mode) -> dict:
-    """One qdarm or wfc passage through every layer.
-
-    On the bound path a wfc multiplies by s, and a qdarm maps a layer to
-    s·_SUCC4 (success) plus h·(itself) one h-degree up (leak); amplitudes
-    off the path pass unchanged. mode.success_key says where the s term
-    lands: on the same key when s is a number, so the layer is transformed
-    whole, or one s-degree up, so the on-path part is split off.
+    On the bound path, with x the amplitudes there, a wfc leaves s (x) x
+    and a qdarm leaves s (x) _SUCC4 x (success) plus h (x) x (leak); the
+    product with s or h shifts along its degree axis. Amplitudes off the
+    path pass unchanged.
     """
     kind, slot, path_idx = action[:3]
     on_path = _path_slice(slot, path_idx)
-    out: dict = {}
-    for key, a in layers.items():
-        raised = mode.success_key(key)
-        if kind == "wfc":
-            if raised == key:  # in place: every layer array belongs to one branch
-                a[on_path] *= mode.s
-                _add(out, key, a)
-            else:
-                on = _project_path(a, slot, path_idx)
-                _add(out, key, a - on)
-                _add(out, raised, on)
-            continue
-        spin_slot = action[3]
-        on = _project_path(a, slot, path_idx)
-        if raised == key:
-            _add(out, key, _apply_polspin_at_path(a, slot, path_idx, spin_slot,
-                                                  mode.s * _SUCC4))
-        else:
-            _add(out, key, a - on)
-            _add(out, raised, _apply_polspin_at_path(on, slot, path_idx, spin_slot,
-                                                     _SUCC4))
-        _add(out, (key[0], key[1] + 1), mode.h * on)
-    return out if kind == "wfc" else mode.prune(out)
+    x = c[on_path]
+    leaks = kind == "qdarm"
+    s_len, h_len = c.shape[:2]
+    out = np.zeros((s_len + len(s) - 1, h_len + (len(h) - 1 if leaks else 0))
+                   + c.shape[2:], dtype=complex)
+    out[:s_len, :h_len] = c
+    out[on_path] = 0
+    success = _polspin(x, slot, action[3], _SUCC4) if leaks else x
+    for i, coeff in enumerate(s):
+        if coeff:
+            out[i:i + s_len, :h_len][on_path] += coeff * success
+    for k, coeff in enumerate(h if leaks else ()):
+        if coeff:
+            out[:s_len, k:k + h_len][on_path] += coeff * x
+    return _trim(out)
 
 
-def _outcomes(action, layers: dict) -> list:
-    """(record entry, projected layers) per outcome of a measurement action.
+def _outcomes(action, c: np.ndarray) -> list:
+    """(record entry, projected coefficients) per outcome of a measurement action.
 
     A detector's no-click outcome adds no record entry (None).
     """
     if action[0] == "detector":
         _, slot, path_idx, label = action
-        clicked = {key: _project_path(a, slot, path_idx) for key, a in layers.items()}
-        return [((label, "click"), clicked),
-                (None, {key: a - clicked[key] for key, a in layers.items()})]
+        clicked = _project_path(c, slot, path_idx)
+        return [((label, "click"), clicked), (None, c - clicked)]
     _, spin_slot, qd_name = action
-    return [((qd_name, sign),
-             {key: _apply_spin_matrix(a, spin_slot, proj) for key, a in layers.items()})
+    return [((qd_name, sign), _apply_spin_matrix(c, spin_slot, proj))
             for sign, proj in _SPIN_X_PROJ.items()]
 
 
-def _run(circuit: Circuit, state: HybridState, mode, drop_clicked: bool):
-    """The runner loop shared by both modes: (layout, [(record, layers)])."""
+def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None,
+         drop_clicked: bool):
+    """The runner loop: (layout, [(record, coefficients)], clicks).
+
+    A branch is one array c[s-degree, h-degree, *state axes] of the
+    coefficients of s^i h^k. s and h enter as coefficient tuples by degree:
+    at a pair they are the numbers themselves, (s,) and (0, h), so the
+    s axis keeps length 1; with pair=None they are (0, 1) both, so every
+    passage raises a degree. A click is kept as its probability at a
+    pair and as its coefficients with pair=None.
+    """
     layout = circuit.layout()
     if state.layout != layout:
         raise ConfigurationError("input state layout does not match circuit declarations")
-    branches: list[tuple[tuple, dict]] = [((), {(0, 0): state.amps.copy()})]
+    labels = [el.label for el in circuit.ops if el.kind == ElementKind.DETECTOR]
+    if pair is None:
+        s = h = (0, 1)
+        clicks = {label: [] for label in labels}
+
+        def click(label, c):
+            clicks[label].append(c)
+    else:
+        s, h = (pair.success_amplitude,), (0, pair.herald_amplitude)
+        clicks = dict.fromkeys(labels, 0.0)
+
+        def click(label, c):
+            clicks[label] += _weight(c.sum(axis=(0, 1)))
+    branches = [((), state.amps[None, None].copy())]
     for action in _compile(circuit, layout):
         kind = action[0]
         if kind == "matrix":
             _, slot, mat = action
-            branches = [(rec, {key: _apply_photon_matrix(a, slot, mat)
-                               for key, a in layers.items()})
-                        for rec, layers in branches]
+            branches = [(rec, _apply_photon_matrix(c, slot, mat)) for rec, c in branches]
         elif kind in ("qdarm", "wfc"):
-            branches = [(rec, _lossy_passage(action, layers, mode))
-                        for rec, layers in branches]
+            branches = [(rec, _lossy_passage(action, c, s, h)) for rec, c in branches]
         else:  # detector or spin measurement: one branch per outcome
-            if kind == "detector":  # an entry even when no branch reaches it
-                mode.click(action[3], {})
             new_branches = []
-            for rec, layers in branches:
-                for entry, new_layers in _outcomes(action, layers):
+            for rec, c in branches:
+                for entry, projected in _outcomes(action, c):
                     if entry is not None and entry[1] == "click":
-                        mode.click(entry[0], new_layers)
+                        click(entry[0], projected)
                         if drop_clicked:
                             continue
-                    new_layers = mode.prune(new_layers)
-                    if sum(_weight(a) for a in new_layers.values()) > _BRANCH_DROP:
+                    projected = _trim(projected)
+                    if _weight(projected) > _BRANCH_DROP:
                         new_branches.append(
-                            (rec if entry is None else rec + (entry,), new_layers))
+                            (rec if entry is None else rec + (entry,), projected))
             branches = new_branches
-    return layout, branches
+    return layout, branches, clicks
+
+
+def _evaluate(c: np.ndarray, s: complex, h: complex) -> np.ndarray:
+    """The layers of coefficients c at (s, h): a new (1, h-degrees, *state) array."""
+    s_len, h_len = c.shape[:2]
+    out = (s ** np.arange(s_len) @ c.reshape(s_len, -1)).reshape((1,) + c.shape[1:])
+    out *= (h ** np.arange(h_len)).reshape((1, h_len) + (1,) * (c.ndim - 2))
+    return out
+
+
+def _tracked_branches(layout: StateLayout, branches, s: complex = 1,
+                      h: complex = 1) -> list[TrackedBranch]:
+    """Branches evaluated at (s, h); a run at a pair is read out at s = h = 1."""
+    return [TrackedBranch(rec, layout, list(_trim(_evaluate(c, s, h))[0]))
+            for rec, c in branches]
 
 
 def run_circuit_tracked(circuit: Circuit, state: HybridState,
@@ -735,66 +709,50 @@ def run_circuit_tracked(circuit: Circuit, state: HybridState,
     With drop_clicked, branches where a detector fired are discarded after
     their click probability is recorded (statistics-only fast path).
     """
-    mode = _Numeric(pair)
-    layout, branches = _run(circuit, state, mode, drop_clicked)
-    return TrackedRun(
-        branches=[TrackedBranch(rec, layout, [layers[(0, k)] for k in range(len(layers))])
-                  for rec, layers in branches],
-        click_probability=mode.clicks,
-    )
+    layout, branches, clicks = _run(circuit, state, pair, drop_clicked)
+    return TrackedRun(_tracked_branches(layout, branches), clicks)
 
 
 @dataclass(frozen=True)
 class PolynomialRun:
     """One run with s and h left symbolic, valid for every ReflectionPair.
 
-    Each branch's layers, and each click's projected layers, are
-    coefficient arrays keyed by (s-degree, h-degree). at(pair) evaluates
-    them into the TrackedRun that run_circuit_tracked returns at that pair,
-    up to rounding and branches whose weight there is at most the drop
-    threshold.
+    Each branch, and each click, is one coefficient array indexed
+    [s-degree, h-degree, *state axes], as the runner builds it. at(pair)
+    evaluates them into the TrackedRun that run_circuit_tracked returns at
+    that pair, up to rounding and branches whose weight there is at most
+    the drop threshold.
     """
 
     layout: StateLayout
-    branches: tuple[tuple[tuple, dict], ...]
-    clicks: tuple[tuple[str, dict], ...]
-
-    def _evaluate(self, coeffs: dict, s: complex, h: complex) -> dict:
-        layers = {(0, k): np.zeros(self.layout.shape, dtype=complex)
-                  for k in range(1 + max((k for _, k in coeffs), default=0))}
-        for (i, k), c in coeffs.items():
-            layers[(0, k)] += (s ** i * h ** k) * c
-        return layers
+    branches: tuple[tuple[tuple, np.ndarray], ...]
+    clicks: tuple[tuple[str, tuple[np.ndarray, ...]], ...]
 
     def at(self, pair: ReflectionPair) -> TrackedRun:
         """The run at one pair; its arrays are new and never alias the coefficients."""
         s, h = pair.success_amplitude, pair.herald_amplitude
-        branches = []
-        for rec, coeffs in self.branches:
-            layers = _prune_trailing(self._evaluate(coeffs, s, h))
-            if sum(_weight(a) for a in layers.values()) > _BRANCH_DROP:
-                branches.append(TrackedBranch(rec, self.layout, list(layers.values())))
-        clicks: dict[str, float] = {}
-        for label, coeffs in self.clicks:
-            amps = sum((s ** i * h ** k) * c for (i, k), c in coeffs.items())
-            clicks[label] = clicks.get(label, 0.0) + _weight(amps)
-        return TrackedRun(branches=branches, click_probability=clicks)
+        clicks = {label: sum((_weight(_evaluate(c, s, h).sum(axis=(0, 1))) for c in cs), 0.0)
+                  for label, cs in self.clicks}
+        branches = [tb for tb in _tracked_branches(self.layout, self.branches, s, h)
+                    if sum(map(_weight, tb.layers)) > _BRANCH_DROP]
+        return TrackedRun(branches, clicks)
 
 
 def run_circuit_polynomial(circuit: Circuit, state: HybridState) -> PolynomialRun:
     """Run a circuit once for all cavity points, as a polynomial in (s, h).
 
-    Branches where a detector fired are dropped after their click is
-    recorded, as run_circuit_tracked does with drop_clicked.
+    The same runner loop as run_circuit_tracked, with s and h as degree
+    raisers instead of numbers. Branches where a detector fired are
+    dropped after their click is recorded, as run_circuit_tracked does
+    with drop_clicked.
 
     Worth it only when one circuit and input are evaluated at many pairs:
     unlike run_circuit_tracked it cannot prune the leak layers that vanish
     at a given pair.
     """
-    mode = _Polynomial()
-    layout, branches = _run(circuit, state, mode, drop_clicked=True)
-    return PolynomialRun(layout, tuple((rec, mode.prune(layers)) for rec, layers in branches),
-                         tuple(mode.clicks))
+    layout, branches, clicks = _run(circuit, state, None, drop_clicked=True)
+    return PolynomialRun(layout, tuple(branches),
+                         tuple((label, tuple(cs)) for label, cs in clicks.items()))
 
 
 def run_circuit(circuit: Circuit, state: HybridState,

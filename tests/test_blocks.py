@@ -142,6 +142,16 @@ class TestParityGate:
         oracle = apply_spin_conditional_op(state, "A", 1, closed, "a1")
         np.testing.assert_allclose(out.amps, oracle.amps, atol=1e-12)
 
+    def test_fully_absorbed_arm_gives_zero_state(self, small_layout):
+        # r_o = r_h = 0 (g = 0, kappa_s = kappa): nothing leaves the bound path
+        pair = reflection_coefficients(CavityParams(g=0.0, kappa_s=1.0))
+        cfg = BlockConfig(qd=1, pair=pair)
+        state = product_state(small_layout, "L", "a1", "R", "b1", "+", "+")
+        assert heralded_block(state, "A", "a1", cfg) == []
+        out = parity_gate(state, "A", "a1", cfg)
+        assert out.layout == small_layout
+        assert not out.amps.any()
+
     def test_parity_recording_on_odd_spatial_state(self):
         # two passages on the rails of an odd spatial state flip the spin once
         from hyperbell.protocols import Bell, make_bell

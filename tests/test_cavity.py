@@ -14,7 +14,7 @@ from hyperbell.cavity import (
     reflection_coefficients,
     reflection_operator,
 )
-from hyperbell.errors import ConfigurationError
+from hyperbell.errors import ConfigurationError, NumericDomainError
 
 
 def mp_reflection(g, kappa, kappa_s, gamma, omega, omega_c, omega_x):
@@ -65,6 +65,13 @@ class TestReflectionCoefficients:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigurationError):
                     CavityParams(**{"g": 1.0, field: bad})
+
+    def test_overflow_is_numeric_domain_error(self):
+        # g**2 overflows; and x * y overflows to a NaN coefficient
+        for params in (CavityParams(g=1e200, gamma=1e200),
+                       CavityParams(g=1e150, kappa_s=1e308, omega=1e308)):
+            with pytest.raises(NumericDomainError):
+                reflection_coefficients(params)
 
     def test_moduli_bounded_over_random_physical_parameters(self):
         rng = np.random.default_rng(7)
@@ -156,6 +163,11 @@ class TestDephasingPenalty:
     def test_invalid_rejected(self):
         with pytest.raises(ConfigurationError):
             DephasingParams(tau=1.0, big_gamma=0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError):
+                DephasingParams(tau=bad, big_gamma=300.0)
+            with pytest.raises(ConfigurationError):
+                DephasingParams(tau=20.0, big_gamma=bad)
 
 
 class TestPhases:

@@ -79,6 +79,13 @@ absorbed=0.7003960617777333
             assert abs(float(got) - float(want)) < 1e-12
 
 
+    def test_fully_absorbed_arm(self, capsys):
+        # g = 0 and kappa_s = kappa give r_o = r_h = 0: the arm absorbs all of photon A
+        code, out, _ = run_cli(capsys, "block", "--g", "0", "--kappa-s", "1")
+        assert code == 0
+        assert out.splitlines()[1:] == ["absorbed=1.0"]
+
+
 class TestHbsg:
     def test_ideal_run_lists_four_branches(self, capsys):
         code, out, _ = run_cli(capsys, "hbsg", "--g", "1.0", "--gamma", "0")
@@ -133,6 +140,18 @@ class TestSweep:
         assert code == 2
         assert "configuration error" in err
 
+    def test_dephasing_flags_checked_before_sweep(self, capsys, monkeypatch):
+        from hyperbell import analysis
+
+        def no_sweep(grid):
+            raise AssertionError("the sweep ran before its flags were checked")
+
+        monkeypatch.setattr(analysis, "run_sweep", no_sweep)
+        for flags in (("--tau", "20"), ("--tau", "inf", "--big-gamma", "300")):
+            code, _, err = run_cli(capsys, "sweep", *flags)
+            assert code == 2
+            assert "configuration error" in err
+
     def test_dephasing_columns_present(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--ks-steps", "1", "--g-steps", "1",
                                "--tau", "20", "--big-gamma", "300")
@@ -152,11 +171,35 @@ class TestExitCodes:
         ("sweep", "--ks-steps", "0"),
         ("sweep", "--ks-steps", "-1"),
         ("sweep", "--g-steps", "0"),
+        ("sweep", "--ks-steps", "1", "--g-steps", "1", "--tau", "inf", "--big-gamma", "300"),
+        ("sweep", "--ks-steps", "1", "--g-steps", "1", "--tau", "20", "--big-gamma", "inf"),
     ])
     def test_non_finite_or_empty_input_exits_2(self, capsys, args):
         code, out, err = run_cli(capsys, *args)
         assert code == 2
         assert "configuration error" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, flag):
+        missing = str(tmp_path / "missing" / "x")
+        args = ["sweep", "--ks-steps", "2", "--g-steps", "2", flag, missing]
+        if flag == "--svg":  # the CSV goes to a file, so stdout stays empty
+            args += ["--out", str(tmp_path / "x.csv")]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert "configuration error" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("args", [
+        ("coeffs", "--g", "1e200", "--gamma", "1e200"),
+        ("hbsa", "--input", "phi+,psi-", "--g", "1e308", "--kappa-s", "1e308"),
+        ("coeffs", "--g", "1e150", "--kappa-s", "1e308", "--detuning", "1e308"),
+    ])
+    def test_overflow_exits_3(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 3
+        assert "numeric-domain error" in err
         assert out == ""
 
     def test_numeric_domain_error_maps_to_3(self, capsys, monkeypatch):

@@ -10,6 +10,11 @@ from hyperbell.hilbert import (
     POL_V,
     HybridState,
     StateLayout,
+    _apply_photon_matrix,
+    _apply_spin_matrix,
+    _path_slice,
+    _polspin,
+    _project_path,
     apply_single_photon_op,
     apply_spin_conditional_op,
     format_state,
@@ -134,6 +139,36 @@ class TestApplySpinConditionalOp:
         out = apply_spin_conditional_op(state, "A", 2, op, "a1")
         expected = product_state(small_layout, "R", "a1", "R", "b1", "+", "-")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
+
+
+class TestKernelsBatchLeadingAxes:
+    def test_leading_axes_match_per_slice(self, rng):
+        # the runner applies each kernel once to a branch's whole
+        # [s-degree, h-degree, *state] coefficient array
+        layout = StateLayout(photons=("A", "B"), paths=(("a1", "a2", "a3"), ("b1", "b2")))
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        amps = cplx(3, 2, *layout.shape)
+
+        def assert_batched(kernel):
+            batched = kernel(amps)
+            for i, k in np.ndindex(3, 2):
+                np.testing.assert_allclose(batched[i, k], kernel(amps[i, k]),
+                                           rtol=0, atol=1e-13)
+
+        for slot in (0, 1):
+            d = 2 * len(layout.paths[slot])
+            mat, mat2 = cplx(d, d), cplx(2, 2)
+            assert_batched(lambda a: _apply_photon_matrix(a, slot, mat))
+            assert_batched(lambda a: _apply_spin_matrix(a, slot, mat2))
+            for path_idx in range(len(layout.paths[slot])):
+                on_path = _path_slice(slot, path_idx)
+                assert_batched(lambda a: _project_path(a, slot, path_idx))
+                for spin_slot in (0, 1):
+                    mat4 = cplx(4, 4)
+                    assert_batched(lambda a: _polspin(a[on_path], slot, spin_slot, mat4))
 
 
 class TestMeasure:

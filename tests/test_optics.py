@@ -480,6 +480,19 @@ class TestPolynomialRun:
             run_circuit_tracked(circuit, hbsg_input(circuit), EXAMPLE_PAIR, drop_clicked=True))
 
 
+    def test_input_state_not_aliased(self, small_layout, rng):
+        # a circuit without ops keeps its input as the one branch: a later
+        # change to the caller's state must not reach the run
+        circuit = parse_circuit("qd QD1 basis=+\nqd QD2 basis=+\n"
+                                "photon A paths=a1,a2\nphoton B paths=b1,b2\n")
+        state = random_state(small_layout, rng)
+        before = state.amps.copy()
+        poly = run_circuit_polynomial(circuit, state)
+        state.amps[...] = np.nan
+        (branch,) = poly.at(EXAMPLE_PAIR).branches
+        np.testing.assert_array_equal(branch.physical_state().amps, before)
+
+
 class TestRandomCircuitRoundTrip:
     def test_round_trip_sample(self, rng):
         for _ in range(100):

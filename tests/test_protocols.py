@@ -230,6 +230,14 @@ class TestHbsaStage1:
                                    (out_a.amps + out_b.amps) / SQ2, atol=1e-12)
 
 
+    def test_fully_absorbing_dots_give_zero_state(self):
+        pair = reflection_coefficients(CavityParams(g=0.0, kappa_s=1.0))
+        res = run_hbsa_stage1(hbsa_input(HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)), pair)
+        assert not res.state.amps.any()
+        assert res.spins is None
+        assert res.clean_weight == res.leaked_weight == 0.0
+
+
 class TestSpbsm:
     def test_single_photon_bell_state_hits_one_detector(self):
         layout = hbsa_layout()
