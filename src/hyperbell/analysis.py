@@ -1,11 +1,13 @@
 """Fidelity and efficiency metrics, the parameter sweep, CSV/SVG output.
 
 The sweep runs the heralded generation circuit once, as a polynomial in
-s = (r_o - r_h)/2 and h = (r_o + r_h)/2, evaluates it at every grid point
-and reports, per point: the closed-form efficiency |(r_h - r_o)/2|^8, the
-simulated end-to-end success probability (they must agree to 1e-10),
-the herald rate, the silent-leak share of the surviving weight, and the
-fidelity of the surviving unleaked component against its target.
+s = (r_o - r_h)/2 and h = (r_o + r_h)/2, and turns that run into a few
+small quadratic forms in the monomials s^i h^k. The whole grid is one
+NumPy evaluation of those forms, which reports, per point: the
+closed-form efficiency |(r_h - r_o)/2|^8, the simulated end-to-end
+success probability (they must agree to 1e-10), the herald rate, the
+silent-leak share of the surviving weight, and the fidelity of the
+surviving unleaked component against its target.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .protocols import (
     hbsg_input,
     make_bell,
 )
-from .optics import PolynomialRun, run_circuit_polynomial, run_circuit_tracked
+from .optics import _BRANCH_DROP, run_circuit_polynomial, run_circuit_tracked
 
 CSV_COLUMNS = ("kappa_s_over_kappa,g_over_sum,r_o_re,r_o_im,r_h_re,r_h_im,"
                "eta_closed,eta_sim,herald_rate,leakage_rate,cond_fidelity")
@@ -77,47 +79,88 @@ class GenerationStats:
     conditional_fidelity: float
 
 
+@dataclass(frozen=True)
+class _GenerationForms:
+    """The generation run as quadratic forms in the monomials of (s, h).
+
+    A factor R of a coefficient matrix C (rows: monomials, columns: state)
+    is the triangular factor of a QR of C^T, so the weight of m @ C for a
+    monomial vector m is ||R m||^2: a sum of squares, never negative.
+    """
+
+    # [h-degree, S, S]: one factor per h-degree of the surviving branch, rows s^i
+    layers: np.ndarray
+    # [S'K', S'K']: one factor of all clicked coefficients, rows s^i h^k
+    clicks: np.ndarray
+    click_degrees: tuple[int, int]  # (S', K')
+    # [S]: <normalized lossless output | s^i coefficient of the unleaked layer>
+    overlap: np.ndarray
+
+
 @lru_cache(maxsize=1)
-def _hbsg_polynomial_run() -> PolynomialRun:
-    """The generation circuit, spins unmeasured, clicked branches dropped."""
+def _generation_forms() -> _GenerationForms:
+    """Factors of the generation circuit, spins unmeasured, clicked branches dropped."""
     circuit = hbsg_circuit_premeasure()
-    return run_circuit_polynomial(circuit, hbsg_input(circuit))
+    run = run_circuit_polynomial(circuit, hbsg_input(circuit))
+    ideal = run.at(IDEAL_PAIR).branches[0].layers[0]
+    ideal = ideal / np.sqrt(np.sum(np.abs(ideal) ** 2))
+    ((_, c),) = run.branches
+    c = c.reshape(c.shape[:2] + (-1,))
+    arrays = [a for _, cs in run.clicks for a in cs]
+    s_len = max(a.shape[0] for a in arrays)
+    k_len = max(a.shape[1] for a in arrays)
+    # one row per monomial s^i h^k; the clicked branches side by side, so
+    # that one norm sums their weights
+    clicked = np.concatenate(
+        [np.pad(a, ((0, s_len - a.shape[0]), (0, k_len - a.shape[1]))
+                + ((0, 0),) * (a.ndim - 2)).reshape(s_len * k_len, -1) for a in arrays],
+        axis=1)
+    return _GenerationForms(
+        layers=np.linalg.qr(c.transpose(1, 2, 0), mode="r"),
+        clicks=np.linalg.qr(clicked.T, mode="r"),
+        click_degrees=(s_len, k_len),
+        overlap=c[:, 0] @ ideal.conj().ravel())
 
 
-@lru_cache(maxsize=1)
-def _hbsg_ideal_premeasure() -> np.ndarray:
-    """Unit-norm output of the lossless generation circuit, spins unmeasured."""
-    amps = _hbsg_polynomial_run().at(IDEAL_PAIR).branches[0].layers[0]
-    return amps / np.sqrt(np.sum(np.abs(amps) ** 2))
+def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
+    """(eta, herald_rate, leakage_rate, conditional_fidelity) at the pairs (s[N], h[N]).
+
+    Each is an array of shape [N], from one evaluation of the quadratic
+    forms of the generation run. The herald rate is the probability that
+    at least one herald detector fires; eta and the leak share are
+    conditioned on no click, with the trailing leak layers and the
+    surviving branch dropped below the runner's threshold, as
+    PolynomialRun.at does. The waveform correctors keep the unleaked
+    component proportional to the lossless output, so
+    conditional_fidelity (its fidelity against that output, equal to the
+    per-branch post-measurement value) is 1 up to rounding; it is
+    vacuously 1.0 when nothing unleaked survives (e.g. g = 0).
+    """
+    forms = _generation_forms()
+    k_len, s_len = forms.layers.shape[:2]
+    s_pow = s[:, None] ** np.arange(s_len)
+    layer_w = (np.sum(np.abs(s_pow @ forms.layers.swapaxes(1, 2)) ** 2, axis=2)
+               * np.abs(h) ** (2 * np.arange(k_len))[:, None])
+    kept = np.maximum.accumulate(layer_w[::-1], axis=0)[::-1] >= _BRANCH_DROP
+    eta = layer_w[0]
+    leak = np.sum(np.where(kept, layer_w, 0.0)[1:], axis=0)
+    cs_len, ck_len = forms.click_degrees
+    monomials = (s[:, None, None] ** np.arange(cs_len)[:, None]
+                 * h[:, None, None] ** np.arange(ck_len)).reshape(len(s), -1)
+    herald_rate = np.sum(np.abs(monomials @ forms.clicks.T) ** 2, axis=1)
+    survived = eta + leak
+    live = survived > _BRANCH_DROP  # so also survived > _ZERO_WEIGHT
+    leakage_rate = np.divide(leak, survived, out=np.ones_like(leak), where=live)
+    fidelity = np.divide(np.abs(s_pow @ forms.overlap) ** 2, eta,
+                         out=np.ones_like(eta), where=live & (eta > _ZERO_WEIGHT))
+    return np.where(live, eta, 0.0), herald_rate, leakage_rate, np.minimum(1.0, fidelity)
 
 
 def hbsg_statistics(pair: ReflectionPair) -> GenerationStats:
-    """Aggregate the statistics of the generation circuit at one pair.
-
-    The circuit is run once, as a polynomial in (s, h), and evaluated at
-    the pair. The herald rate is the probability that at least one herald
-    detector fires; eta and the leak share are conditioned on no click.
-    The waveform correctors keep the unleaked component proportional to
-    the lossless output, so conditional_fidelity (its fidelity against
-    that output, equal to the per-branch post-measurement value) is 1 up
-    to rounding; it is vacuously 1.0 when nothing unleaked survives
-    (e.g. g = 0).
-    """
-    run = _hbsg_polynomial_run().at(pair)
-    herald_rate = sum(run.click_probability.values())
-    if not run.branches:
-        return GenerationStats(0.0, herald_rate, 1.0, 1.0)
-    tb = run.branches[0]
-    eta = tb.clean_weight
-    leak = tb.leaked_weight
-    survived = eta + leak
-    leakage_rate = leak / survived if survived > _ZERO_WEIGHT else 1.0
-    if eta > _ZERO_WEIGHT:
-        fid = min(1.0, float(
-            abs(np.vdot(_hbsg_ideal_premeasure(), tb.layers[0])) ** 2 / eta))
-    else:
-        fid = 1.0
-    return GenerationStats(eta, herald_rate, leakage_rate, fid)
+    """hbsg_statistics_grid at one pair."""
+    stats = hbsg_statistics_grid(np.array([pair.success_amplitude]),
+                                 np.array([pair.herald_amplitude]))
+    return GenerationStats(*(float(x[0]) for x in stats))
 
 
 def hbsg_branch_report(pair: ReflectionPair) -> list[tuple[tuple[str, str], float, float]]:
@@ -210,38 +253,40 @@ class SweepRecord:
     conditional_fidelity: float
 
 
-def sweep_point(kappa_s: float, g_over_sum: float, gamma_over_kappa: float = 0.1,
-                detuning: float = 0.0) -> SweepRecord:
-    """Coefficients plus full generation statistics at one grid point."""
-    params = CavityParams(
+def _sweep_records(points, gamma_over_kappa: float, detuning: float) -> list[SweepRecord]:
+    """Coefficients plus full generation statistics at (kappa_s, g_over_sum) points."""
+    pairs = [reflection_coefficients(CavityParams(
         g=g_over_sum * (kappa_s + 1.0),
         kappa=1.0,
         kappa_s=kappa_s,
         gamma=gamma_over_kappa,
         omega=detuning,
-    )
-    pair = reflection_coefficients(params)
-    stats = hbsg_statistics(pair)
-    return SweepRecord(
-        kappa_s_over_kappa=kappa_s,
-        g_over_sum=g_over_sum,
-        r_o=pair.r_o,
-        r_h=pair.r_h,
-        eta_closed_form=efficiency_closed_form(pair),
-        eta_simulated=stats.eta_simulated,
-        herald_rate=stats.herald_rate,
-        leakage_rate=stats.leakage_rate,
-        conditional_fidelity=stats.conditional_fidelity,
-    )
+    )) for kappa_s, g_over_sum in points]
+    stats = hbsg_statistics_grid(np.array([p.success_amplitude for p in pairs]),
+                                 np.array([p.herald_amplitude for p in pairs]))
+    return [
+        SweepRecord(kappa_s, g_over_sum, pair.r_o, pair.r_h, efficiency_closed_form(pair),
+                    *values)
+        for (kappa_s, g_over_sum), pair, *values
+        in zip(points, pairs, *(x.tolist() for x in stats))
+    ]
+
+
+def sweep_point(kappa_s: float, g_over_sum: float, gamma_over_kappa: float = 0.1,
+                detuning: float = 0.0) -> SweepRecord:
+    """Coefficients plus full generation statistics at one grid point."""
+    (record,) = _sweep_records([(kappa_s, g_over_sum)], gamma_over_kappa, detuning)
+    return record
 
 
 def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
-    """Evaluate every grid point, row-major (kappa_s outer, coupling inner)."""
-    return [
-        sweep_point(ks, g, grid.gamma_over_kappa, grid.detuning)
-        for ks in grid.kappa_s_over_kappa
-        for g in grid.g_over_sum
-    ]
+    """Evaluate every grid point, row-major (kappa_s outer, coupling inner).
+
+    The statistics of the whole grid are one hbsg_statistics_grid call.
+    """
+    return _sweep_records([(ks, g) for ks in grid.kappa_s_over_kappa
+                           for g in grid.g_over_sum],
+                          grid.gamma_over_kappa, grid.detuning)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric-domain error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis, protocols
@@ -90,7 +91,11 @@ def _cmd_hbsa(args) -> int:
     correct = sum(b.probability for b in branches if b.classified == label)
     print(f"input={label}")
     print("e1 e2 pattern      probability           classified")
-    for b in sorted(branches, key=lambda b: -b.probability):
+    # ties of the printed probability fall back to the row's own text, so the
+    # order does not follow the last bits of the probabilities
+    rows = sorted(branches, key=lambda b: (-float(f"{b.probability:.12g}"), b.spins.e1,
+                                           b.spins.e2, b.pattern.a, b.pattern.b))
+    for b in rows:
         mark = "" if b.classified == label else "  (misclassified)"
         print(f"{b.spins.e1:2s} {b.spins.e2:2s} {b.pattern.a},{b.pattern.b}  "
               f"{b.probability:<20.12g}  {b.classified}{mark}")
@@ -115,6 +120,14 @@ def _write(path: str, text: str):
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable(path: str):
+    """Fail before any work when path cannot be opened for writing."""
+    parent = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise ConfigurationError(f"cannot write {path}")
+
+
 def _cmd_sweep(args) -> int:
     grid = analysis.SweepGrid.regular(
         ks_min=args.ks_min, ks_max=args.ks_max, ks_steps=args.ks_steps,
@@ -126,6 +139,9 @@ def _cmd_sweep(args) -> int:
     if args.tau is not None:
         dephasing = DephasingParams(tau=args.tau, big_gamma=args.big_gamma)
         print(f"# dephasing_penalty={dephasing_penalty(dephasing)!r}", file=sys.stderr)
+    for path in (args.out, args.svg):
+        if path:
+            _check_writable(path)
     records = analysis.run_sweep(grid)
     csv_text = analysis.emit_csv(records, dephasing)
     if args.out:

@@ -30,7 +30,7 @@ from hyperbell.cavity import (
     reflection_coefficients,
 )
 from hyperbell.errors import ConfigurationError
-from hyperbell.optics import run_circuit_tracked
+from hyperbell.optics import _BRANCH_DROP, run_circuit_polynomial, run_circuit_tracked
 from hyperbell.protocols import (
     Bell,
     HyperBellLabel,
@@ -154,6 +154,48 @@ class TestSweepPointMatchesNumericRun:
             assert abs(a - b) < 1e-12
         if g_over_sum == 0.0:
             assert record.eta_simulated == 0.0
+
+
+class TestWholeGridMatchesNumericRun:
+    """run_sweep evaluates the whole grid at once; the reference runs the circuit per point."""
+
+    def test_grid(self):
+        rng = np.random.default_rng(20261018)
+        grid = SweepGrid(
+            kappa_s_over_kappa=(0.0, *rng.uniform(0.0, 1.0, 3)),
+            g_over_sum=(0.0, 1e-4, 1.0, *rng.uniform(0.05, 2.5, 3)))  # 1e-4: branch dropped
+        records = run_sweep(grid)
+        assert len(records) == 4 * 6
+        for r in records:
+            got = (r.eta_simulated, r.herald_rate, r.leakage_rate, r.conditional_fidelity)
+            assert all(x >= 0.0 for x in got)
+            for a, b in zip(got, _numeric_statistics(ReflectionPair(r.r_o, r.r_h))):
+                assert abs(a - b) < 1e-12
+            if r.g_over_sum == 0.0:
+                assert r.eta_simulated == 0.0
+                assert r.leakage_rate == 1.0
+        spot = records[2]
+        assert (spot.kappa_s_over_kappa, spot.g_over_sum) == (0.0, 1.0)
+        assert abs(spot.eta_simulated - 0.820742) <= 1e-5
+
+    def test_dropped_branch_matches_polynomial_run(self):
+        circuit = hbsg_circuit_premeasure()
+        run = run_circuit_polynomial(circuit, hbsg_input(circuit))
+        for g, dropped in ((1e-3, False), (3e-4, False), (1e-4, True), (3e-5, True)):
+            pair = reflection_coefficients(CavityParams(g=g, gamma=0.1))
+            at = run.at(pair)
+            stats = hbsg_statistics(pair)
+            assert abs(stats.herald_rate - sum(at.click_probability.values())) < 1e-12
+            assert (not at.branches) == dropped
+            if dropped:
+                assert (stats.eta_simulated, stats.leakage_rate,
+                        stats.conditional_fidelity) == (0.0, 1.0, 1.0)
+            else:
+                (tb,) = at.branches
+                assert tb.clean_weight + tb.leaked_weight > _BRANCH_DROP
+                assert abs(stats.eta_simulated - tb.clean_weight) < 1e-12
+                leak_share = tb.leaked_weight / (tb.clean_weight + tb.leaked_weight)
+                assert abs(stats.leakage_rate - leak_share) < 1e-12
 
 
 class TestHbsaRates:

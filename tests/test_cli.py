@@ -108,6 +108,33 @@ class TestHbsa:
         assert code == 2
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("cavity", [
+        ("--g", "1", "--gamma", "0.1"),
+        ("--g", "0.5", "--kappa-s", "0.3", "--gamma", "0.2", "--detuning", "0.4")])
+    def test_row_order_ignores_last_bits(self, capsys, monkeypatch, cavity):
+        # rows whose printed probabilities tie must not follow the bits below;
+        # a relative move of 1e-15 leaves every printed digit in place (an
+        # absolute 1e-18 would move the 12th digit of the 8e-8 rows)
+        from dataclasses import replace
+
+        from hyperbell import protocols
+
+        args = ("hbsa", "--input", "phi+,psi-", *cavity)
+        _, want, _ = run_cli(capsys, *args)
+        run_hbsa = protocols.run_hbsa
+
+        def perturbed(label, pair):
+            return [replace(b, probability=b.probability * (1 + 1e-15 * (-1) ** i))
+                    for i, b in enumerate(run_hbsa(label, pair))]
+
+        monkeypatch.setattr(protocols, "run_hbsa", perturbed)
+        _, got, _ = run_cli(capsys, *args)
+        # the table is unchanged; the two closing lines are sums of the
+        # perturbed probabilities and may move in their last bits
+        assert got.splitlines()[:-2] == want.splitlines()[:-2]
+        for g, w in zip(parse_kv(got).values(), parse_kv(want).values()):
+            assert g == w or abs(float(g) - float(w)) < 1e-15
+
 
 class TestClassifyTable:
     def test_emits_64_rows(self, capsys):
@@ -190,6 +217,24 @@ class TestExitCodes:
         assert code == 2
         assert "configuration error" in err
         assert out == ""
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_output_paths_checked_before_sweep(self, capsys, monkeypatch, tmp_path):
+        from hyperbell import analysis
+
+        def no_sweep(grid):
+            raise AssertionError("the sweep ran before its output paths were checked")
+
+        monkeypatch.setattr(analysis, "run_sweep", no_sweep)
+        missing = str(tmp_path / "missing" / "x")
+        for flags in (("--out", missing), ("--svg", missing),
+                      ("--out", str(tmp_path / "x.csv"), "--svg", missing),
+                      ("--out", str(tmp_path))):
+            code, out, err = run_cli(capsys, "sweep", *flags)
+            assert code == 2
+            assert "configuration error" in err
+            assert out == ""
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("args", [
         ("coeffs", "--g", "1e200", "--gamma", "1e200"),
