@@ -19,6 +19,7 @@ from hyperbell import (
     reflection_coefficients,
     run_hbsg,
 )
+from hyperbell.analysis import hbsg_statistics
 from hyperbell.protocols import (
     HBSG_CIRCUIT_TEXT,
     HBSG_OUTPUT_RAILS,
@@ -37,7 +38,7 @@ print("=== realistic dots: g = kappa, gamma = 0.1 kappa ===")
 pair = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
 branches = run_hbsg(pair)
 survived = sum(b.probability for b in branches if not b.heralds)
-heralded = sum(b.probability for b in branches if b.heralds)
+heralded = hbsg_statistics(pair).herald_rate
 print(f"unheralded probability {survived:.6f}, heralded (retry) {heralded:.6f}")
 for b in branches:
     if b.heralds:

@@ -34,7 +34,6 @@ from .optics import (
     TrackedBranch,
     TrackedRun,
     parse_circuit,
-    run_circuit,
     run_circuit_tracked,
     serialize_circuit,
 )

@@ -99,12 +99,12 @@ class _GenerationForms:
 
 @lru_cache(maxsize=1)
 def _generation_forms() -> _GenerationForms:
-    """Factors of the generation circuit, spins unmeasured, clicked branches dropped."""
+    """Factors of the generation circuit, spins unmeasured, on its no-click branch."""
     circuit = hbsg_circuit_premeasure()
     run = run_circuit_polynomial(circuit, hbsg_input(circuit))
-    ideal = run.at(IDEAL_PAIR).branches[0].layers[0]
+    (ideal,) = [tb.layers[0] for tb in run.at(IDEAL_PAIR).branches if tb.record == ()]
     ideal = ideal / np.sqrt(np.sum(np.abs(ideal) ** 2))
-    ((_, c),) = run.branches
+    (c,) = [c for record, c in run.branches if record == ()]
     c = c.reshape(c.shape[:2] + (-1,))
     arrays = [a for _, cs in run.clicks for a in cs]
     s_len = max(a.shape[0] for a in arrays)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,9 @@ class CavityParams:
     omega_x: float = 0.0     # trion transition frequency
 
     def __post_init__(self):
-        for field in fields(self):
-            if not math.isfinite(getattr(self, field.name)):
-                raise ConfigurationError(f"{field.name} must be finite")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite")
         if not self.kappa > 0:
             raise ConfigurationError("kappa must be positive")
         if self.kappa_s < 0 or self.gamma < 0 or self.g < 0:

@@ -71,10 +71,8 @@ def _cmd_block(args) -> int:
 
 def _cmd_hbsg(args) -> int:
     pair = _pair_from_args(args)
-    branches = protocols.run_hbsg(pair)
-    herald_rate = sum(b.probability for b in branches if b.heralds)
-    print(f"herald_rate={herald_rate!r}")
-    for b in branches:
+    print(f"herald_rate={analysis.hbsg_statistics(pair).herald_rate!r}")
+    for b in protocols.run_hbsg(pair):
         if b.heralds:
             continue
         print(f"spins=({b.spins.e1},{b.spins.e2}) -> {b.label} "

@@ -2,14 +2,15 @@
 
 Elements act on a HybridState through their single-photon matrices; the
 quantum-dot arm (qdarm) is the one element that couples a photon to a
-spin. Circuits are immutable after parsing and run_circuit is a pure
-function of (circuit, input, pair). The pair enters only through
+spin. Circuits are immutable after parsing and run_circuit_tracked is a
+pure function of (circuit, input, pair). The pair enters only through
 s = (r_o - r_h)/2 and h = (r_o + r_h)/2 at qdarm (s·success + h·leak on
 its path) and wfc (s on its path). The runner keeps each branch as one
 coefficient array indexed [s-degree, h-degree, *state axes] and takes s
 and h as coefficient tuples by degree: (s,) and (0, h) at one pair, so
 they are multiplied in, or (0, 1) for both, so that
-run_circuit_polynomial runs a circuit once for every pair.
+run_circuit_polynomial runs a circuit once for every pair. Both keep
+every branch, clicked or not, and count each branch's first click only.
 
 Circuit file format (UTF-8, line oriented, ``#`` comments)::
 
@@ -36,7 +37,6 @@ from .cavity import IDEAL_PAIR, ReflectionPair
 from .errors import ConfigurationError
 from .hilbert import (
     _HADAMARD,
-    BranchOutcome,
     HybridState,
     StateLayout,
     _apply_photon_matrix,
@@ -70,10 +70,6 @@ class ElementKind(str, Enum):
     QDARM = "qdarm"
     DETECTOR = "detector"
     MEASURE_SPIN = "measure_spin"
-
-
-PASSIVE_KINDS = (ElementKind.CPBS, ElementKind.PBS, ElementKind.BS,
-                 ElementKind.HP, ElementKind.Z)
 
 
 @dataclass(frozen=True)
@@ -540,11 +536,10 @@ class TrackedBranch:
 class TrackedRun:
     """Complete branch set of one run plus per-detector click statistics.
 
-    click_probability[label] is the probability that the detector fires,
-    accumulated at detection time (a later loss of the partner photon does
-    not erase a click that already happened). Under drop_clicked the value
-    is additionally conditioned on no earlier detector having fired, so the
-    sum over labels is the probability of at least one click.
+    click_probability[label] is the probability that this detector is the
+    first one to fire, accumulated at detection time (a later loss of the
+    partner photon does not erase a click that already happened). The sum
+    over labels is the probability that at least one detector fires.
     """
 
     branches: list[TrackedBranch]
@@ -635,16 +630,15 @@ def _outcomes(action, c: np.ndarray) -> list:
             for sign, proj in _SPIN_X_PROJ.items()]
 
 
-def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None,
-         drop_clicked: bool):
+def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
     """The runner loop: (layout, [(record, coefficients)], clicks).
 
     A branch is one array c[s-degree, h-degree, *state axes] of the
     coefficients of s^i h^k. s and h enter as coefficient tuples by degree:
     at a pair they are the numbers themselves, (s,) and (0, h), so the
     s axis keeps length 1; with pair=None they are (0, 1) both, so every
-    passage raises a degree. A click is kept as its probability at a
-    pair and as its coefficients with pair=None.
+    passage raises a degree. Only a branch's first click is kept: as its
+    probability at a pair and as its coefficients with pair=None.
     """
     layout = circuit.layout()
     if state.layout != layout:
@@ -673,11 +667,10 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None,
         else:  # detector or spin measurement: one branch per outcome
             new_branches = []
             for rec, c in branches:
+                first = all(outcome != "click" for _, outcome in rec)
                 for entry, projected in _outcomes(action, c):
-                    if entry is not None and entry[1] == "click":
+                    if first and entry is not None and entry[1] == "click":
                         click(entry[0], projected)
-                        if drop_clicked:
-                            continue
                     projected = _trim(projected)
                     if _weight(projected) > _BRANCH_DROP:
                         new_branches.append(
@@ -702,14 +695,15 @@ def _tracked_branches(layout: StateLayout, branches, s: complex = 1,
 
 
 def run_circuit_tracked(circuit: Circuit, state: HybridState,
-                        pair: ReflectionPair = IDEAL_PAIR,
-                        drop_clicked: bool = False) -> TrackedRun:
+                        pair: ReflectionPair = IDEAL_PAIR) -> TrackedRun:
     """Run a circuit keeping the leak-count split of every branch.
 
-    With drop_clicked, branches where a detector fired are discarded after
-    their click probability is recorded (statistics-only fast path).
+    Detectors and spin measurements fork branches; every branch of weight
+    above the drop threshold is kept, clicked or not, so at a lossless pair
+    the branch probabilities sum to the input's squared norm, up to the
+    dropped weight.
     """
-    layout, branches, clicks = _run(circuit, state, pair, drop_clicked)
+    layout, branches, clicks = _run(circuit, state, pair)
     return TrackedRun(_tracked_branches(layout, branches), clicks)
 
 
@@ -742,32 +736,14 @@ def run_circuit_polynomial(circuit: Circuit, state: HybridState) -> PolynomialRu
     """Run a circuit once for all cavity points, as a polynomial in (s, h).
 
     The same runner loop as run_circuit_tracked, with s and h as degree
-    raisers instead of numbers. Branches where a detector fired are
-    dropped after their click is recorded, as run_circuit_tracked does
-    with drop_clicked.
+    raisers instead of numbers: the same branches, clicked ones included,
+    and the same first-click statistics.
 
     Worth it only when one circuit and input are evaluated at many pairs:
     unlike run_circuit_tracked it cannot prune the leak layers that vanish
     at a given pair.
     """
-    layout, branches, clicks = _run(circuit, state, None, drop_clicked=True)
+    layout, branches, clicks = _run(circuit, state, None)
     return PolynomialRun(layout, tuple(branches),
                          tuple((label, tuple(cs)) for label, cs in clicks.items()))
 
-
-def run_circuit(circuit: Circuit, state: HybridState,
-                pair: ReflectionPair = IDEAL_PAIR) -> list[BranchOutcome]:
-    """Run a circuit; detectors and spin measurements fork branches.
-
-    Returns the complete branch set: residuals renormalized, probabilities
-    summing to the input squared norm (minus amplitude absorbed by lossy
-    reflection).
-    """
-    outcomes = []
-    for tb in run_circuit_tracked(circuit, state, pair).branches:
-        prob = tb.probability
-        if prob <= _BRANCH_DROP:
-            continue
-        outcomes.append(BranchOutcome(
-            tb.record, tb.physical_state().normalized(), prob))
-    return outcomes

@@ -3,7 +3,7 @@ import pytest
 
 from hyperbell.hilbert import HybridState, StateLayout
 from hyperbell.cavity import IDEAL_PAIR
-from hyperbell.optics import parse_circuit, run_circuit, run_circuit_tracked
+from hyperbell.optics import parse_circuit, run_circuit_tracked
 
 
 @pytest.fixture
@@ -34,9 +34,9 @@ def one_op_circuit(layout: StateLayout, op: str):
 
 
 def measure_op(state: HybridState, op: str):
-    """Run one measurement op on a state as a one-op circuit on the state's
-    own layout."""
-    return run_circuit(one_op_circuit(state.layout, op), state)
+    """The branches of one measurement op on a state, run as a one-op
+    circuit on the state's own layout."""
+    return run_circuit_tracked(one_op_circuit(state.layout, op), state).branches
 
 
 def apply_op(state: HybridState, op: str, pair=IDEAL_PAIR) -> HybridState:

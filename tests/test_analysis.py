@@ -125,14 +125,15 @@ def _numeric_statistics(pair):
     """Reference: run the generation circuit at the pair and aggregate."""
     circuit = hbsg_circuit_premeasure()
     state = hbsg_input(circuit)
-    ideal = run_circuit_tracked(circuit, state, IDEAL_PAIR,
-                                drop_clicked=True).branches[0].layers[0]
+    (ideal,) = [tb.layers[0] for tb in run_circuit_tracked(circuit, state, IDEAL_PAIR).branches
+                if tb.record == ()]
     ideal = ideal / np.linalg.norm(ideal)
-    run = run_circuit_tracked(circuit, state, pair, drop_clicked=True)
+    run = run_circuit_tracked(circuit, state, pair)
     herald_rate = sum(run.click_probability.values())
-    if not run.branches:
+    unclicked = [tb for tb in run.branches if tb.record == ()]
+    if not unclicked:
         return 0.0, herald_rate, 1.0, 1.0
-    tb = run.branches[0]
+    (tb,) = unclicked
     eta, leak = tb.clean_weight, tb.leaked_weight
     leakage_rate = leak / (eta + leak) if eta + leak > 1e-30 else 1.0
     fid = min(1.0, abs(np.vdot(ideal, tb.layers[0])) ** 2 / eta) if eta > 1e-30 else 1.0
@@ -186,12 +187,13 @@ class TestWholeGridMatchesNumericRun:
             at = run.at(pair)
             stats = hbsg_statistics(pair)
             assert abs(stats.herald_rate - sum(at.click_probability.values())) < 1e-12
-            assert (not at.branches) == dropped
+            unclicked = [tb for tb in at.branches if tb.record == ()]
+            assert (not unclicked) == dropped
             if dropped:
                 assert (stats.eta_simulated, stats.leakage_rate,
                         stats.conditional_fidelity) == (0.0, 1.0, 1.0)
             else:
-                (tb,) = at.branches
+                (tb,) = unclicked
                 assert tb.clean_weight + tb.leaked_weight > _BRANCH_DROP
                 assert abs(stats.eta_simulated - tb.clean_weight) < 1e-12
                 leak_share = tb.leaked_weight / (tb.clean_weight + tb.leaked_weight)

@@ -63,7 +63,7 @@ class TestReflectionCoefficients:
             CavityParams(g=1.0, gamma=-0.1)
         for field in ("g", "kappa", "kappa_s", "gamma", "omega", "omega_c", "omega_x"):
             for bad in (math.nan, math.inf, -math.inf):
-                with pytest.raises(ConfigurationError):
+                with pytest.raises(ConfigurationError, match=f"^{field} must be finite$"):
                     CavityParams(**{"g": 1.0, field: bad})
 
     def test_overflow_is_numeric_domain_error(self):

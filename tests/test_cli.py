@@ -95,6 +95,16 @@ class TestHbsg:
         kv = parse_kv(out)
         assert float(kv["herald_rate"]) < 1e-15
 
+    def test_herald_rate_is_the_sweep_statistic(self, capsys):
+        # the same probability that a herald fires as the sweep's herald_rate column
+        from hyperbell.analysis import hbsg_statistics
+        from hyperbell.cavity import CavityParams, reflection_coefficients
+
+        code, out, _ = run_cli(capsys, "hbsg", "--g", "1", "--gamma", "0.1")
+        assert code == 0
+        pair = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
+        assert float(parse_kv(out)["herald_rate"]) == hbsg_statistics(pair).herald_rate
+
 
 class TestHbsa:
     def test_classifies_input(self, capsys):

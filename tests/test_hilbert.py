@@ -187,7 +187,10 @@ class TestMeasure:
         assert sorted(b.record[0][1] for b in branches) == ["+", "-"]
         for b in branches:
             assert abs(b.probability - 0.5) < 1e-12
-            assert abs(b.residual.norm2 - 1.0) < 1e-12
+            # the collapsed state is an eigenstate: measuring again repeats the outcome
+            (again,) = measure_op(b.physical_state().normalized(), "measure_spin qd=QD1")
+            assert again.record == b.record
+            assert abs(again.probability - 1.0) < 1e-12
 
     def test_generated_state_gives_four_quarter_branches(self, small_layout):
         # the four-term hyperentangled output, spins correlated with the state
@@ -205,7 +208,7 @@ class TestMeasure:
         assert abs(state.norm2 - 1.0) < 1e-12
         joint = []
         for b1 in measure_op(state, "measure_spin qd=QD1"):
-            for b2 in measure_op(b1.residual, "measure_spin qd=QD2"):
+            for b2 in measure_op(b1.physical_state().normalized(), "measure_spin qd=QD2"):
                 joint.append((b1.record + b2.record,
                               b1.probability * b2.probability))
         assert len(joint) == 4

@@ -21,7 +21,6 @@ from hyperbell.optics import (
     hp_matrix,
     parse_circuit,
     pbs_matrix,
-    run_circuit,
     run_circuit_polynomial,
     run_circuit_tracked,
     serialize_circuit,
@@ -303,7 +302,7 @@ class TestRunCircuit:
         circuit = _two_photon_circuit("op hp photon=A path=a1\n"
                                       "op bs photon=B in=b1,b2 out=b1,b2\n")
         state = random_state(circuit.layout(), rng)
-        branches = run_circuit(circuit, state)
+        branches = run_circuit_tracked(circuit, state).branches
         assert len(branches) == 1
         assert branches[0].record == ()
         assert abs(branches[0].probability - state.norm2) < 1e-10
@@ -311,7 +310,7 @@ class TestRunCircuit:
     def test_block_circuit_two_branches(self):
         circuit = parse_circuit(BLOCK_CIRCUIT)
         state = product_state(circuit.layout(), "L", "a1", "R", "b1", "+", "+")
-        branches = run_circuit(circuit, state, EXAMPLE_PAIR)
+        branches = run_circuit_tracked(circuit, state, EXAMPLE_PAIR).branches
         records = {b.record: b.probability for b in branches}
         assert set(records) == {(), (("D", "click"),)}
         assert abs(records[()] - (40 / 41) ** 2) < 1e-12
@@ -324,20 +323,20 @@ class TestRunCircuit:
             "op measure_spin qd=QD1\n"
             "op measure_spin qd=QD2\n")
         state = random_state(circuit.layout(), rng)
-        branches = run_circuit(circuit, state)
+        branches = run_circuit_tracked(circuit, state).branches
         assert abs(sum(b.probability for b in branches) - state.norm2) < 1e-10
 
     def test_full_generation_circuit_completeness_at_ideal(self):
         from hyperbell.protocols import hbsg_circuit, hbsg_input
 
         circuit = hbsg_circuit()
-        branches = run_circuit(circuit, hbsg_input(circuit), IDEAL_PAIR)
+        branches = run_circuit_tracked(circuit, hbsg_input(circuit), IDEAL_PAIR).branches
         assert abs(sum(b.probability for b in branches) - 1.0) < 1e-10
 
     def test_layout_mismatch_rejected(self, small_layout, rng):
         circuit = parse_circuit("photon A paths=a1,a2,a3\nphoton B paths=b1,b2\n")
         with pytest.raises(ConfigurationError):
-            run_circuit(circuit, random_state(small_layout, rng))
+            run_circuit_tracked(circuit, random_state(small_layout, rng))
 
     def test_qdarm_matches_direct_operator(self, rng):
         # tracked layers must sum to the bare reflection-operator action
@@ -363,6 +362,29 @@ class TestRunCircuit:
         run = run_circuit_tracked(circuit, state,
                                   ReflectionPair(r_o=-0.5, r_h=0.5))
         assert abs(run.click_probability["DA"] - 0.64) < 1e-12
+
+    def test_click_probability_counts_first_clicks(self):
+        # both detectors can fire on one branch; DB counts only where DA stayed
+        # silent, so the clicks sum to the probability of at least one click
+        circuit = _two_photon_circuit(
+            "op wfc photon=B path=b2\n"
+            "op detector photon=A path=a2 label=DA\n"
+            "op detector photon=B path=b2 label=DB\n")
+        state = product_state(circuit.layout(), "R", {"a1": 0.3 ** 0.5, "a2": 0.7 ** 0.5},
+                              "R", {"b1": 0.4 ** 0.5, "b2": 0.6 ** 0.5})
+        pair = ReflectionPair(r_o=-0.5, r_h=0.5)  # wfc keeps |s|^2 = 1/4 of b2
+        want = {(("DA", "click"), ("DB", "click")): 0.7 * 0.15, (("DA", "click"),): 0.7 * 0.4,
+                (("DB", "click"),): 0.3 * 0.15, (): 0.3 * 0.4}
+        at_least_one = sum(p for record, p in want.items() if record)
+        for run in (run_circuit_tracked(circuit, state, pair),
+                    run_circuit_polynomial(circuit, state).at(pair)):
+            assert abs(run.click_probability["DA"] - 0.7 * 0.55) < 1e-12
+            assert abs(run.click_probability["DB"] - 0.3 * 0.15) < 1e-12
+            assert abs(sum(run.click_probability.values()) - at_least_one) < 1e-12
+            got = {b.record: b.probability for b in run.branches}
+            assert set(got) == set(want)  # the branch where both fired is kept
+            for record, p in want.items():
+                assert abs(got[record] - p) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +485,7 @@ class TestPolynomialRun:
             state = random_state(circuit.layout(), rng)
             poly = run_circuit_polynomial(circuit, state)
             for pair in self._pairs(rng):
-                self._assert_same_run(
-                    poly.at(pair), run_circuit_tracked(circuit, state, pair, drop_clicked=True))
+                self._assert_same_run(poly.at(pair), run_circuit_tracked(circuit, state, pair))
 
     def test_at_returns_fresh_arrays(self):
         from hyperbell.protocols import hbsg_circuit, hbsg_input
@@ -477,7 +498,7 @@ class TestPolynomialRun:
                 a[...] = np.nan
         self._assert_same_run(
             poly.at(EXAMPLE_PAIR),
-            run_circuit_tracked(circuit, hbsg_input(circuit), EXAMPLE_PAIR, drop_clicked=True))
+            run_circuit_tracked(circuit, hbsg_input(circuit), EXAMPLE_PAIR))
 
 
     def test_input_state_not_aliased(self, small_layout, rng):
