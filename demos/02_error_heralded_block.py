@@ -3,8 +3,10 @@
 An L photon enters the block, takes the Hp - QD - Hp arm, and leaves
 either transformed (R polarization, quantum-dot spin X-flipped) or
 unchanged. The unchanged component is exactly the imperfect-interaction
-amplitude (r_o + r_h)/2, and the exit splitter routes it to a detector:
-instead of silently degrading the fidelity, the error announces itself.
+amplitude (r_o + r_h)/2 and keeps its L polarization, so a detector of L
+light at the exit (a circular splitter and a detector, in the lab)
+catches it: instead of silently degrading the fidelity, the error
+announces itself.
 """
 
 from hyperbell import (

@@ -201,15 +201,17 @@ def _polspin(view: np.ndarray, slot: int, spin_slot: int, mat4: np.ndarray) -> n
     return np.einsum(_POLSPIN_EINSUM[slot, spin_slot], mat4.reshape(2, 2, 2, 2), view)
 
 
-def _path_slice(slot: int, path_idx: int) -> tuple:
-    """Index selecting the amplitudes with photon ``slot`` on one path."""
-    return (Ellipsis, path_idx) + (slice(None),) * (4 if slot == 0 else 2)
+def _path_slice(slot: int, path_idx: int, pol=slice(None)) -> tuple:
+    """Index selecting the amplitudes with photon ``slot`` on one path,
+    in one polarization (R or L) or in both (the default)."""
+    return (Ellipsis, pol, path_idx) + (slice(None),) * (4 if slot == 0 else 2)
 
 
-def _project_path(amps: np.ndarray, slot: int, path_idx: int) -> np.ndarray:
-    """Keep only amplitudes with the photon on the given path."""
+def _project_path(amps: np.ndarray, slot: int, path_idx: int,
+                  pol=slice(None)) -> np.ndarray:
+    """Keep only amplitudes with the photon on the given path (and polarization)."""
     out = np.zeros_like(amps)
-    on_path = _path_slice(slot, path_idx)
+    on_path = _path_slice(slot, path_idx, pol)
     out[on_path] = amps[on_path]
     return out
 

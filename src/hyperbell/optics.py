@@ -17,12 +17,15 @@ Circuit file format (UTF-8, line oriented, ``#`` comments)::
     qd <ID> basis=+|-
     photon <ID> paths=<p1>,<p2>[,...]
     op <kind> [photon=<ID>] [path=<p>] [in=<p1>[,<p2>]] [out=<p1>,<p2>]
-              [qd=<ID>] [label=<detector-label>]
+              [qd=<ID>] [label=<detector-label>] [pol=R|L]
     block mode=heralded|parity qd=<ID> photon=<ID> path=<p> [label=<det>]
 
 Element kinds: cpbs, pbs, bs, hp, z, wfc, qdarm, detector, measure_spin.
-The ``block`` macro expands into primitives; in heralded mode it adds an
-implicit herald path (named after the detector label) to the photon.
+A detector clicks on its path, in the one polarization that ``pol`` names
+or in both; a clicked photon stays on its path. The ``block`` macro
+expands into the primitives of block_ops: Hp - qdarm - Hp on the bound
+path, then ``z`` (parity) or ``detector pol=L`` (heralded), which catches
+the leak, as the leak keeps the L polarization of the input.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .cavity import IDEAL_PAIR, ReflectionPair
 from .errors import ConfigurationError
 from .hilbert import (
     _HADAMARD,
+    L,
+    R,
     HybridState,
     StateLayout,
     _apply_photon_matrix,
@@ -81,6 +86,7 @@ class Element:
     out_paths: tuple[str, ...] | None = None
     qd: str | None = None
     label: str | None = None
+    pol: str | None = None  # detector only: "R" or "L"; None detects both
 
 
 @dataclass(frozen=True)
@@ -147,25 +153,20 @@ def _complete_permutation(n: int, moves: dict[int, int]) -> np.ndarray:
     return mat
 
 
-def _pol_block_at_path(n: int, idx: int, mat2: np.ndarray) -> np.ndarray:
-    """Polarization map applied at one path, identity elsewhere."""
+def hp_matrix(layout: StateLayout, photon: str, path: str) -> np.ndarray:
+    n = len(layout.paths[layout.photon_slot(photon)])
+    idx = layout.path_index(photon, path)
     mat = np.eye(2 * n, dtype=complex)
-    for pr in range(2):
-        for pc in range(2):
-            mat[pr * n + idx, pc * n + idx] = mat2[pr, pc]
+    mat[idx::n, idx::n] = _HADAMARD  # the (R, L) x (R, L) block at the path
     return mat
 
 
-def hp_matrix(layout: StateLayout, photon: str, path: str) -> np.ndarray:
-    slot = layout.photon_slot(photon)
-    return _pol_block_at_path(len(layout.paths[slot]),
-                              layout.path_index(photon, path), _HADAMARD)
-
-
 def z_matrix(layout: StateLayout, photon: str, path: str) -> np.ndarray:
-    slot = layout.photon_slot(photon)
-    return _pol_block_at_path(len(layout.paths[slot]),
-                              layout.path_index(photon, path), _PAULI_X)
+    n = len(layout.paths[layout.photon_slot(photon)])
+    idx = layout.path_index(photon, path)
+    mat = np.eye(2 * n, dtype=complex)
+    mat[idx::n, idx::n] = _PAULI_X
+    return mat
 
 
 def bs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.ndarray:
@@ -262,8 +263,10 @@ _REQUIRED_KEYS = {
 }
 _OPTIONAL_KEYS = {
     ElementKind.WFC: ("qd",),
+    ElementKind.DETECTOR: ("pol",),
     ElementKind.MEASURE_SPIN: ("photon",),
 }
+_POL_INDEX = {"R": R, "L": L}
 
 
 def _parse_kv(tokens: list[str], lineno: int) -> dict[str, str]:
@@ -286,17 +289,13 @@ def _check_name(name: str, what: str, lineno: int) -> str:
     return name
 
 
-def _herald_path_name(label: str) -> str:
-    return "h" + re.sub(r"[^A-Za-z0-9_]", "_", label)
-
-
 class _ParserState:
     def __init__(self):
         self.qds: dict[str, QDDecl] = {}
-        self.photons: dict[str, list[str]] = {}
+        self.photons: dict[str, tuple[str, ...]] = {}
         self.ops: list[Element] = []
 
-    def photon_paths(self, name: str, lineno: int) -> list[str]:
+    def photon_paths(self, name: str, lineno: int) -> tuple[str, ...]:
         if name not in self.photons:
             raise ConfigurationError(f"line {lineno}: undeclared photon {name!r}")
         return self.photons[name]
@@ -340,8 +339,11 @@ def _build_element(kind: ElementKind, kv: dict[str, str], st: _ParserState,
     qd = kv.get("qd")
     if qd is not None:
         st.check_qd(qd, lineno)
+    pol = kv.get("pol")
+    if pol is not None and pol not in _POL_INDEX:
+        raise ConfigurationError(f"line {lineno}: detector pol must be R or L, got {pol!r}")
     el = Element(kind=kind, photon=photon, path=path, in_paths=in_paths,
-                 out_paths=out_paths, qd=qd, label=kv.get("label"))
+                 out_paths=out_paths, qd=qd, label=kv.get("label"), pol=pol)
     _validate_element_structure(el, lineno)
     return el
 
@@ -359,11 +361,18 @@ def _validate_element_structure(el: Element, lineno: int):
             raise ConfigurationError(f"line {lineno}: pbs needs out=transmit,reflect")
 
 
-def block_arm(photon: str, path: str, qd: str) -> list[Element]:
-    """The Hp - qdarm - Hp arm that both block modes start with."""
-    return [Element(ElementKind.HP, photon=photon, path=path),
-            Element(ElementKind.QDARM, photon=photon, path=path, qd=qd),
-            Element(ElementKind.HP, photon=photon, path=path)]
+def block_ops(mode: str, photon: str, path: str, qd: str,
+              label: str | None = None) -> list[Element]:
+    """The elements of one block: Hp - qdarm - Hp on the bound path, then a
+    polarization bit flip (mode "parity") or a detector of the L leak
+    (mode "heralded", detector ``label``)."""
+    arm = [Element(ElementKind.HP, photon=photon, path=path),
+           Element(ElementKind.QDARM, photon=photon, path=path, qd=qd),
+           Element(ElementKind.HP, photon=photon, path=path)]
+    if mode == "parity":
+        return arm + [Element(ElementKind.Z, photon=photon, path=path)]
+    return arm + [Element(ElementKind.DETECTOR, photon=photon, path=path,
+                          label=label, pol="L")]
 
 
 def _expand_block(kv: dict[str, str], st: _ParserState, lineno: int) -> list[Element]:
@@ -376,27 +385,13 @@ def _expand_block(kv: dict[str, str], st: _ParserState, lineno: int) -> list[Ele
             raise ConfigurationError(f"line {lineno}: key {key!r} not allowed for block")
     st.check_qd(qd, lineno)
     st.check_path(photon, path, lineno)
-    arm = block_arm(photon, path, qd)
-    if mode == "parity":
-        if "label" in kv:
-            raise ConfigurationError(f"line {lineno}: parity block takes no label")
-        return arm + [Element(ElementKind.Z, photon=photon, path=path)]
-    if mode == "heralded":
-        if "label" not in kv:
-            raise ConfigurationError(f"line {lineno}: heralded block requires label=")
-        label = kv["label"]
-        herald = _herald_path_name(label)
-        paths = st.photon_paths(photon, lineno)
-        if herald in paths:
-            raise ConfigurationError(
-                f"line {lineno}: herald path {herald!r} collides with a declared path")
-        paths.append(herald)
-        return arm + [
-            Element(ElementKind.CPBS, photon=photon,
-                    in_paths=(path,), out_paths=(herald, path)),
-            Element(ElementKind.DETECTOR, photon=photon, path=herald, label=label),
-        ]
-    raise ConfigurationError(f"line {lineno}: block mode must be heralded or parity")
+    if mode == "parity" and "label" in kv:
+        raise ConfigurationError(f"line {lineno}: parity block takes no label")
+    if mode == "heralded" and "label" not in kv:
+        raise ConfigurationError(f"line {lineno}: heralded block requires label=")
+    if mode not in ("parity", "heralded"):
+        raise ConfigurationError(f"line {lineno}: block mode must be heralded or parity")
+    return block_ops(mode, photon, path, qd, kv.get("label"))
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -436,7 +431,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise ConfigurationError(f"line {lineno}: duplicate photon id {name!r}")
             if len(st.photons) == 2:
                 raise ConfigurationError(f"line {lineno}: at most two photons are supported")
-            st.photons[name] = list(paths)
+            st.photons[name] = tuple(paths)
         elif keyword == "op":
             if not rest:
                 raise ConfigurationError(f"line {lineno}: op needs a kind")
@@ -454,7 +449,7 @@ def parse_circuit(text: str) -> Circuit:
             raise ConfigurationError(f"line {lineno}: unknown keyword {keyword!r}")
     return Circuit(
         qds=tuple(st.qds.values()),
-        photons=tuple(PhotonDecl(n, tuple(p)) for n, p in st.photons.items()),
+        photons=tuple(PhotonDecl(n, p) for n, p in st.photons.items()),
         ops=tuple(st.ops),
     )
 
@@ -480,6 +475,8 @@ def serialize_circuit(circuit: Circuit) -> str:
             parts.append(f"qd={el.qd}")
         if el.label is not None:
             parts.append(f"label={el.label}")
+        if el.pol is not None:
+            parts.append(f"pol={el.pol}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -497,10 +494,7 @@ class TrackedBranch:
     are the branch's coefficient array evaluated at one pair, as new
     arrays. Trailing layers below the branch-drop threshold are pruned.
     The physical state is the coherent sum of all layers; the split is
-    exact by linearity. It serves error accounting and also defines the
-    herald split: after one Hp - qdarm - Hp arm on a purely L input,
-    layers[1] is exactly what a heralding detector would catch and
-    layers[0] what passes it.
+    exact by linearity and serves error accounting.
     """
 
     record: tuple[tuple[str, str], ...]
@@ -568,8 +562,8 @@ def _compile(circuit: Circuit, layout: StateLayout):
         elif el.kind == ElementKind.WFC:
             actions.append(("wfc", slot, layout.path_index(el.photon, el.path)))
         elif el.kind == ElementKind.DETECTOR:
-            actions.append(("detector", slot,
-                            layout.path_index(el.photon, el.path), el.label))
+            actions.append(("detector", slot, layout.path_index(el.photon, el.path),
+                            _POL_INDEX.get(el.pol, slice(None)), el.label))
         else:
             actions.append(("matrix", slot, element_matrix(el, layout)))
     return actions
@@ -622,8 +616,8 @@ def _outcomes(action, c: np.ndarray) -> list:
     A detector's no-click outcome adds no record entry (None).
     """
     if action[0] == "detector":
-        _, slot, path_idx, label = action
-        clicked = _project_path(c, slot, path_idx)
+        _, slot, path_idx, pol, label = action
+        clicked = _project_path(c, slot, path_idx, pol)
         return [((label, "click"), clicked), (None, c - clicked)]
     _, spin_slot, qd_name = action
     return [((qd_name, sign), _apply_spin_matrix(c, spin_slot, proj))

@@ -189,8 +189,7 @@ class TestBlockMatchesMacro:
 
     def test_heralded_block(self, small_layout, rng):
         circuit = parse_circuit(self.MACRO.format(mode="heralded", label=" label=D"))
-        layout = circuit.layout()  # photon B gains the herald path hD
-        assert layout.paths[1] == ("b1", "b2", "hD")
+        assert circuit.layout() == small_layout
         for _ in range(20):
             pair = self.random_pair(rng)
             spins = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -201,15 +200,15 @@ class TestBlockMatchesMacro:
             state = HybridState(small_layout, amps)
             by = {b.record[0][1]: b for b in heralded_block(
                 state, "B", "b2", BlockConfig(qd=2, pair=pair))}
-            wide = np.zeros(layout.shape, dtype=complex)
-            wide[:, :, :, :2] = amps
-            run = run_circuit_tracked(circuit, HybridState(layout, wide), pair)
+            run = run_circuit_tracked(circuit, state, pair)
+            macro = {b.record: b for b in run.branches}
+            assert set(macro) == {(("D", "click"),), ()}
             assert abs(by["click"].probability - run.click_probability["D"]) < 1e-12
-            (silent,) = [b for b in run.branches if b.record == ()]
-            np.testing.assert_allclose(
-                by["no_click"].residual.amps * np.sqrt(by["no_click"].probability),
-                silent.physical_state().amps[:, :, :, :2], atol=1e-12)
-            assert np.all(silent.physical_state().amps[:, :, :, 2] == 0)
+            for outcome, record in (("click", (("D", "click"),)), ("no_click", ())):
+                assert abs(by[outcome].probability - macro[record].probability) < 1e-12
+                np.testing.assert_allclose(
+                    by[outcome].residual.amps * np.sqrt(by[outcome].probability),
+                    macro[record].physical_state().amps, atol=1e-12)
 
     def test_parity_gate(self, small_layout, rng):
         circuit = parse_circuit(self.MACRO.format(mode="parity", label=""))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import apply_op, random_state
+from conftest import apply_op, one_op_circuit, random_state
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import ConfigurationError
 from hyperbell.hilbert import (
@@ -251,10 +251,59 @@ class TestParser:
 
     def test_block_macro_expansion(self):
         circuit = parse_circuit(BLOCK_CIRCUIT)
-        kinds = [el.kind for el in circuit.ops]
-        assert kinds == [ElementKind.HP, ElementKind.QDARM, ElementKind.HP,
-                         ElementKind.CPBS, ElementKind.DETECTOR]
-        assert circuit.photons[0].paths == ("a1", "hD")
+        assert circuit.ops == (
+            Element(ElementKind.HP, photon="A", path="a1"),
+            Element(ElementKind.QDARM, photon="A", path="a1", qd="QD1"),
+            Element(ElementKind.HP, photon="A", path="a1"),
+            Element(ElementKind.DETECTOR, photon="A", path="a1", label="D", pol="L"))
+        assert circuit.photons[0].paths == ("a1",)
+
+    def test_heralded_blocks_take_any_labels(self):
+        # labels a1+ and a1- on one photon, and label D next to a declared
+        # path hD: no label claims a path, so all of them parse and run
+        h2 = abs(EXAMPLE_PAIR.herald_amplitude) ** 2
+        cases = [
+            ("a1,a2", {"a1": 0.6, "a2": 0.8},
+             "block mode=heralded qd=QD1 photon=A path=a1 label=a1+\n"
+             "block mode=heralded qd=QD1 photon=A path=a2 label=a1-\n",
+             {"a1+": 0.36 * h2, "a1-": 0.64 * h2}),
+            ("a1,hD", "a1", "block mode=heralded qd=QD1 photon=A path=a1 label=D\n",
+             {"D": h2}),
+        ]
+        for paths, path_a, blocks, want in cases:
+            circuit = parse_circuit(f"qd QD1 basis=+\nphoton A paths={paths}\n"
+                                    f"photon B paths=b1\n{blocks}")
+            assert circuit.photons[0].paths == tuple(paths.split(","))
+            state = product_state(circuit.layout(), "L", path_a, "R", "b1")
+            run = run_circuit_tracked(circuit, state, EXAMPLE_PAIR)
+            assert run.click_probability.keys() == want.keys()
+            for label, p in want.items():
+                assert abs(run.click_probability[label] - p) < 1e-12
+
+    @pytest.mark.parametrize("pol", ["R", "L"])
+    def test_detector_pol_accepted(self, pol):
+        circuit = parse_circuit("photon A paths=a1\nphoton B paths=b1\n"
+                                f"op detector photon=A path=a1 label=D pol={pol}\n")
+        assert circuit.ops == (Element(ElementKind.DETECTOR, photon="A", path="a1",
+                                       label="D", pol=pol),)
+
+    @pytest.mark.parametrize("line", [
+        "op detector photon=A path=a1 label=D pol=H",
+        "op detector photon=A path=a1 label=D pol=l",
+        "op hp photon=A path=a1 pol=L",
+        "op z photon=A path=a1 pol=L",
+        "op wfc photon=A path=a1 pol=R",
+        "op qdarm photon=A path=a1 qd=QD1 pol=L",
+        "op bs photon=A in=a1,a2 out=a1,a2 pol=L",
+        "op cpbs photon=A in=a1 out=a1,a2 pol=R",
+        "op pbs photon=A path=a1 out=a1,a2 pol=L",
+        "op measure_spin qd=QD1 pol=L",
+        "block mode=heralded qd=QD1 photon=A path=a1 label=D pol=L",
+    ])
+    def test_pol_rejected(self, line):
+        with pytest.raises(ConfigurationError, match="^line 4: .*pol"):
+            parse_circuit("qd QD1 basis=+\nphoton A paths=a1,a2\nphoton B paths=b1\n"
+                          f"{line}\n")
 
     def test_syntax_error_reports_line_number(self):
         with pytest.raises(ConfigurationError, match="line 2"):
@@ -286,6 +335,15 @@ class TestParser:
         c2 = parse_circuit(text)
         assert c1 == c2
         assert serialize_circuit(c2) == text
+
+    def test_pol_round_trip(self):
+        text = ("photon A paths=a1\nphoton B paths=b1\n"
+                "op detector photon=A path=a1 label=D1 pol=L\n"
+                "op detector photon=B path=b1 label=D2 pol=R\n"
+                "op detector photon=B path=b1 label=D3\n")
+        circuit = parse_circuit(text)
+        assert serialize_circuit(circuit) == text
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +443,46 @@ class TestRunCircuit:
             assert set(got) == set(want)  # the branch where both fired is kept
             for record, p in want.items():
                 assert abs(got[record] - p) < 1e-12
+
+
+class TestPolarizationDetector:
+    """op detector ... pol=R|L clicks on one (polarization, path) slice."""
+
+    LAYOUT = StateLayout(photons=("A", "B"), paths=(("a1", "a2", "a3"), ("b1", "b2")))
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("pol", ["R", "L"])
+    def test_click_is_the_pol_path_slice(self, slot, pol, rng):
+        layout, photon = self.LAYOUT, self.LAYOUT.photons[slot]
+        for path_idx, path in enumerate(layout.paths[slot]):
+            state = random_state(layout, rng)
+            state = HybridState(layout, state.amps * rng.uniform(0.2, 1.0))
+            circuit = one_op_circuit(layout, f"detector photon={photon} path={path} "
+                                             f"label=D pol={pol}")
+            index = [slice(None)] * 6
+            index[2 * slot], index[2 * slot + 1] = "RL".index(pol), path_idx
+            want = np.zeros_like(state.amps)
+            want[tuple(index)] = state.amps[tuple(index)]
+            for run in (run_circuit_tracked(circuit, state, EXAMPLE_PAIR),
+                        run_circuit_polynomial(circuit, state).at(EXAMPLE_PAIR)):
+                by = {b.record: b for b in run.branches}
+                assert set(by) == {(), (("D", "click"),)}
+                assert abs(sum(b.probability for b in run.branches) - state.norm2) < 1e-12
+                np.testing.assert_allclose(by[(("D", "click"),)].physical_state().amps,
+                                           want, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(by[()].physical_state().amps,
+                                           state.amps - want, rtol=0, atol=1e-15)
+                assert abs(run.click_probability["D"] - np.sum(np.abs(want) ** 2)) < 1e-12
+
+    def test_clicked_photon_stays_on_its_path(self):
+        # a heralded block's click leaves the photon where it was, so a later
+        # element on the path acts on it
+        circuit = parse_circuit(BLOCK_CIRCUIT + "op z photon=A path=a1\n")
+        state = product_state(circuit.layout(), "L", "a1", "R", "b1", "+", "+")
+        run = run_circuit_tracked(circuit, state, EXAMPLE_PAIR)
+        (click,) = [b for b in run.branches if b.record == (("D", "click"),)]
+        target = product_state(circuit.layout(), "R", "a1", "R", "b1", "+", "+")
+        assert abs(abs(overlap(target, click.physical_state().normalized())) - 1) < 1e-12
 
 
 # ---------------------------------------------------------------------------

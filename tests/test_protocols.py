@@ -130,6 +130,15 @@ class TestHbsg:
         circuit = hbsg_circuit()
         assert parse_circuit(serialize_circuit(circuit)) == circuit
 
+    def test_heralds_add_no_paths(self):
+        # each stage-1 herald is an L detector on the block's own path
+        circuit = hbsg_circuit()
+        assert circuit.layout().shape == (2, 4, 2, 4, 2, 2)
+        lines = serialize_circuit(circuit).splitlines()
+        assert "photon A paths=a1,a2,c1,c2" in lines
+        assert "op detector photon=A path=a1 label=D1A pol=L" in lines
+        assert "op detector photon=B path=b1 label=D1B pol=L" in lines
+
     def test_shipped_circuit_file_matches_builtin(self):
         from pathlib import Path
 
