@@ -26,27 +26,32 @@ from .cavity import (
     dephasing_penalty,
     reflection_coefficients,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InconsistentOutcomeError
 from .hilbert import HybridState, overlap
 from .protocols import (
     HBSG_OUTPUT_RAILS,
     HBSG_OUTPUT_TABLE,
     HyperBellLabel,
     Bell,
-    hbsa_full_circuit,
-    hbsa_input,
     hbsg_circuit,
     hbsg_circuit_premeasure,
     hbsg_input,
     make_bell,
+    run_hbsa,
 )
-from .optics import _BRANCH_DROP, run_circuit_polynomial, run_circuit_tracked
+from .optics import (
+    _BRANCH_DROP,
+    _kept_layers,
+    run_circuit_polynomial,
+    run_circuit_tracked,
+)
 
 CSV_COLUMNS = ("kappa_s_over_kappa,g_over_sum,r_o_re,r_o_im,r_h_re,r_h_im,"
                "eta_closed,eta_sim,herald_rate,leakage_rate,cond_fidelity")
 _DEPHASING_COLUMNS = ",dephasing_penalty,cond_fidelity_dephased,cond_fidelity_exp_scaled"
 
 _ZERO_WEIGHT = 1e-30
+_CLICK_RESIDUE = 1e-15  # largest rounding residue tolerated in a click's h^0 coefficients
 
 
 def fidelity(actual: HybridState, ideal: HybridState) -> float:
@@ -90,7 +95,7 @@ class _GenerationForms:
 
     # [h-degree, S, S]: one factor per h-degree of the surviving branch, rows s^i
     layers: np.ndarray
-    # [S'K', S'K']: one factor of all clicked coefficients, rows s^i h^k
+    # [S'K', S'K']: one factor of all clicked coefficients, rows s^i h^(k+1)
     clicks: np.ndarray
     click_degrees: tuple[int, int]  # (S', K')
     # [S]: <normalized lossless output | s^i coefficient of the unleaked layer>
@@ -107,10 +112,16 @@ def _generation_forms() -> _GenerationForms:
     (c,) = [c for record, c in run.branches if record == ()]
     c = c.reshape(c.shape[:2] + (-1,))
     arrays = [a for _, cs in run.clicks for a in cs]
+    # a herald click needs a leak: its h^0 coefficients are rounding
+    # residue of the arm, dropped so that h = 0 gives a rate of exactly 0
+    residue = max(float(np.max(np.abs(a[:, 0]))) for a in arrays)
+    if residue > _CLICK_RESIDUE:
+        raise InconsistentOutcomeError(f"herald click without a leak ({residue:.3e})")
+    arrays = [a[:, 1:] for a in arrays]
     s_len = max(a.shape[0] for a in arrays)
     k_len = max(a.shape[1] for a in arrays)
-    # one row per monomial s^i h^k; the clicked branches side by side, so
-    # that one norm sums their weights
+    # one row per monomial s^i h^k, k >= 1; the clicked branches side by
+    # side, so that one norm sums their weights
     clicked = np.concatenate(
         [np.pad(a, ((0, s_len - a.shape[0]), (0, k_len - a.shape[1]))
                 + ((0, 0),) * (a.ndim - 2)).reshape(s_len * k_len, -1) for a in arrays],
@@ -141,12 +152,12 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
     s_pow = s[:, None] ** np.arange(s_len)
     layer_w = (np.sum(np.abs(s_pow @ forms.layers.swapaxes(1, 2)) ** 2, axis=2)
                * np.abs(h) ** (2 * np.arange(k_len))[:, None])
-    kept = np.maximum.accumulate(layer_w[::-1], axis=0)[::-1] >= _BRANCH_DROP
+    kept = _kept_layers(layer_w)
     eta = layer_w[0]
     leak = np.sum(np.where(kept, layer_w, 0.0)[1:], axis=0)
     cs_len, ck_len = forms.click_degrees
     monomials = (s[:, None, None] ** np.arange(cs_len)[:, None]
-                 * h[:, None, None] ** np.arange(ck_len)).reshape(len(s), -1)
+                 * h[:, None, None] ** np.arange(1, ck_len + 1)).reshape(len(s), -1)
     herald_rate = np.sum(np.abs(monomials @ forms.clicks.T) ** 2, axis=1)
     survived = eta + leak
     live = survived > _BRANCH_DROP  # so also survived > _ZERO_WEIGHT
@@ -185,25 +196,18 @@ def hbsa_leakage_rate(pair: ReflectionPair,
                       label: HyperBellLabel = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS),
                       ) -> float:
     """Silent-leak share of the surviving weight for one analysis run."""
-    clean = 0.0
-    leak = 0.0
-    for tb in run_circuit_tracked(hbsa_full_circuit(), hbsa_input(label), pair).branches:
-        clean += tb.clean_weight
-        leak += tb.leaked_weight
+    branches = run_hbsa(label, pair)
+    clean = sum(b.clean_weight for b in branches)
+    leak = sum(b.leaked_weight for b in branches)
     survived = clean + leak
     return leak / survived if survived > _ZERO_WEIGHT else 1.0
 
 
 def hbsa_misclassification_rate(pair: ReflectionPair, label: HyperBellLabel) -> float:
     """Probability weight of analysis branches classified to the wrong label."""
-    from .protocols import run_hbsa
-
-    wrong = 0.0
-    total = 0.0
-    for branch in run_hbsa(label, pair):
-        total += branch.probability
-        if branch.classified != label:
-            wrong += branch.probability
+    branches = run_hbsa(label, pair)
+    total = sum(b.probability for b in branches)
+    wrong = sum(b.probability for b in branches if b.classified != label)
     return wrong / total if total > _ZERO_WEIGHT else 0.0
 
 

@@ -22,7 +22,8 @@ Circuit file format (UTF-8, line oriented, ``#`` comments)::
 
 Element kinds: cpbs, pbs, bs, hp, z, wfc, qdarm, detector, measure_spin.
 A detector clicks on its path, in the one polarization that ``pol`` names
-or in both; a clicked photon stays on its path. The ``block`` macro
+or in both; a clicked photon stays on its path. No two detectors, plain
+or of heralded blocks, share a label. The ``block`` macro
 expands into the primitives of block_ops: Hp - qdarm - Hp on the bound
 path, then ``z`` (parity) or ``detector pol=L`` (heralded), which catches
 the leak, as the leak keeps the L polarization of the input.
@@ -294,6 +295,7 @@ class _ParserState:
         self.qds: dict[str, QDDecl] = {}
         self.photons: dict[str, tuple[str, ...]] = {}
         self.ops: list[Element] = []
+        self.detector_labels: set[str] = set()
 
     def photon_paths(self, name: str, lineno: int) -> tuple[str, ...]:
         if name not in self.photons:
@@ -308,6 +310,16 @@ class _ParserState:
         if path not in self.photon_paths(photon, lineno):
             raise ConfigurationError(
                 f"line {lineno}: dangling path reference {path!r} for photon {photon!r}")
+
+    def add_ops(self, ops: list[Element], lineno: int):
+        """Append one line's elements; a detector label names one detector."""
+        for el in ops:
+            if el.kind == ElementKind.DETECTOR:
+                if el.label in self.detector_labels:
+                    raise ConfigurationError(
+                        f"line {lineno}: duplicate detector label {el.label!r}")
+                self.detector_labels.add(el.label)
+        self.ops.extend(ops)
 
 
 def _build_element(kind: ElementKind, kv: dict[str, str], st: _ParserState,
@@ -441,10 +453,10 @@ def parse_circuit(text: str) -> Circuit:
                 raise ConfigurationError(
                     f"line {lineno}: unknown element kind {rest[0]!r}") from None
             kv = _parse_kv(rest[1:], lineno)
-            st.ops.append(_build_element(kind, kv, st, lineno))
+            st.add_ops([_build_element(kind, kv, st, lineno)], lineno)
         elif keyword == "block":
             kv = _parse_kv(rest, lineno)
-            st.ops.extend(_expand_block(kv, st, lineno))
+            st.add_ops(_expand_block(kv, st, lineno), lineno)
         else:
             raise ConfigurationError(f"line {lineno}: unknown keyword {keyword!r}")
     return Circuit(
@@ -581,6 +593,15 @@ def _trim(c: np.ndarray) -> np.ndarray:
     while s_len > 1 and _weight(c[s_len - 1, :h_len]) < _BRANCH_DROP:
         s_len -= 1
     return c[:s_len, :h_len]
+
+
+def _kept_layers(weights: np.ndarray) -> np.ndarray:
+    """The h-degree layers that _trim keeps, by the layer weights on axis 0:
+    the first, and each one at or after which a layer weighs _BRANCH_DROP
+    or more."""
+    kept = np.maximum.accumulate(weights[::-1], axis=0)[::-1] >= _BRANCH_DROP
+    kept[0] = True
+    return kept
 
 
 def _lossy_passage(action, c: np.ndarray, s: tuple, h: tuple) -> np.ndarray:

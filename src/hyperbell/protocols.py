@@ -12,7 +12,12 @@ The analysis circuit records spatial parity on QD1 and, after a
 beam-splitter basis change, spatial phase on QD2 (restoring the rails
 with a second beam splitter); the remaining polarization Bell state is
 read out by single-photon Bell-state measurements (SPBSM) assisted by
-the now-known spatial state.
+the now-known spatial state. Only that first stage sees the cavity, so
+run_hbsa runs it once per basis input as a polynomial in (s, h) and
+applies the fixed readout (spin X measurement, SPBSM) to its
+coefficients: each of the 64 (spin outcome, detector pattern) branches
+keeps its amplitude as a polynomial, which a call evaluates at one
+pair.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -30,6 +36,9 @@ from .hilbert import (
     _SQRT2,
     HybridState,
     StateLayout,
+    _apply_photon_matrix,
+    _apply_spin_matrix,
+    _path_slice,
     apply_single_photon_op,
     overlap,
     product_state,
@@ -37,11 +46,17 @@ from .hilbert import (
     zero_state,
 )
 from .optics import (
+    _BRANCH_DROP,
+    _SPIN_X_PROJ,
     Circuit,
     ElementKind,
     TrackedBranch,
+    _compile,
+    _evaluate,
+    _kept_layers,
     initial_spins,
     parse_circuit,
+    run_circuit_polynomial,
     run_circuit_tracked,
 )
 
@@ -579,23 +594,109 @@ class HbsaBranch:
     leaked_weight: float
 
 
-def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBranch]:
-    """Run stage 1, measure both spins, and perform the SPBSM readout."""
-    if isinstance(state_or_label, HyperBellLabel):
-        state = hbsa_input(state_or_label)
-    else:
-        state = state_or_label
+@lru_cache(maxsize=1)
+def _hbsa_readout():
+    """The cavity-free readout that follows stage 1, read off the SPBSM circuit.
+
+    Returns the circuit's passive matrices as (photon slot, matrix), in
+    circuit order, and one (spin outcome, detector pattern,
+    classification, photon A's detector slice, photon B's) per readout
+    branch, in the record order of run_circuit_tracked on
+    hbsa_full_circuit: QD1, QD2, then photon A's detectors and photon B's
+    in circuit order.
+    """
+    circuit = spbsm_circuit()
+    actions = _compile(circuit, circuit.layout())
+    matrices = [action[1:] for action in actions if action[0] == "matrix"]
+    detectors = ([], [])
+    for action in actions:
+        if action[0] == "detector":
+            _, slot, path_idx, pol, label = action
+            detectors[slot].append((label, _path_slice(slot, path_idx, pol)))
     branches = []
-    for tb in run_circuit_tracked(hbsa_full_circuit(), state, pair).branches:
-        spins = tb.spin_results()
-        outcome = SpinOutcome(spins["QD1"], spins["QD2"])
-        pattern = _pattern_from_record(tb.record)
-        branches.append(HbsaBranch(
-            spins=outcome,
-            pattern=pattern,
-            probability=tb.probability,
-            classified=classify(outcome, pattern),
-            clean_weight=tb.clean_weight,
-            leaked_weight=tb.leaked_weight,
-        ))
-    return branches
+    for e1, e2 in product(_SPIN_X_PROJ, repeat=2):
+        spins = SpinOutcome(e1, e2)
+        for (label_a, on_a), (label_b, on_b) in product(*detectors):
+            pattern = DetectorPattern(label_a, label_b)
+            branches.append((spins, pattern, classify(spins, pattern), on_a, on_b))
+    return matrices, branches
+
+
+@lru_cache(maxsize=16)
+def _hbsa_forms(label: HyperBellLabel) -> np.ndarray:
+    """Amplitudes of every readout branch of one basis input, as
+    polynomials in (s, h): [s-degree, h-degree, branch, polA * polB],
+    a runner coefficient array with the branches as its state axes.
+
+    Stage 1 is the only part of the analysis that sees the cavity, so it
+    runs once as a polynomial, and the readout's matrices, spin
+    projectors and detector slices act on its coefficients. A spin
+    projected on an X eigenvector has the same up amplitude, 1/sqrt2 of
+    the outcome's, for both outcomes, so a branch keeps its (up, up)
+    spin component, doubled. The array is read-only.
+    """
+    ((_, c),) = run_circuit_polynomial(hbsa_stage1_circuit(), hbsa_input(label)).branches
+    matrices, branches = _hbsa_readout()
+    for slot, mat in matrices:
+        c = _apply_photon_matrix(c, slot, mat)
+    projected = {(e1, e2): _apply_spin_matrix(_apply_spin_matrix(c, 0, proj1), 1, proj2)
+                 for (e1, proj1), (e2, proj2) in product(_SPIN_X_PROJ.items(), repeat=2)}
+    forms = np.stack([2 * projected[spins.e1, spins.e2][on_a][on_b][..., 0, 0]
+                      for spins, _, _, on_a, on_b in branches], axis=2)
+    forms = forms.reshape(forms.shape[:3] + (-1,))
+    forms.flags.writeable = False
+    return forms
+
+
+_SPAN_TOL = 1e-12  # share of a state input's squared norm allowed outside that span
+
+
+def _state_forms(state: HybridState) -> np.ndarray:
+    """The forms of a state in the span of the 16 basis inputs: the same
+    linear combination of their forms as the state is of them."""
+    if state.layout != hbsa_layout():
+        raise ConfigurationError("input state layout does not match circuit declarations")
+    labels = all_labels()
+    basis = np.stack([hbsa_input(label).amps.ravel() for label in labels])
+    coeffs = basis.conj() @ state.amps.ravel()
+    outside = state.amps.ravel() - coeffs @ basis
+    if np.sum(np.abs(outside) ** 2) > _SPAN_TOL * state.norm2:
+        raise ConfigurationError(
+            "input state is not a superposition of the 16 analysis basis inputs")
+    used = [(a, _hbsa_forms(label)) for a, label in zip(coeffs, labels) if a != 0]
+    s_len = max((f.shape[0] for _, f in used), default=1)
+    h_len = max((f.shape[1] for _, f in used), default=1)
+    forms = np.zeros((s_len, h_len, len(_hbsa_readout()[1]), 4), dtype=complex)
+    for a, f in used:
+        forms[:f.shape[0], :f.shape[1]] += a * f
+    return forms
+
+
+def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBranch]:
+    """Run stage 1, measure both spins, and perform the SPBSM readout.
+
+    The input's forms are evaluated at the pair as PolynomialRun.at
+    evaluates a run: a branch's trailing leak layers below the runner's
+    drop threshold are left out, and the branch is kept iff the weight
+    of the rest is above it. A state input must lie in the span of the
+    16 basis inputs.
+    """
+    if isinstance(state_or_label, HyperBellLabel):
+        forms = _hbsa_forms(state_or_label)
+    else:
+        forms = _state_forms(state_or_label)
+    layers = _evaluate(forms, pair.success_amplitude, pair.herald_amplitude)[0]
+    weights = np.sum(np.abs(layers) ** 2, axis=2)  # [h-degree, branch]
+    kept = _kept_layers(weights)
+    weights[~kept] = 0.0
+    leaked = np.sum(weights[1:], axis=0)
+    probability = np.sum(np.abs(np.sum(np.where(kept[..., None], layers, 0), axis=0)) ** 2,
+                         axis=1)
+    live = np.flatnonzero(weights[0] + leaked > _BRANCH_DROP).tolist()
+    clean, leaked, probability = weights[0].tolist(), leaked.tolist(), probability.tolist()
+    _, branches = _hbsa_readout()
+    out = []
+    for b in live:
+        spins, pattern, classified = branches[b][:3]
+        out.append(HbsaBranch(spins, pattern, probability[b], classified, clean[b], leaked[b]))
+    return out

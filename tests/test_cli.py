@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,12 @@ class TestHbsg:
         kv = parse_kv(out)
         assert float(kv["herald_rate"]) < 1e-15
 
+    def test_herald_rate_is_exactly_zero_without_leak(self, capsys):
+        # gamma = 0 gives h = 0: a herald needs a leak, so none can fire
+        code, out, _ = run_cli(capsys, "hbsg", "--g", "1", "--gamma", "0")
+        assert code == 0
+        assert out.splitlines()[0] == "herald_rate=0.0"
+
     def test_herald_rate_is_the_sweep_statistic(self, capsys):
         # the same probability that a herald fires as the sweep's herald_rate column
         from hyperbell.analysis import hbsg_statistics
@@ -104,6 +111,17 @@ class TestHbsg:
         assert code == 0
         pair = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
         assert float(parse_kv(out)["herald_rate"]) == hbsg_statistics(pair).herald_rate
+
+
+def hbsa_table(text):
+    """(header lines, {(e1, e2, pattern): (probability, classified)}, closing
+    key=values) of one ``hbsa`` printout."""
+    lines = text.splitlines()
+    rows = {}
+    for line in lines[2:-2]:
+        e1, e2, pattern, probability, *classified = line.split()
+        rows[e1, e2, pattern] = (float(probability), " ".join(classified))
+    return lines[:2], rows, parse_kv("\n".join(lines[-2:]))
 
 
 class TestHbsa:
@@ -144,6 +162,31 @@ class TestHbsa:
         assert got.splitlines()[:-2] == want.splitlines()[:-2]
         for g, w in zip(parse_kv(got).values(), parse_kv(want).values()):
             assert g == w or abs(float(g) - float(w)) < 1e-15
+
+    GOLDEN = Path(__file__).parent / "data" / "hbsa_g1_gamma0.1.txt"
+
+    def test_golden_stdout(self, capsys):
+        # every label at --g 1 --gamma 0.1 against the printout of the
+        # runner forking the full analysis circuit; rows are keyed by
+        # (spins, pattern), as rows of about 2e-15 that tie in exact
+        # arithmetic swap places on moves of 1e-24
+        blocks = ["input=" + b for b in self.GOLDEN.read_text().split("input=")[1:]]
+        assert len(blocks) == 16
+        for want in blocks:
+            label = want.splitlines()[0].split("=")[1]
+            code, got, _ = run_cli(capsys, "hbsa", "--input", label,
+                                   "--g", "1", "--gamma", "0.1")
+            assert code == 0
+            got_head, got_rows, got_kv = hbsa_table(got)
+            want_head, want_rows, want_kv = hbsa_table(want)
+            assert got_head == want_head
+            assert got_rows.keys() == want_rows.keys()
+            for key, (probability, classified) in want_rows.items():
+                assert got_rows[key][1] == classified
+                assert abs(got_rows[key][0] - probability) < 1e-12
+            assert got_kv.keys() == want_kv.keys()
+            for key, value in want_kv.items():
+                assert abs(float(got_kv[key]) - float(value)) < 1e-12
 
 
 class TestClassifyTable:

@@ -280,6 +280,19 @@ class TestParser:
             for label, p in want.items():
                 assert abs(run.click_probability[label] - p) < 1e-12
 
+    @pytest.mark.parametrize("first, second", [
+        ("op detector photon=A path=a1 label=D", "op detector photon=B path=b1 label=D"),
+        ("block mode=heralded qd=QD1 photon=A path=a1 label=D",
+         "block mode=heralded qd=QD1 photon=A path=a2 label=D"),
+        ("op detector photon=A path=a2 label=D",
+         "block mode=heralded qd=QD1 photon=A path=a1 label=D"),
+    ], ids=["plain-plain", "block-block", "plain-block"])
+    def test_duplicate_detector_label_rejected(self, first, second):
+        # distinct detectors with one label would give distinct branches one record
+        with pytest.raises(ConfigurationError, match="^line 5: duplicate detector label 'D'"):
+            parse_circuit("qd QD1 basis=+\nphoton A paths=a1,a2\nphoton B paths=b1\n"
+                          f"{first}\n{second}\n")
+
     @pytest.mark.parametrize("pol", ["R", "L"])
     def test_detector_pol_accepted(self, pol):
         circuit = parse_circuit("photon A paths=a1\nphoton B paths=b1\n"

@@ -7,6 +7,7 @@ from hyperbell.cavity import IDEAL_PAIR, CavityParams, reflection_coefficients
 from hyperbell.errors import ConfigurationError, PreconditionError
 from hyperbell.hilbert import HybridState, overlap, product_state
 from hyperbell.optics import ElementKind, parse_circuit, run_circuit_tracked, serialize_circuit
+from hyperbell import protocols
 from hyperbell.protocols import (
     Bell,
     DetectorPattern,
@@ -19,6 +20,7 @@ from hyperbell.protocols import (
     apply_local_correction,
     classification_table,
     classify,
+    hbsa_full_circuit,
     hbsa_input,
     hbsa_layout,
     hbsg_circuit,
@@ -355,3 +357,94 @@ class TestRealisticHbsa:
         leaked = sum(b.leaked_weight for b in branches)
         # up to interference between leak orders, wrong weight is leak weight
         assert wrong <= 1.1 * leaked
+
+
+def _full_circuit_rows(state, pair):
+    """(spins, pattern, classification, probability, clean, leaked) of every
+    branch of the runner forking the whole analysis circuit."""
+    rows = []
+    for tb in run_circuit_tracked(hbsa_full_circuit(), state, pair).branches:
+        spins = tb.spin_results()
+        a, b = (name for name, outcome in tb.record if outcome == "click")
+        outcome, pattern = SpinOutcome(spins["QD1"], spins["QD2"]), DetectorPattern(a, b)
+        rows.append((outcome, pattern, classify(outcome, pattern), tb.probability,
+                     tb.clean_weight, tb.leaked_weight))
+    return rows
+
+
+def _assert_matches_full_circuit(branches, rows):
+    assert [(b.spins, b.pattern, b.classified) for b in branches] == [r[:3] for r in rows]
+    for b, (*_, probability, clean, leaked) in zip(branches, rows):
+        assert abs(b.probability - probability) < 1e-12
+        assert abs(b.clean_weight - clean) < 1e-12
+        assert abs(b.leaked_weight - leaked) < 1e-12
+
+
+def _lossy_pairs(seed, n):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        kappa_s = rng.uniform(0.0, 1.0)
+        pairs.append(reflection_coefficients(CavityParams(
+            g=rng.uniform(0.05, 2.5) * (1 + kappa_s), kappa_s=kappa_s,
+            gamma=rng.uniform(0.05, 0.15), omega=rng.uniform(-0.5, 0.5))))
+    return pairs
+
+
+class TestHbsaForms:
+    """run_hbsa evaluates per-label forms; the reference is the runner on the
+    full analysis circuit."""
+
+    @pytest.mark.parametrize("pair", [IDEAL_PAIR, EXAMPLE_PAIR, *_lossy_pairs(8, 4)],
+                             ids=["ideal", "example", "lossy0", "lossy1", "lossy2", "lossy3"])
+    def test_matches_full_circuit_run(self, pair):
+        for label in all_labels():
+            _assert_matches_full_circuit(run_hbsa(label, pair),
+                                         _full_circuit_rows(hbsa_input(label), pair))
+
+    def test_absorbing_dots_leave_no_branch(self):
+        # g = 0 and kappa_s = kappa give r_o = r_h = 0, so s = h = 0
+        pair = reflection_coefficients(CavityParams(g=0.0, kappa_s=1.0))
+        for label in all_labels():
+            assert run_hbsa(label, pair) == []
+            assert _full_circuit_rows(hbsa_input(label), pair) == []
+
+    def test_state_input_is_the_same_combination_of_label_forms(self):
+        labels = all_labels()
+        coeffs = {labels[1]: 0.6, labels[6]: 0.48j, labels[15]: -0.64}
+        amps = sum(c * hbsa_input(label).amps for label, c in coeffs.items())
+        state = HybridState(hbsa_layout(), amps)
+        for pair in (EXAMPLE_PAIR, *_lossy_pairs(9, 2)):
+            _assert_matches_full_circuit(run_hbsa(state, pair),
+                                         _full_circuit_rows(state, pair))
+        # a basis input given as a state is its label, up to the rounding of
+        # its overlaps with the other inputs
+        by_state = run_hbsa(hbsa_input(labels[3]), EXAMPLE_PAIR)
+        by_label = run_hbsa(labels[3], EXAMPLE_PAIR)
+        assert [b.pattern for b in by_state] == [b.pattern for b in by_label]
+        for x, y in zip(by_state, by_label):
+            assert x.spins == y.spins and x.classified == y.classified
+            assert abs(x.probability - y.probability) < 1e-12
+        assert run_hbsa(HybridState(hbsa_layout(), 0 * amps), EXAMPLE_PAIR) == []
+
+    def test_state_outside_the_basis_span_rejected(self):
+        label = HyperBellLabel(Bell.PHI_PLUS, Bell.PSI_MINUS)
+        layout = hbsa_layout()
+        flipped = make_bell(label.pol, label.spatial, layout, spins=("+", "-"))
+        with pytest.raises(ConfigurationError, match="16 analysis basis inputs"):
+            run_hbsa(flipped)
+        # 1e-10 of the squared norm outside the span is too much
+        leak = np.sqrt(1e-10) * flipped.amps
+        with pytest.raises(ConfigurationError, match="16 analysis basis inputs"):
+            run_hbsa(HybridState(layout, hbsa_input(label).amps + leak))
+        with pytest.raises(ConfigurationError, match="layout"):
+            run_hbsa(make_bell(label.pol, label.spatial))
+
+    def test_forms_built_once_per_label(self):
+        label = HyperBellLabel(Bell.PSI_PLUS, Bell.PHI_MINUS)
+        protocols._hbsa_forms.cache_clear()
+        run_hbsa(label, EXAMPLE_PAIR)
+        run_hbsa(label, IDEAL_PAIR)
+        info = protocols._hbsa_forms.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert not protocols._hbsa_forms(label).flags.writeable
