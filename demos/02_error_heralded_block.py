@@ -26,7 +26,7 @@ print()
 
 for g, gamma in ((1.0, 0.0), (1.0, 0.1), (0.5, 0.1), (0.24, 0.3)):
     pair = reflection_coefficients(CavityParams(g=g, gamma=gamma))
-    cfg = BlockConfig(qd=1, pair=pair, herald_label="D")
+    cfg = BlockConfig(qd=1, pair=pair)
     print(f"--- g = {g} kappa, gamma = {gamma} kappa ---")
     branches = heralded_block(state, "A", "a1", cfg)
     total = 0.0

@@ -50,7 +50,6 @@ from .protocols import (
     run_hbsa,
     run_hbsa_stage1,
     run_hbsg,
-    run_spbsm,
 )
 from .analysis import (
     SweepGrid,

@@ -204,7 +204,9 @@ def hbsa_leakage_rate(pair: ReflectionPair,
 
 
 def hbsa_misclassification_rate(pair: ReflectionPair, label: HyperBellLabel) -> float:
-    """Probability weight of analysis branches classified to the wrong label."""
+    """Share of the surviving weight (the analysis branches' summed
+    probability) in branches classified to the wrong label; 0.0 when no
+    weight survives."""
     branches = run_hbsa(label, pair)
     total = sum(b.probability for b in branches)
     wrong = sum(b.probability for b in branches if b.classified != label)

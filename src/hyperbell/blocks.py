@@ -27,6 +27,7 @@ from .hilbert import AMP_TOL, BranchOutcome, HybridState, R, _path_slice
 from .optics import Circuit, PhotonDecl, QDDecl, TrackedRun, block_ops, run_circuit_tracked
 
 _QDS = (QDDecl("QD1", "+"), QDDecl("QD2", "+"))  # spin slots 1, 2; basis is unread
+_HERALD = "D"  # label of the heralded block's detector
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class BlockConfig:
 
     qd: int  # spin slot, 1 or 2
     pair: ReflectionPair
-    herald_label: str = "D"
 
     def __post_init__(self):
         if self.qd not in (1, 2):
@@ -46,7 +46,7 @@ def _run_block(mode: str, state: HybridState, photon: str, path: str,
                cfg: BlockConfig) -> TrackedRun:
     """Run one block of the given mode on the bound path of the state's layout."""
     layout = state.layout
-    ops = block_ops(mode, photon, path, _QDS[cfg.qd - 1].name, cfg.herald_label)
+    ops = block_ops(mode, photon, path, _QDS[cfg.qd - 1].name, _HERALD)
     circuit = Circuit(qds=_QDS, ops=tuple(ops), photons=tuple(
         PhotonDecl(name, paths) for name, paths in zip(layout.photons, layout.paths)))
     return run_circuit_tracked(circuit, state, cfg.pair)
@@ -67,7 +67,7 @@ def heralded_block(state: HybridState, photon: str, path: str,
         raise PreconditionError(
             "heralded block requires pure L polarization on the bound path "
             f"(found R weight {r_weight:.3e})")
-    return [BranchOutcome(tb.record or ((cfg.herald_label, "no_click"),),
+    return [BranchOutcome(tb.record or ((_HERALD, "no_click"),),
                           tb.physical_state().normalized(), tb.probability)
             for tb in _run_block("heralded", state, photon, path, cfg).branches]
 

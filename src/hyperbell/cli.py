@@ -57,7 +57,7 @@ def _cmd_block(args) -> int:
     pair = _pair_from_args(args)
     layout = StateLayout(photons=("A", "B"), paths=(("a1",), ("b1",)))
     state = product_state(layout, "L", "a1", "R", "b1", "+", "+")
-    cfg = BlockConfig(qd=1, pair=pair, herald_label="D")
+    cfg = BlockConfig(qd=1, pair=pair)
     print(f"input: {format_state(state)}")
     branches = heralded_block(state, "A", "a1", cfg)
     for branch in branches:

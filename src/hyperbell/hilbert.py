@@ -281,16 +281,12 @@ class BranchOutcome:
 # ---------------------------------------------------------------------------
 # display helper
 
-def format_state(state: HybridState, tol: float = 1e-9, spin_basis: str = "x") -> str:
-    """Human-readable ket expansion, spins shown in the X basis by default."""
-    amps = state.amps
-    if spin_basis == "x":
-        amps = _apply_spin_matrix(_apply_spin_matrix(amps, 0, _HADAMARD), 1, _HADAMARD)
-        spin_names = ("+", "-")
-    elif spin_basis == "z":
-        spin_names = ("up", "dn")
-    else:
-        raise ConfigurationError("spin_basis must be 'x' or 'z'")
+def format_state(state: HybridState) -> str:
+    """Human-readable ket expansion, spins shown in the X basis; amplitudes
+    of modulus 1e-9 or less are left out."""
+    tol = 1e-9
+    amps = _apply_spin_matrix(_apply_spin_matrix(state.amps, 0, _HADAMARD), 1, _HADAMARD)
+    spin_names = ("+", "-")
     pol_names = ("R", "L")
     parts = []
     for idx in np.ndindex(amps.shape):

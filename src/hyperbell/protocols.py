@@ -12,12 +12,12 @@ The analysis circuit records spatial parity on QD1 and, after a
 beam-splitter basis change, spatial phase on QD2 (restoring the rails
 with a second beam splitter); the remaining polarization Bell state is
 read out by single-photon Bell-state measurements (SPBSM) assisted by
-the now-known spatial state. Only that first stage sees the cavity, so
-run_hbsa runs it once per basis input as a polynomial in (s, h) and
-applies the fixed readout (spin X measurement, SPBSM) to its
-coefficients: each of the 64 (spin outcome, detector pattern) branches
-keeps its amplitude as a polynomial, which a call evaluates at one
-pair.
+the now-known spatial state. The classifier is read off that readout's
+optics. Only the first stage sees the cavity, so run_hbsa runs it once
+per basis input as a polynomial in (s, h) and applies the fixed readout
+(spin X measurement, SPBSM) to its coefficients: each of the 64 (spin
+outcome, detector pattern) branches keeps its amplitude as a
+polynomial, which a call evaluates at one pair.
 """
 
 from __future__ import annotations
@@ -357,15 +357,12 @@ def apply_local_correction(state: HybridState, frm: HyperBellLabel,
 # ---------------------------------------------------------------------------
 # analysis
 
-_HBSA_DECLS = """\
+HBSA_FULL_TEXT = """\
 qd QD1 basis=+
 qd QD2 basis=+
 photon A paths=a1,a2,c1,c2,a1p,a1m,a2p,a2m
 photon B paths=b1,b2,d1,d2,b1p,b1m,b2p,b2m
-"""
-
-_HBSA_STAGE1_OPS = """\
-# QD1 records spatial parity
+# stage 1: QD1 records spatial parity
 block mode=parity qd=QD1 photon=A path=a1
 op wfc photon=A path=a2
 block mode=parity qd=QD1 photon=B path=b1
@@ -381,9 +378,10 @@ op wfc photon=B path=d2
 # restore the original rails
 op bs photon=A in=c1,c2 out=a1,a2
 op bs photon=B in=d1,d2 out=b1,b2
-"""
-
-_SPBSM_OPS = """\
+# readout: both spins, then a single-photon Bell-state measurement (SPBSM)
+# of each photon
+op measure_spin qd=QD1
+op measure_spin qd=QD2
 op cpbs photon=A in=a1,a2 out=a1,a2
 op pbs photon=A path=a1 out=a1p,a1m
 op pbs photon=A path=a2 out=a2p,a2m
@@ -400,11 +398,6 @@ op detector photon=B path=b2p label=b2+
 op detector photon=B path=b2m label=b2-
 """
 
-HBSA_STAGE1_TEXT = _HBSA_DECLS + _HBSA_STAGE1_OPS
-SPBSM_TEXT = _HBSA_DECLS + _SPBSM_OPS
-HBSA_FULL_TEXT = (_HBSA_DECLS + _HBSA_STAGE1_OPS
-                  + "op measure_spin qd=QD1\nop measure_spin qd=QD2\n" + _SPBSM_OPS)
-
 #: spin outcomes -> spatial-mode Bell state (parity from QD1, phase from QD2)
 SPIN_TO_SPATIAL = {
     ("+", "+"): Bell.PHI_PLUS,
@@ -415,22 +408,24 @@ SPIN_TO_SPATIAL = {
 
 
 @lru_cache(maxsize=1)
-def hbsa_stage1_circuit() -> Circuit:
-    return parse_circuit(HBSA_STAGE1_TEXT)
-
-
-@lru_cache(maxsize=1)
-def spbsm_circuit() -> Circuit:
-    return parse_circuit(SPBSM_TEXT)
-
-
-@lru_cache(maxsize=1)
 def hbsa_full_circuit() -> Circuit:
     return parse_circuit(HBSA_FULL_TEXT)
 
 
+def _readout_start() -> int:
+    """Index of the first spin measurement: stage 1 is every op before it."""
+    return [el.kind for el in hbsa_full_circuit().ops].index(ElementKind.MEASURE_SPIN)
+
+
+@lru_cache(maxsize=1)
+def hbsa_stage1_circuit() -> Circuit:
+    """Analysis circuit truncated before the spin measurements."""
+    full = hbsa_full_circuit()
+    return replace(full, ops=full.ops[:_readout_start()])
+
+
 def hbsa_layout() -> StateLayout:
-    return hbsa_stage1_circuit().layout()
+    return hbsa_full_circuit().layout()
 
 
 def hbsa_input(label: HyperBellLabel) -> HybridState:
@@ -450,13 +445,10 @@ class Stage1Result:
 
 def _definite_spins(state: HybridState) -> SpinOutcome | None:
     signs = []
-    x_amps = np.tensordot(_HADAMARD, np.tensordot(_HADAMARD, state.amps, axes=([1], [4])),
-                          axes=([1], [5]))
-    # axes now: (spin2_x, spin1_x, polA, pathA, polB, pathB) after two tensordots
-    w2 = np.sum(np.abs(x_amps) ** 2, axis=(1, 2, 3, 4, 5))
-    w1 = np.sum(np.abs(x_amps) ** 2, axis=(0, 2, 3, 4, 5))
-    total = float(np.sum(w1))
-    for w in (w1, w2):
+    x_amps = _apply_spin_matrix(_apply_spin_matrix(state.amps, 0, _HADAMARD), 1, _HADAMARD)
+    weights = np.abs(x_amps) ** 2
+    total = float(np.sum(weights))
+    for w in (np.sum(weights, axis=(0, 1, 2, 3, 5)), np.sum(weights, axis=(0, 1, 2, 3, 4))):
         if w[0] > total - 1e-12 * total:
             signs.append("+")
         elif w[1] > total - 1e-12 * total:
@@ -487,69 +479,47 @@ def run_hbsa_stage1(state: HybridState,
     )
 
 
-def run_spbsm(state: HybridState) -> list[tuple[DetectorPattern, float]]:
-    """Single-photon Bell-state measurement of both photons.
-
-    Requires the spins to be already measured / disentangled. Each branch
-    fires exactly one detector per photon; the mapping is phi+- <-> x1+-
-    and psi+- <-> x2+-.
-    """
-    results = []
-    for tb in run_circuit_tracked(spbsm_circuit(), state, IDEAL_PAIR).branches:
-        pattern = _pattern_from_record(tb.record)
-        results.append((pattern, tb.probability))
-    return results
-
-
-def _pattern_from_record(record) -> DetectorPattern:
-    a_click = [name for name, out in record if out == "click" and name.startswith("a")]
-    b_click = [name for name, out in record if out == "click" and name.startswith("b")]
-    if len(a_click) != 1 or len(b_click) != 1:
-        raise InconsistentOutcomeError(f"malformed detector record {record}")
-    return DetectorPattern(a_click[0], b_click[0])
-
-
 # ---------------------------------------------------------------------------
 # classifier
 
-def _single_photon_bell(port: int, minus: bool) -> tuple[tuple, tuple]:
-    """Amplitude entries ((pol, rail_slot, amp), ...) of one single-photon
-    Bell state: port 1 = (R x2 +- L x1)/sqrt2, port 2 = (R x1 +- L x2)/sqrt2."""
-    sign = -1.0 if minus else 1.0
-    if port == 1:
-        return ((0, 1, 1 / _SQRT2), (1, 0, sign / _SQRT2))
-    return ((0, 0, 1 / _SQRT2), (1, 1, sign / _SQRT2))
+@lru_cache(maxsize=1)
+def _spbsm():
+    """The SPBSM, compiled from the readout ops of hbsa_full_circuit.
 
-
-def _detector_bell(name: str) -> tuple[int, bool]:
-    return int(name[1]), name.endswith("-")
+    Returns its passive matrices as (photon slot, matrix), in circuit
+    order, and per photon its detectors as (label, path slice), in
+    circuit order.
+    """
+    full = hbsa_full_circuit()
+    actions = _compile(replace(full, ops=full.ops[_readout_start():]), full.layout())
+    detectors = ([], [])
+    for action in actions:
+        if action[0] == "detector":
+            _, slot, path_idx, pol, label = action
+            detectors[slot].append((label, _path_slice(slot, path_idx, pol)))
+    return [action[1:] for action in actions if action[0] == "matrix"], detectors
 
 
 @lru_cache(maxsize=1)
 def _pattern_table() -> dict:
     """Map (spatial Bell, detector pattern) -> polarization Bell.
 
-    Derived by expanding each hyperentangled basis state in the
-    single-photon Bell bases of the two photons; a pattern belongs to a
-    (pol, spatial) pair iff the corresponding expansion amplitude is
-    nonzero.
+    Read off the SPBSM: each of the 16 basis inputs goes through its
+    matrices, and a pattern belongs to the input's (pol, spatial) pair
+    iff the amplitude on that pair of detector paths is nonzero.
     """
+    matrices, detectors = _spbsm()
     table = {}
     for label in all_labels():
-        state = make_bell(label.pol, label.spatial)
-        for da in _DETECTOR_NAMES_A:
-            for db in _DETECTOR_NAMES_B:
-                # spins are (+,+): the (up, up) slice holds half the amplitude
-                amp = 0.0
-                for pa, xa, ca in _single_photon_bell(*_detector_bell(da)):
-                    for pb, xb, cb in _single_photon_bell(*_detector_bell(db)):
-                        amp += np.conj(ca * cb) * state.amps[pa, xa, pb, xb, 0, 0] * 2.0
-                if abs(amp) > 1e-9:
-                    key = (label.spatial, da, db)
-                    if key in table and table[key] != label.pol:
-                        raise InconsistentOutcomeError(
-                            f"pattern {key} is ambiguous: {table[key]} vs {label.pol}")
-                    table[key] = label.pol
+        amps = hbsa_input(label).amps
+        for slot, mat in matrices:
+            amps = _apply_photon_matrix(amps, slot, mat)
+        for (da, on_a), (db, on_b) in product(*detectors):
+            if np.linalg.norm(amps[on_a][on_b]) > 1e-9:
+                key = (label.spatial, da, db)
+                if table.setdefault(key, label.pol) != label.pol:
+                    raise InconsistentOutcomeError(
+                        f"pattern {key} is ambiguous: {table[key]} vs {label.pol}")
     return table
 
 
@@ -567,16 +537,25 @@ def classify(spins: SpinOutcome, pattern: DetectorPattern) -> HyperBellLabel:
     return HyperBellLabel(pol, spatial)
 
 
-def classification_table() -> list[tuple[SpinOutcome, DetectorPattern, HyperBellLabel]]:
-    """Full (spins x pattern) -> label map, 64 rows."""
-    rows = []
-    for (e1, e2) in (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")):
+@lru_cache(maxsize=1)
+def _hbsa_readout() -> list[tuple]:
+    """One (spin outcome, detector pattern, classification, photon A's
+    detector slice, photon B's) per readout branch, in the record order
+    of run_circuit_tracked on hbsa_full_circuit: QD1, QD2, then photon
+    A's detectors and photon B's in circuit order."""
+    _, detectors = _spbsm()
+    branches = []
+    for e1, e2 in product(_SPIN_X_PROJ, repeat=2):
         spins = SpinOutcome(e1, e2)
-        for da in _DETECTOR_NAMES_A:
-            for db in _DETECTOR_NAMES_B:
-                pattern = DetectorPattern(da, db)
-                rows.append((spins, pattern, classify(spins, pattern)))
-    return rows
+        for (label_a, on_a), (label_b, on_b) in product(*detectors):
+            pattern = DetectorPattern(label_a, label_b)
+            branches.append((spins, pattern, classify(spins, pattern), on_a, on_b))
+    return branches
+
+
+def classification_table() -> list[tuple[SpinOutcome, DetectorPattern, HyperBellLabel]]:
+    """Full (spins x pattern) -> label map, 64 rows, one per readout branch."""
+    return [branch[:3] for branch in _hbsa_readout()]
 
 
 # ---------------------------------------------------------------------------
@@ -594,34 +573,6 @@ class HbsaBranch:
     leaked_weight: float
 
 
-@lru_cache(maxsize=1)
-def _hbsa_readout():
-    """The cavity-free readout that follows stage 1, read off the SPBSM circuit.
-
-    Returns the circuit's passive matrices as (photon slot, matrix), in
-    circuit order, and one (spin outcome, detector pattern,
-    classification, photon A's detector slice, photon B's) per readout
-    branch, in the record order of run_circuit_tracked on
-    hbsa_full_circuit: QD1, QD2, then photon A's detectors and photon B's
-    in circuit order.
-    """
-    circuit = spbsm_circuit()
-    actions = _compile(circuit, circuit.layout())
-    matrices = [action[1:] for action in actions if action[0] == "matrix"]
-    detectors = ([], [])
-    for action in actions:
-        if action[0] == "detector":
-            _, slot, path_idx, pol, label = action
-            detectors[slot].append((label, _path_slice(slot, path_idx, pol)))
-    branches = []
-    for e1, e2 in product(_SPIN_X_PROJ, repeat=2):
-        spins = SpinOutcome(e1, e2)
-        for (label_a, on_a), (label_b, on_b) in product(*detectors):
-            pattern = DetectorPattern(label_a, label_b)
-            branches.append((spins, pattern, classify(spins, pattern), on_a, on_b))
-    return matrices, branches
-
-
 @lru_cache(maxsize=16)
 def _hbsa_forms(label: HyperBellLabel) -> np.ndarray:
     """Amplitudes of every readout branch of one basis input, as
@@ -636,13 +587,13 @@ def _hbsa_forms(label: HyperBellLabel) -> np.ndarray:
     spin component, doubled. The array is read-only.
     """
     ((_, c),) = run_circuit_polynomial(hbsa_stage1_circuit(), hbsa_input(label)).branches
-    matrices, branches = _hbsa_readout()
+    matrices, _ = _spbsm()
     for slot, mat in matrices:
         c = _apply_photon_matrix(c, slot, mat)
     projected = {(e1, e2): _apply_spin_matrix(_apply_spin_matrix(c, 0, proj1), 1, proj2)
                  for (e1, proj1), (e2, proj2) in product(_SPIN_X_PROJ.items(), repeat=2)}
     forms = np.stack([2 * projected[spins.e1, spins.e2][on_a][on_b][..., 0, 0]
-                      for spins, _, _, on_a, on_b in branches], axis=2)
+                      for spins, _, _, on_a, on_b in _hbsa_readout()], axis=2)
     forms = forms.reshape(forms.shape[:3] + (-1,))
     forms.flags.writeable = False
     return forms
@@ -666,7 +617,7 @@ def _state_forms(state: HybridState) -> np.ndarray:
     used = [(a, _hbsa_forms(label)) for a, label in zip(coeffs, labels) if a != 0]
     s_len = max((f.shape[0] for _, f in used), default=1)
     h_len = max((f.shape[1] for _, f in used), default=1)
-    forms = np.zeros((s_len, h_len, len(_hbsa_readout()[1]), 4), dtype=complex)
+    forms = np.zeros((s_len, h_len, len(_hbsa_readout()), 4), dtype=complex)
     for a, f in used:
         forms[:f.shape[0], :f.shape[1]] += a * f
     return forms
@@ -694,7 +645,7 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
                          axis=1)
     live = np.flatnonzero(weights[0] + leaked > _BRANCH_DROP).tolist()
     clean, leaked, probability = weights[0].tolist(), leaked.tolist(), probability.tolist()
-    _, branches = _hbsa_readout()
+    branches = _hbsa_readout()
     out = []
     for b in live:
         spins, pattern, classified = branches[b][:3]

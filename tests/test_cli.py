@@ -190,12 +190,16 @@ class TestHbsa:
 
 
 class TestClassifyTable:
+    # the header and 64 rows, as printed by the hand-written single-photon
+    # Bell expansion that the table was derived from before it was read off
+    # the SPBSM circuit
+    GOLDEN = Path(__file__).parent / "data" / "classify_table.txt"
+
     def test_emits_64_rows(self, capsys):
         code, out, _ = run_cli(capsys, "classify-table")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "e1,e2,detector_a,detector_b,pol,spatial"
-        assert len(lines) == 65
+        assert len(out.splitlines()) == 65
+        assert out == self.GOLDEN.read_text()
 
 
 class TestSweep:

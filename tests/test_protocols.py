@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hyperbell.cavity import IDEAL_PAIR, CavityParams, reflection_coefficients
+from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import ConfigurationError, PreconditionError
 from hyperbell.hilbert import HybridState, overlap, product_state
 from hyperbell.optics import ElementKind, parse_circuit, run_circuit_tracked, serialize_circuit
@@ -30,7 +30,6 @@ from hyperbell.protocols import (
     run_hbsa,
     run_hbsa_stage1,
     run_hbsg,
-    run_spbsm,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -251,28 +250,37 @@ class TestHbsaStage1:
 
 class TestSpbsm:
     def test_single_photon_bell_state_hits_one_detector(self):
+        # the readout alone: the analysis circuit's ops after its spin measurements
+        full = hbsa_full_circuit()
+        kinds = [el.kind for el in full.ops]
+        last_spin = len(kinds) - 1 - kinds[::-1].index(ElementKind.MEASURE_SPIN)
+        readout = dataclasses.replace(full, ops=full.ops[last_spin + 1:])
         layout = hbsa_layout()
         # photon A in (R a2 + L a1)/sqrt2, photon B parked in R b1
         amps = (product_state(layout, "R", "a2", "R", "b1").amps
                 + product_state(layout, "L", "a1", "R", "b1").amps) / SQ2
-        results = run_spbsm(HybridState(layout, amps))
+        run = run_circuit_tracked(readout, HybridState(layout, amps), IDEAL_PAIR)
         a_marginal = {}
-        for pattern, prob in results:
-            a_marginal[pattern.a] = a_marginal.get(pattern.a, 0.0) + prob
+        for tb in run.branches:
+            (a_click,) = (name for name, _ in tb.record if name.startswith("a"))
+            a_marginal[a_click] = a_marginal.get(a_click, 0.0) + tb.probability
         assert abs(a_marginal["a1+"] - 1.0) < 1e-12
 
     def test_phi_plus_phi_plus_patterns(self):
-        results = run_spbsm(hbsa_input(HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)))
+        branches = run_hbsa(HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS), IDEAL_PAIR)
         expected = {("a1+", "b1+"), ("a1-", "b1-"), ("a2+", "b2+"), ("a2-", "b2-")}
-        got = {(p.a, p.b): prob for p, prob in results}
+        got = {(b.pattern.a, b.pattern.b): b.probability for b in branches}
         assert set(got) == expected
+        assert {b.spins for b in branches} == {SpinOutcome("+", "+")}
         for prob in got.values():
             assert abs(prob - 0.25) < 1e-12
 
     def test_psi_minus_phi_plus_patterns_against_enumeration(self):
-        # oracle: expand the state in the single-photon Bell bases directly
+        # oracle: expand the state in the single-photon Bell bases directly;
+        # at the ideal pair stage 1 leaves the photons as they are
         layout = hbsa_layout()
-        state = hbsa_input(HyperBellLabel(Bell.PSI_MINUS, Bell.PHI_PLUS))
+        label = HyperBellLabel(Bell.PSI_MINUS, Bell.PHI_PLUS)
+        state = hbsa_input(label)
         sp_bell = {
             "1+": [("R", "a2", 1), ("L", "a1", 1)],
             "1-": [("R", "a2", 1), ("L", "a1", -1)],
@@ -291,16 +299,20 @@ class TestSpbsm:
                         amp += sign_a * sign_b / 2 * overlap(basis, state)
                 if abs(amp) > 1e-12:
                     expected[(f"a{ka}", f"b{kb}")] = abs(amp) ** 2
-        got = {(p.a, p.b): prob for p, prob in run_spbsm(state)}
+        branches = run_hbsa(label, IDEAL_PAIR)
+        got = {(b.pattern.a, b.pattern.b): b.probability for b in branches}
         assert set(got) == set(expected)
         for key, prob in got.items():
             assert abs(prob - expected[key]) < 1e-10
 
     def test_pattern_probabilities_sum_to_norm(self):
+        # r_h = -r_o leaves no leak (h = 0): every passage multiplies each
+        # photon by s, four times, so the branches carry |s|^8 of the norm
+        pair = ReflectionPair(0.9 * np.exp(0.3j), -0.9 * np.exp(0.3j))
         state = hbsa_input(HyperBellLabel(Bell.PSI_PLUS, Bell.PSI_MINUS))
         scaled = HybridState(state.layout, 0.6 * state.amps)
-        results = run_spbsm(scaled)
-        assert abs(sum(p for _, p in results) - scaled.norm2) < 1e-10
+        total = sum(b.probability for b in run_hbsa(scaled, pair))
+        assert abs(total - scaled.norm2 * abs(pair.success_amplitude) ** 8) < 1e-10
 
 
 class TestClassifier:

@@ -1,10 +1,16 @@
-"""The benchmark's tracer must keep finding the functions it wraps, and its
-workloads must pass their own checks."""
+"""The benchmark's tracer must keep finding the functions it wraps, its
+workloads must pass their own checks, and the demos must run."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name: str):
@@ -30,3 +36,13 @@ def test_analyze_block_passes_its_checks():
     for i in range(workload.block):
         arg = workload.make_input(i)
         assert workload.check(arg, workload.op(arg)), f"op {i}: {arg}"
+
+
+# demo 05 writes into demos/out, so it stays out
+@pytest.mark.parametrize("demo", ["01", "02", "03", "04"])
+def test_demo_runs(demo):
+    (script,) = (ROOT / "demos").glob(f"{demo}_*.py")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
