@@ -7,7 +7,8 @@ NumPy evaluation of those forms, which reports, per point: the
 closed-form efficiency |(r_h - r_o)/2|^8, the simulated end-to-end
 success probability (they must agree to 1e-10), the herald rate, the
 silent-leak share of the surviving weight, and the fidelity of the
-surviving unleaked component against its target.
+surviving unleaked component against its target. The coefficients are
+one array evaluation too, and the CSV and SVG writers work on columns.
 """
 
 from __future__ import annotations
@@ -15,16 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
 from .cavity import (
     IDEAL_PAIR,
-    CavityParams,
     DephasingParams,
     ReflectionPair,
     dephasing_penalty,
-    reflection_coefficients,
+    reflection_coefficients,  # bound here for perfbench's tracer; the sweep uses the grid form
+    reflection_coefficients_grid,
 )
 from .errors import ConfigurationError, InconsistentOutcomeError
 from .hilbert import HybridState, overlap
@@ -241,8 +243,8 @@ class SweepGrid:
         if ks_steps < 1 or g_steps < 1:
             raise ConfigurationError("sweep axes need at least one step")
         return SweepGrid(
-            tuple(np.linspace(ks_min, ks_max, ks_steps)),
-            tuple(np.linspace(g_min, g_max, g_steps)),
+            tuple(np.linspace(ks_min, ks_max, ks_steps).tolist()),
+            tuple(np.linspace(g_min, g_max, g_steps).tolist()),
             gamma_over_kappa, detuning)
 
 
@@ -259,47 +261,40 @@ class SweepRecord:
     conditional_fidelity: float
 
 
-def _sweep_records(points, gamma_over_kappa: float, detuning: float) -> list[SweepRecord]:
-    """Coefficients plus full generation statistics at (kappa_s, g_over_sum) points."""
-    pairs = [reflection_coefficients(CavityParams(
-        g=g_over_sum * (kappa_s + 1.0),
-        kappa=1.0,
-        kappa_s=kappa_s,
-        gamma=gamma_over_kappa,
-        omega=detuning,
-    )) for kappa_s, g_over_sum in points]
-    stats = hbsg_statistics_grid(np.array([p.success_amplitude for p in pairs]),
-                                 np.array([p.herald_amplitude for p in pairs]))
-    return [
-        SweepRecord(kappa_s, g_over_sum, pair.r_o, pair.r_h, efficiency_closed_form(pair),
-                    *values)
-        for (kappa_s, g_over_sum), pair, *values
-        in zip(points, pairs, *(x.tolist() for x in stats))
-    ]
+def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
+    """Evaluate every grid point, row-major (kappa_s outer, coupling inner).
+
+    The grid is held as columns: its coefficients are one
+    reflection_coefficients_grid call and its statistics one
+    hbsg_statistics_grid call; records are built from the columns last.
+    """
+    ks_axis = np.array(grid.kappa_s_over_kappa, dtype=float)
+    g_axis = np.array(grid.g_over_sum, dtype=float)
+    kappa_s = np.repeat(ks_axis, len(g_axis))
+    g_over_sum = np.tile(g_axis, len(ks_axis))
+    with np.errstate(over="ignore"):  # an infinite g is reported by the coefficients
+        g = g_over_sum * (kappa_s + 1.0)
+    r_o, r_h = reflection_coefficients_grid(kappa_s, g, grid.gamma_over_kappa, grid.detuning)
+    stats = hbsg_statistics_grid((r_o - r_h) / 2, (r_o + r_h) / 2)
+    eta_closed = (np.abs(r_h - r_o) / 2) ** 8  # efficiency_closed_form per point
+    columns = (kappa_s, g_over_sum, r_o, r_h, eta_closed, *stats)
+    return list(map(SweepRecord, *(c.tolist() for c in columns)))
 
 
 def sweep_point(kappa_s: float, g_over_sum: float, gamma_over_kappa: float = 0.1,
                 detuning: float = 0.0) -> SweepRecord:
-    """Coefficients plus full generation statistics at one grid point."""
-    (record,) = _sweep_records([(kappa_s, g_over_sum)], gamma_over_kappa, detuning)
+    """Coefficients plus full generation statistics at one grid point: a
+    one-point run_sweep."""
+    (record,) = run_sweep(SweepGrid((kappa_s,), (g_over_sum,), gamma_over_kappa, detuning))
     return record
-
-
-def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
-    """Evaluate every grid point, row-major (kappa_s outer, coupling inner).
-
-    The statistics of the whole grid are one hbsg_statistics_grid call.
-    """
-    return _sweep_records([(ks, g) for ks in grid.kappa_s_over_kappa
-                           for g in grid.g_over_sum],
-                          grid.gamma_over_kappa, grid.detuning)
 
 
 # ---------------------------------------------------------------------------
 # CSV
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_CSV_FIELDS = ("kappa_s_over_kappa", "g_over_sum", "r_o.real", "r_o.imag", "r_h.real",
+               "r_h.imag", "eta_closed_form", "eta_simulated", "herald_rate",
+               "leakage_rate", "conditional_fidelity")
 
 
 def emit_csv(records: list[SweepRecord],
@@ -312,25 +307,17 @@ def emit_csv(records: list[SweepRecord],
     alternative exp(-tau/Gamma) * fidelity for comparison.
     """
     header = CSV_COLUMNS + (_DEPHASING_COLUMNS if dephasing is not None else "")
-    lines = [header]
-    penalty = dephasing_penalty(dephasing) if dephasing is not None else None
-    for r in records:
-        row = [
-            _fmt(r.kappa_s_over_kappa), _fmt(r.g_over_sum),
-            _fmt(r.r_o.real), _fmt(r.r_o.imag),
-            _fmt(r.r_h.real), _fmt(r.r_h.imag),
-            _fmt(r.eta_closed_form), _fmt(r.eta_simulated),
-            _fmt(r.herald_rate), _fmt(r.leakage_rate),
-            _fmt(r.conditional_fidelity),
-        ]
-        if penalty is not None:
-            row += [
-                _fmt(penalty),
-                _fmt(r.conditional_fidelity - penalty),
-                _fmt(r.conditional_fidelity * (1.0 - penalty)),
-            ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    columns = [np.fromiter(map(attrgetter(name), records), dtype=float, count=len(records))
+               for name in _CSV_FIELDS]
+    if dephasing is not None:
+        penalty = dephasing_penalty(dephasing)
+        fidelity = columns[-1]
+        columns += [np.full(len(records), penalty), fidelity - penalty,
+                    fidelity * (1.0 - penalty)]
+    # repr(float(v)): a memoryview hands out one float at a time, so the
+    # texts are made as the rows are joined and at most one row's is alive
+    rows = map(",".join, zip(*(map(repr, memoryview(c)) for c in columns)))
+    return "\n".join([header, *rows, ""])
 
 
 def parse_csv(text: str) -> list[SweepRecord]:
@@ -381,14 +368,23 @@ SVG_MARGIN_BOTTOM = 55
 SVG_PLOT_SIZE = 480
 
 
-def _color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    for (t0, c0), (t1, c1) in zip(_VIRIDIS, _VIRIDIS[1:]):
-        if t <= t1:
-            f = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            rgb = tuple(round(a + f * (b - a)) for a, b in zip(c0, c1))
-            return "#{:02x}{:02x}{:02x}".format(*rgb)
-    return "#ffffff"
+_KNOTS = np.array([t for t, _ in _VIRIDIS])
+_KNOT_RGB = np.array([rgb for _, rgb in _VIRIDIS], dtype=float)
+_HEX = [f"{i:02x}" for i in range(256)]
+
+
+def _color(t: np.ndarray) -> list[str]:
+    """Viridis colours at t, clamped to [0, 1], interpolated linearly between
+    knots and rounded half to even; "#ffffff" where t is NaN."""
+    t = np.clip(t, 0.0, 1.0)
+    nan = np.isnan(t)
+    t = np.where(nan, 0.0, t)
+    seg = np.searchsorted(_KNOTS[1:], t)  # the first segment ending at or above t
+    f = (t - _KNOTS[seg]) / (_KNOTS[seg + 1] - _KNOTS[seg])
+    c0 = _KNOT_RGB[seg]
+    rgb = np.rint(c0 + f[:, None] * (_KNOT_RGB[seg + 1] - c0)).astype(int).tolist()
+    return ["#ffffff" if blank else "#" + _HEX[r] + _HEX[g] + _HEX[b]
+            for blank, (r, g, b) in zip(nan.tolist(), rgb)]
 
 
 def svg_cell_geometry(n_x: int, n_y: int) -> tuple[float, float]:
@@ -409,17 +405,23 @@ def emit_svg_heatmap(records: list[SweepRecord],
     if not records:
         raise ConfigurationError("cannot plot an empty record list")
     attr = VALUE_COLUMNS[value_column]
-    xs = sorted({r.kappa_s_over_kappa for r in records})
-    ys = sorted({r.g_over_sum for r in records})
+    ks = list(map(attrgetter("kappa_s_over_kappa"), records))
+    gs = list(map(attrgetter("g_over_sum"), records))
+    xs, ys = sorted(set(ks)), sorted(set(gs))
     x_index = {v: i for i, v in enumerate(xs)}
     y_index = {v: i for i, v in enumerate(ys)}
-    values = {}
-    for r in records:
-        values[(x_index[r.kappa_s_over_kappa], y_index[r.g_over_sum])] = getattr(r, attr)
-    finite = [v for v in values.values() if math.isfinite(v)]
-    vmin = min(finite) if finite else 0.0
-    vmax = max(finite) if finite else 1.0
+    # one value per cell, the last record's
+    cell_values = dict(zip(zip(map(x_index.__getitem__, ks), map(y_index.__getitem__, gs)),
+                           map(attrgetter(attr), records)))
+    cells = sorted(cell_values)
+    values = np.array(list(map(cell_values.__getitem__, cells)), dtype=float)
+    finite = np.isfinite(values)
+    vmin = float(values[finite].min()) if finite.any() else 0.0
+    vmax = float(values[finite].max()) if finite.any() else 1.0
     span = vmax - vmin
+    with np.errstate(all="ignore"):
+        t = np.full(len(values), 0.5) if span == 0 else (values - vmin) / span
+    fills = [fill if ok else "#888888" for fill, ok in zip(_color(t), finite.tolist())]
     cw, ch = svg_cell_geometry(len(xs), len(ys))
     width = SVG_MARGIN_LEFT + SVG_PLOT_SIZE + SVG_MARGIN_RIGHT
     height = SVG_MARGIN_TOP + SVG_PLOT_SIZE + SVG_MARGIN_BOTTOM
@@ -428,19 +430,15 @@ def emit_svg_heatmap(records: list[SweepRecord],
         f'viewBox="0 0 {width} {height}">',
         "<defs><linearGradient id=\"scale\" x1=\"0\" y1=\"1\" x2=\"0\" y2=\"0\">",
     ]
-    for t, _ in _VIRIDIS:
-        out.append(f'<stop offset="{t}" stop-color="{_color(t)}"/>')
+    for (offset, _), stop in zip(_VIRIDIS, _color(_KNOTS)):
+        out.append(f'<stop offset="{offset}" stop-color="{stop}"/>')
     out.append("</linearGradient></defs>")
     out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    for (ix, iy), v in sorted(values.items()):
-        x = SVG_MARGIN_LEFT + ix * cw
-        y = SVG_MARGIN_TOP + (len(ys) - 1 - iy) * ch
-        if math.isfinite(v):
-            fill = _color(0.5 if span == 0 else (v - vmin) / span)
-        else:
-            fill = "#888888"
-        out.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" '
-                   f'height="{ch:.2f}" fill="{fill}"/>')
+    x_text = [f"{SVG_MARGIN_LEFT + i * cw:.2f}" for i in range(len(xs))]
+    y_text = [f"{SVG_MARGIN_TOP + (len(ys) - 1 - i) * ch:.2f}" for i in range(len(ys))]
+    size = f'width="{cw:.2f}" height="{ch:.2f}"'
+    out += [f'<rect x="{x_text[i]}" y="{y_text[j]}" {size} fill="{fill}"/>'
+            for (i, j), fill in zip(cells, fills)]
     # axes and legend
     x0, y0 = SVG_MARGIN_LEFT, SVG_MARGIN_TOP + SVG_PLOT_SIZE
     out.append(f'<text x="{x0 + SVG_PLOT_SIZE / 2:.0f}" y="{y0 + 40}" '

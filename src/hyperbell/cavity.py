@@ -113,6 +113,40 @@ def reflection_coefficients(params: CavityParams) -> ReflectionPair:
     return ReflectionPair(r_o=r_o, r_h=r_h)
 
 
+def reflection_coefficients_grid(kappa_s: np.ndarray, g: np.ndarray, gamma: float,
+                                 omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """(r_o, r_h) at the points (kappa_s[N], g[N]), with kappa = 1 and the
+    cavity and trion on resonance (omega_c = omega_x = 0).
+
+    The formula of reflection_coefficients, in NumPy complex arithmetic,
+    whose division may differ from CPython's in the last bit. Points that
+    the scalar function would reject (all of them if gamma or omega is
+    invalid) are handed to it in array order, so the first one raises its
+    error and message. NumPy's division also overflows on a subnormal
+    denominator, where CPython's does not; such a point keeps the scalar
+    function's values.
+    """
+    kappa, detuning = 1.0, 0.0 - omega  # omega_c - omega, sign of a zero included
+    with np.errstate(all="ignore"):
+        y = 1j * detuning + (kappa + kappa_s) / 2
+        r_o = (1j * detuning - kappa / 2 + kappa_s / 2) / y
+        x = 1j * detuning + gamma / 2
+        g2 = g ** 2
+        denom = x * y + g2
+        r_h = np.where(g == 0, r_o, 1 - kappa * x / denom)
+        # a non-finite kappa_s gives r_o = nan, a non-finite g a non-finite
+        # g2, and a zero denominator a non-finite r_h
+        bad = ~((kappa_s >= 0) & (g >= 0) & ((g == 0) | np.isfinite(g2))
+                & np.isfinite(r_o) & np.isfinite(r_h))
+    if not (math.isfinite(gamma) and gamma >= 0 and math.isfinite(omega)):
+        bad[:] = True
+    for i in np.flatnonzero(bad):
+        pair = reflection_coefficients(CavityParams(
+            g=float(g[i]), kappa_s=float(kappa_s[i]), gamma=gamma, omega=omega))
+        r_o[i], r_h[i] = pair.r_o, pair.r_h
+    return r_o, r_h
+
+
 def reflection_operator(pair: ReflectionPair) -> np.ndarray:
     """Spin-selective reflection map on {R up, R down, L up, L down}.
 

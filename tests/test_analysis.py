@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from hyperbell.cavity import (
     ReflectionPair,
     reflection_coefficients,
 )
-from hyperbell.errors import ConfigurationError
+from hyperbell.errors import ConfigurationError, NumericDomainError
 from hyperbell.optics import _BRANCH_DROP, run_circuit_polynomial, run_circuit_tracked
 from hyperbell.protocols import (
     Bell,
@@ -252,6 +253,47 @@ class TestSweep:
         for steps in ({"ks_steps": 0}, {"g_steps": 0}, {"ks_steps": -1}):
             with pytest.raises(ConfigurationError):
                 SweepGrid.regular(**steps)
+
+
+def _first_scalar_error(grid):
+    """The error of the scalar coefficient path at the first bad grid point."""
+    for ks in grid.kappa_s_over_kappa:
+        for g_over_sum in grid.g_over_sum:
+            try:
+                reflection_coefficients(CavityParams(
+                    g=g_over_sum * (ks + 1.0), kappa=1.0, kappa_s=ks,
+                    gamma=grid.gamma_over_kappa, omega=grid.detuning))
+            except (ConfigurationError, NumericDomainError) as exc:
+                return exc
+    raise AssertionError("no grid point is rejected")
+
+
+class TestSweepErrors:
+    """A bad grid point raises what reflection_coefficients raises there, and
+    no sweep emits a RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("grid", [
+        SweepGrid((0.0, 0.5), (0.0, 1.0), gamma_over_kappa=-0.1),
+        # g = 1e308 * 2 is inf at (1.0, 1e308); g**2 overflows later, at (0.0, 1e308)
+        SweepGrid((1.0, 0.0), (0.5, 1e308)),
+        # g**2 overflows from (0.0, 1e200) on
+        SweepGrid((0.0, 0.5), (1.0, 1e200, 1e300)),
+    ], ids=["negative-gamma", "g-infinite", "g-squared-overflows"])
+    def test_error_matches_scalar_path(self, grid):
+        expected = _first_scalar_error(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(expected)) as got:
+                run_sweep(grid)
+        assert str(got.value) == str(expected)
+
+    def test_regular_grid_holds_python_floats(self):
+        grid = SweepGrid.regular(ks_steps=3, g_steps=2, g_max=1e200)
+        assert all(type(v) is float for v in grid.kappa_s_over_kappa + grid.g_over_sum)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match="g\\*\\*2 overflows"):
+                run_sweep(grid)
 
 
 class TestCsv:

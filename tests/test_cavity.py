@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from hyperbell.cavity import (
     ReflectionPair,
     dephasing_penalty,
     reflection_coefficients,
+    reflection_coefficients_grid,
     reflection_operator,
 )
 from hyperbell.errors import ConfigurationError, NumericDomainError
@@ -118,6 +120,57 @@ class TestReflectionCoefficients:
                                                     omega=0.7))
         assert abs(abs(pair.r_o) - 1) < 1e-12
         assert abs(abs(pair.r_h) - 1) < 1e-12
+
+
+class TestReflectionCoefficientsGrid:
+    def _scalar(self, kappa_s, g, gamma, omega):
+        return [reflection_coefficients(CavityParams(g=gi, kappa_s=ki, gamma=gamma, omega=omega))
+                for ki, gi in zip(kappa_s.tolist(), g.tolist())]
+
+    @pytest.mark.parametrize("gamma,omega", [(0.1, 0.0), (0.2, 0.3), (0.0, -1.7)])
+    def test_matches_scalar_path(self, rng, gamma, omega):
+        kappa_s = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 2.0, 200)])
+        g = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 6.0, 200)])
+        r_o, r_h = reflection_coefficients_grid(kappa_s, g, gamma, omega)
+        for a_o, a_h, pair in zip(r_o, r_h, self._scalar(kappa_s, g, gamma, omega)):
+            assert abs(a_o - pair.r_o) < 1e-15
+            assert abs(a_h - pair.r_h) < 1e-15
+
+    def test_uncoupled_equals_cold_bit_for_bit(self):
+        kappa_s = np.array([0.0, 0.3, 1.7])
+        r_o, r_h = reflection_coefficients_grid(kappa_s, np.zeros(3), 0.1, 0.4)
+        assert r_h.tobytes() == r_o.tobytes()
+
+    def test_subnormal_denominator_keeps_scalar_values(self):
+        # g**2 = 1e-320 is the whole denominator: NumPy's division overflows
+        # on it, CPython's gives r_h = 1
+        kappa_s, g = np.array([0.5, 0.5]), np.array([1.0, 1e-160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r_o, r_h = reflection_coefficients_grid(kappa_s, g, 0.0, 0.0)
+        (_, pair) = self._scalar(kappa_s, g, 0.0, 0.0)
+        assert (r_o[1], r_h[1]) == (pair.r_o, pair.r_h) == (-1 / 3, 1.0)
+
+    @pytest.mark.parametrize("kappa_s,g,gamma,omega", [
+        ((0.0, 0.1), (1.0, 1e200), 0.1, 0.0),        # g**2 overflows
+        ((0.0, 0.1), (1.0, math.inf), 0.1, 0.0),     # g not finite
+        ((0.0, -0.1), (1.0, 1.0), 0.1, 0.0),         # negative kappa_s
+        ((0.0, 0.1), (1.0, 1.0), -0.1, 0.0),         # negative gamma
+        ((0.0, 0.1), (1.0, 1.0), 0.1, math.nan),     # omega not finite
+        ((0.0, 1e308), (1.0, 1e150), 0.1, 1e308),    # coefficients overflow
+    ])
+    def test_rejects_what_the_scalar_path_rejects(self, kappa_s, g, gamma, omega):
+        for k, gi in zip(kappa_s, g):
+            try:
+                reflection_coefficients(CavityParams(g=gi, kappa_s=k, gamma=gamma, omega=omega))
+            except (ConfigurationError, NumericDomainError) as exc:
+                expected = exc
+                break
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(expected)) as got:
+                reflection_coefficients_grid(np.array(kappa_s), np.array(g), gamma, omega)
+        assert str(got.value) == str(expected)
 
 
 class TestReflectionOperator:

@@ -297,6 +297,7 @@ class TestExitCodes:
         ("coeffs", "--g", "1e200", "--gamma", "1e200"),
         ("hbsa", "--input", "phi+,psi-", "--g", "1e308", "--kappa-s", "1e308"),
         ("coeffs", "--g", "1e150", "--kappa-s", "1e308", "--detuning", "1e308"),
+        ("sweep", "--ks-steps", "1", "--g-steps", "2", "--g-max", "1e200"),
     ])
     def test_overflow_exits_3(self, capsys, args):
         code, out, err = run_cli(capsys, *args)

@@ -1,7 +1,9 @@
 """The benchmark's tracer must keep finding the functions it wraps, its
-workloads must pass their own checks, and the demos must run."""
+workloads must pass their own checks, the BENCH file writer must
+assemble its reports right, and the demos must run."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -13,9 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def _load(name: str):
-    path = PERFBENCH / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+def _load(name: str, directory: Path = PERFBENCH):
+    path = directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{directory.name}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -36,6 +38,52 @@ def test_analyze_block_passes_its_checks():
     for i in range(workload.block):
         arg = workload.make_input(i)
         assert workload.check(arg, workload.op(arg)), f"op {i}: {arg}"
+
+
+def _canned_run(seed: int, commit: str, items_per_s: float, call_p50_ms: float) -> str:
+    """Standard output of one perfbench/run.py --trace 0 run, shortened."""
+    context = {"workload": "sweep", "seed": seed, "seconds": 20.0, "trace": 0,
+               "nproc": 2, "commit": commit}
+    metrics = {"setup_s": {"value": 0.5, "unit": "s"},
+               "items_per_s": {"value": items_per_s, "unit": "1/s"},
+               "call_p50_ms": {"value": call_p50_ms, "unit": "ms"},
+               "peak_rss_mb": {"value": 40.0, "unit": "MB"}}
+    return "\n".join([
+        "# times scaled to the reference kernel's nominal speed; raw in brackets",
+        f"sweep_points_per_s       {items_per_s} 1/s",
+        "# context " + json.dumps(context),
+        "failed_ratio             0  (0/12)",
+        json.dumps({"correct": True, "attempted": 12, "failed": 0, "metrics": metrics}),
+    ]) + "\n"
+
+
+def test_bench_compare_assembles_reports():
+    bench = _load("bench_compare", ROOT / "tools")
+    # a gain is claimed on ten pairs of runs
+    assert len(bench.SEEDS) == 10
+    directions = bench._directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    assert directions["items_per_s"] == "higher" and directions["call_p50_ms"] == "lower"
+    parent_items, change_items = (100.0, 110.0, 90.0, 105.0), (250.0, 240.0, 95.0, 260.0)
+    pairs = [{"seed": seed, "first": "parent" if seed % 2 else "change",
+              "parent": bench.parse_run(_canned_run(seed, "p", a, 1000.0 / a)),
+              "change": bench.parse_run(_canned_run(seed, "c", b, 1000.0 / b))}
+             for seed, a, b in zip((1, 2, 3, 4), parent_items, change_items)]
+    entry = bench.summarize(pairs, directions)
+    assert entry["seeds"] == [1, 2, 3, 4]
+    assert entry["context"]["parent"]["commit"] == "p"
+    assert entry["context"]["change"]["seed"] == 1
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    assert entry["attempted"] == {"parent": 48, "change": 48}
+    assert entry["median"]["parent"]["items_per_s"] == 102.5
+    assert entry["median"]["change"]["items_per_s"] == 245.0
+    assert entry["quartiles"]["parent"]["items_per_s"] == [97.5, 106.25]
+    assert entry["change_over_parent"]["items_per_s"] == 245.0 / 102.5
+    assert entry["change_over_parent"]["setup_s"] == 1.0
+    # better is higher for throughput and lower for latency; a tie is not better
+    assert entry["change_better_pairs"]["items_per_s"] == 4
+    assert entry["change_better_pairs"]["call_p50_ms"] == 4
+    assert entry["change_better_pairs"]["peak_rss_mb"] == 0
+    assert json.loads(json.dumps(entry)) == entry
 
 
 # demo 05 writes into demos/out, so it stays out

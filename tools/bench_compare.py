@@ -1,0 +1,152 @@
+"""Benchmark a parent commit against the working tree and write a BENCH file.
+
+Run from the repository root:
+
+    python3 tools/bench_compare.py --out BENCH_<n>.json
+
+Run it before committing the change: the parent is HEAD, whose committed
+files are exported with ``git archive`` into a temporary directory, and
+the change is the working tree as it is. For each workload of
+BENCHMARK.json and each of the seeds 11-20, both sides run
+``perfbench/run.py --trace 0`` for the benchmark's ``run_seconds``, the
+side that goes first alternating from seed to seed. Of each run the
+script keeps the ``# context`` line and the last line, the JSON report.
+The BENCH file holds, per workload, the seeds, every pair of reports,
+and per side the median and quartiles of each end-to-end metric, with
+the change's median over the parent's and the number of pairs in which
+the change did better. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONTEXT_PREFIX = "# context "
+PARENT = "HEAD"
+SEEDS = range(11, 21)
+COMMIT_NOTE = ("context.commit is the HEAD of the checkout a run started in, not the "
+               "side's code: null for the parent, exported without .git, and the "
+               "parent's own hash for the change, which runs in the working tree.")
+
+
+def parse_run(stdout: str) -> dict:
+    """The context and the report of one perfbench/run.py run."""
+    lines = stdout.strip().splitlines()
+    (context,) = [json.loads(ln[len(CONTEXT_PREFIX):]) for ln in lines
+                  if ln.startswith(CONTEXT_PREFIX)]
+    return {"context": context, "report": json.loads(lines[-1])}
+
+
+def _directions(benchmark: dict) -> dict[str, str]:
+    return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+
+def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
+    """One workload's entry from its pairs of runs.
+
+    A pair is {"seed", "first": "parent" | "change", "parent": run,
+    "change": run}, each run as parse_run returns it.
+    """
+    sides = ("parent", "change")
+    values = {side: {name: [p[side]["report"]["metrics"][name]["value"] for p in pairs]
+                     for name in directions} for side in sides}
+    entry = {
+        "seeds": [p["seed"] for p in pairs],
+        "context": {side: pairs[0][side]["context"] for side in sides},
+        "failed": {side: sum(p[side]["report"]["failed"] for p in pairs) for side in sides},
+        "attempted": {side: sum(p[side]["report"]["attempted"] for p in pairs)
+                      for side in sides},
+        "median": {side: {name: statistics.median(v) for name, v in values[side].items()}
+                   for side in sides},
+        "quartiles": {side: {name: _quartiles(v) for name, v in values[side].items()}
+                      for side in sides},
+    }
+    entry["change_over_parent"] = {
+        name: entry["median"]["change"][name] / entry["median"]["parent"][name]
+        for name in directions}
+    entry["change_better_pairs"] = {
+        name: sum((c < p) if better == "lower" else (c > p)
+                  for p, c in zip(values["parent"][name], values["change"][name]))
+        for name, better in directions.items()}
+    entry["pairs"] = pairs
+    return entry
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def _git(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          **kwargs)
+
+
+def _export(rev: str, into: Path) -> str:
+    """Extract the committed files of rev into a directory; return its hash."""
+    sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}", text=True).stdout.strip()
+    archive = _git("archive", "--format=tar", sha).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+    return sha
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise RuntimeError(f"{workload} seed {seed} in {checkout}: exit "
+                           f"{done.returncode}\n{done.stderr[-2000:]}")
+    return parse_run(done.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--out", required=True, type=Path)
+    args = ap.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    directions = _directions(benchmark)
+    seconds = float(benchmark["run_seconds"])
+    dirty = bool(_git("status", "--porcelain", text=True).stdout)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_sha = _export(PARENT, Path(tmp))
+        checkouts = {"parent": Path(tmp), "change": ROOT}
+        out = {
+            "command": f"python3 perfbench/run.py --workload W --seed S "
+                       f"--seconds {seconds:g} --trace 0",
+            "parent": parent_sha,
+            "change": parent_sha + ("+working-tree" if dirty else ""),
+            "note": COMMIT_NOTE,
+            "workloads": {},
+        }
+        for workload in (w["name"] for w in benchmark["workloads"]):
+            pairs = []
+            for k, seed in enumerate(SEEDS):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = _run(checkouts[side], workload, seed, seconds)
+                    print(f"{workload} seed {seed} {side}: " + ", ".join(
+                        f"{name} {m['value']:.6g}"
+                        for name, m in pair[side]["report"]["metrics"].items()),
+                        flush=True)
+                pairs.append(pair)
+            out["workloads"][workload] = summarize(pairs, directions)
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
