@@ -174,11 +174,9 @@ def product_state(layout: StateLayout, pol_a, path_a, pol_b, path_b,
 
 def _apply_photon_matrix(amps: np.ndarray, slot: int, mat: np.ndarray) -> np.ndarray:
     """Apply a (2n x 2n) matrix over the pol-major (pol, path) index of one photon."""
-    if slot == 1:
-        amps = np.moveaxis(amps, (-4, -3), (-6, -5))
-    d = amps.shape[-6] * amps.shape[-5]
-    out = (mat @ amps.reshape(math.prod(amps.shape[:-6]), d, -1)).reshape(amps.shape)
-    return out if slot == 0 else np.moveaxis(out, (-6, -5), (-4, -3))
+    # photon A's index is followed by (polB, pathB, s1, s2), photon B's by (s1, s2)
+    inner = math.prod(amps.shape[-4:]) if slot == 0 else 4
+    return (mat @ amps.reshape(-1, mat.shape[0], inner)).reshape(amps.shape)
 
 
 # einsum of _polspin per (photon slot, spin slot), on the view of one path:
@@ -217,10 +215,12 @@ def _project_path(amps: np.ndarray, slot: int, path_idx: int,
 
 
 def _apply_spin_matrix(amps: np.ndarray, spin_slot: int, mat2: np.ndarray) -> np.ndarray:
-    axis = amps.ndim - 2 + spin_slot
-    moved = np.moveaxis(amps, axis, 0)
-    out = np.tensordot(mat2, moved, axes=([1], [0]))
-    return np.moveaxis(out, 0, axis)
+    """Apply a 2x2 matrix to one spin; spin 1's as mat2 (x) identity on (s1, s2)."""
+    if spin_slot == 1:
+        return (amps.reshape(-1, 2) @ mat2.T).reshape(amps.shape)
+    mat4 = np.zeros((4, 4), dtype=complex)
+    mat4[0::2, 0::2] = mat4[1::2, 1::2] = mat2
+    return (amps.reshape(-1, 4) @ mat4.T).reshape(amps.shape)
 
 
 # ---------------------------------------------------------------------------

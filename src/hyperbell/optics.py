@@ -11,6 +11,11 @@ and h as coefficient tuples by degree: (s,) and (0, h) at one pair, so
 they are multiplied in, or (0, 1) for both, so that
 run_circuit_polynomial runs a circuit once for every pair. Both keep
 every branch, clicked or not, and count each branch's first click only.
+The runner applies each photon's passive elements as one matrix, their
+product, just before that photon's next qdarm, wfc or detector and at
+the end. This is exact up to rounding: a photon's matrix commutes with
+every action on the other photon and with spin measurements, and being
+unitary it moves no branch's weight across the drop threshold.
 
 Circuit file format (UTF-8, line oriented, ``#`` comments)::
 
@@ -48,15 +53,16 @@ from .hilbert import (
     _apply_photon_matrix,
     _apply_spin_matrix,
     _path_slice,
-    _polspin,
     _project_path,
 )
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PROJ_H = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)   # |H><H| in R/L
-_PROJ_V = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)  # |V><V| in R/L
 # qdarm success component: pol sigma_z (x) spin sigma_z in {R up, R down, L up, L down}
 _SUCC4 = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+# its diagonal as a sign mask per (photon slot p, spin slot q) on the view of
+# one path, of axes (polA, polB, pathB, s1, s2) or (polA, pathA, polB, s1, s2)
+_SUCC_SIGN = {(p, q): np.diag(_SUCC4).real.reshape(
+    [2 if axis in (2 * p, 3 + q) else 1 for axis in range(5)]) for p in (0, 1) for q in (0, 1)}
 # X-basis spin projectors, one per measurement outcome
 _SPIN_X_PROJ = {
     "+": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
@@ -129,29 +135,13 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # element matrices
 
-def _complete_permutation(n: int, moves: dict[int, int]) -> np.ndarray:
-    """Permutation matrix extending a partial index map.
-
-    Indices appearing in neither sources nor targets stay fixed; leftover
-    sources are paired with leftover targets in index order.
-    """
-    if len(set(moves.values())) != len(moves):
-        raise ConfigurationError("routing maps two inputs to one output")
-    perm = {}
-    srcs, dsts = set(moves), set(moves.values())
-    for s, d in moves.items():
-        perm[s] = d
-    for i in range(n):
-        if i not in srcs and i not in dsts:
-            perm[i] = i
-    leftover_src = sorted(i for i in range(n) if i not in perm)
-    leftover_dst = sorted(i for i in range(n) if i not in perm.values())
-    for s, d in zip(leftover_src, leftover_dst):
-        perm[s] = d
-    mat = np.zeros((n, n), dtype=complex)
-    for s, d in perm.items():
-        mat[d, s] = 1.0
-    return mat
+def _routing(n: int, src, dst) -> np.ndarray:
+    """Destination of each of n paths: src[i] goes to dst[i], the paths
+    that dst takes over go, in index order, to the ones src frees, and
+    every other path stays."""
+    to = np.arange(n)
+    to[src + sorted(set(dst) - set(src))] = dst + sorted(set(src) - set(dst))
+    return to
 
 
 def hp_matrix(layout: StateLayout, photon: str, path: str) -> np.ndarray:
@@ -172,63 +162,57 @@ def z_matrix(layout: StateLayout, photon: str, path: str) -> np.ndarray:
 
 def bs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.ndarray:
     """50:50 beam splitter: |x1> -> (|y1>+|y2>)/sqrt2, |x2> -> (|y1>-|y2>)/sqrt2."""
-    slot = layout.photon_slot(photon)
-    n = len(layout.paths[slot])
+    n = len(layout.paths[layout.photon_slot(photon)])
     x = [layout.path_index(photon, p) for p in in_paths]
     y = [layout.path_index(photon, p) for p in out_paths]
     if len(x) != 2 or len(y) != 2 or len(set(x)) != 2 or len(set(y)) != 2:
         raise ConfigurationError("bs binds exactly two distinct inputs and outputs")
-    path_mat = np.eye(n, dtype=complex)
-    if set(x) == set(y):
-        for i in (0, 1):
-            for j in (0, 1):
-                path_mat[y[i], x[j]] = _HADAMARD[i, j]
-    elif not set(x) & set(y):
-        for j in (0, 1):
-            path_mat[x[j], x[j]] = 0.0
-            path_mat[y[j], y[j]] = 0.0
-        for i in (0, 1):
-            for j in (0, 1):
-                path_mat[y[i], x[j]] = _HADAMARD[i, j]
-                path_mat[x[i], y[j]] = _HADAMARD[i, j]
-    else:
+    disjoint = not set(x) & set(y)
+    if not disjoint and set(x) != set(y):
         raise ConfigurationError("bs ports must coincide as a set or be disjoint")
-    return np.kron(np.eye(2, dtype=complex), path_mat)
+    mat = np.eye(2 * n, dtype=complex)
+    path_mat = mat[:n, :n]
+    path_mat[x + y, x + y] = 0.0
+    for i in (0, 1):
+        for j in (0, 1):
+            path_mat[y[i], x[j]] = _HADAMARD[i, j]
+            if disjoint:
+                path_mat[x[i], y[j]] = _HADAMARD[i, j]
+    mat[n:, n:] = path_mat  # the same path map on R and on L
+    return mat
 
 
 def cpbs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.ndarray:
     """Circular-polarization splitter: R crosses to out2/out1, L keeps its side."""
-    slot = layout.photon_slot(photon)
-    n = len(layout.paths[slot])
+    n = len(layout.paths[layout.photon_slot(photon)])
     x = [layout.path_index(photon, p) for p in in_paths]
     y = [layout.path_index(photon, p) for p in out_paths]
     if len(y) != 2 or len(set(y)) != 2 or len(x) not in (1, 2) or len(set(x)) != len(x):
         raise ConfigurationError("cpbs binds one or two inputs and two distinct outputs")
-    if len(x) == 1:
-        moves_r = {x[0]: y[1]}
-        moves_l = {x[0]: y[0]}
-    else:
-        moves_r = {x[0]: y[1], x[1]: y[0]}
-        moves_l = {x[0]: y[0], x[1]: y[1]}
-    perm_r = _complete_permutation(n, {s: d for s, d in moves_r.items() if s != d})
-    perm_l = _complete_permutation(n, {s: d for s, d in moves_l.items() if s != d})
+    cols = np.arange(n)
     mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    mat[:n, :n] = perm_r
-    mat[n:, n:] = perm_l
+    mat[_routing(n, x, [y[1], y[0]][:len(x)]), cols] = 1.0  # R crosses
+    mat[n + _routing(n, x, y[:len(x)]), n + cols] = 1.0  # L keeps its side
     return mat
 
 
 def pbs_matrix(layout: StateLayout, photon: str, path: str, out_paths) -> np.ndarray:
     """Linear-polarization splitter: H to the transmit port, V to the reflect port."""
-    slot = layout.photon_slot(photon)
-    n = len(layout.paths[slot])
+    n = len(layout.paths[layout.photon_slot(photon)])
     p = layout.path_index(photon, path)
     y = [layout.path_index(photon, q) for q in out_paths]
     if len(y) != 2 or y[0] == y[1]:
         raise ConfigurationError("pbs binds two distinct output ports")
-    perm_h = _complete_permutation(n, {p: y[0]} if p != y[0] else {})
-    perm_v = _complete_permutation(n, {p: y[1]} if p != y[1] else {})
-    return np.kron(_PROJ_H, perm_h) + np.kron(_PROJ_V, perm_v)
+    # H = (R + L)/sqrt2 and V = (R - L)/sqrt2 take the routes to y[0] and y[1],
+    # so the (R, L) blocks hold (to_h + to_v)/2, and (to_h - to_v)/2 off the diagonal
+    cols = np.arange(n)
+    half_h, half_v = np.zeros((n, n)), np.zeros((n, n))
+    half_h[_routing(n, [p], y[:1]), cols] = 0.5
+    half_v[_routing(n, [p], y[1:]), cols] = 0.5
+    mat = np.empty((2 * n, 2 * n), dtype=complex)
+    mat[:n, :n] = mat[n:, n:] = half_h + half_v
+    mat[:n, n:] = mat[n:, :n] = half_h - half_v
+    return mat
 
 
 def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
@@ -561,28 +545,40 @@ def initial_spins(circuit: Circuit) -> tuple[str, str]:
 
 
 def _compile(circuit: Circuit, layout: StateLayout):
-    """Parameter-free actions; the cavity enters only at qdarm and wfc."""
+    """Parameter-free actions; the cavity enters only at qdarm and wfc.
+
+    A photon's passive matrices are multiplied together and emitted as one
+    matrix action just before that photon's next qdarm, wfc or detector,
+    and at the end.
+    """
     actions = []
+    pending = [None, None]  # per photon slot, the product of its matrices so far
     for el in circuit.ops:
         if el.kind == ElementKind.MEASURE_SPIN:
             actions.append(("spin", circuit.qd_slot(el.qd), el.qd))
             continue
         slot = layout.photon_slot(el.photon)
+        if el.kind not in (ElementKind.QDARM, ElementKind.WFC, ElementKind.DETECTOR):
+            mat = element_matrix(el, layout)
+            pending[slot] = mat if pending[slot] is None else mat @ pending[slot]
+            continue
+        if pending[slot] is not None:
+            actions.append(("matrix", slot, pending[slot]))
+            pending[slot] = None
+        path_idx = layout.path_index(el.photon, el.path)
         if el.kind == ElementKind.QDARM:
-            actions.append(("qdarm", slot, layout.path_index(el.photon, el.path),
-                            circuit.qd_slot(el.qd)))
+            actions.append(("qdarm", slot, path_idx, circuit.qd_slot(el.qd)))
         elif el.kind == ElementKind.WFC:
-            actions.append(("wfc", slot, layout.path_index(el.photon, el.path)))
-        elif el.kind == ElementKind.DETECTOR:
-            actions.append(("detector", slot, layout.path_index(el.photon, el.path),
-                            _POL_INDEX.get(el.pol, slice(None)), el.label))
+            actions.append(("wfc", slot, path_idx))
         else:
-            actions.append(("matrix", slot, element_matrix(el, layout)))
-    return actions
+            actions.append(("detector", slot, path_idx, _POL_INDEX.get(el.pol, slice(None)),
+                            el.label))
+    return actions + [("matrix", slot, mat) for slot, mat in enumerate(pending)
+                      if mat is not None]
 
 
 def _weight(a: np.ndarray) -> float:
-    return float(np.sum(np.abs(a) ** 2))
+    return float(np.vdot(a, a).real)
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -620,14 +616,15 @@ def _lossy_passage(action, c: np.ndarray, s: tuple, h: tuple) -> np.ndarray:
     out = np.zeros((s_len + len(s) - 1, h_len + (len(h) - 1 if leaks else 0))
                    + c.shape[2:], dtype=complex)
     out[:s_len, :h_len] = c
-    out[on_path] = 0
-    success = _polspin(x, slot, action[3], _SUCC4) if leaks else x
+    y = out[on_path]  # a view: the bound path's amplitudes, rewritten below
+    y[...] = 0
+    success = x * _SUCC_SIGN[slot, action[3]] if leaks else x
     for i, coeff in enumerate(s):
         if coeff:
-            out[i:i + s_len, :h_len][on_path] += coeff * success
+            y[i:i + s_len, :h_len] += coeff * success
     for k, coeff in enumerate(h if leaks else ()):
         if coeff:
-            out[:s_len, k:k + h_len][on_path] += coeff * x
+            y[:s_len, k:k + h_len] += coeff * x
     return _trim(out)
 
 

@@ -486,9 +486,9 @@ def run_hbsa_stage1(state: HybridState,
 def _spbsm():
     """The SPBSM, compiled from the readout ops of hbsa_full_circuit.
 
-    Returns its passive matrices as (photon slot, matrix), in circuit
-    order, and per photon its detectors as (label, path slice), in
-    circuit order.
+    Returns its passive matrices as (photon slot, matrix), fused per
+    photon as _compile emits them, and per photon its detectors as
+    (label, path slice), in circuit order.
     """
     full = hbsa_full_circuit()
     actions = _compile(replace(full, ops=full.ops[_readout_start():]), full.layout())

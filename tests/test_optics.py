@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import apply_op, one_op_circuit, random_state
+from hyperbell import optics
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import ConfigurationError
 from hyperbell.hilbert import (
@@ -623,6 +624,49 @@ class TestPolynomialRun:
         state.amps[...] = np.nan
         (branch,) = poly.at(EXAMPLE_PAIR).branches
         np.testing.assert_array_equal(branch.physical_state().amps, before)
+
+
+class TestFusedCompile:
+    """_compile emits one product of each photon's passive matrices per
+    stretch between that photon's qdarm, wfc and detector actions."""
+
+    def test_one_matrix_per_stretch_and_one_call_per_passive_op(self, rng, monkeypatch):
+        calls = []
+
+        def counting(el, layout):
+            calls.append(el)
+            return element_matrix(el, layout)
+
+        monkeypatch.setattr(optics, "element_matrix", counting)
+        passive = {ElementKind.HP, ElementKind.Z, ElementKind.BS, ElementKind.CPBS,
+                   ElementKind.PBS}
+        for _ in range(200):
+            circuit = parse_circuit(random_circuit_text(rng))
+            calls.clear()
+            actions = optics._compile(circuit, circuit.layout())
+            assert calls == [el for el in circuit.ops if el.kind in passive]
+            fused = [False, False]  # a matrix action since the photon's last bound action
+            for action in actions:
+                if action[0] == "matrix":
+                    assert not fused[action[1]], actions
+                    fused[action[1]] = True
+                elif action[0] in ("qdarm", "wfc", "detector"):
+                    fused[action[1]] = False
+
+    def test_fused_matrix_is_the_ordered_product(self):
+        circuit = _two_photon_circuit("op hp photon=A path=a1\n"
+                                      "op bs photon=B in=b1,b2 out=b2,b1\n"
+                                      "op pbs photon=A path=a2 out=a1,a2\n"
+                                      "op z photon=B path=b2\n"
+                                      "op cpbs photon=A in=a1 out=a2,a1\n")
+        layout = circuit.layout()
+        actions = optics._compile(circuit, layout)
+        assert [a[:2] for a in actions] == [("matrix", 0), ("matrix", 1)]
+        for slot, ops in ((0, circuit.ops[0::2]), (1, circuit.ops[1::2])):
+            want = np.eye(4, dtype=complex)
+            for el in ops:
+                want = element_matrix(el, layout) @ want
+            np.testing.assert_allclose(actions[slot][2], want, rtol=0, atol=1e-15)
 
 
 class TestRandomCircuitRoundTrip:
