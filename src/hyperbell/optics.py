@@ -25,13 +25,20 @@ Circuit file format (UTF-8, line oriented, ``#`` comments)::
               [qd=<ID>] [label=<detector-label>] [pol=R|L]
     block mode=heralded|parity qd=<ID> photon=<ID> path=<p> [label=<det>]
 
-Element kinds: cpbs, pbs, bs, hp, z, wfc, qdarm, detector, measure_spin.
-A detector clicks on its path, in the one polarization that ``pol`` names
-or in both; a clicked photon stays on its path. No two detectors, plain
-or of heralded blocks, share a label. The ``block`` macro
-expands into the primitives of block_ops: Hp - qdarm - Hp on the bound
-path, then ``z`` (parity) or ``detector pol=L`` (heralded), which catches
-the leak, as the leak keeps the L polarization of the input.
+_KEYS lists the keys that each kind of line requires and allows. Element
+kinds: cpbs, pbs, bs, hp, z, wfc, qdarm, detector, measure_spin. Each
+splitter binds two distinct outputs and, by the port rule of
+_check_ports, its inputs: a pbs its ``path``, a cpbs one or two distinct
+paths, a bs two distinct paths that its outputs equal as a set or avoid.
+Parsing enforces all of this, naming the line at fault, and the matrix
+builders check the same port rule. ``wfc qd=`` and ``measure_spin
+photon=`` are accepted and ignored by the runner. A detector clicks on
+its path, in the one polarization that ``pol`` names or in both; a
+clicked photon stays on its path. No two detectors, plain or of heralded
+blocks, share a label. The ``block`` macro expands into the primitives
+of block_ops: Hp - qdarm - Hp on the bound path, then ``z`` (parity) or
+``detector pol=L`` (heralded), which catches the leak, as the leak keeps
+the L polarization of the input.
 """
 
 from __future__ import annotations
@@ -144,6 +151,24 @@ def _routing(n: int, src, dst) -> np.ndarray:
     return to
 
 
+# the input counts each splitter binds; every splitter binds two outputs
+_PORTS = {ElementKind.BS: ((2,), "two distinct inputs"),
+          ElementKind.CPBS: ((1, 2), "one or two distinct inputs"),
+          ElementKind.PBS: ((1,), "one input")}
+
+
+def _check_ports(kind: ElementKind, ins, outs):
+    """Raise unless the ports of a bs, cpbs or pbs, as path names or
+    indices, keep the port rule that the module docstring states."""
+    counts, inputs = _PORTS[kind]
+    if (len(ins) not in counts or len(set(ins)) != len(ins)
+            or len(outs) != 2 or outs[0] == outs[1]):
+        raise ConfigurationError(f"{kind.value} binds {inputs} and two distinct outputs")
+    # a bs's ports are 2 distinct paths if they coincide as a set, 4 if disjoint
+    if kind == ElementKind.BS and len({*ins, *outs}) == 3:
+        raise ConfigurationError("bs ports must coincide as a set or be disjoint")
+
+
 def hp_matrix(layout: StateLayout, photon: str, path: str) -> np.ndarray:
     n = len(layout.paths[layout.photon_slot(photon)])
     idx = layout.path_index(photon, path)
@@ -162,14 +187,11 @@ def z_matrix(layout: StateLayout, photon: str, path: str) -> np.ndarray:
 
 def bs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.ndarray:
     """50:50 beam splitter: |x1> -> (|y1>+|y2>)/sqrt2, |x2> -> (|y1>-|y2>)/sqrt2."""
+    _check_ports(ElementKind.BS, in_paths, out_paths)
     n = len(layout.paths[layout.photon_slot(photon)])
     x = [layout.path_index(photon, p) for p in in_paths]
     y = [layout.path_index(photon, p) for p in out_paths]
-    if len(x) != 2 or len(y) != 2 or len(set(x)) != 2 or len(set(y)) != 2:
-        raise ConfigurationError("bs binds exactly two distinct inputs and outputs")
     disjoint = not set(x) & set(y)
-    if not disjoint and set(x) != set(y):
-        raise ConfigurationError("bs ports must coincide as a set or be disjoint")
     mat = np.eye(2 * n, dtype=complex)
     path_mat = mat[:n, :n]
     path_mat[x + y, x + y] = 0.0
@@ -184,11 +206,10 @@ def bs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.ndarr
 
 def cpbs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.ndarray:
     """Circular-polarization splitter: R crosses to out2/out1, L keeps its side."""
+    _check_ports(ElementKind.CPBS, in_paths, out_paths)
     n = len(layout.paths[layout.photon_slot(photon)])
     x = [layout.path_index(photon, p) for p in in_paths]
     y = [layout.path_index(photon, p) for p in out_paths]
-    if len(y) != 2 or len(set(y)) != 2 or len(x) not in (1, 2) or len(set(x)) != len(x):
-        raise ConfigurationError("cpbs binds one or two inputs and two distinct outputs")
     cols = np.arange(n)
     mat = np.zeros((2 * n, 2 * n), dtype=complex)
     mat[_routing(n, x, [y[1], y[0]][:len(x)]), cols] = 1.0  # R crosses
@@ -198,11 +219,10 @@ def cpbs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.nda
 
 def pbs_matrix(layout: StateLayout, photon: str, path: str, out_paths) -> np.ndarray:
     """Linear-polarization splitter: H to the transmit port, V to the reflect port."""
+    _check_ports(ElementKind.PBS, (path,), out_paths)
     n = len(layout.paths[layout.photon_slot(photon)])
     p = layout.path_index(photon, path)
     y = [layout.path_index(photon, q) for q in out_paths]
-    if len(y) != 2 or y[0] == y[1]:
-        raise ConfigurationError("pbs binds two distinct output ports")
     # H = (R + L)/sqrt2 and V = (R - L)/sqrt2 take the routes to y[0] and y[1],
     # so the (R, L) blocks hold (to_h + to_v)/2, and (to_h - to_v)/2 off the diagonal
     cols = np.arange(n)
@@ -234,127 +254,48 @@ def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
 # parser / serializer
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_+\-]+$")
-
-_REQUIRED_KEYS = {
-    ElementKind.HP: ("photon", "path"),
-    ElementKind.Z: ("photon", "path"),
-    ElementKind.WFC: ("photon", "path"),
-    ElementKind.BS: ("photon", "in", "out"),
-    ElementKind.CPBS: ("photon", "in", "out"),
-    ElementKind.PBS: ("photon", "path", "out"),
-    ElementKind.QDARM: ("photon", "path", "qd"),
-    ElementKind.DETECTOR: ("photon", "path", "label"),
-    ElementKind.MEASURE_SPIN: ("qd",),
-}
-_OPTIONAL_KEYS = {
-    ElementKind.WFC: ("qd",),
-    ElementKind.DETECTOR: ("pol",),
-    ElementKind.MEASURE_SPIN: ("photon",),
-}
 _POL_INDEX = {"R": R, "L": L}
+# (required, optional) keys of each kind of line, by how the line starts
+_KEYS = {
+    "qd": (("basis",), ()),
+    "photon": (("paths",), ()),
+    "block": (("mode", "qd", "photon", "path"), ("label",)),
+    "op cpbs": (("photon", "in", "out"), ()),
+    "op pbs": (("photon", "path", "out"), ()),
+    "op bs": (("photon", "in", "out"), ()),
+    "op hp": (("photon", "path"), ()),
+    "op z": (("photon", "path"), ()),
+    "op wfc": (("photon", "path"), ("qd",)),
+    "op qdarm": (("photon", "path", "qd"), ()),
+    "op detector": (("photon", "path", "label"), ("pol",)),
+    "op measure_spin": (("qd",), ("photon",)),
+}
+# each op key with the Element field it sets, in serialized order
+_FIELDS = (("photon", "photon"), ("path", "path"), ("in", "in_paths"), ("out", "out_paths"),
+           ("qd", "qd"), ("label", "label"), ("pol", "pol"))
 
 
-def _parse_kv(tokens: list[str], lineno: int) -> dict[str, str]:
+def _parse_kv(head: str, tokens: list[str]) -> dict:
+    """The key=value tokens of a line that starts with head, checked against
+    its _KEYS; a list value (in, out, paths) is split into a tuple."""
     kv = {}
     for tok in tokens:
-        if "=" not in tok:
-            raise ConfigurationError(f"line {lineno}: expected key=value, got {tok!r}")
-        key, value = tok.split("=", 1)
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ConfigurationError(f"expected key=value, got {tok!r}")
         if not key or not value:
-            raise ConfigurationError(f"line {lineno}: empty key or value in {tok!r}")
+            raise ConfigurationError(f"empty key or value in {tok!r}")
         if key in kv:
-            raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        kv[key] = value
-    return kv
-
-
-def _check_name(name: str, what: str, lineno: int) -> str:
-    if not _NAME_RE.match(name):
-        raise ConfigurationError(f"line {lineno}: invalid {what} name {name!r}")
-    return name
-
-
-class _ParserState:
-    def __init__(self):
-        self.qds: dict[str, QDDecl] = {}
-        self.photons: dict[str, tuple[str, ...]] = {}
-        self.ops: list[Element] = []
-        self.detector_labels: set[str] = set()
-
-    def photon_paths(self, name: str, lineno: int) -> tuple[str, ...]:
-        if name not in self.photons:
-            raise ConfigurationError(f"line {lineno}: undeclared photon {name!r}")
-        return self.photons[name]
-
-    def check_qd(self, name: str, lineno: int):
-        if name not in self.qds:
-            raise ConfigurationError(f"line {lineno}: undeclared QD {name!r}")
-
-    def check_path(self, photon: str, path: str, lineno: int):
-        if path not in self.photon_paths(photon, lineno):
-            raise ConfigurationError(
-                f"line {lineno}: dangling path reference {path!r} for photon {photon!r}")
-
-    def add_ops(self, ops: list[Element], lineno: int):
-        """Append one line's elements; a detector label names one detector."""
-        for el in ops:
-            if el.kind == ElementKind.DETECTOR:
-                if el.label in self.detector_labels:
-                    raise ConfigurationError(
-                        f"line {lineno}: duplicate detector label {el.label!r}")
-                self.detector_labels.add(el.label)
-        self.ops.extend(ops)
-
-
-def _build_element(kind: ElementKind, kv: dict[str, str], st: _ParserState,
-                   lineno: int) -> Element:
-    allowed = set(_REQUIRED_KEYS[kind]) | set(_OPTIONAL_KEYS.get(kind, ()))
+            raise ConfigurationError(f"duplicate key {key!r}")
+        kv[key] = tuple(value.split(",")) if key in ("in", "out", "paths") else value
+    required, optional = _KEYS[head]
     for key in kv:
-        if key not in allowed:
-            raise ConfigurationError(
-                f"line {lineno}: key {key!r} not allowed for op {kind.value}")
-    for key in _REQUIRED_KEYS[kind]:
+        if key not in required and key not in optional:
+            raise ConfigurationError(f"key {key!r} not allowed for {head}")
+    for key in required:
         if key not in kv:
-            raise ConfigurationError(
-                f"line {lineno}: op {kind.value} requires {key}=")
-    photon = kv.get("photon")
-    if photon is not None:
-        st.photon_paths(photon, lineno)
-    path = kv.get("path")
-    if path is not None:
-        st.check_path(photon, path, lineno)
-    in_paths = out_paths = None
-    if "in" in kv:
-        in_paths = tuple(kv["in"].split(","))
-        for p in in_paths:
-            st.check_path(photon, p, lineno)
-    if "out" in kv:
-        out_paths = tuple(kv["out"].split(","))
-        for p in out_paths:
-            st.check_path(photon, p, lineno)
-    qd = kv.get("qd")
-    if qd is not None:
-        st.check_qd(qd, lineno)
-    pol = kv.get("pol")
-    if pol is not None and pol not in _POL_INDEX:
-        raise ConfigurationError(f"line {lineno}: detector pol must be R or L, got {pol!r}")
-    el = Element(kind=kind, photon=photon, path=path, in_paths=in_paths,
-                 out_paths=out_paths, qd=qd, label=kv.get("label"), pol=pol)
-    _validate_element_structure(el, lineno)
-    return el
-
-
-def _validate_element_structure(el: Element, lineno: int):
-    if el.kind == ElementKind.BS:
-        if len(el.in_paths) != 2 or len(el.out_paths) != 2:
-            raise ConfigurationError(f"line {lineno}: bs needs in=p1,p2 out=p1,p2")
-    elif el.kind == ElementKind.CPBS:
-        if len(el.in_paths) not in (1, 2) or len(el.out_paths) != 2:
-            raise ConfigurationError(
-                f"line {lineno}: cpbs needs in=p1[,p2] out=p1,p2")
-    elif el.kind == ElementKind.PBS:
-        if len(el.out_paths) != 2:
-            raise ConfigurationError(f"line {lineno}: pbs needs out=transmit,reflect")
+            raise ConfigurationError(f"{head} requires {key}=")
+    return kv
 
 
 def block_ops(mode: str, photon: str, path: str, qd: str,
@@ -371,108 +312,105 @@ def block_ops(mode: str, photon: str, path: str, qd: str,
                           label=label, pol="L")]
 
 
-def _expand_block(kv: dict[str, str], st: _ParserState, lineno: int) -> list[Element]:
-    for key in ("mode", "qd", "photon", "path"):
-        if key not in kv:
-            raise ConfigurationError(f"line {lineno}: block requires {key}=")
-    mode, qd, photon, path = kv["mode"], kv["qd"], kv["photon"], kv["path"]
-    for key in kv:
-        if key not in ("mode", "qd", "photon", "path", "label"):
-            raise ConfigurationError(f"line {lineno}: key {key!r} not allowed for block")
-    st.check_qd(qd, lineno)
-    st.check_path(photon, path, lineno)
-    if mode == "parity" and "label" in kv:
-        raise ConfigurationError(f"line {lineno}: parity block takes no label")
-    if mode == "heralded" and "label" not in kv:
-        raise ConfigurationError(f"line {lineno}: heralded block requires label=")
-    if mode not in ("parity", "heralded"):
-        raise ConfigurationError(f"line {lineno}: block mode must be heralded or parity")
-    return block_ops(mode, photon, path, qd, kv.get("label"))
+def _declaration(keyword: str, rest: list[str]) -> QDDecl | PhotonDecl:
+    """The declaration of one qd or photon line."""
+    if not rest or "=" in rest[0]:
+        raise ConfigurationError(f"{keyword} needs a name")
+    name, kv = rest[0], _parse_kv(keyword, rest[1:])
+    paths = kv.get("paths", ())
+    for what, n in [(keyword, name)] + [("path", p) for p in paths]:
+        if not _NAME_RE.match(n):
+            raise ConfigurationError(f"invalid {what} name {n!r}")
+    if keyword == "qd":
+        if kv["basis"] not in ("+", "-"):
+            raise ConfigurationError("qd needs basis=+|-")
+        return QDDecl(name, kv["basis"])
+    if len(set(paths)) != len(paths):
+        raise ConfigurationError(f"duplicate path in {list(paths)}")
+    return PhotonDecl(name, paths)
+
+
+def _elements(keyword: str, rest: list[str], qds: dict, photons: dict) -> list[Element]:
+    """The elements of one op or block line, on the declared QDs and photons."""
+    if keyword == "op":
+        if not rest:
+            raise ConfigurationError("op needs a kind")
+        head = f"op {rest[0]}"
+        if head not in _KEYS:
+            raise ConfigurationError(f"unknown element kind {rest[0]!r}")
+        kv = _parse_kv(head, rest[1:])
+        els = [Element(ElementKind(rest[0]),
+                       **{field: kv[key] for key, field in _FIELDS if key in kv})]
+    else:
+        kv = _parse_kv("block", rest)
+        mode, label = kv["mode"], kv.get("label")
+        if mode not in ("parity", "heralded"):
+            raise ConfigurationError("block mode must be heralded or parity")
+        if (mode == "heralded") != (label is not None):
+            raise ConfigurationError("parity block takes no label" if label
+                                     else "heralded block requires label=")
+        els = block_ops(mode, kv["photon"], kv["path"], kv["qd"], label)
+    el = els[0]
+    if el.photon is not None and el.photon not in photons:
+        raise ConfigurationError(f"undeclared photon {el.photon!r}")
+    for path in (el.path, *kv.get("in", ()), *kv.get("out", ())):
+        if path is not None and path not in photons[el.photon].paths:
+            raise ConfigurationError(
+                f"dangling path reference {path!r} for photon {el.photon!r}")
+    if "qd" in kv and kv["qd"] not in qds:
+        raise ConfigurationError(f"undeclared QD {kv['qd']!r}")
+    if el.kind in _PORTS:
+        _check_ports(el.kind, el.in_paths or (el.path,), el.out_paths)
+    if kv.get("pol", "R") not in _POL_INDEX:
+        raise ConfigurationError(f"detector pol must be R or L, got {kv['pol']!r}")
+    return els
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the line-oriented circuit description into a validated Circuit."""
-    st = _ParserState()
+    """Parse the line-oriented circuit description into a validated Circuit.
+
+    An error names the line it is on.
+    """
+    decls = {"qd": {}, "photon": {}}  # by keyword, each declaration by name
+    ops, labels = [], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         keyword, rest = tokens[0], tokens[1:]
-        if keyword == "qd":
-            if len(rest) < 1 or "=" in rest[0]:
-                raise ConfigurationError(f"line {lineno}: qd needs a name")
-            name = _check_name(rest[0], "qd", lineno)
-            kv = _parse_kv(rest[1:], lineno)
-            if set(kv) != {"basis"} or kv["basis"] not in ("+", "-"):
-                raise ConfigurationError(f"line {lineno}: qd needs basis=+|-")
-            if name in st.qds:
-                raise ConfigurationError(f"line {lineno}: duplicate QD id {name!r}")
-            if len(st.qds) == 2:
-                raise ConfigurationError(f"line {lineno}: at most two QDs are supported")
-            st.qds[name] = QDDecl(name, kv["basis"])
-        elif keyword == "photon":
-            if len(rest) < 1 or "=" in rest[0]:
-                raise ConfigurationError(f"line {lineno}: photon needs a name")
-            name = _check_name(rest[0], "photon", lineno)
-            kv = _parse_kv(rest[1:], lineno)
-            if set(kv) != {"paths"}:
-                raise ConfigurationError(f"line {lineno}: photon needs paths=")
-            paths = kv["paths"].split(",")
-            for p in paths:
-                _check_name(p, "path", lineno)
-            if len(set(paths)) != len(paths):
-                raise ConfigurationError(f"line {lineno}: duplicate path in {paths}")
-            if name in st.photons:
-                raise ConfigurationError(f"line {lineno}: duplicate photon id {name!r}")
-            if len(st.photons) == 2:
-                raise ConfigurationError(f"line {lineno}: at most two photons are supported")
-            st.photons[name] = tuple(paths)
-        elif keyword == "op":
-            if not rest:
-                raise ConfigurationError(f"line {lineno}: op needs a kind")
-            try:
-                kind = ElementKind(rest[0])
-            except ValueError:
-                raise ConfigurationError(
-                    f"line {lineno}: unknown element kind {rest[0]!r}") from None
-            kv = _parse_kv(rest[1:], lineno)
-            st.add_ops([_build_element(kind, kv, st, lineno)], lineno)
-        elif keyword == "block":
-            kv = _parse_kv(rest, lineno)
-            st.add_ops(_expand_block(kv, st, lineno), lineno)
-        else:
-            raise ConfigurationError(f"line {lineno}: unknown keyword {keyword!r}")
-    return Circuit(
-        qds=tuple(st.qds.values()),
-        photons=tuple(PhotonDecl(n, p) for n, p in st.photons.items()),
-        ops=tuple(st.ops),
-    )
+        try:
+            if keyword in decls:
+                decl, same = _declaration(keyword, rest), decls[keyword]
+                noun = "QD" if keyword == "qd" else keyword
+                if decl.name in same:
+                    raise ConfigurationError(f"duplicate {noun} id {decl.name!r}")
+                if len(same) == 2:
+                    raise ConfigurationError(f"at most two {noun}s are supported")
+                same[decl.name] = decl
+            elif keyword in ("op", "block"):
+                els = _elements(keyword, rest, decls["qd"], decls["photon"])
+                for label in (el.label for el in els if el.kind == ElementKind.DETECTOR):
+                    if label in labels:
+                        raise ConfigurationError(f"duplicate detector label {label!r}")
+                    labels.add(label)
+                ops.extend(els)
+            else:
+                raise ConfigurationError(f"unknown keyword {keyword!r}")
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"line {lineno}: {exc}") from None
+    return Circuit(tuple(decls["qd"].values()), tuple(decls["photon"].values()), tuple(ops))
 
 
 def serialize_circuit(circuit: Circuit) -> str:
     """Canonical text form; parse(serialize(parse(t))) == parse(t)."""
-    lines = []
-    for qd in circuit.qds:
-        lines.append(f"qd {qd.name} basis={qd.basis}")
-    for ph in circuit.photons:
-        lines.append(f"photon {ph.name} paths={','.join(ph.paths)}")
+    lines = [f"qd {qd.name} basis={qd.basis}" for qd in circuit.qds]
+    lines += [f"photon {ph.name} paths={','.join(ph.paths)}" for ph in circuit.photons]
     for el in circuit.ops:
         parts = [f"op {el.kind.value}"]
-        if el.photon is not None:
-            parts.append(f"photon={el.photon}")
-        if el.path is not None:
-            parts.append(f"path={el.path}")
-        if el.in_paths is not None:
-            parts.append(f"in={','.join(el.in_paths)}")
-        if el.out_paths is not None:
-            parts.append(f"out={','.join(el.out_paths)}")
-        if el.qd is not None:
-            parts.append(f"qd={el.qd}")
-        if el.label is not None:
-            parts.append(f"label={el.label}")
-        if el.pol is not None:
-            parts.append(f"pol={el.pol}")
+        for key, field in _FIELDS:
+            value = getattr(el, field)
+            if value is not None:
+                parts.append(f"{key}={value if isinstance(value, str) else ','.join(value)}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -254,12 +254,17 @@ def hbsg_circuit() -> Circuit:
     return parse_circuit(HBSG_CIRCUIT_TEXT)
 
 
+def _split_stage1(circuit: Circuit) -> tuple[Circuit, Circuit]:
+    """A circuit's stage 1, every op before its first spin measurement,
+    and its readout, the ops from there on."""
+    at = [el.kind for el in circuit.ops].index(ElementKind.MEASURE_SPIN)
+    return replace(circuit, ops=circuit.ops[:at]), replace(circuit, ops=circuit.ops[at:])
+
+
 @lru_cache(maxsize=1)
 def hbsg_circuit_premeasure() -> Circuit:
     """Generation circuit truncated before the spin measurements."""
-    full = hbsg_circuit()
-    ops = tuple(el for el in full.ops if el.kind != ElementKind.MEASURE_SPIN)
-    return replace(full, ops=ops)
+    return _split_stage1(hbsg_circuit())[0]
 
 
 def hbsg_input(circuit: Circuit | None = None) -> HybridState:
@@ -412,16 +417,10 @@ def hbsa_full_circuit() -> Circuit:
     return parse_circuit(HBSA_FULL_TEXT)
 
 
-def _readout_start() -> int:
-    """Index of the first spin measurement: stage 1 is every op before it."""
-    return [el.kind for el in hbsa_full_circuit().ops].index(ElementKind.MEASURE_SPIN)
-
-
 @lru_cache(maxsize=1)
 def hbsa_stage1_circuit() -> Circuit:
     """Analysis circuit truncated before the spin measurements."""
-    full = hbsa_full_circuit()
-    return replace(full, ops=full.ops[:_readout_start()])
+    return _split_stage1(hbsa_full_circuit())[0]
 
 
 def hbsa_layout() -> StateLayout:
@@ -491,7 +490,7 @@ def _spbsm():
     (label, path slice), in circuit order.
     """
     full = hbsa_full_circuit()
-    actions = _compile(replace(full, ops=full.ops[_readout_start():]), full.layout())
+    actions = _compile(_split_stage1(full)[1], full.layout())
     detectors = ([], [])
     for action in actions:
         if action[0] == "detector":

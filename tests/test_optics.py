@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -318,6 +321,53 @@ class TestParser:
         with pytest.raises(ConfigurationError, match="^line 4: .*pol"):
             parse_circuit("qd QD1 basis=+\nphoton A paths=a1,a2\nphoton B paths=b1\n"
                           f"{line}\n")
+
+    @pytest.mark.parametrize("op, el", [
+        ("bs photon=A in=a1,a1 out=a1,a2",
+         Element(ElementKind.BS, photon="A", in_paths=("a1", "a1"), out_paths=("a1", "a2"))),
+        ("bs photon=A in=a1,a2 out=a2,a3",
+         Element(ElementKind.BS, photon="A", in_paths=("a1", "a2"), out_paths=("a2", "a3"))),
+        ("cpbs photon=A in=a1,a1 out=a1,a2",
+         Element(ElementKind.CPBS, photon="A", in_paths=("a1", "a1"), out_paths=("a1", "a2"))),
+        ("cpbs photon=A in=a1 out=a2,a2",
+         Element(ElementKind.CPBS, photon="A", in_paths=("a1",), out_paths=("a2", "a2"))),
+        ("pbs photon=A path=a1 out=a2,a2",
+         Element(ElementKind.PBS, photon="A", path="a1", out_paths=("a2", "a2"))),
+    ])
+    def test_port_rule_enforced_at_parse_and_build(self, op, el):
+        # a port shape the matrix builders reject fails at parse time, on its line
+        decls = "qd QD1 basis=+\nphoton A paths=a1,a2,a3\nphoton B paths=b1\n"
+        with pytest.raises(ConfigurationError, match="^line 4: "):
+            parse_circuit(f"{decls}op {op}\n")
+        with pytest.raises(ConfigurationError):
+            element_matrix(el, parse_circuit(decls).layout())
+
+    @pytest.mark.parametrize("lines, lineno, message", [
+        ("op hp photon=A", 4, "op hp requires path="),
+        ("op hp photon=A path=a1 foo=x", 4, "key 'foo' not allowed for op hp"),
+        ("op hp photon=A path=", 4, "empty key or value in 'path='"),
+        ("op hp photon=A photon=A path=a1", 4, "duplicate key 'photon'"),
+        ("qd Q! basis=+", 4, "invalid qd name 'Q!'"),
+        ("qd Q2 basis=x", 4, "qd needs basis="),
+        ("qd Q2 basis=+\nqd Q3 basis=+", 5, "at most two QDs are supported"),
+        ("photon C paths=c1", 4, "at most two photons are supported"),
+        ("block mode=both qd=QD1 photon=A path=a1", 4, "block mode must be heralded or parity"),
+        ("block mode=parity qd=QD1 photon=A path=a1 label=D", 4, "parity block takes no label"),
+        ("block mode=heralded qd=QD1 photon=A path=a1", 4, "heralded block requires label="),
+        ("op qdarm photon=A path=a1 qd=QD9", 4, "undeclared QD 'QD9'"),
+        ("op", 4, "op needs a kind"),
+    ])
+    def test_error_names_its_line(self, lines, lineno, message):
+        with pytest.raises(ConfigurationError, match=f"^line {lineno}: {re.escape(message)}"):
+            parse_circuit("qd QD1 basis=+\nphoton A paths=a1,a2\nphoton B paths=b1\n"
+                          f"{lines}\n")
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Circuit files", 1)[1]
+        example = section.split("```\n", 2)[1]
+        circuit = parse_circuit(example)
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
 
     def test_syntax_error_reports_line_number(self):
         with pytest.raises(ConfigurationError, match="line 2"):
