@@ -9,6 +9,8 @@ success probability (they must agree to 1e-10), the herald rate, the
 silent-leak share of the surviving weight, and the fidelity of the
 surviving unleaked component against its target. The coefficients are
 one array evaluation too, and the CSV and SVG writers work on columns.
+A point is a SweepRecord, a NamedTuple: immutable, compared by value
+(a plain tuple of the same values included), and copied with _replace.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,8 +251,7 @@ class SweepGrid:
             gamma_over_kappa, detuning)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     kappa_s_over_kappa: float
     g_over_sum: float
     r_o: complex
@@ -330,14 +332,11 @@ def parse_csv(text: str) -> list[SweepRecord]:
         parts = ln.split(",")
         if len(parts) < 11:
             raise ConfigurationError(f"short CSV row: {ln!r}")
-        vals = [float(p) for p in parts[:11]]
-        records.append(SweepRecord(
-            kappa_s_over_kappa=vals[0], g_over_sum=vals[1],
-            r_o=complex(vals[2], vals[3]), r_h=complex(vals[4], vals[5]),
-            eta_closed_form=vals[6], eta_simulated=vals[7],
-            herald_rate=vals[8], leakage_rate=vals[9],
-            conditional_fidelity=vals[10],
-        ))
+        try:
+            ks, g, ro_re, ro_im, rh_re, rh_im, *rest = map(float, parts[:11])
+        except ValueError:
+            raise ConfigurationError(f"non-numeric CSV row: {ln!r}") from None
+        records.append(SweepRecord(ks, g, complex(ro_re, ro_im), complex(rh_re, rh_im), *rest))
     return records
 
 

@@ -2,8 +2,10 @@
 
 Elements act on a HybridState through their single-photon matrices; the
 quantum-dot arm (qdarm) is the one element that couples a photon to a
-spin. Circuits are immutable after parsing and run_circuit_tracked is a
-pure function of (circuit, input, pair). The pair enters only through
+spin. An Element is a NamedTuple: immutable, compared by value (a plain
+tuple of the same values included), and copied with _replace. Circuits
+are immutable after parsing and run_circuit_tracked is a pure function
+of (circuit, input, pair). The pair enters only through
 s = (r_o - r_h)/2 and h = (r_o + r_h)/2 at qdarm (s·success + h·leak on
 its path) and wfc (s on its path). The runner keeps each branch as one
 coefficient array indexed [s-degree, h-degree, *state axes] and takes s
@@ -46,6 +48,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +94,7 @@ class ElementKind(str, Enum):
     MEASURE_SPIN = "measure_spin"
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     kind: ElementKind
     photon: str | None = None
     path: str | None = None
@@ -270,9 +272,8 @@ _KEYS = {
     "op detector": (("photon", "path", "label"), ("pol",)),
     "op measure_spin": (("qd",), ("photon",)),
 }
-# each op key with the Element field it sets, in serialized order
-_FIELDS = (("photon", "photon"), ("path", "path"), ("in", "in_paths"), ("out", "out_paths"),
-           ("qd", "qd"), ("label", "label"), ("pol", "pol"))
+# the op key of each Element field after kind, in field (and serialized) order
+_OP_KEYS = ("photon", "path", "in", "out", "qd", "label", "pol")
 
 
 def _parse_kv(head: str, tokens: list[str]) -> dict:
@@ -339,8 +340,7 @@ def _elements(keyword: str, rest: list[str], qds: dict, photons: dict) -> list[E
         if head not in _KEYS:
             raise ConfigurationError(f"unknown element kind {rest[0]!r}")
         kv = _parse_kv(head, rest[1:])
-        els = [Element(ElementKind(rest[0]),
-                       **{field: kv[key] for key, field in _FIELDS if key in kv})]
+        els = [Element(ElementKind(rest[0]), *map(kv.get, _OP_KEYS))]
     else:
         kv = _parse_kv("block", rest)
         mode, label = kv["mode"], kv.get("label")
@@ -406,12 +406,9 @@ def serialize_circuit(circuit: Circuit) -> str:
     lines = [f"qd {qd.name} basis={qd.basis}" for qd in circuit.qds]
     lines += [f"photon {ph.name} paths={','.join(ph.paths)}" for ph in circuit.photons]
     for el in circuit.ops:
-        parts = [f"op {el.kind.value}"]
-        for key, field in _FIELDS:
-            value = getattr(el, field)
-            if value is not None:
-                parts.append(f"{key}={value if isinstance(value, str) else ','.join(value)}")
-        lines.append(" ".join(parts))
+        lines.append(" ".join([f"op {el.kind.value}"] + [
+            f"{key}={value if isinstance(value, str) else ','.join(value)}"
+            for key, value in zip(_OP_KEYS, el[1:]) if value is not None]))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

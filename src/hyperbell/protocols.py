@@ -17,7 +17,9 @@ optics. Only the first stage sees the cavity, so run_hbsa runs it once
 per basis input as a polynomial in (s, h) and applies the fixed readout
 (spin X measurement, SPBSM) to its coefficients: each of the 64 (spin
 outcome, detector pattern) branches keeps its amplitude as a
-polynomial, which a call evaluates at one pair.
+polynomial, which a call evaluates at one pair. It returns HbsaBranch
+records, NamedTuples: immutable, compared by value (a plain tuple of the
+same values included), and copied with _replace.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -560,8 +563,7 @@ def classification_table() -> list[tuple[SpinOutcome, DetectorPattern, HyperBell
 # ---------------------------------------------------------------------------
 # full analysis pipeline
 
-@dataclass(frozen=True)
-class HbsaBranch:
+class HbsaBranch(NamedTuple):
     """One analysis branch: spin results, detector pattern, classification."""
 
     spins: SpinOutcome
@@ -636,17 +638,16 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     else:
         forms = _state_forms(state_or_label)
     layers = _evaluate(forms, pair.success_amplitude, pair.herald_amplitude)[0]
-    weights = np.sum(np.abs(layers) ** 2, axis=2)  # [h-degree, branch]
-    kept = _kept_layers(weights)
-    weights[~kept] = 0.0
-    leaked = np.sum(weights[1:], axis=0)
-    probability = np.sum(np.abs(np.sum(np.where(kept[..., None], layers, 0), axis=0)) ** 2,
-                         axis=1)
-    live = np.flatnonzero(weights[0] + leaked > _BRANCH_DROP).tolist()
-    clean, leaked, probability = weights[0].tolist(), leaked.tolist(), probability.tolist()
-    branches = _hbsa_readout()
-    out = []
-    for b in live:
-        spins, pattern, classified = branches[b][:3]
-        out.append(HbsaBranch(spins, pattern, probability[b], classified, clean[b], leaked[b]))
-    return out
+    weights = (layers.real ** 2 + layers.imag ** 2).sum(axis=2)  # [h-degree, branch]
+    dropped = ~_kept_layers(weights)
+    layers[dropped] = 0.0  # a new array: _evaluate never aliases the forms
+    weights[dropped] = 0.0
+    total = weights.sum(axis=0)
+    amps = layers.sum(axis=0)
+    probability = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
+    live = np.flatnonzero(total > _BRANCH_DROP).tolist()
+    clean = weights[0]
+    clean, leaked, probability = clean.tolist(), (total - clean).tolist(), probability.tolist()
+    readout = _hbsa_readout()
+    return [HbsaBranch(*readout[b][:2], probability[b], readout[b][2], clean[b], leaked[b])
+            for b in live]

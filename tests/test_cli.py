@@ -143,8 +143,6 @@ class TestHbsa:
         # rows whose printed probabilities tie must not follow the bits below;
         # a relative move of 1e-15 leaves every printed digit in place (an
         # absolute 1e-18 would move the 12th digit of the 8e-8 rows)
-        from dataclasses import replace
-
         from hyperbell import protocols
 
         args = ("hbsa", "--input", "phi+,psi-", *cavity)
@@ -152,7 +150,7 @@ class TestHbsa:
         run_hbsa = protocols.run_hbsa
 
         def perturbed(label, pair):
-            return [replace(b, probability=b.probability * (1 + 1e-15 * (-1) ** i))
+            return [b._replace(probability=b.probability * (1 + 1e-15 * (-1) ** i))
                     for i, b in enumerate(run_hbsa(label, pair))]
 
         monkeypatch.setattr(protocols, "run_hbsa", perturbed)

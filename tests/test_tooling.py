@@ -86,6 +86,35 @@ def test_bench_compare_assembles_reports():
     assert json.loads(json.dumps(entry)) == entry
 
 
+@pytest.mark.parametrize("scales, want", [
+    ([1.3] * 10, "gain"),  # better in 10 of 10 pairs, by far more than the parent's IQR
+    ([1.3] * 9 + [0.99], "gain"),  # 9 of 10 is enough
+    ([1.3] * 8 + [0.99] * 2, "within bound"),  # 8 of 10 is not
+    ([1.02] * 10, "within bound"),  # better in every pair, by less than the IQR
+    ([0.95] * 10, "within bound"),  # worse, by less than the bound
+    ([0.8] * 10, "worse"),  # worse by more than the bound
+])
+def test_bench_compare_verdicts(scales, want):
+    bench = _load("bench_compare", ROOT / "tools")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent_items = [100.0 + k for k in range(10)]  # interquartile range 4.5
+    pairs = [{"seed": seed, "first": "parent",
+              "parent": bench.parse_run(_canned_run(seed, "p", a, 1000.0 / a)),
+              "change": bench.parse_run(_canned_run(seed, "c", a * x, 1000.0 / (a * x)))}
+             for seed, a, x in zip(bench.SEEDS, parent_items, scales)]
+    entry = bench.summarize(pairs, bench._directions(benchmark))
+    # call_p50_ms moves with items_per_s; setup and memory do not move
+    assert bench.verdicts(entry, benchmark["end_to_end"]) == {
+        "setup_s": "within bound", "items_per_s": want, "call_p50_ms": want,
+        "peak_rss_mb": "within bound"}
+    entry["verdict"] = bench.verdicts(entry, benchmark["end_to_end"])
+    header, *rows = bench.verdict_table({"sweep": entry}).splitlines()
+    assert header.split() == ["workload", "metric", "parent", "change", "change/parent",
+                              "better", "verdict"]
+    assert [row.split()[:2] for row in rows] == [["sweep", name] for name in entry["verdict"]]
+    assert rows[1].endswith(want) and rows[1].split()[5] == f"{entry['change_better_pairs']['items_per_s']}/10"
+
+
 # demo 05 writes into demos/out, so it stays out
 @pytest.mark.parametrize("demo", ["01", "02", "03", "04"])
 def test_demo_runs(demo):

@@ -13,8 +13,17 @@ side that goes first alternating from seed to seed. Of each run the
 script keeps the ``# context`` line and the last line, the JSON report.
 The BENCH file holds, per workload, the seeds, every pair of reports,
 and per side the median and quartiles of each end-to-end metric, with
-the change's median over the parent's and the number of pairs in which
-the change did better. Stdlib only.
+the change's median over the parent's, the number of pairs in which the
+change did better, and a verdict per metric:
+
+- ``gain``: the change did better in at least 9 of 10 pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound`` in BENCHMARK.json, a share of the parent's;
+- ``within bound`` otherwise.
+
+The script ends with a table of the medians and verdicts. Stdlib only.
 """
 
 from __future__ import annotations
@@ -81,6 +90,38 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
     return entry
 
 
+def verdicts(entry: dict, end_to_end: list[dict]) -> dict[str, str]:
+    """The verdict on each end-to-end metric of a summarized workload entry."""
+    out = {}
+    n = len(entry["seeds"])
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        parent, change = entry["median"]["parent"][name], entry["median"]["change"][name]
+        q1, q3 = entry["quartiles"]["parent"][name]
+        if 10 * entry["change_better_pairs"][name] >= 9 * n and sign * (change - parent) > q3 - q1:
+            out[name] = "gain"
+        elif sign * (change - parent) < -metric["bound"] * abs(parent):
+            out[name] = "worse"
+        else:
+            out[name] = "within bound"
+    return out
+
+
+def verdict_table(workloads: dict) -> str:
+    """One row per workload and end-to-end metric: medians, better pairs, verdict."""
+    rows = [("workload", "metric", "parent", "change", "change/parent", "better", "verdict")]
+    for workload, entry in workloads.items():
+        n = len(entry["seeds"])
+        for name, verdict in entry["verdict"].items():
+            rows.append((workload, name, f"{entry['median']['parent'][name]:.6g}",
+                         f"{entry['median']['change'][name]:.6g}",
+                         f"{entry['change_over_parent'][name]:.4f}",
+                         f"{entry['change_better_pairs'][name]}/{n}", verdict))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                     for row in rows)
+
+
 def _quartiles(values: list[float]) -> list[float]:
     if len(values) < 2:
         return [values[0], values[0]]
@@ -143,8 +184,11 @@ def main(argv=None) -> int:
                         for name, m in pair[side]["report"]["metrics"].items()),
                         flush=True)
                 pairs.append(pair)
-            out["workloads"][workload] = summarize(pairs, directions)
+            entry = summarize(pairs, directions)
+            entry["verdict"] = verdicts(entry, benchmark["end_to_end"])
+            out["workloads"][workload] = entry
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+    print(verdict_table(out["workloads"]))
     return 0
 
 
