@@ -8,7 +8,9 @@ closed-form efficiency |(r_h - r_o)/2|^8, the simulated end-to-end
 success probability (they must agree to 1e-10), the herald rate, the
 silent-leak share of the surviving weight, and the fidelity of the
 surviving unleaked component against its target. The coefficients are
-one array evaluation too, and the CSV and SVG writers work on columns.
+one array evaluation too, and the CSV and SVG writers work on columns;
+the CSV writer formats each distinct value of a mostly-repeating column
+once, telling values apart by bit pattern (-0.0 is not 0.0).
 A point is a SweepRecord, a NamedTuple: immutable, compared by value
 (a plain tuple of the same values included), and copied with _replace.
 """
@@ -294,9 +296,34 @@ def sweep_point(kappa_s: float, g_over_sum: float, gamma_over_kappa: float = 0.1
 # ---------------------------------------------------------------------------
 # CSV
 
-_CSV_FIELDS = ("kappa_s_over_kappa", "g_over_sum", "r_o.real", "r_o.imag", "r_h.real",
-               "r_h.imag", "eta_closed_form", "eta_simulated", "herald_rate",
-               "leakage_rate", "conditional_fidelity")
+def _csv_columns(records: list[SweepRecord], dephasing: DephasingParams | None) -> list:
+    """The CSV's columns in order, the record fields read with one zip."""
+    ks, g, r_o, r_h, *rest = zip(*records)
+    r_o, r_h = np.array(r_o, dtype=complex), np.array(r_h, dtype=complex)
+    columns = [ks, g, r_o.real, r_o.imag, r_h.real, r_h.imag, *rest]
+    if dephasing is not None:
+        penalty = dephasing_penalty(dephasing)
+        fidelity = np.array(rest[-1], dtype=float)
+        columns += [np.full(len(records), penalty), fidelity - penalty,
+                    fidelity * (1.0 - penalty)]
+    return columns
+
+
+def _texts(column):
+    """repr(float(v)) for each v of a column, in order.
+
+    Equal bits give equal text (values would merge -0.0 into 0.0), so when
+    at most half of the bit patterns are distinct each is formatted once
+    and the rows share the texts. Otherwise a memoryview hands out one
+    float at a time and the texts are made as the rows are joined, so a
+    near-unique column's texts are never all alive at once.
+    """
+    column = np.ascontiguousarray(column, dtype=float)
+    _, first, inverse = np.unique(column.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    if 2 * len(first) > len(column):
+        return map(repr, memoryview(column))
+    return np.array(list(map(repr, column[first].tolist())), dtype=object)[inverse]
 
 
 def emit_csv(records: list[SweepRecord],
@@ -309,17 +336,12 @@ def emit_csv(records: list[SweepRecord],
     alternative exp(-tau/Gamma) * fidelity for comparison.
     """
     header = CSV_COLUMNS + (_DEPHASING_COLUMNS if dephasing is not None else "")
-    columns = [np.fromiter(map(attrgetter(name), records), dtype=float, count=len(records))
-               for name in _CSV_FIELDS]
-    if dephasing is not None:
-        penalty = dephasing_penalty(dephasing)
-        fidelity = columns[-1]
-        columns += [np.full(len(records), penalty), fidelity - penalty,
-                    fidelity * (1.0 - penalty)]
-    # repr(float(v)): a memoryview hands out one float at a time, so the
-    # texts are made as the rows are joined and at most one row's is alive
-    rows = map(",".join, zip(*(map(repr, memoryview(c)) for c in columns)))
-    return "\n".join([header, *rows, ""])
+    if not records:
+        return header + "\n"
+    # texts are lazy for a mostly-distinct column and shared otherwise
+    # (_texts); no name holds the columns, so they go before the join
+    rows = [header, *map(",".join, zip(*map(_texts, _csv_columns(records, dephasing)))), ""]
+    return "\n".join(rows)
 
 
 def parse_csv(text: str) -> list[SweepRecord]:

@@ -40,7 +40,8 @@ def test_analyze_block_passes_its_checks():
         assert workload.check(arg, workload.op(arg)), f"op {i}: {arg}"
 
 
-def _canned_run(seed: int, commit: str, items_per_s: float, call_p50_ms: float) -> str:
+def _canned_run(seed: int, commit: str, items_per_s: float, call_p50_ms: float,
+                failed: int = 0) -> str:
     """Standard output of one perfbench/run.py --trace 0 run, shortened."""
     context = {"workload": "sweep", "seed": seed, "seconds": 20.0, "trace": 0,
                "nproc": 2, "commit": commit}
@@ -52,8 +53,9 @@ def _canned_run(seed: int, commit: str, items_per_s: float, call_p50_ms: float) 
         "# times scaled to the reference kernel's nominal speed; raw in brackets",
         f"sweep_points_per_s       {items_per_s} 1/s",
         "# context " + json.dumps(context),
-        "failed_ratio             0  (0/12)",
-        json.dumps({"correct": True, "attempted": 12, "failed": 0, "metrics": metrics}),
+        f"failed_ratio             {failed / 12:.4g}  ({failed}/12)",
+        json.dumps({"correct": failed == 0, "attempted": 12, "failed": failed,
+                    "metrics": metrics}),
     ]) + "\n"
 
 
@@ -113,6 +115,34 @@ def test_bench_compare_verdicts(scales, want):
                               "better", "verdict"]
     assert [row.split()[:2] for row in rows] == [["sweep", name] for name in entry["verdict"]]
     assert rows[1].endswith(want) and rows[1].split()[5] == f"{entry['change_better_pairs']['items_per_s']}/10"
+
+
+@pytest.mark.parametrize("parent_failed, change_failed, want", [
+    (0, 0, "within bound"),  # no failed op on either side
+    (3, 2, "within bound"),  # fewer failed ops than the parent
+    (1, 1, "within bound"),  # as many
+    (0, 1, "worse"),  # one failed op where the parent had none
+])
+def test_bench_compare_failed_share(parent_failed, change_failed, want):
+    bench = _load("bench_compare", ROOT / "tools")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # the failures fall in the first pair; each run attempts 12 ops
+    pairs = [{"seed": seed, "first": "parent",
+              "parent": bench.parse_run(_canned_run(seed, "p", 100.0, 10.0,
+                                                    parent_failed if k == 0 else 0)),
+              "change": bench.parse_run(_canned_run(seed, "c", 100.0, 10.0,
+                                                    change_failed if k == 0 else 0))}
+             for k, seed in enumerate(bench.SEEDS)]
+    entry = bench.summarize(pairs, bench._directions(benchmark))
+    assert entry["failed_share"] == {"parent": parent_failed / 120,
+                                     "change": change_failed / 120}
+    assert bench.failed_share_verdict(entry) == want
+    entry["verdict"] = bench.verdicts(entry, benchmark["end_to_end"])
+    entry["verdict"]["failed_share"] = bench.failed_share_verdict(entry)
+    *_, row = bench.verdict_table({"sweep": entry}).splitlines()
+    assert row.split() == ["sweep", "failed_share", f"{parent_failed / 120:.6g}",
+                           f"{change_failed / 120:.6g}", "-", "-", *want.split()]
+    assert json.loads(json.dumps(entry)) == entry
 
 
 # demo 05 writes into demos/out, so it stays out

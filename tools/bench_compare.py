@@ -23,6 +23,11 @@ change did better, and a verdict per metric:
   the metric's ``bound`` in BENCHMARK.json, a share of the parent's;
 - ``within bound`` otherwise.
 
+Per workload it also keeps each side's failed share, the failed ops over
+the attempted ones summed over the pairs, with the verdict ``worse``
+when the change's share is larger than the parent's and ``within
+bound`` otherwise.
+
 The script ends with a table of the medians and verdicts. Stdlib only.
 """
 
@@ -79,6 +84,8 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
         "quartiles": {side: {name: _quartiles(v) for name, v in values[side].items()}
                       for side in sides},
     }
+    entry["failed_share"] = {side: entry["failed"][side] / entry["attempted"][side]
+                             if entry["attempted"][side] else 0.0 for side in sides}
     entry["change_over_parent"] = {
         name: entry["median"]["change"][name] / entry["median"]["parent"][name]
         for name in directions}
@@ -107,12 +114,23 @@ def verdicts(entry: dict, end_to_end: list[dict]) -> dict[str, str]:
     return out
 
 
+def failed_share_verdict(entry: dict) -> str:
+    """``worse`` if the change failed a larger share of its ops than the parent."""
+    share = entry["failed_share"]
+    return "worse" if share["change"] > share["parent"] else "within bound"
+
+
 def verdict_table(workloads: dict) -> str:
-    """One row per workload and end-to-end metric: medians, better pairs, verdict."""
+    """One row per workload and verdict: the end-to-end metrics' medians and
+    better pairs, and the failed share of each side."""
     rows = [("workload", "metric", "parent", "change", "change/parent", "better", "verdict")]
     for workload, entry in workloads.items():
         n = len(entry["seeds"])
         for name, verdict in entry["verdict"].items():
+            if name == "failed_share":
+                rows.append((workload, name, f"{entry[name]['parent']:.6g}",
+                             f"{entry[name]['change']:.6g}", "-", "-", verdict))
+                continue
             rows.append((workload, name, f"{entry['median']['parent'][name]:.6g}",
                          f"{entry['median']['change'][name]:.6g}",
                          f"{entry['change_over_parent'][name]:.4f}",
@@ -186,6 +204,7 @@ def main(argv=None) -> int:
                 pairs.append(pair)
             entry = summarize(pairs, directions)
             entry["verdict"] = verdicts(entry, benchmark["end_to_end"])
+            entry["verdict"]["failed_share"] = failed_share_verdict(entry)
             out["workloads"][workload] = entry
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(verdict_table(out["workloads"]))
