@@ -48,6 +48,7 @@ from .protocols import (
 )
 from .optics import (
     _BRANCH_DROP,
+    _evaluate,
     _kept_layers,
     run_circuit_polynomial,
     run_circuit_tracked,
@@ -114,9 +115,9 @@ def _generation_forms() -> _GenerationForms:
     """Factors of the generation circuit, spins unmeasured, on its no-click branch."""
     circuit = hbsg_circuit_premeasure()
     run = run_circuit_polynomial(circuit, hbsg_input(circuit))
-    (ideal,) = [tb.layers[0] for tb in run.at(IDEAL_PAIR).branches if tb.record == ()]
-    ideal = ideal / np.sqrt(np.sum(np.abs(ideal) ** 2))
     (c,) = [c for record, c in run.branches if record == ()]
+    ideal = _evaluate(c, IDEAL_PAIR.success_amplitude, IDEAL_PAIR.herald_amplitude)[0, 0]
+    ideal = ideal / np.sqrt(np.sum(np.abs(ideal) ** 2))
     c = c.reshape(c.shape[:2] + (-1,))
     arrays = [a for _, cs in run.clicks for a in cs]
     # a herald click needs a leak: its h^0 coefficients are rounding

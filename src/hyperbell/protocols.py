@@ -12,14 +12,16 @@ The analysis circuit records spatial parity on QD1 and, after a
 beam-splitter basis change, spatial phase on QD2 (restoring the rails
 with a second beam splitter); the remaining polarization Bell state is
 read out by single-photon Bell-state measurements (SPBSM) assisted by
-the now-known spatial state. The classifier is read off that readout's
-optics. Only the first stage sees the cavity, so run_hbsa runs it once
-per basis input as a polynomial in (s, h) and applies the fixed readout
-(spin X measurement, SPBSM) to its coefficients: each of the 64 (spin
-outcome, detector pattern) branches keeps its amplitude as a
-polynomial, which a call evaluates at one pair. It returns HbsaBranch
-records, NamedTuples: immutable, compared by value (a plain tuple of the
-same values included), and copied with _replace.
+the now-known spatial state. Only the first stage sees the cavity, so
+run_hbsa runs it once per basis input as a polynomial in (s, h) and
+applies the fixed readout (spin X measurement, SPBSM) to the
+coefficients of its no-click branch: each of the 64 (spin outcome,
+detector pattern) branches keeps its amplitude as a polynomial, which a
+call evaluates at one pair. The classifier is read off the same readout
+pass, and each local correction maps one Bell product exactly onto
+another. run_hbsa returns HbsaBranch records, NamedTuples: immutable,
+compared by value (a plain tuple of the same values included) and
+copied with _replace.
 """
 
 from __future__ import annotations
@@ -122,19 +124,18 @@ class SpinOutcome:
             raise ConfigurationError("spin outcomes must be '+' or '-'")
 
 
-_DETECTOR_NAMES_A = ("a1+", "a1-", "a2+", "a2-")
-_DETECTOR_NAMES_B = ("b1+", "b1-", "b2+", "b2-")
-
-
 @dataclass(frozen=True)
 class DetectorPattern:
-    """Which single-photon detector fired for each photon."""
+    """Which single-photon detector of hbsa_full_circuit fired for each photon."""
 
     a: str
     b: str
 
     def __post_init__(self):
-        if self.a not in _DETECTOR_NAMES_A or self.b not in _DETECTOR_NAMES_B:
+        full = hbsa_full_circuit()
+        named = {(el.photon, el.label) for el in full.ops if el.kind == ElementKind.DETECTOR}
+        a, b = (photon.name for photon in full.photons)
+        if not {(a, self.a), (b, self.b)} <= named:
             raise ConfigurationError(f"invalid detector pattern ({self.a}, {self.b})")
 
 
@@ -322,17 +323,14 @@ def run_hbsg(pair: ReflectionPair = IDEAL_PAIR) -> list[HbsgBranch]:
 # ---------------------------------------------------------------------------
 # local corrections
 
-def _pauli_ops_for(frm: Bell, to: Bell) -> tuple[bool, bool]:
-    """(need bit flip, need sign flip) to move one Bell index to another."""
-    return (frm.is_psi != to.is_psi, frm.is_minus != to.is_minus)
-
-
 def apply_local_correction(state: HybridState, frm: HyperBellLabel,
                            to: HyperBellLabel, rails=DEFAULT_RAILS) -> HybridState:
-    """Map make_bell(frm) to make_bell(to) with photon-A wave plates and
-    path operations (bit/phase flips in polarization; rail swap / rail-2
-    pi phase in the spatial mode). The result matches the target up to a
-    global phase.
+    """Map make_bell(frm) to make_bell(to) with one operation on photon A.
+
+    A Bell matrix B is 1/sqrt2 times a unitary, so 2 B_to B_from^H takes
+    photon A's factor of B_from to B_to, in polarization and on the two
+    rails. The result is make_bell(to) exactly (up to rounding), times
+    the input's own phase.
     """
     norm = state.norm2
     if norm <= 0:
@@ -341,25 +339,12 @@ def apply_local_correction(state: HybridState, frm: HyperBellLabel,
     if abs(_photon_overlap(expected, state)) ** 2 < 1 - 1e-9:
         raise PreconditionError(f"input state is not the {frm} hyperentangled state")
     photon_a = state.layout.photons[0]
-    n = len(state.layout.paths[0])
     ia = [state.layout.path_index(photon_a, p) for p in rails[0]]
-    flip_bit, flip_sign = _pauli_ops_for(frm.pol, to.pol)
-    pol = np.eye(2, dtype=complex)
-    if flip_sign:
-        pol = np.diag([1.0, -1.0]).astype(complex) @ pol
-    if flip_bit:
-        pol = np.array([[0, 1], [1, 0]], dtype=complex) @ pol
-    out = apply_single_photon_op(state, photon_a, np.kron(pol, np.eye(n, dtype=complex)))
-    flip_bit, flip_sign = _pauli_ops_for(frm.spatial, to.spatial)
-    path = np.eye(n, dtype=complex)
-    if flip_sign:
-        path[ia[1], ia[1]] = -1.0
-    if flip_bit:
-        swap = np.eye(n, dtype=complex)
-        swap[ia[0], ia[0]] = swap[ia[1], ia[1]] = 0.0
-        swap[ia[0], ia[1]] = swap[ia[1], ia[0]] = 1.0
-        path = swap @ path
-    return apply_single_photon_op(out, photon_a, np.kron(np.eye(2, dtype=complex), path))
+    pol, rail = (2 * _bell_matrix(t) @ _bell_matrix(f).conj().T
+                 for f, t in ((frm.pol, to.pol), (frm.spatial, to.spatial)))
+    path = np.eye(len(state.layout.paths[0]), dtype=complex)
+    path[np.ix_(ia, ia)] = rail
+    return apply_single_photon_op(state, photon_a, np.kron(pol, path))
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +453,8 @@ def run_hbsa_stage1(state: HybridState,
     component); for each basis input the two spins end in the definite
     X-basis states given by SPIN_TO_SPATIAL.
     """
-    branches = run_circuit_tracked(hbsa_stage1_circuit(), state, pair).branches
-    if len(branches) != 1:
-        raise ConfigurationError("stage 1 contains no measurement and cannot branch")
-    tb = branches[0]
+    (tb,) = [tb for tb in run_circuit_tracked(hbsa_stage1_circuit(), state, pair).branches
+             if tb.record == ()]
     out = tb.physical_state()
     return Stage1Result(
         state=out,
@@ -482,15 +465,17 @@ def run_hbsa_stage1(state: HybridState,
 
 
 # ---------------------------------------------------------------------------
-# classifier
+# readout and classifier
 
 @lru_cache(maxsize=1)
-def _spbsm():
-    """The SPBSM, compiled from the readout ops of hbsa_full_circuit.
+def _readout():
+    """The readout, hbsa_full_circuit from its first spin measurement on.
 
     Returns its passive matrices as (photon slot, matrix), fused per
-    photon as _compile emits them, and per photon its detectors as
-    (label, path slice), in circuit order.
+    photon as _compile emits them, and one (spin outcome, detector
+    pattern, photon A's detector slice, photon B's) per readout branch,
+    in the record order of run_circuit_tracked on hbsa_full_circuit:
+    QD1, QD2, then photon A's detectors and photon B's in circuit order.
     """
     full = hbsa_full_circuit()
     actions = _compile(_split_stage1(full)[1], full.layout())
@@ -499,65 +484,58 @@ def _spbsm():
         if action[0] == "detector":
             _, slot, path_idx, pol, label = action
             detectors[slot].append((label, _path_slice(slot, path_idx, pol)))
-    return [action[1:] for action in actions if action[0] == "matrix"], detectors
+    branches = [(SpinOutcome(e1, e2), DetectorPattern(a, b), on_a, on_b)
+                for e1, e2 in product(_SPIN_X_PROJ, repeat=2)
+                for (a, on_a), (b, on_b) in product(*detectors)]
+    return [action[1:] for action in actions if action[0] == "matrix"], branches
+
+
+def _read_out(amps: np.ndarray) -> np.ndarray:
+    """The readout's amplitudes [..., branch, polA * polB] of amplitudes
+    [..., *state axes] on the analysis layout. A spin projected on an X
+    eigenvector has the same up amplitude, 1/sqrt2 of the outcome's, for
+    both outcomes, so a branch keeps its (up, up) spin component, doubled.
+    """
+    matrices, branches = _readout()
+    for slot, mat in matrices:
+        amps = _apply_photon_matrix(amps, slot, mat)
+    projected = {(e1, e2): _apply_spin_matrix(_apply_spin_matrix(amps, 0, proj1), 1, proj2)
+                 for (e1, proj1), (e2, proj2) in product(_SPIN_X_PROJ.items(), repeat=2)}
+    out = np.stack([2 * projected[spins.e1, spins.e2][on_a][on_b][..., 0, 0]
+                    for spins, _, on_a, on_b in branches], axis=-3)
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 @lru_cache(maxsize=1)
-def _pattern_table() -> dict:
-    """Map (spatial Bell, detector pattern) -> polarization Bell.
+def _classified() -> tuple[HyperBellLabel, ...]:
+    """The label of each readout branch, read off the readout itself.
 
-    Read off the SPBSM: each of the 16 basis inputs goes through its
-    matrices, and a pattern belongs to the input's (pol, spatial) pair
-    iff the amplitude on that pair of detector paths is nonzero.
+    Each of the 16 basis inputs goes through it with the spins that
+    SPIN_TO_SPATIAL gives its spatial state, as stage 1 leaves them; a
+    branch belongs to the one input with amplitude on it.
     """
-    matrices, detectors = _spbsm()
-    table = {}
-    for label in all_labels():
-        amps = hbsa_input(label).amps
-        for slot, mat in matrices:
-            amps = _apply_photon_matrix(amps, slot, mat)
-        for (da, on_a), (db, on_b) in product(*detectors):
-            if np.linalg.norm(amps[on_a][on_b]) > 1e-9:
-                key = (label.spatial, da, db)
-                if table.setdefault(key, label.pol) != label.pol:
-                    raise InconsistentOutcomeError(
-                        f"pattern {key} is ambiguous: {table[key]} vs {label.pol}")
-    return table
+    labels = all_labels()
+    spins = {spatial: key for key, spatial in SPIN_TO_SPATIAL.items()}
+    amps = np.stack([make_bell(label.pol, label.spatial, hbsa_layout(),
+                               spins=spins[label.spatial]).amps for label in labels])
+    reached = np.linalg.norm(_read_out(amps), axis=-1) > 1e-9  # [input, branch]
+    if (reached.sum(axis=0) != 1).any():
+        raise InconsistentOutcomeError("a readout branch has no basis input or several")
+    return tuple(labels[i] for i in reached.argmax(axis=0))
 
 
 def classify(spins: SpinOutcome, pattern: DetectorPattern) -> HyperBellLabel:
     """Identify the analyzed hyperentangled state from the spin outcomes
     (spatial-mode index) and the detector pattern (polarization index,
     resolved with the help of the known spatial state)."""
-    spatial = SPIN_TO_SPATIAL[(spins.e1, spins.e2)]
-    try:
-        pol = _pattern_table()[(spatial, pattern.a, pattern.b)]
-    except KeyError:
-        raise InconsistentOutcomeError(
-            f"no basis input produces spins ({spins.e1},{spins.e2}) "
-            f"with pattern ({pattern.a},{pattern.b})") from None
-    return HyperBellLabel(pol, spatial)
-
-
-@lru_cache(maxsize=1)
-def _hbsa_readout() -> list[tuple]:
-    """One (spin outcome, detector pattern, classification, photon A's
-    detector slice, photon B's) per readout branch, in the record order
-    of run_circuit_tracked on hbsa_full_circuit: QD1, QD2, then photon
-    A's detectors and photon B's in circuit order."""
-    _, detectors = _spbsm()
-    branches = []
-    for e1, e2 in product(_SPIN_X_PROJ, repeat=2):
-        spins = SpinOutcome(e1, e2)
-        for (label_a, on_a), (label_b, on_b) in product(*detectors):
-            pattern = DetectorPattern(label_a, label_b)
-            branches.append((spins, pattern, classify(spins, pattern), on_a, on_b))
-    return branches
+    return next(label for s, p, label in classification_table() if (s, p) == (spins, pattern))
 
 
 def classification_table() -> list[tuple[SpinOutcome, DetectorPattern, HyperBellLabel]]:
     """Full (spins x pattern) -> label map, 64 rows, one per readout branch."""
-    return [branch[:3] for branch in _hbsa_readout()]
+    _, branches = _readout()
+    return [(spins, pattern, label)
+            for (spins, pattern, *_), label in zip(branches, _classified())]
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +559,12 @@ def _hbsa_forms(label: HyperBellLabel) -> np.ndarray:
     a runner coefficient array with the branches as its state axes.
 
     Stage 1 is the only part of the analysis that sees the cavity, so it
-    runs once as a polynomial, and the readout's matrices, spin
-    projectors and detector slices act on its coefficients. A spin
-    projected on an X eigenvector has the same up amplitude, 1/sqrt2 of
-    the outcome's, for both outcomes, so a branch keeps its (up, up)
-    spin component, doubled. The array is read-only.
+    runs once as a polynomial, and the readout acts on the coefficients
+    of its no-click branch. The array is read-only.
     """
-    ((_, c),) = run_circuit_polynomial(hbsa_stage1_circuit(), hbsa_input(label)).branches
-    matrices, _ = _spbsm()
-    for slot, mat in matrices:
-        c = _apply_photon_matrix(c, slot, mat)
-    projected = {(e1, e2): _apply_spin_matrix(_apply_spin_matrix(c, 0, proj1), 1, proj2)
-                 for (e1, proj1), (e2, proj2) in product(_SPIN_X_PROJ.items(), repeat=2)}
-    forms = np.stack([2 * projected[spins.e1, spins.e2][on_a][on_b][..., 0, 0]
-                      for spins, _, _, on_a, on_b in _hbsa_readout()], axis=2)
-    forms = forms.reshape(forms.shape[:3] + (-1,))
+    run = run_circuit_polynomial(hbsa_stage1_circuit(), hbsa_input(label))
+    (c,) = [c for record, c in run.branches if record == ()]
+    forms = _read_out(c)
     forms.flags.writeable = False
     return forms
 
@@ -618,7 +587,7 @@ def _state_forms(state: HybridState) -> np.ndarray:
     used = [(a, _hbsa_forms(label)) for a, label in zip(coeffs, labels) if a != 0]
     s_len = max((f.shape[0] for _, f in used), default=1)
     h_len = max((f.shape[1] for _, f in used), default=1)
-    forms = np.zeros((s_len, h_len, len(_hbsa_readout()), 4), dtype=complex)
+    forms = np.zeros((s_len, h_len, len(_classified()), 4), dtype=complex)
     for a, f in used:
         forms[:f.shape[0], :f.shape[1]] += a * f
     return forms
@@ -648,6 +617,7 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     live = np.flatnonzero(total > _BRANCH_DROP).tolist()
     clean = weights[0]
     clean, leaked, probability = clean.tolist(), (total - clean).tolist(), probability.tolist()
-    readout = _hbsa_readout()
-    return [HbsaBranch(*readout[b][:2], probability[b], readout[b][2], clean[b], leaked[b])
+    _, readout = _readout()
+    classified = _classified()
+    return [HbsaBranch(*readout[b][:2], probability[b], classified[b], clean[b], leaked[b])
             for b in live]

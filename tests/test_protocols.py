@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
-from hyperbell.errors import ConfigurationError, PreconditionError
+from hyperbell.errors import ConfigurationError, InconsistentOutcomeError, PreconditionError
 from hyperbell.hilbert import HybridState, overlap, product_state
 from hyperbell.optics import ElementKind, parse_circuit, run_circuit_tracked, serialize_circuit
 from hyperbell import protocols
@@ -190,13 +190,27 @@ class TestLocalCorrection:
 
     def test_all_sixteen_reachable_from_each_generated_state(self, generated):
         for b in generated.values():
+            spins = (b.spins.e1, b.spins.e2)
+            # the generated state's own phase, which the correction keeps
+            phase = overlap(make_bell(b.label.pol, b.label.spatial, b.state.layout,
+                                      rails=HBSG_OUTPUT_RAILS, spins=spins), b.state)
             for target_label in all_labels():
                 out = apply_local_correction(b.state, b.label, target_label,
                                              rails=HBSG_OUTPUT_RAILS)
                 target = make_bell(target_label.pol, target_label.spatial,
                                    b.state.layout, rails=HBSG_OUTPUT_RAILS,
-                                   spins=(b.spins.e1, b.spins.e2))
+                                   spins=spins)
                 assert abs(overlap(target, out)) ** 2 >= 1 - 1e-12
+                np.testing.assert_allclose(out.amps, phase * target.amps, rtol=0, atol=1e-12)
+
+    def test_corrections_are_exact(self):
+        # amplitude by amplitude, global phase included, for all 256 pairs
+        for frm in all_labels():
+            state = make_bell(frm.pol, frm.spatial)
+            for to in all_labels():
+                out = apply_local_correction(state, frm, to)
+                np.testing.assert_allclose(out.amps, make_bell(to.pol, to.spatial).amps,
+                                           rtol=0, atol=1e-12, err_msg=f"{frm} -> {to}")
 
     def test_wrong_source_label_rejected(self, generated):
         b = generated[("+", "+")]
@@ -348,6 +362,21 @@ class TestClassifier:
     def test_invalid_pattern_rejected(self):
         with pytest.raises(ConfigurationError):
             DetectorPattern("a3+", "b1+")
+        # each name belongs to one photon's detectors
+        with pytest.raises(ConfigurationError):
+            DetectorPattern("b1+", "a1+")
+
+
+    @pytest.mark.parametrize("fill", [0.0, 1.0], ids=["no-owner", "two-owners"])
+    def test_unowned_or_shared_branch_raises_at_build(self, monkeypatch, fill):
+        monkeypatch.setattr(protocols, "_read_out", lambda amps: np.full((16, 64, 4), fill))
+        protocols._classified.cache_clear()
+        try:
+            with pytest.raises(InconsistentOutcomeError, match="readout branch"):
+                protocols._classified()
+        finally:
+            monkeypatch.undo()
+            protocols._classified.cache_clear()
 
 
 class TestRealisticHbsa:

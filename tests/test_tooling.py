@@ -88,6 +88,20 @@ def test_bench_compare_assembles_reports():
     assert json.loads(json.dumps(entry)) == entry
 
 
+def test_bench_compare_counts_source_lines(tmp_path):
+    bench = _load("bench_compare", ROOT / "tools")
+    package = tmp_path / "src" / "hyperbell"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not counted\n")
+    assert bench.src_lines(tmp_path) == 4
+    # the repository's own count agrees with wc -l's total
+    files = sorted(str(path) for path in (ROOT / "src" / "hyperbell").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True)
+    assert bench.src_lines(ROOT) == int(wc.stdout.splitlines()[-1].split()[0])
+
+
 @pytest.mark.parametrize("scales, want", [
     ([1.3] * 10, "gain"),  # better in 10 of 10 pairs, by far more than the parent's IQR
     ([1.3] * 9 + [0.99], "gain"),  # 9 of 10 is enough

@@ -28,7 +28,10 @@ the attempted ones summed over the pairs, with the verdict ``worse``
 when the change's share is larger than the parent's and ``within
 bound`` otherwise.
 
-The script ends with a table of the medians and verdicts. Stdlib only.
+The file also records ``src_lines``: the lines of ``src/hyperbell/*.py``
+in the exported parent and in the working tree, the net line count by
+which a simplification is scored. The script ends with a table of the
+medians and verdicts, and the two line counts under it. Stdlib only.
 """
 
 from __future__ import annotations
@@ -140,6 +143,12 @@ def verdict_table(workloads: dict) -> str:
                      for row in rows)
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of src/hyperbell/*.py in a checkout, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "hyperbell").glob("*.py"))
+
+
 def _quartiles(values: list[float]) -> list[float]:
     if len(values) < 2:
         return [values[0], values[0]]
@@ -188,6 +197,7 @@ def main(argv=None) -> int:
             "parent": parent_sha,
             "change": parent_sha + ("+working-tree" if dirty else ""),
             "note": COMMIT_NOTE,
+            "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
             "workloads": {},
         }
         for workload in (w["name"] for w in benchmark["workloads"]):
@@ -208,6 +218,9 @@ def main(argv=None) -> int:
             out["workloads"][workload] = entry
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(verdict_table(out["workloads"]))
+    lines = out["src_lines"]
+    print(f"src/hyperbell lines: parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     return 0
 
 
