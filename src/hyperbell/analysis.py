@@ -1,8 +1,9 @@
 """Fidelity and efficiency metrics, the parameter sweep, CSV/SVG output.
 
-The sweep runs the heralded generation circuit once, as a polynomial in
-s = (r_o - r_h)/2 and h = (r_o + r_h)/2, and turns that run into a few
-small quadratic forms in the monomials s^i h^k. The whole grid is one
+The sweep runs the heralded generation circuit's stage 1 once, through
+protocols._no_click as a polynomial in s = (r_o - r_h)/2 and
+h = (r_o + r_h)/2, and turns its no-click branch and clicks into a few
+small quadratic forms in the monomials s^i h^k, cached per circuit text. The whole grid is one
 NumPy evaluation of those forms, which reports, per point: the
 closed-form efficiency |(r_h - r_o)/2|^8, the simulated end-to-end
 success probability (they must agree to 1e-10), the herald rate, the
@@ -36,12 +37,14 @@ from .cavity import (
 from .errors import ConfigurationError, InconsistentOutcomeError
 from .hilbert import HybridState, overlap
 from .protocols import (
+    HBSG_CIRCUIT_TEXT,
     HBSG_OUTPUT_RAILS,
     HBSG_OUTPUT_TABLE,
     HyperBellLabel,
     Bell,
+    _no_click,
+    _parsed,
     hbsg_circuit,
-    hbsg_circuit_premeasure,
     hbsg_input,
     make_bell,
     run_hbsa,
@@ -50,7 +53,6 @@ from .optics import (
     _BRANCH_DROP,
     _evaluate,
     _kept_layers,
-    run_circuit_polynomial,
     run_circuit_tracked,
 )
 
@@ -110,16 +112,15 @@ class _GenerationForms:
     overlap: np.ndarray
 
 
-@lru_cache(maxsize=1)
-def _generation_forms() -> _GenerationForms:
-    """Factors of the generation circuit, spins unmeasured, on its no-click branch."""
-    circuit = hbsg_circuit_premeasure()
-    run = run_circuit_polynomial(circuit, hbsg_input(circuit))
-    (c,) = [c for record, c in run.branches if record == ()]
+@lru_cache(maxsize=4)
+def _generation_forms(text: str = HBSG_CIRCUIT_TEXT) -> _GenerationForms:
+    """Factors of a generation circuit text, spins unmeasured, on its no-click branch."""
+    circuit = _parsed(text)
+    c, clicks = _no_click(circuit, hbsg_input(circuit))
     ideal = _evaluate(c, IDEAL_PAIR.success_amplitude, IDEAL_PAIR.herald_amplitude)[0, 0]
     ideal = ideal / np.sqrt(np.sum(np.abs(ideal) ** 2))
     c = c.reshape(c.shape[:2] + (-1,))
-    arrays = [a for _, cs in run.clicks for a in cs]
+    arrays = [a for cs in clicks.values() for a in cs]
     # a herald click needs a leak: its h^0 coefficients are rounding
     # residue of the arm, dropped so that h = 0 gives a rate of exactly 0
     residue = max(float(np.max(np.abs(a[:, 0]))) for a in arrays)

@@ -85,7 +85,7 @@ def _cmd_hbsa(args) -> int:
     label = protocols.parse_label(args.input)
     pair = _pair_from_args(args)
     branches = protocols.run_hbsa(label, pair)
-    total = sum(b.probability for b in branches)
+    total = sum((b.probability for b in branches), 0.0)
     correct = sum(b.probability for b in branches if b.classified == label)
     print(f"input={label}")
     print("e1 e2 pattern      probability           classified")

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import IDEAL_PAIR, ReflectionPair
+from .cavity import IDEAL_PAIR, ReflectionPair, reflection_operator
 from .errors import ConfigurationError
 from .hilbert import (
     _HADAMARD,
@@ -67,8 +67,8 @@ from .hilbert import (
 )
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-# qdarm success component: pol sigma_z (x) spin sigma_z in {R up, R down, L up, L down}
-_SUCC4 = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+# qdarm success component, the reflection map at s = 1, h = 0: pol sigma_z (x) spin sigma_z
+_SUCC4 = reflection_operator(ReflectionPair(r_o=1, r_h=-1))
 # its diagonal as a sign mask per (photon slot p, spin slot q) on the view of
 # one path, of axes (polA, polB, pathB, s1, s2) or (polA, pathA, polB, s1, s2)
 _SUCC_SIGN = {(p, q): np.diag(_SUCC4).real.reshape(

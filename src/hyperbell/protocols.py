@@ -12,16 +12,18 @@ The analysis circuit records spatial parity on QD1 and, after a
 beam-splitter basis change, spatial phase on QD2 (restoring the rails
 with a second beam splitter); the remaining polarization Bell state is
 read out by single-photon Bell-state measurements (SPBSM) assisted by
-the now-known spatial state. Only the first stage sees the cavity, so
-run_hbsa runs it once per basis input as a polynomial in (s, h) and
-applies the fixed readout (spin X measurement, SPBSM) to the
-coefficients of its no-click branch: each of the 64 (spin outcome,
-detector pattern) branches keeps its amplitude as a polynomial, which a
-call evaluates at one pair. The classifier is read off the same readout
-pass, and each local correction maps one Bell product exactly onto
-another. run_hbsa returns HbsaBranch records, NamedTuples: immutable,
-compared by value (a plain tuple of the same values included) and
-copied with _replace.
+the now-known spatial state. Only stage 1, every op before the first
+spin measurement, sees the cavity. _no_click runs it at a pair or as a
+polynomial in (s, h) and keeps its no-click branch, for the analyzer
+and for the generator's forms in analysis. run_hbsa applies the fixed
+readout (spin X measurement, SPBSM) to that branch once per basis
+input: each of the 64 (spin outcome, detector pattern) branches keeps
+its amplitude as a polynomial, which a call evaluates at one pair. The
+classifier is read off the same readout pass; these rules are cached
+per circuit text, the module's by default. Each local correction maps
+one Bell product exactly onto another. run_hbsa returns HbsaBranch
+records, NamedTuples: immutable, compared by value (a plain tuple of
+the same values included) and copied with _replace.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .hilbert import (
     _apply_spin_matrix,
     _path_slice,
     apply_single_photon_op,
-    overlap,
+    overlap,  # bound here for perfbench's tracer; nothing here calls it
     product_state,
     spin_vector,
     zero_state,
@@ -59,9 +61,9 @@ from .optics import (
     _compile,
     _evaluate,
     _kept_layers,
+    _run,
     initial_spins,
     parse_circuit,
-    run_circuit_polynomial,
     run_circuit_tracked,
 )
 
@@ -181,16 +183,6 @@ def make_bell(pol: Bell, spatial: Bell, layout: StateLayout = _MIN_LAYOUT,
     return state
 
 
-def label_of_state(state: HybridState, rails=DEFAULT_RAILS,
-                   tol: float = 1e-9) -> HyperBellLabel:
-    """Invert make_bell: find the unique label with unit photonic fidelity."""
-    for label in all_labels():
-        target = make_bell(label.pol, label.spatial, state.layout, rails)
-        if abs(_photon_overlap(target, state)) > 1 - tol:
-            return label
-    raise ConfigurationError("state is not one of the 16 hyperentangled Bell products")
-
-
 def _photon_factor(state: HybridState) -> np.ndarray:
     """Photonic factor of a photon (x) spin product state (unit vector)."""
     mat = state.amps.reshape(-1, 4)
@@ -253,9 +245,14 @@ HBSG_OUTPUT_TABLE = {
 HBSG_OUTPUT_RAILS = (("c1", "c2"), ("d1", "d2"))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
+def _parsed(text: str) -> Circuit:
+    """The circuit of a text, parsed once per text."""
+    return parse_circuit(text)
+
+
 def hbsg_circuit() -> Circuit:
-    return parse_circuit(HBSG_CIRCUIT_TEXT)
+    return _parsed(HBSG_CIRCUIT_TEXT)
 
 
 def _split_stage1(circuit: Circuit) -> tuple[Circuit, Circuit]:
@@ -265,10 +262,15 @@ def _split_stage1(circuit: Circuit) -> tuple[Circuit, Circuit]:
     return replace(circuit, ops=circuit.ops[:at]), replace(circuit, ops=circuit.ops[at:])
 
 
-@lru_cache(maxsize=1)
-def hbsg_circuit_premeasure() -> Circuit:
-    """Generation circuit truncated before the spin measurements."""
-    return _split_stage1(hbsg_circuit())[0]
+def _no_click(circuit: Circuit, state: HybridState, pair: ReflectionPair | None = None):
+    """Stage 1 of a circuit run on a state at a pair or, with pair=None, as a
+    polynomial in (s, h): its no-click branch's coefficients (all zero if the
+    runner dropped it) and its clicks, as the runner keeps them."""
+    _, branches, clicks = _run(_split_stage1(circuit)[0], state, pair)
+    for record, c in branches:
+        if record == ():
+            return c, clicks
+    return np.zeros((1, 1) + state.amps.shape, dtype=complex), clicks
 
 
 def hbsg_input(circuit: Circuit | None = None) -> HybridState:
@@ -400,15 +402,8 @@ SPIN_TO_SPATIAL = {
 }
 
 
-@lru_cache(maxsize=1)
 def hbsa_full_circuit() -> Circuit:
-    return parse_circuit(HBSA_FULL_TEXT)
-
-
-@lru_cache(maxsize=1)
-def hbsa_stage1_circuit() -> Circuit:
-    """Analysis circuit truncated before the spin measurements."""
-    return _split_stage1(hbsa_full_circuit())[0]
+    return _parsed(HBSA_FULL_TEXT)
 
 
 def hbsa_layout() -> StateLayout:
@@ -451,10 +446,11 @@ def run_hbsa_stage1(state: HybridState,
 
     The photonic state is returned unchanged (exactly, for the unleaked
     component); for each basis input the two spins end in the definite
-    X-basis states given by SPIN_TO_SPATIAL.
+    X-basis states given by SPIN_TO_SPATIAL. The state is zero where the
+    runner drops the no-click branch, as at r_o = r_h = 0.
     """
-    (tb,) = [tb for tb in run_circuit_tracked(hbsa_stage1_circuit(), state, pair).branches
-             if tb.record == ()]
+    c, _ = _no_click(hbsa_full_circuit(), state, pair)
+    tb = TrackedBranch((), state.layout, list(c[0]))
     out = tb.physical_state()
     return Stage1Result(
         state=out,
@@ -467,17 +463,17 @@ def run_hbsa_stage1(state: HybridState,
 # ---------------------------------------------------------------------------
 # readout and classifier
 
-@lru_cache(maxsize=1)
-def _readout():
-    """The readout, hbsa_full_circuit from its first spin measurement on.
+@lru_cache(maxsize=4)
+def _readout(text: str = HBSA_FULL_TEXT):
+    """The readout, an analysis circuit text from its first spin measurement on.
 
     Returns its passive matrices as (photon slot, matrix), fused per
     photon as _compile emits them, and one (spin outcome, detector
     pattern, photon A's detector slice, photon B's) per readout branch,
-    in the record order of run_circuit_tracked on hbsa_full_circuit:
+    in the record order of run_circuit_tracked on the whole circuit:
     QD1, QD2, then photon A's detectors and photon B's in circuit order.
     """
-    full = hbsa_full_circuit()
+    full = _parsed(text)
     actions = _compile(_split_stage1(full)[1], full.layout())
     detectors = ([], [])
     for action in actions:
@@ -490,13 +486,13 @@ def _readout():
     return [action[1:] for action in actions if action[0] == "matrix"], branches
 
 
-def _read_out(amps: np.ndarray) -> np.ndarray:
+def _read_out(amps: np.ndarray, text: str = HBSA_FULL_TEXT) -> np.ndarray:
     """The readout's amplitudes [..., branch, polA * polB] of amplitudes
-    [..., *state axes] on the analysis layout. A spin projected on an X
+    [..., *state axes] on the text's layout. A spin projected on an X
     eigenvector has the same up amplitude, 1/sqrt2 of the outcome's, for
     both outcomes, so a branch keeps its (up, up) spin component, doubled.
     """
-    matrices, branches = _readout()
+    matrices, branches = _readout(text)
     for slot, mat in matrices:
         amps = _apply_photon_matrix(amps, slot, mat)
     projected = {(e1, e2): _apply_spin_matrix(_apply_spin_matrix(amps, 0, proj1), 1, proj2)
@@ -506,8 +502,8 @@ def _read_out(amps: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (-1,))
 
 
-@lru_cache(maxsize=1)
-def _classified() -> tuple[HyperBellLabel, ...]:
+@lru_cache(maxsize=4)
+def _classified(text: str = HBSA_FULL_TEXT) -> tuple[HyperBellLabel, ...]:
     """The label of each readout branch, read off the readout itself.
 
     Each of the 16 basis inputs goes through it with the spins that
@@ -516,9 +512,9 @@ def _classified() -> tuple[HyperBellLabel, ...]:
     """
     labels = all_labels()
     spins = {spatial: key for key, spatial in SPIN_TO_SPATIAL.items()}
-    amps = np.stack([make_bell(label.pol, label.spatial, hbsa_layout(),
+    amps = np.stack([make_bell(label.pol, label.spatial, _parsed(text).layout(),
                                spins=spins[label.spatial]).amps for label in labels])
-    reached = np.linalg.norm(_read_out(amps), axis=-1) > 1e-9  # [input, branch]
+    reached = np.linalg.norm(_read_out(amps, text), axis=-1) > 1e-9  # [input, branch]
     if (reached.sum(axis=0) != 1).any():
         raise InconsistentOutcomeError("a readout branch has no basis input or several")
     return tuple(labels[i] for i in reached.argmax(axis=0))
@@ -533,9 +529,9 @@ def classify(spins: SpinOutcome, pattern: DetectorPattern) -> HyperBellLabel:
 
 def classification_table() -> list[tuple[SpinOutcome, DetectorPattern, HyperBellLabel]]:
     """Full (spins x pattern) -> label map, 64 rows, one per readout branch."""
-    _, branches = _readout()
+    _, branches = _readout(HBSA_FULL_TEXT)
     return [(spins, pattern, label)
-            for (spins, pattern, *_), label in zip(branches, _classified())]
+            for (spins, pattern, *_), label in zip(branches, _classified(HBSA_FULL_TEXT))]
 
 
 # ---------------------------------------------------------------------------
@@ -552,19 +548,19 @@ class HbsaBranch(NamedTuple):
     leaked_weight: float
 
 
-@lru_cache(maxsize=16)
-def _hbsa_forms(label: HyperBellLabel) -> np.ndarray:
-    """Amplitudes of every readout branch of one basis input, as
-    polynomials in (s, h): [s-degree, h-degree, branch, polA * polB],
+@lru_cache(maxsize=64)
+def _hbsa_forms(label: HyperBellLabel, text: str = HBSA_FULL_TEXT) -> np.ndarray:
+    """Amplitudes of every readout branch of one basis input to an analysis
+    text, as polynomials in (s, h): [s-degree, h-degree, branch, polA * polB],
     a runner coefficient array with the branches as its state axes.
 
     Stage 1 is the only part of the analysis that sees the cavity, so it
     runs once as a polynomial, and the readout acts on the coefficients
     of its no-click branch. The array is read-only.
     """
-    run = run_circuit_polynomial(hbsa_stage1_circuit(), hbsa_input(label))
-    (c,) = [c for record, c in run.branches if record == ()]
-    forms = _read_out(c)
+    circuit = _parsed(text)
+    c, _ = _no_click(circuit, make_bell(label.pol, label.spatial, circuit.layout()))
+    forms = _read_out(c, text)
     forms.flags.writeable = False
     return forms
 
@@ -572,22 +568,23 @@ def _hbsa_forms(label: HyperBellLabel) -> np.ndarray:
 _SPAN_TOL = 1e-12  # share of a state input's squared norm allowed outside that span
 
 
-def _state_forms(state: HybridState) -> np.ndarray:
-    """The forms of a state in the span of the 16 basis inputs: the same
-    linear combination of their forms as the state is of them."""
-    if state.layout != hbsa_layout():
+def _state_forms(state: HybridState, text: str = HBSA_FULL_TEXT) -> np.ndarray:
+    """The forms of a state in the span of the 16 basis inputs to an analysis
+    text: the same linear combination of their forms as the state is of them."""
+    if state.layout != _parsed(text).layout():
         raise ConfigurationError("input state layout does not match circuit declarations")
     labels = all_labels()
-    basis = np.stack([hbsa_input(label).amps.ravel() for label in labels])
+    basis = np.stack([make_bell(label.pol, label.spatial, state.layout).amps.ravel()
+                      for label in labels])
     coeffs = basis.conj() @ state.amps.ravel()
     outside = state.amps.ravel() - coeffs @ basis
     if np.sum(np.abs(outside) ** 2) > _SPAN_TOL * state.norm2:
         raise ConfigurationError(
             "input state is not a superposition of the 16 analysis basis inputs")
-    used = [(a, _hbsa_forms(label)) for a, label in zip(coeffs, labels) if a != 0]
+    used = [(a, _hbsa_forms(label, text)) for a, label in zip(coeffs, labels) if a != 0]
     s_len = max((f.shape[0] for _, f in used), default=1)
     h_len = max((f.shape[1] for _, f in used), default=1)
-    forms = np.zeros((s_len, h_len, len(_classified()), 4), dtype=complex)
+    forms = np.zeros((s_len, h_len, len(_readout(text)[1]), 4), dtype=complex)
     for a, f in used:
         forms[:f.shape[0], :f.shape[1]] += a * f
     return forms
@@ -603,9 +600,9 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     16 basis inputs.
     """
     if isinstance(state_or_label, HyperBellLabel):
-        forms = _hbsa_forms(state_or_label)
+        forms = _hbsa_forms(state_or_label, HBSA_FULL_TEXT)
     else:
-        forms = _state_forms(state_or_label)
+        forms = _state_forms(state_or_label, HBSA_FULL_TEXT)
     layers = _evaluate(forms, pair.success_amplitude, pair.herald_amplitude)[0]
     weights = (layers.real ** 2 + layers.imag ** 2).sum(axis=2)  # [h-degree, branch]
     dropped = ~_kept_layers(weights)
@@ -617,7 +614,7 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     live = np.flatnonzero(total > _BRANCH_DROP).tolist()
     clean = weights[0]
     clean, leaked, probability = clean.tolist(), (total - clean).tolist(), probability.tolist()
-    _, readout = _readout()
-    classified = _classified()
+    _, readout = _readout(HBSA_FULL_TEXT)
+    classified = _classified(HBSA_FULL_TEXT)
     return [HbsaBranch(*readout[b][:2], probability[b], classified[b], clean[b], leaked[b])
             for b in live]

@@ -35,7 +35,8 @@ from hyperbell.optics import _BRANCH_DROP, run_circuit_polynomial, run_circuit_t
 from hyperbell.protocols import (
     Bell,
     HyperBellLabel,
-    hbsg_circuit_premeasure,
+    _split_stage1,
+    hbsg_circuit,
     hbsg_input,
     make_bell,
 )
@@ -124,7 +125,7 @@ class TestGenerationStatistics:
 
 def _numeric_statistics(pair):
     """Reference: run the generation circuit at the pair and aggregate."""
-    circuit = hbsg_circuit_premeasure()
+    circuit = _split_stage1(hbsg_circuit())[0]
     state = hbsg_input(circuit)
     (ideal,) = [tb.layers[0] for tb in run_circuit_tracked(circuit, state, IDEAL_PAIR).branches
                 if tb.record == ()]
@@ -181,7 +182,7 @@ class TestWholeGridMatchesNumericRun:
         assert abs(spot.eta_simulated - 0.820742) <= 1e-5
 
     def test_dropped_branch_matches_polynomial_run(self):
-        circuit = hbsg_circuit_premeasure()
+        circuit = _split_stage1(hbsg_circuit())[0]
         run = run_circuit_polynomial(circuit, hbsg_input(circuit))
         for g, dropped in ((1e-3, False), (3e-4, False), (1e-4, True), (3e-5, True)):
             pair = reflection_coefficients(CavityParams(g=g, gamma=0.1))

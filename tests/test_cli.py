@@ -131,6 +131,15 @@ class TestHbsa:
         assert code == 0
         assert "classification_accuracy=1.0" in out
 
+    def test_absorbing_dots_print_float_sums(self, capsys):
+        # g = 0 and kappa_s = kappa absorb both photons, so no branch survives
+        code, out, _ = run_cli(capsys, "hbsa", "--input", "phi+,psi-",
+                               "--g", "0", "--kappa-s", "1")
+        assert code == 0
+        kv = parse_kv(out)
+        assert kv["survival_probability"] == "0.0"
+        assert kv["classification_accuracy"] == "0.0"
+
     def test_bad_label_is_configuration_error(self, capsys):
         code, _, err = run_cli(capsys, "hbsa", "--input", "nope")
         assert code == 2

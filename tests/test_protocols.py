@@ -60,13 +60,6 @@ class TestMakeBell:
         gram = np.array([[overlap(a, b) for b in states] for a in states])
         np.testing.assert_allclose(gram, np.eye(16), atol=1e-14)
 
-    def test_label_round_trip(self, small_layout):
-        from hyperbell.protocols import label_of_state
-
-        for label in all_labels():
-            state = make_bell(label.pol, label.spatial, small_layout)
-            assert label_of_state(state) == label
-
     def test_parse_label(self):
         assert parse_label("phi+,psi-") == HyperBellLabel(Bell.PHI_PLUS, Bell.PSI_MINUS)
         with pytest.raises(ConfigurationError):
@@ -369,7 +362,7 @@ class TestClassifier:
 
     @pytest.mark.parametrize("fill", [0.0, 1.0], ids=["no-owner", "two-owners"])
     def test_unowned_or_shared_branch_raises_at_build(self, monkeypatch, fill):
-        monkeypatch.setattr(protocols, "_read_out", lambda amps: np.full((16, 64, 4), fill))
+        monkeypatch.setattr(protocols, "_read_out", lambda amps, *_: np.full((16, 64, 4), fill))
         protocols._classified.cache_clear()
         try:
             with pytest.raises(InconsistentOutcomeError, match="readout branch"):
@@ -489,3 +482,50 @@ class TestHbsaForms:
         info = protocols._hbsa_forms.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         assert not protocols._hbsa_forms(label).flags.writeable
+
+
+class TestCircuitText:
+    """The analyzer and generator rules are keyed by their circuit text, and
+    read stage 1 by its no-click branch."""
+
+    def test_equivalent_analysis_text_gives_the_same_rules(self):
+        # QD1's passages of photon A and photon B commute, so moving photon
+        # B's two stage-1 lines ahead of photon A's changes no rule
+        lines_a = "block mode=parity qd=QD1 photon=A path=a1\nop wfc photon=A path=a2\n"
+        lines_b = "block mode=parity qd=QD1 photon=B path=b1\nop wfc photon=B path=b2\n"
+        bare = protocols.HBSA_FULL_TEXT
+        text = bare.replace(lines_a + lines_b, lines_b + lines_a)
+        assert text != bare
+        assert protocols._classified(text) == protocols._classified(bare)
+        protocols._hbsa_forms.cache_clear()
+        for label in all_labels():
+            np.testing.assert_allclose(protocols._hbsa_forms(label, text),
+                                       protocols._hbsa_forms(label, bare), rtol=0, atol=1e-15)
+        assert protocols._hbsa_forms.cache_info().currsize == 32
+
+    def test_equivalent_generation_text_gives_the_same_factors(self):
+        from hyperbell import analysis
+
+        bare = protocols.HBSG_CIRCUIT_TEXT
+        rail = "op bs photon=A in=a1,a2 out=c1,c2\n"
+        text = bare.replace(rail, rail + "op z photon=A path=c1\n" * 2)
+        assert text != bare
+        got, want = analysis._generation_forms(text), analysis._generation_forms(bare)
+        assert got.click_degrees == want.click_degrees
+        for name in ("layers", "clicks", "overlap"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=0, atol=1e-15)
+
+    def test_dropped_no_click_branch_is_zero(self):
+        # g = 0 and kappa_s = kappa give r_o = r_h = 0, so the runner drops
+        # every branch of stage 1
+        pair = reflection_coefficients(CavityParams(g=0.0, kappa_s=1.0))
+        assert (pair.r_o, pair.r_h) == (0, 0)
+        c, clicks = protocols._no_click(hbsg_circuit(), hbsg_input(), pair)
+        assert c.shape == (1, 1) + hbsg_input().amps.shape
+        assert not c.any()
+        assert clicks == {"D1A": 0.0, "D1B": 0.0}
+        # so the analyzer's stage 1 leaves a zero state
+        stage1 = run_hbsa_stage1(hbsa_input(all_labels()[0]), pair)
+        assert not stage1.state.amps.any() and stage1.spins is None
+        assert (stage1.clean_weight, stage1.leaked_weight) == (0.0, 0.0)

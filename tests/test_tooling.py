@@ -2,6 +2,7 @@
 workloads must pass their own checks, the BENCH file writer must
 assemble its reports right, and the demos must run."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -29,6 +30,26 @@ def test_trace_bindings_resolve():
     spans = _load("spans")
     for module, attr, name in spans.BINDINGS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
+
+
+def test_every_import_is_used_or_traced():
+    # a name that a module imports and never uses is dead code, unless the
+    # tracer wraps it under that module's binding
+    bound = {(module.__name__, attr) for module, attr, _ in _load("spans").BINDINGS}
+    unused = []
+    for path in sorted((ROOT / "src" / "hyperbell").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)
+                   if (f"hyperbell.{path.stem}", name) not in bound]
+    assert unused == []
 
 
 def test_analyze_block_passes_its_checks():
