@@ -113,7 +113,7 @@ class _GenerationForms:
 
 
 @lru_cache(maxsize=4)
-def _generation_forms(text: str = HBSG_CIRCUIT_TEXT) -> _GenerationForms:
+def _generation_forms(text: str) -> _GenerationForms:
     """Factors of a generation circuit text, spins unmeasured, on its no-click branch."""
     circuit = _parsed(text)
     c, clicks = _no_click(circuit, hbsg_input(circuit))
@@ -156,7 +156,7 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
     per-branch post-measurement value) is 1 up to rounding; it is
     vacuously 1.0 when nothing unleaked survives (e.g. g = 0).
     """
-    forms = _generation_forms()
+    forms = _generation_forms(HBSG_CIRCUIT_TEXT)
     k_len, s_len = forms.layers.shape[:2]
     s_pow = s[:, None] ** np.arange(s_len)
     layer_w = (np.sum(np.abs(s_pow @ forms.layers.swapaxes(1, 2)) ** 2, axis=2)

@@ -422,8 +422,9 @@ class TrackedBranch:
     layers[k] holds the component that leaked exactly k times through a
     quantum-dot arm, i.e. the coefficient of h^k with h = (r_o + r_h)/2
     (the success amplitude s = (r_o - r_h)/2 multiplied in). The layers
-    are the branch's coefficient array evaluated at one pair, as new
-    arrays. Trailing layers below the branch-drop threshold are pruned.
+    are the branch's coefficient array at one pair: views of a numeric
+    run's own arrays, or of new ones that PolynomialRun.at evaluates.
+    Trailing layers below the branch-drop threshold are pruned.
     The physical state is the coherent sum of all layers; the split is
     exact by linearity and serves error accounting.
     """
@@ -462,9 +463,10 @@ class TrackedRun:
     """Complete branch set of one run plus per-detector click statistics.
 
     click_probability[label] is the probability that this detector is the
-    first one to fire, accumulated at detection time (a later loss of the
-    partner photon does not erase a click that already happened). The sum
-    over labels is the probability that at least one detector fires.
+    first one to fire, taken from the amplitudes at detection time (a
+    later loss of the partner photon does not erase a click that already
+    happened). The sum over labels is the probability that at least one
+    detector fires.
     """
 
     branches: list[TrackedBranch]
@@ -584,25 +586,17 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
     coefficients of s^i h^k. s and h enter as coefficient tuples by degree:
     at a pair they are the numbers themselves, (s,) and (0, h), so the
     s axis keeps length 1; with pair=None they are (0, 1) both, so every
-    passage raises a degree. Only a branch's first click is kept: as its
-    probability at a pair and as its coefficients with pair=None.
+    passage raises a degree. Only a branch's first click is kept, as its
+    coefficients, under its detector's label.
     """
     layout = circuit.layout()
     if state.layout != layout:
         raise ConfigurationError("input state layout does not match circuit declarations")
-    labels = [el.label for el in circuit.ops if el.kind == ElementKind.DETECTOR]
     if pair is None:
         s = h = (0, 1)
-        clicks = {label: [] for label in labels}
-
-        def click(label, c):
-            clicks[label].append(c)
     else:
         s, h = (pair.success_amplitude,), (0, pair.herald_amplitude)
-        clicks = dict.fromkeys(labels, 0.0)
-
-        def click(label, c):
-            clicks[label] += _weight(c.sum(axis=(0, 1)))
+    clicks = {el.label: [] for el in circuit.ops if el.kind == ElementKind.DETECTOR}
     branches = [((), state.amps[None, None].copy())]
     for action in _compile(circuit, layout):
         kind = action[0]
@@ -617,7 +611,7 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
                 first = all(outcome != "click" for _, outcome in rec)
                 for entry, projected in _outcomes(action, c):
                     if first and entry is not None and entry[1] == "click":
-                        click(entry[0], projected)
+                        clicks[entry[0]].append(projected)
                     projected = _trim(projected)
                     if _weight(projected) > _BRANCH_DROP:
                         new_branches.append(
@@ -634,11 +628,13 @@ def _evaluate(c: np.ndarray, s: complex, h: complex) -> np.ndarray:
     return out
 
 
-def _tracked_branches(layout: StateLayout, branches, s: complex = 1,
-                      h: complex = 1) -> list[TrackedBranch]:
-    """Branches evaluated at (s, h); a run at a pair is read out at s = h = 1."""
-    return [TrackedBranch(rec, layout, list(_trim(_evaluate(c, s, h))[0]))
-            for rec, c in branches]
+def _tracked_run(layout: StateLayout, branches, clicks) -> TrackedRun:
+    """The TrackedRun of branch and click coefficients already at one pair,
+    their s-degree axis of length 1."""
+    return TrackedRun(
+        [TrackedBranch(rec, layout, list(_trim(c)[0])) for rec, c in branches],
+        {label: sum((_weight(c.sum(axis=(0, 1))) for c in cs), 0.0)
+         for label, cs in clicks.items()})
 
 
 def run_circuit_tracked(circuit: Circuit, state: HybridState,
@@ -650,8 +646,7 @@ def run_circuit_tracked(circuit: Circuit, state: HybridState,
     the branch probabilities sum to the input's squared norm, up to the
     dropped weight.
     """
-    layout, branches, clicks = _run(circuit, state, pair)
-    return TrackedRun(_tracked_branches(layout, branches), clicks)
+    return _tracked_run(*_run(circuit, state, pair))
 
 
 @dataclass(frozen=True)
@@ -672,11 +667,11 @@ class PolynomialRun:
     def at(self, pair: ReflectionPair) -> TrackedRun:
         """The run at one pair; its arrays are new and never alias the coefficients."""
         s, h = pair.success_amplitude, pair.herald_amplitude
-        clicks = {label: sum((_weight(_evaluate(c, s, h).sum(axis=(0, 1))) for c in cs), 0.0)
-                  for label, cs in self.clicks}
-        branches = [tb for tb in _tracked_branches(self.layout, self.branches, s, h)
-                    if sum(map(_weight, tb.layers)) > _BRANCH_DROP]
-        return TrackedRun(branches, clicks)
+        run = _tracked_run(self.layout,
+                           [(rec, _evaluate(c, s, h)) for rec, c in self.branches],
+                           {label: [_evaluate(c, s, h) for c in cs] for label, cs in self.clicks})
+        run.branches = [tb for tb in run.branches if sum(map(_weight, tb.layers)) > _BRANCH_DROP]
+        return run
 
 
 def run_circuit_polynomial(circuit: Circuit, state: HybridState) -> PolynomialRun:

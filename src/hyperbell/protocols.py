@@ -19,8 +19,8 @@ and for the generator's forms in analysis. run_hbsa applies the fixed
 readout (spin X measurement, SPBSM) to that branch once per basis
 input: each of the 64 (spin outcome, detector pattern) branches keeps
 its amplitude as a polynomial, which a call evaluates at one pair. The
-classifier is read off the same readout pass; these rules are cached
-per circuit text, the module's by default. Each local correction maps
+classifier is read off the same readout pass; these rules take the
+circuit text and are cached per text. Each local correction maps
 one Bell product exactly onto another. run_hbsa returns HbsaBranch
 records, NamedTuples: immutable, compared by value (a plain tuple of
 the same values included) and copied with _replace.
@@ -39,7 +39,6 @@ import numpy as np
 from .cavity import IDEAL_PAIR, ReflectionPair
 from .errors import ConfigurationError, InconsistentOutcomeError, PreconditionError
 from .hilbert import (
-    _HADAMARD,
     _SQRT2,
     HybridState,
     StateLayout,
@@ -62,6 +61,7 @@ from .optics import (
     _evaluate,
     _kept_layers,
     _run,
+    _weight,
     initial_spins,
     parse_circuit,
     run_circuit_tracked,
@@ -75,14 +75,6 @@ class Bell(str, Enum):
     PHI_MINUS = "phi-"
     PSI_PLUS = "psi+"
     PSI_MINUS = "psi-"
-
-    @property
-    def is_psi(self) -> bool:
-        return self in (Bell.PSI_PLUS, Bell.PSI_MINUS)
-
-    @property
-    def is_minus(self) -> bool:
-        return self in (Bell.PHI_MINUS, Bell.PSI_MINUS)
 
 
 BELL_ORDER = (Bell.PHI_PLUS, Bell.PHI_MINUS, Bell.PSI_PLUS, Bell.PSI_MINUS)
@@ -148,16 +140,13 @@ DEFAULT_RAILS = (("a1", "a2"), ("b1", "b2"))
 _MIN_LAYOUT = StateLayout(photons=("A", "B"), paths=(("a1", "a2"), ("b1", "b2")))
 
 
+# sqrt2 times each Bell state's matrix, rows photon A's basis and columns photon B's
+_BELL = {Bell.PHI_PLUS: ((1, 0), (0, 1)), Bell.PHI_MINUS: ((1, 0), (0, -1)),
+         Bell.PSI_PLUS: ((0, 1), (1, 0)), Bell.PSI_MINUS: ((0, 1), (-1, 0))}
+
+
 def _bell_matrix(index: Bell) -> np.ndarray:
-    m = np.zeros((2, 2), dtype=complex)
-    sign = -1.0 if index.is_minus else 1.0
-    if index.is_psi:
-        m[0, 1] = 1.0
-        m[1, 0] = sign
-    else:
-        m[0, 0] = 1.0
-        m[1, 1] = sign
-    return m / _SQRT2
+    return np.array(_BELL[index], dtype=complex) / _SQRT2
 
 
 def make_bell(pol: Bell, spatial: Bell, layout: StateLayout = _MIN_LAYOUT,
@@ -258,14 +247,18 @@ def hbsg_circuit() -> Circuit:
 def _split_stage1(circuit: Circuit) -> tuple[Circuit, Circuit]:
     """A circuit's stage 1, every op before its first spin measurement,
     and its readout, the ops from there on."""
-    at = [el.kind for el in circuit.ops].index(ElementKind.MEASURE_SPIN)
+    kinds = [el.kind for el in circuit.ops]
+    if ElementKind.MEASURE_SPIN not in kinds:
+        raise ConfigurationError("circuit has no measure_spin, so no stage 1 to split off")
+    at = kinds.index(ElementKind.MEASURE_SPIN)
     return replace(circuit, ops=circuit.ops[:at]), replace(circuit, ops=circuit.ops[at:])
 
 
 def _no_click(circuit: Circuit, state: HybridState, pair: ReflectionPair | None = None):
     """Stage 1 of a circuit run on a state at a pair or, with pair=None, as a
     polynomial in (s, h): its no-click branch's coefficients (all zero if the
-    runner dropped it) and its clicks, as the runner keeps them."""
+    runner dropped it) and its clicks, a list of coefficient arrays per
+    detector label, as the runner keeps them in both modes."""
     _, branches, clicks = _run(_split_stage1(circuit)[0], state, pair)
     for record, c in branches:
         if record == ():
@@ -425,19 +418,21 @@ class Stage1Result:
     leaked_weight: float
 
 
+def _x_projected(amps: np.ndarray) -> dict:
+    """Amplitudes [..., *state axes] projected on each X-basis outcome of
+    both spins, by outcome pair (e1, e2)."""
+    return {(e1, e2): _apply_spin_matrix(_apply_spin_matrix(amps, 0, proj1), 1, proj2)
+            for (e1, proj1), (e2, proj2) in product(_SPIN_X_PROJ.items(), repeat=2)}
+
+
 def _definite_spins(state: HybridState) -> SpinOutcome | None:
-    signs = []
-    x_amps = _apply_spin_matrix(_apply_spin_matrix(state.amps, 0, _HADAMARD), 1, _HADAMARD)
-    weights = np.abs(x_amps) ** 2
-    total = float(np.sum(weights))
-    for w in (np.sum(weights, axis=(0, 1, 2, 3, 5)), np.sum(weights, axis=(0, 1, 2, 3, 4))):
-        if w[0] > total - 1e-12 * total:
-            signs.append("+")
-        elif w[1] > total - 1e-12 * total:
-            signs.append("-")
-        else:
-            return None
-    return SpinOutcome(signs[0], signs[1])
+    """The X-basis outcome of both spins that keeps all but 1e-12 of the
+    state's weight, None if there is none."""
+    total = state.norm2
+    for (e1, e2), projected in _x_projected(state.amps).items():
+        if _weight(projected) > total - 1e-12 * total:
+            return SpinOutcome(e1, e2)
+    return None
 
 
 def run_hbsa_stage1(state: HybridState,
@@ -464,7 +459,7 @@ def run_hbsa_stage1(state: HybridState,
 # readout and classifier
 
 @lru_cache(maxsize=4)
-def _readout(text: str = HBSA_FULL_TEXT):
+def _readout(text: str):
     """The readout, an analysis circuit text from its first spin measurement on.
 
     Returns its passive matrices as (photon slot, matrix), fused per
@@ -486,7 +481,7 @@ def _readout(text: str = HBSA_FULL_TEXT):
     return [action[1:] for action in actions if action[0] == "matrix"], branches
 
 
-def _read_out(amps: np.ndarray, text: str = HBSA_FULL_TEXT) -> np.ndarray:
+def _read_out(amps: np.ndarray, text: str) -> np.ndarray:
     """The readout's amplitudes [..., branch, polA * polB] of amplitudes
     [..., *state axes] on the text's layout. A spin projected on an X
     eigenvector has the same up amplitude, 1/sqrt2 of the outcome's, for
@@ -495,15 +490,14 @@ def _read_out(amps: np.ndarray, text: str = HBSA_FULL_TEXT) -> np.ndarray:
     matrices, branches = _readout(text)
     for slot, mat in matrices:
         amps = _apply_photon_matrix(amps, slot, mat)
-    projected = {(e1, e2): _apply_spin_matrix(_apply_spin_matrix(amps, 0, proj1), 1, proj2)
-                 for (e1, proj1), (e2, proj2) in product(_SPIN_X_PROJ.items(), repeat=2)}
+    projected = _x_projected(amps)
     out = np.stack([2 * projected[spins.e1, spins.e2][on_a][on_b][..., 0, 0]
                     for spins, _, on_a, on_b in branches], axis=-3)
     return out.reshape(out.shape[:-2] + (-1,))
 
 
 @lru_cache(maxsize=4)
-def _classified(text: str = HBSA_FULL_TEXT) -> tuple[HyperBellLabel, ...]:
+def _classified(text: str) -> tuple[HyperBellLabel, ...]:
     """The label of each readout branch, read off the readout itself.
 
     Each of the 16 basis inputs goes through it with the spins that
@@ -549,7 +543,7 @@ class HbsaBranch(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _hbsa_forms(label: HyperBellLabel, text: str = HBSA_FULL_TEXT) -> np.ndarray:
+def _hbsa_forms(label: HyperBellLabel, text: str) -> np.ndarray:
     """Amplitudes of every readout branch of one basis input to an analysis
     text, as polynomials in (s, h): [s-degree, h-degree, branch, polA * polB],
     a runner coefficient array with the branches as its state axes.
@@ -568,7 +562,7 @@ def _hbsa_forms(label: HyperBellLabel, text: str = HBSA_FULL_TEXT) -> np.ndarray
 _SPAN_TOL = 1e-12  # share of a state input's squared norm allowed outside that span
 
 
-def _state_forms(state: HybridState, text: str = HBSA_FULL_TEXT) -> np.ndarray:
+def _state_forms(state: HybridState, text: str) -> np.ndarray:
     """The forms of a state in the span of the 16 basis inputs to an analysis
     text: the same linear combination of their forms as the state is of them."""
     if state.layout != _parsed(text).layout():

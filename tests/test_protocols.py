@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ import pytest
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import ConfigurationError, InconsistentOutcomeError, PreconditionError
 from hyperbell.hilbert import HybridState, overlap, product_state
-from hyperbell.optics import ElementKind, parse_circuit, run_circuit_tracked, serialize_circuit
+from hyperbell.optics import (
+    ElementKind,
+    _evaluate,
+    _weight,
+    parse_circuit,
+    run_circuit_tracked,
+    serialize_circuit,
+)
 from hyperbell import protocols
 from hyperbell.protocols import (
     Bell,
@@ -366,7 +374,7 @@ class TestClassifier:
         protocols._classified.cache_clear()
         try:
             with pytest.raises(InconsistentOutcomeError, match="readout branch"):
-                protocols._classified()
+                protocols._classified(protocols.HBSA_FULL_TEXT)
         finally:
             monkeypatch.undo()
             protocols._classified.cache_clear()
@@ -481,7 +489,7 @@ class TestHbsaForms:
         run_hbsa(label, IDEAL_PAIR)
         info = protocols._hbsa_forms.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        assert not protocols._hbsa_forms(label).flags.writeable
+        assert not protocols._hbsa_forms(label, protocols.HBSA_FULL_TEXT).flags.writeable
 
 
 class TestCircuitText:
@@ -524,8 +532,41 @@ class TestCircuitText:
         c, clicks = protocols._no_click(hbsg_circuit(), hbsg_input(), pair)
         assert c.shape == (1, 1) + hbsg_input().amps.shape
         assert not c.any()
-        assert clicks == {"D1A": 0.0, "D1B": 0.0}
+        assert list(clicks) == ["D1A", "D1B"]
+        assert not any(a.any() for cs in clicks.values() for a in cs)
         # so the analyzer's stage 1 leaves a zero state
         stage1 = run_hbsa_stage1(hbsa_input(all_labels()[0]), pair)
         assert not stage1.state.amps.any() and stage1.spins is None
         assert (stage1.clean_weight, stage1.leaked_weight) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("pair", [EXAMPLE_PAIR, IDEAL_PAIR], ids=["lossy", "ideal"])
+    def test_no_click_clicks_are_coefficients_in_both_modes(self, pair):
+        state = hbsg_input()
+        _, at_pair = protocols._no_click(hbsg_circuit(), state, pair)
+        _, poly = protocols._no_click(hbsg_circuit(), state)
+        assert list(at_pair) == list(poly) == ["D1A", "D1B"]
+        s, h = pair.success_amplitude, pair.herald_amplitude
+        for label in poly:
+            for cs in (at_pair[label], poly[label]):
+                assert isinstance(cs, list) and cs
+                assert all(a.shape[2:] == state.amps.shape for a in cs)
+            want = sum(_weight(_evaluate(c, s, h).sum(axis=(0, 1))) for c in poly[label])
+            got = sum(_weight(c.sum(axis=(0, 1))) for c in at_pair[label])
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_circuit_without_spin_measurement_is_a_configuration_error(self):
+        text = "".join(line for line in protocols.HBSG_CIRCUIT_TEXT.splitlines(True)
+                       if not line.startswith("op measure_spin"))
+        with pytest.raises(ConfigurationError, match="no measure_spin"):
+            protocols._no_click(parse_circuit(text), hbsg_input())
+        with pytest.raises(ConfigurationError, match="no measure_spin"):
+            protocols._readout(text)
+
+    def test_text_rules_take_no_default_text(self):
+        from hyperbell import analysis
+
+        rules = [protocols._readout, protocols._read_out, protocols._classified,
+                 protocols._hbsa_forms, protocols._state_forms, analysis._generation_forms]
+        for rule in rules:
+            param = inspect.signature(rule).parameters["text"]
+            assert param.default is inspect.Parameter.empty, rule.__name__
