@@ -79,9 +79,9 @@ def efficiency_closed_form(pair: ReflectionPair) -> float:
 
     Eight lossy passages (two photons through two stages of either a QD
     arm or its matched corrector, squared); invariant under the overall
-    sign convention.
+    sign convention. A pair of coefficient arrays gives one value per point.
     """
-    return float(abs(pair.r_h - pair.r_o) / 2) ** 8
+    return (abs(pair.r_h - pair.r_o) / 2) ** 8
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,7 @@ def hbsg_branch_report(pair: ReflectionPair) -> list[tuple[tuple[str, str], floa
         label = HBSG_OUTPUT_TABLE[key]
         target = make_bell(label.pol, label.spatial, layout,
                            rails=HBSG_OUTPUT_RAILS, spins=key)
-        fid = abs(overlap(target, tb.clean_state())) ** 2 / tb.clean_weight
-        rows.append((key, tb.probability, fid))
+        rows.append((key, tb.probability, fidelity(tb.clean_state(), target)))
     return rows
 
 
@@ -280,10 +279,10 @@ def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
     g_over_sum = np.tile(g_axis, len(ks_axis))
     with np.errstate(over="ignore"):  # an infinite g is reported by the coefficients
         g = g_over_sum * (kappa_s + 1.0)
-    r_o, r_h = reflection_coefficients_grid(kappa_s, g, grid.gamma_over_kappa, grid.detuning)
-    stats = hbsg_statistics_grid((r_o - r_h) / 2, (r_o + r_h) / 2)
-    eta_closed = (np.abs(r_h - r_o) / 2) ** 8  # efficiency_closed_form per point
-    columns = (kappa_s, g_over_sum, r_o, r_h, eta_closed, *stats)
+    pair = ReflectionPair(*reflection_coefficients_grid(
+        kappa_s, g, grid.gamma_over_kappa, grid.detuning))  # one array per coefficient
+    stats = hbsg_statistics_grid(pair.success_amplitude, pair.herald_amplitude)
+    columns = (kappa_s, g_over_sum, pair.r_o, pair.r_h, efficiency_closed_form(pair), *stats)
     return list(map(SweepRecord, *(c.tolist() for c in columns)))
 
 

@@ -20,10 +20,9 @@ from .errors import ConfigurationError
 
 # basis indices
 R, L = 0, 1
-UP, DOWN = 0, 1
 
 _SQRT2 = np.sqrt(2.0)
-# Hadamard: R/L <-> H/V for polarization, z <-> x basis for spins
+# Hadamard: R/L <-> H/V for polarization
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
 
 # named single-factor vectors
@@ -35,6 +34,9 @@ SPIN_UP = np.array([1.0, 0.0], dtype=complex)
 SPIN_DOWN = np.array([0.0, 1.0], dtype=complex)
 SPIN_PLUS = np.array([1.0, 1.0], dtype=complex) / _SQRT2  # (up+down)/sqrt2
 SPIN_MINUS = np.array([1.0, -1.0], dtype=complex) / _SQRT2
+# X-basis spin projectors |e><e|, one per measurement outcome e
+_SPIN_X_PROJ = {"+": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
+                "-": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)}
 
 _POL_NAMES = {"R": POL_R, "L": POL_L, "H": POL_H, "V": POL_V}
 _SPIN_NAMES = {"up": SPIN_UP, "down": SPIN_DOWN, "+": SPIN_PLUS, "-": SPIN_MINUS}
@@ -285,7 +287,8 @@ def format_state(state: HybridState) -> str:
     """Human-readable ket expansion, spins shown in the X basis; amplitudes
     of modulus 1e-9 or less are left out."""
     tol = 1e-9
-    amps = _apply_spin_matrix(_apply_spin_matrix(state.amps, 0, _HADAMARD), 1, _HADAMARD)
+    to_x = np.stack([SPIN_PLUS, SPIN_MINUS])  # rows <+|, <-| (real entries)
+    amps = _apply_spin_matrix(_apply_spin_matrix(state.amps, 0, to_x), 1, to_x)
     spin_names = ("+", "-")
     pol_names = ("R", "L")
     parts = []

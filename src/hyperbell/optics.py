@@ -32,8 +32,8 @@ kinds: cpbs, pbs, bs, hp, z, wfc, qdarm, detector, measure_spin. Each
 splitter binds two distinct outputs and, by the port rule of
 _check_ports, its inputs: a pbs its ``path``, a cpbs one or two distinct
 paths, a bs two distinct paths that its outputs equal as a set or avoid.
-Parsing enforces all of this, naming the line at fault, and the matrix
-builders check the same port rule. ``wfc qd=`` and ``measure_spin
+Parsing enforces all of this, naming the line at fault, and
+element_matrix checks the same port rule. ``wfc qd=`` and ``measure_spin
 photon=`` are accepted and ignored by the runner. A detector clicks on
 its path, in the one polarization that ``pol`` names or in both; a
 clicked photon stays on its path. No two detectors, plain or of heralded
@@ -56,6 +56,7 @@ from .cavity import IDEAL_PAIR, ReflectionPair, reflection_operator
 from .errors import ConfigurationError
 from .hilbert import (
     _HADAMARD,
+    _SPIN_X_PROJ,
     L,
     R,
     HybridState,
@@ -73,11 +74,6 @@ _SUCC4 = reflection_operator(ReflectionPair(r_o=1, r_h=-1))
 # one path, of axes (polA, polB, pathB, s1, s2) or (polA, pathA, polB, s1, s2)
 _SUCC_SIGN = {(p, q): np.diag(_SUCC4).real.reshape(
     [2 if axis in (2 * p, 3 + q) else 1 for axis in range(5)]) for p in (0, 1) for q in (0, 1)}
-# X-basis spin projectors, one per measurement outcome
-_SPIN_X_PROJ = {
-    "+": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    "-": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-}
 
 _BRANCH_DROP = 1e-26  # squared-norm threshold below which a branch is discarded
 
@@ -157,6 +153,8 @@ def _routing(n: int, src, dst) -> np.ndarray:
 _PORTS = {ElementKind.BS: ((2,), "two distinct inputs"),
           ElementKind.CPBS: ((1, 2), "one or two distinct inputs"),
           ElementKind.PBS: ((1,), "one input")}
+# the 2x2 map that each wave plate writes on the (R, L) block of its path
+_PLATES = {ElementKind.HP: _HADAMARD, ElementKind.Z: _PAULI_X}
 
 
 def _check_ports(kind: ElementKind, ins, outs):
@@ -171,85 +169,54 @@ def _check_ports(kind: ElementKind, ins, outs):
         raise ConfigurationError("bs ports must coincide as a set or be disjoint")
 
 
-def hp_matrix(layout: StateLayout, photon: str, path: str) -> np.ndarray:
-    n = len(layout.paths[layout.photon_slot(photon)])
-    idx = layout.path_index(photon, path)
-    mat = np.eye(2 * n, dtype=complex)
-    mat[idx::n, idx::n] = _HADAMARD  # the (R, L) x (R, L) block at the path
-    return mat
+def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
+    """Single-photon matrix of a passive element (hp, z, bs, cpbs, pbs), over
+    the photon's pol-major (pol, path) index.
 
-
-def z_matrix(layout: StateLayout, photon: str, path: str) -> np.ndarray:
-    n = len(layout.paths[layout.photon_slot(photon)])
-    idx = layout.path_index(photon, path)
-    mat = np.eye(2 * n, dtype=complex)
-    mat[idx::n, idx::n] = _PAULI_X
-    return mat
-
-
-def bs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.ndarray:
-    """50:50 beam splitter: |x1> -> (|y1>+|y2>)/sqrt2, |x2> -> (|y1>-|y2>)/sqrt2."""
-    _check_ports(ElementKind.BS, in_paths, out_paths)
-    n = len(layout.paths[layout.photon_slot(photon)])
-    x = [layout.path_index(photon, p) for p in in_paths]
-    y = [layout.path_index(photon, p) for p in out_paths]
-    disjoint = not set(x) & set(y)
-    mat = np.eye(2 * n, dtype=complex)
-    path_mat = mat[:n, :n]
-    path_mat[x + y, x + y] = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            path_mat[y[i], x[j]] = _HADAMARD[i, j]
-            if disjoint:
-                path_mat[x[i], y[j]] = _HADAMARD[i, j]
-    mat[n:, n:] = path_mat  # the same path map on R and on L
-    return mat
-
-
-def cpbs_matrix(layout: StateLayout, photon: str, in_paths, out_paths) -> np.ndarray:
-    """Circular-polarization splitter: R crosses to out2/out1, L keeps its side."""
-    _check_ports(ElementKind.CPBS, in_paths, out_paths)
-    n = len(layout.paths[layout.photon_slot(photon)])
-    x = [layout.path_index(photon, p) for p in in_paths]
-    y = [layout.path_index(photon, p) for p in out_paths]
+    hp and z write a Hadamard or a bit flip on the (R, L) block of their
+    path. A bs maps |x1> -> (|y1>+|y2>)/sqrt2 and |x2> -> (|y1>-|y2>)/sqrt2,
+    the same on R and L; a cpbs crosses R to out2/out1 and keeps L on its
+    side; a pbs routes H to out1 and V to out2.
+    """
+    if el.kind not in _PLATES and el.kind not in _PORTS:
+        raise ConfigurationError(f"element kind {el.kind.value} has no single-photon matrix")
+    n = len(layout.paths[layout.photon_slot(el.photon)])
+    if el.kind in _PLATES:
+        idx = layout.path_index(el.photon, el.path)
+        mat = np.eye(2 * n, dtype=complex)
+        mat[idx::n, idx::n] = _PLATES[el.kind]
+        return mat
+    ins, outs = el.in_paths or (el.path,), el.out_paths or ()
+    _check_ports(el.kind, ins, outs)
+    x = [layout.path_index(el.photon, p) for p in ins]
+    y = [layout.path_index(el.photon, p) for p in outs]
+    if el.kind == ElementKind.BS:
+        disjoint = not set(x) & set(y)
+        mat = np.eye(2 * n, dtype=complex)
+        path_mat = mat[:n, :n]
+        path_mat[x + y, x + y] = 0.0
+        for i in (0, 1):
+            for j in (0, 1):
+                path_mat[y[i], x[j]] = _HADAMARD[i, j]
+                if disjoint:
+                    path_mat[x[i], y[j]] = _HADAMARD[i, j]
+        mat[n:, n:] = path_mat  # the same path map on R and on L
+        return mat
     cols = np.arange(n)
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    mat[_routing(n, x, [y[1], y[0]][:len(x)]), cols] = 1.0  # R crosses
-    mat[n + _routing(n, x, y[:len(x)]), n + cols] = 1.0  # L keeps its side
-    return mat
-
-
-def pbs_matrix(layout: StateLayout, photon: str, path: str, out_paths) -> np.ndarray:
-    """Linear-polarization splitter: H to the transmit port, V to the reflect port."""
-    _check_ports(ElementKind.PBS, (path,), out_paths)
-    n = len(layout.paths[layout.photon_slot(photon)])
-    p = layout.path_index(photon, path)
-    y = [layout.path_index(photon, q) for q in out_paths]
-    # H = (R + L)/sqrt2 and V = (R - L)/sqrt2 take the routes to y[0] and y[1],
-    # so the (R, L) blocks hold (to_h + to_v)/2, and (to_h - to_v)/2 off the diagonal
-    cols = np.arange(n)
+    if el.kind == ElementKind.CPBS:
+        mat = np.zeros((2 * n, 2 * n), dtype=complex)
+        mat[_routing(n, x, y[::-1][:len(x)]), cols] = 1.0  # R crosses
+        mat[n + _routing(n, x, y[:len(x)]), n + cols] = 1.0  # L keeps its side
+        return mat
+    # a pbs: H = (R + L)/sqrt2 and V = (R - L)/sqrt2 take the routes to y[0] and
+    # y[1], so the (R, L) blocks hold (to_h + to_v)/2, and (to_h - to_v)/2 off the diagonal
     half_h, half_v = np.zeros((n, n)), np.zeros((n, n))
-    half_h[_routing(n, [p], y[:1]), cols] = 0.5
-    half_v[_routing(n, [p], y[1:]), cols] = 0.5
+    half_h[_routing(n, x, y[:1]), cols] = 0.5
+    half_v[_routing(n, x, y[1:]), cols] = 0.5
     mat = np.empty((2 * n, 2 * n), dtype=complex)
     mat[:n, :n] = mat[n:, n:] = half_h + half_v
     mat[:n, n:] = mat[n:, :n] = half_h - half_v
     return mat
-
-
-def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
-    """Single-photon matrix of a passive element (not wfc/qdarm/detector/measure)."""
-    if el.kind == ElementKind.HP:
-        return hp_matrix(layout, el.photon, el.path)
-    if el.kind == ElementKind.Z:
-        return z_matrix(layout, el.photon, el.path)
-    if el.kind == ElementKind.BS:
-        return bs_matrix(layout, el.photon, el.in_paths, el.out_paths)
-    if el.kind == ElementKind.CPBS:
-        return cpbs_matrix(layout, el.photon, el.in_paths, el.out_paths)
-    if el.kind == ElementKind.PBS:
-        return pbs_matrix(layout, el.photon, el.path, el.out_paths)
-    raise ConfigurationError(f"element kind {el.kind.value} has no single-photon matrix")
 
 
 # ---------------------------------------------------------------------------

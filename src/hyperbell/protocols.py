@@ -39,6 +39,7 @@ import numpy as np
 from .cavity import IDEAL_PAIR, ReflectionPair
 from .errors import ConfigurationError, InconsistentOutcomeError, PreconditionError
 from .hilbert import (
+    _SPIN_X_PROJ,
     _SQRT2,
     HybridState,
     StateLayout,
@@ -53,7 +54,6 @@ from .hilbert import (
 )
 from .optics import (
     _BRANCH_DROP,
-    _SPIN_X_PROJ,
     Circuit,
     ElementKind,
     TrackedBranch,

@@ -8,6 +8,9 @@ from hyperbell.hilbert import (
     POL_L,
     POL_R,
     POL_V,
+    SPIN_MINUS,
+    SPIN_PLUS,
+    _SPIN_X_PROJ,
     HybridState,
     StateLayout,
     _apply_photon_matrix,
@@ -39,6 +42,12 @@ class TestPolarizationBasis:
     def test_linear_basis_orthonormal(self):
         assert abs(np.vdot(POL_H, POL_V)) < 1e-15
         assert abs(np.vdot(POL_H, POL_H) - 1) < 1e-15
+
+
+class TestSpinXBasis:
+    @pytest.mark.parametrize("e, v", [("+", SPIN_PLUS), ("-", SPIN_MINUS)])
+    def test_projector_is_outer_product_of_x_vector(self, e, v):
+        np.testing.assert_allclose(_SPIN_X_PROJ[e], np.outer(v, v.conj()), rtol=0, atol=2e-16)
 
 
 class TestLayout:

@@ -19,54 +19,53 @@ from hyperbell.optics import (
     Circuit,
     Element,
     ElementKind,
-    bs_matrix,
-    cpbs_matrix,
     element_matrix,
-    hp_matrix,
     parse_circuit,
-    pbs_matrix,
     run_circuit_polynomial,
     run_circuit_tracked,
     serialize_circuit,
-    z_matrix,
 )
 
 SQ2 = np.sqrt(2.0)
 EXAMPLE_PAIR = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
+HP_A1 = Element(ElementKind.HP, photon="A", path="a1")
+Z_A1 = Element(ElementKind.Z, photon="A", path="a1")
+BS_A = Element(ElementKind.BS, photon="A", in_paths=("a1", "a2"), out_paths=("a1", "a2"))
+CPBS_A1 = Element(ElementKind.CPBS, photon="A", in_paths=("a1",), out_paths=("a1", "a2"))
+PBS_A1 = Element(ElementKind.PBS, photon="A", path="a1", out_paths=("a1", "a2"))
 
 
 class TestHalfWavePlate:
     def test_involution(self, small_layout, rng):
         state = random_state(small_layout, rng)
-        hp = hp_matrix(small_layout, "A", "a1")
+        hp = element_matrix(HP_A1, small_layout)
         out = apply_single_photon_op(apply_single_photon_op(state, "A", hp), "A", hp)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
 
     def test_l_to_difference(self, small_layout):
         state = product_state(small_layout, "L", "a1", "R", "b1")
-        out = apply_single_photon_op(state, "A", hp_matrix(small_layout, "A", "a1"))
+        out = apply_single_photon_op(state, "A", element_matrix(HP_A1, small_layout))
         expected = (product_state(small_layout, "R", "a1", "R", "b1").amps
                     - product_state(small_layout, "L", "a1", "R", "b1").amps) / SQ2
         np.testing.assert_allclose(out.amps, expected, atol=1e-15)
 
     def test_disjoint_path_untouched(self, small_layout):
         state = product_state(small_layout, "R", "a2", "R", "b1")
-        out = apply_single_photon_op(state, "A", hp_matrix(small_layout, "A", "a1"))
+        out = apply_single_photon_op(state, "A", element_matrix(HP_A1, small_layout))
         assert np.array_equal(out.amps, state.amps)
 
 
 class TestBeamSplitter:
     def test_involution(self, small_layout, rng):
         state = random_state(small_layout, rng)
-        bs = bs_matrix(small_layout, "A", ("a1", "a2"), ("a1", "a2"))
+        bs = element_matrix(BS_A, small_layout)
         out = apply_single_photon_op(apply_single_photon_op(state, "A", bs), "A", bs)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
 
     def test_constructive_interference(self, small_layout):
         state = product_state(small_layout, "R", {"a1": 1 / SQ2, "a2": 1 / SQ2},
                               "R", "b1")
-        out = apply_single_photon_op(
-            state, "A", bs_matrix(small_layout, "A", ("a1", "a2"), ("a1", "a2")))
+        out = apply_single_photon_op(state, "A", element_matrix(BS_A, small_layout))
         expected = product_state(small_layout, "R", "a1", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
@@ -77,10 +76,10 @@ class TestBeamSplitter:
         from hyperbell.protocols import Bell, make_bell
 
         psi_minus = make_bell(Bell.PHI_PLUS, Bell.PSI_MINUS, layout)
-        out = apply_single_photon_op(
-            psi_minus, "A", bs_matrix(layout, "A", ("a1", "a2"), ("c1", "c2")))
-        out = apply_single_photon_op(
-            out, "B", bs_matrix(layout, "B", ("b1", "b2"), ("d1", "d2")))
+        bs_a = Element(ElementKind.BS, photon="A", in_paths=("a1", "a2"), out_paths=("c1", "c2"))
+        bs_b = Element(ElementKind.BS, photon="B", in_paths=("b1", "b2"), out_paths=("d1", "d2"))
+        out = apply_single_photon_op(psi_minus, "A", element_matrix(bs_a, layout))
+        out = apply_single_photon_op(out, "B", element_matrix(bs_b, layout))
         h = np.array([[1, 1], [1, -1]]) / SQ2
         spatial_in = np.array([0, 1, -1, 0]) / SQ2  # a1 b2 - a2 b1
         spatial_out = np.kron(h, h) @ spatial_in  # rail-pair oracle
@@ -93,29 +92,28 @@ class TestBeamSplitter:
         layout = StateLayout(photons=("A", "B"),
                              paths=(("a1", "a2", "c1", "c2"), ("b1",)))
         state = product_state(layout, "R", "a1", "R", "b1")
-        out = apply_single_photon_op(
-            state, "A", bs_matrix(layout, "A", ("a1", "a2"), ("c1", "c2")))
+        bs = Element(ElementKind.BS, photon="A", in_paths=("a1", "a2"), out_paths=("c1", "c2"))
+        out = apply_single_photon_op(state, "A", element_matrix(bs, layout))
         expected = product_state(layout, "R", {"c1": 1 / SQ2, "c2": 1 / SQ2},
                                  "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_partial_overlap_rejected(self, small_layout):
         with pytest.raises(ConfigurationError):
-            bs_matrix(small_layout, "A", ("a1", "a2"), ("a1", "b1"))
+            element_matrix(Element(ElementKind.BS, photon="A", in_paths=("a1", "a2"),
+                                   out_paths=("a1", "b1")), small_layout)
 
 
 class TestCircularPBS:
     def test_r_transmits_to_cross_port(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1")
-        out = apply_single_photon_op(
-            state, "A", cpbs_matrix(small_layout, "A", ("a1",), ("a1", "a2")))
+        out = apply_single_photon_op(state, "A", element_matrix(CPBS_A1, small_layout))
         expected = product_state(small_layout, "R", "a2", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_h_input_splits_across_ports(self, small_layout):
         state = product_state(small_layout, "H", "a1", "R", "b1")
-        out = apply_single_photon_op(
-            state, "A", cpbs_matrix(small_layout, "A", ("a1",), ("a1", "a2")))
+        out = apply_single_photon_op(state, "A", element_matrix(CPBS_A1, small_layout))
         expected = (product_state(small_layout, "R", "a2", "R", "b1").amps
                     + product_state(small_layout, "L", "a1", "R", "b1").amps) / SQ2
         np.testing.assert_allclose(out.amps, expected, atol=1e-15)
@@ -125,35 +123,33 @@ class TestCircularPBS:
         state = HybridState(small_layout, (
             product_state(small_layout, "R", "a2", "R", "b1").amps
             + product_state(small_layout, "L", "a1", "R", "b1").amps) / SQ2)
-        out = apply_single_photon_op(
-            state, "A", cpbs_matrix(small_layout, "A", ("a1", "a2"), ("a1", "a2")))
+        cpbs = Element(ElementKind.CPBS, photon="A", in_paths=("a1", "a2"), out_paths=("a1", "a2"))
+        out = apply_single_photon_op(state, "A", element_matrix(cpbs, small_layout))
         expected = product_state(small_layout, "H", "a1", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_duplicate_output_rejected(self, small_layout):
         with pytest.raises(ConfigurationError):
-            cpbs_matrix(small_layout, "A", ("a1", "a2"), ("a1", "a1"))
+            element_matrix(Element(ElementKind.CPBS, photon="A", in_paths=("a1", "a2"),
+                                   out_paths=("a1", "a1")), small_layout)
 
 
 class TestLinearPBS:
     def test_h_transmits(self, small_layout):
         state = product_state(small_layout, "H", "a1", "R", "b1")
-        out = apply_single_photon_op(
-            state, "A", pbs_matrix(small_layout, "A", "a1", ("a1", "a2")))
+        out = apply_single_photon_op(state, "A", element_matrix(PBS_A1, small_layout))
         expected = product_state(small_layout, "H", "a1", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_v_reflects(self, small_layout):
         state = product_state(small_layout, "V", "a1", "R", "b1")
-        out = apply_single_photon_op(
-            state, "A", pbs_matrix(small_layout, "A", "a1", ("a1", "a2")))
+        out = apply_single_photon_op(state, "A", element_matrix(PBS_A1, small_layout))
         expected = product_state(small_layout, "V", "a2", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_r_splits_into_h_and_v(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1")
-        out = apply_single_photon_op(
-            state, "A", pbs_matrix(small_layout, "A", "a1", ("a1", "a2")))
+        out = apply_single_photon_op(state, "A", element_matrix(PBS_A1, small_layout))
         expected = (product_state(small_layout, "H", "a1", "R", "b1").amps
                     + product_state(small_layout, "V", "a2", "R", "b1").amps) / SQ2
         np.testing.assert_allclose(out.amps, expected, atol=1e-15)
@@ -162,13 +158,13 @@ class TestLinearPBS:
 class TestZAndWfc:
     def test_z_flips_polarization(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1")
-        out = apply_single_photon_op(state, "A", z_matrix(small_layout, "A", "a1"))
+        out = apply_single_photon_op(state, "A", element_matrix(Z_A1, small_layout))
         expected = product_state(small_layout, "L", "a1", "R", "b1")
         np.testing.assert_allclose(out.amps, expected.amps, atol=1e-15)
 
     def test_z_involution_and_disjoint_path(self, small_layout, rng):
         state = random_state(small_layout, rng)
-        z = z_matrix(small_layout, "A", "a1")
+        z = element_matrix(Z_A1, small_layout)
         np.testing.assert_allclose(
             apply_single_photon_op(apply_single_photon_op(state, "A", z), "A", z).amps,
             state.amps, atol=1e-13)
@@ -341,6 +337,16 @@ class TestParser:
             parse_circuit(f"{decls}op {op}\n")
         with pytest.raises(ConfigurationError):
             element_matrix(el, parse_circuit(decls).layout())
+
+    @pytest.mark.parametrize("el", [
+        Element(ElementKind.BS, photon="A", out_paths=("a1", "a2")),
+        Element(ElementKind.CPBS, photon="A", out_paths=("a1", "a2")),
+        Element(ElementKind.PBS, photon="A", path="a1"),
+    ])
+    def test_missing_port_rejected_at_build(self, small_layout, el):
+        # a hand-built splitter may leave out ports that every parsed one has
+        with pytest.raises(ConfigurationError):
+            element_matrix(el, small_layout)
 
     @pytest.mark.parametrize("lines, lineno, message", [
         ("op hp photon=A", 4, "op hp requires path="),
