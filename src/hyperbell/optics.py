@@ -33,14 +33,14 @@ splitter binds two distinct outputs and, by the port rule of
 _check_ports, its inputs: a pbs its ``path``, a cpbs one or two distinct
 paths, a bs two distinct paths that its outputs equal as a set or avoid.
 Parsing enforces all of this, naming the line at fault, and
-element_matrix checks the same port rule. ``wfc qd=`` and ``measure_spin
-photon=`` are accepted and ignored by the runner. A detector clicks on
-its path, in the one polarization that ``pol`` names or in both; a
-clicked photon stays on its path. No two detectors, plain or of heralded
-blocks, share a label. The ``block`` macro expands into the primitives
-of block_ops: Hp - qdarm - Hp on the bound path, then ``z`` (parity) or
-``detector pol=L`` (heralded), which catches the leak, as the leak keeps
-the L polarization of the input.
+element_matrix checks the same keys and port rule. ``wfc qd=`` and
+``measure_spin photon=`` are accepted and ignored by the runner. A
+detector clicks on its path, in the one polarization that ``pol`` names
+or in both; a clicked photon stays on its path. No two detectors, plain
+or of heralded blocks, share a label. The ``block`` macro expands into
+the primitives of block_ops: Hp - qdarm - Hp on the bound path, then
+``z`` (parity) or ``detector pol=L`` (heralded), which catches the leak,
+as the leak keeps the L polarization of the input.
 """
 
 from __future__ import annotations
@@ -180,13 +180,16 @@ def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
     """
     if el.kind not in _PLATES and el.kind not in _PORTS:
         raise ConfigurationError(f"element kind {el.kind.value} has no single-photon matrix")
+    for i in _OFF_FIELDS[el.kind]:
+        if el[i] is not None:
+            raise ConfigurationError(f"key {_OP_KEYS[i - 1]!r} not allowed for op {el.kind.value}")
     n = len(layout.paths[layout.photon_slot(el.photon)])
     if el.kind in _PLATES:
         idx = layout.path_index(el.photon, el.path)
         mat = np.eye(2 * n, dtype=complex)
         mat[idx::n, idx::n] = _PLATES[el.kind]
         return mat
-    ins, outs = el.in_paths or (el.path,), el.out_paths or ()
+    ins, outs = el.in_paths or ((el.path,) if el.path else ()), el.out_paths or ()
     _check_ports(el.kind, ins, outs)
     x = [layout.path_index(el.photon, p) for p in ins]
     y = [layout.path_index(el.photon, p) for p in outs]
@@ -241,6 +244,9 @@ _KEYS = {
 }
 # the op key of each Element field after kind, in field (and serialized) order
 _OP_KEYS = ("photon", "path", "in", "out", "qd", "label", "pol")
+# per passive kind, the indices of the Element fields whose keys its line does not take
+_OFF_FIELDS = {kind: [i for i, key in enumerate(_OP_KEYS, 1)  # no passive kind has an optional key
+                      if key not in _KEYS[f"op {kind.value}"][0]] for kind in (*_PLATES, *_PORTS)}
 
 
 def _parse_kv(head: str, tokens: list[str]) -> dict:
@@ -656,3 +662,10 @@ def run_circuit_polynomial(circuit: Circuit, state: HybridState) -> PolynomialRu
     return PolynomialRun(layout, tuple(branches),
                          tuple((label, tuple(cs)) for label, cs in clicks.items()))
 
+
+def monomial_support(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support of c[s-degree, h-degree, *state axes]: the mask [s, h] of the monomials
+    with an exactly nonzero coefficient, and the indices on the first state axis with one."""
+    nz = c != 0
+    return (nz.any(axis=tuple(range(2, c.ndim))),
+            np.flatnonzero(nz.any(axis=(0, 1, *range(3, c.ndim)))))

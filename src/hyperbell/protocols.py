@@ -9,21 +9,21 @@ spins in the X basis then picks one of four polarization (x)
 spatial-mode Bell products.
 
 The analysis circuit records spatial parity on QD1 and, after a
-beam-splitter basis change, spatial phase on QD2 (restoring the rails
-with a second beam splitter); the remaining polarization Bell state is
-read out by single-photon Bell-state measurements (SPBSM) assisted by
-the now-known spatial state. Only stage 1, every op before the first
-spin measurement, sees the cavity. _no_click runs it at a pair or as a
-polynomial in (s, h) and keeps its no-click branch, for the analyzer
-and for the generator's forms in analysis. run_hbsa applies the fixed
-readout (spin X measurement, SPBSM) to that branch once per basis
-input: each of the 64 (spin outcome, detector pattern) branches keeps
-its amplitude as a polynomial, which a call evaluates at one pair. The
-classifier is read off the same readout pass; these rules take the
-circuit text and are cached per text. Each local correction maps
-one Bell product exactly onto another. run_hbsa returns HbsaBranch
-records, NamedTuples: immutable, compared by value (a plain tuple of
-the same values included) and copied with _replace.
+beam-splitter basis change, spatial phase on QD2 (restoring the rails with
+a second beam splitter); the remaining polarization Bell state is read out
+by single-photon Bell-state measurements (SPBSM) assisted by the now-known
+spatial state. Only stage 1, every op before the first spin measurement,
+sees the cavity. _no_click runs it at a pair or as a polynomial in (s, h)
+and keeps its no-click branch, for the analyzer and for the generator's
+forms in analysis. run_hbsa applies the fixed readout (spin X measurement,
+SPBSM) to that branch once per basis input: each of the 64 (spin outcome,
+detector pattern) branches keeps its amplitude as a polynomial, which a
+call evaluates at one pair on its exact nonzeros alone (no bound on |s|,
+|h| holds at every pair). The classifier is read off the same readout
+pass; these rules take the circuit text and are cached per text. Each
+local correction maps one Bell product exactly onto another. run_hbsa
+returns HbsaBranch records, NamedTuples: immutable, compared by value (a
+plain tuple of the same values included) and copied with _replace.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +63,7 @@ from .optics import (
     _run,
     _weight,
     initial_spins,
+    monomial_support,
     parse_circuit,
     run_circuit_tracked,
 )
@@ -548,9 +549,11 @@ def _hbsa_forms(label: HyperBellLabel, text: str) -> np.ndarray:
     text, as polynomials in (s, h): [s-degree, h-degree, branch, polA * polB],
     a runner coefficient array with the branches as its state axes.
 
-    Stage 1 is the only part of the analysis that sees the cavity, so it
-    runs once as a polynomial, and the readout acts on the coefficients
-    of its no-click branch. The array is read-only.
+    Stage 1 is the only part of the analysis that sees the cavity, so it runs
+    once as a polynomial, and the readout acts on the coefficients of its
+    no-click branch. The array is read-only. run_hbsa evaluates its exact
+    nonzeros alone (i + k = 4 on every label): no bound on |s|, |h| holds at
+    every pair.
     """
     circuit = _parsed(text)
     c, _ = _no_click(circuit, make_bell(label.pol, label.spatial, circuit.layout()))
@@ -576,39 +579,53 @@ def _state_forms(state: HybridState, text: str) -> np.ndarray:
         raise ConfigurationError(
             "input state is not a superposition of the 16 analysis basis inputs")
     used = [(a, _hbsa_forms(label, text)) for a, label in zip(coeffs, labels) if a != 0]
-    s_len = max((f.shape[0] for _, f in used), default=1)
-    h_len = max((f.shape[1] for _, f in used), default=1)
+    s_len, h_len = np.max([(1, 1)] + [f.shape[:2] for _, f in used], axis=0)
     forms = np.zeros((s_len, h_len, len(_readout(text)[1]), 4), dtype=complex)
     for a, f in used:
         forms[:f.shape[0], :f.shape[1]] += a * f
     return forms
 
 
+@lru_cache(maxsize=64)
+def _hbsa_support(label: HyperBellLabel, text: str) -> tuple:
+    """The support of one basis input's forms, derived once."""
+    return _support(_hbsa_forms(label, text), text)
+
+
+def _support(forms: np.ndarray, text: str) -> tuple:
+    """What run_hbsa evaluates of forms [s, h, branch, pol] on the branches with a
+    nonzero coefficient, read-only: each layer's s- and h-degree and coefficients
+    (or the forms, if a layer has several s-degrees); spins, patterns and labels."""
+    monomials, rows = monomial_support(forms)
+    single = monomials.sum(axis=0).max() < 2  # at most one s-degree per h-degree
+    deg = np.stack([monomials.argmax(axis=0), np.arange(forms.shape[1])]).reshape(2, -1, 1, 1)
+    coef = forms[deg[0].ravel(), deg[1].ravel()][:, rows] if single else forms[:, :, rows]
+    deg.flags.writeable = coef.flags.writeable = False
+    readout, classified = _readout(text)[1], _classified(text)
+    return (deg, coef, tuple(readout[b][0] for b in rows),
+            tuple(readout[b][1] for b in rows), tuple(classified[b] for b in rows))
+
+
 def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBranch]:
     """Run stage 1, measure both spins, and perform the SPBSM readout.
 
-    The input's forms are evaluated at the pair as PolynomialRun.at
-    evaluates a run: a branch's trailing leak layers below the runner's
-    drop threshold are left out, and the branch is kept iff the weight
-    of the rest is above it. A state input must lie in the span of the
-    16 basis inputs.
+    The input's forms are evaluated at the pair as PolynomialRun.at evaluates
+    a run: a branch's trailing leak layers below the runner's drop threshold
+    are left out, and the branch is kept iff the weight of the rest is above
+    it. Only exact nonzeros are evaluated: no bound on |s|, |h| holds at every
+    pair. A state input must lie in the span of the 16 basis inputs.
     """
-    if isinstance(state_or_label, HyperBellLabel):
-        forms = _hbsa_forms(state_or_label, HBSA_FULL_TEXT)
-    else:
-        forms = _state_forms(state_or_label, HBSA_FULL_TEXT)
-    layers = _evaluate(forms, pair.success_amplitude, pair.herald_amplitude)[0]
+    deg, coef, spins, patterns, classified = (
+        _hbsa_support(state_or_label, HBSA_FULL_TEXT) if isinstance(state_or_label, HyperBellLabel)
+        else _support(_state_forms(state_or_label, HBSA_FULL_TEXT), HBSA_FULL_TEXT))
+    s, h = pair.success_amplitude, pair.herald_amplitude
+    # one s-power per h-degree, multiplied in as _evaluate does, or the general sum
+    layers = s ** deg[0] * coef * h ** deg[1] if coef.ndim == 3 else _evaluate(coef, s, h)[0]
     weights = (layers.real ** 2 + layers.imag ** 2).sum(axis=2)  # [h-degree, branch]
     dropped = ~_kept_layers(weights)
-    layers[dropped] = 0.0  # a new array: _evaluate never aliases the forms
-    weights[dropped] = 0.0
-    total = weights.sum(axis=0)
-    amps = layers.sum(axis=0)
-    probability = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
-    live = np.flatnonzero(total > _BRANCH_DROP).tolist()
-    clean = weights[0]
-    clean, leaked, probability = clean.tolist(), (total - clean).tolist(), probability.tolist()
-    _, readout = _readout(HBSA_FULL_TEXT)
-    classified = _classified(HBSA_FULL_TEXT)
-    return [HbsaBranch(*readout[b][:2], probability[b], classified[b], clean[b], leaked[b])
-            for b in live]
+    layers[dropped], weights[dropped] = 0.0, 0.0  # new arrays, aliasing no coefficients
+    total, amps = weights.sum(axis=0), layers.sum(axis=0)
+    clean, probability = weights[0], (amps.real ** 2 + amps.imag ** 2).sum(axis=1).tolist()
+    rows = zip(spins, patterns, probability, classified, clean.tolist(), (total - clean).tolist())
+    return list(map(tuple.__new__, repeat(HbsaBranch),
+                    compress(rows, (total > _BRANCH_DROP).tolist())))

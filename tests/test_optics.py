@@ -348,6 +348,26 @@ class TestParser:
         with pytest.raises(ConfigurationError):
             element_matrix(el, small_layout)
 
+    @pytest.mark.parametrize("el, message", [
+        (Element(ElementKind.CPBS, photon="A", path="a1", out_paths=("a1", "a2")),
+         "key 'path' not allowed for op cpbs"),
+        (Element(ElementKind.PBS, photon="A", in_paths=("a1",), out_paths=("a1", "a2")),
+         "key 'in' not allowed for op pbs"),
+        (Element(ElementKind.BS, photon="A", path="a1", in_paths=("a1", "a2"),
+                 out_paths=("a1", "a2")), "key 'path' not allowed for op bs"),
+        (Element(ElementKind.HP, photon="A", path="a1", out_paths=("a1", "a2")),
+         "key 'out' not allowed for op hp"),
+        (Element(ElementKind.Z, photon="A", path="a1", in_paths=("a1",)),
+         "key 'in' not allowed for op z"),
+        (Element(ElementKind.CPBS, photon="A", out_paths=("a1", "a2")),
+         "cpbs binds one or two distinct inputs and two distinct outputs"),
+    ], ids=["cpbs-path", "pbs-in", "bs-path", "hp-out", "z-in", "cpbs-no-input"])
+    def test_fields_checked_against_kind_keys_at_build(self, small_layout, el, message):
+        # a hand-built element holds only the keys its kind's line takes, as
+        # the parser requires; a cpbs with no input breaks the port rule
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            element_matrix(el, small_layout)
+
     @pytest.mark.parametrize("lines, lineno, message", [
         ("op hp photon=A", 4, "op hp requires path="),
         ("op hp photon=A path=a1 foo=x", 4, "key 'foo' not allowed for op hp"),
@@ -680,6 +700,18 @@ class TestPolynomialRun:
         state.amps[...] = np.nan
         (branch,) = poly.at(EXAMPLE_PAIR).branches
         np.testing.assert_array_equal(branch.physical_state().amps, before)
+
+    def test_monomial_support_is_the_exact_nonzeros(self):
+        # a tiny coefficient is in the support, a signed zero is not
+        c = np.zeros((3, 2, 4, 2), dtype=complex)
+        c[1, 0, 2, 1] = 1.0
+        c[0, 1, 3, 0] = 1e-300j
+        c[2, 1, 0, 0] = complex(-0.0, -0.0)
+        mask, rows = optics.monomial_support(c)
+        assert mask.tolist() == [[False, True], [True, False], [False, False]]
+        assert rows.tolist() == [2, 3]
+        mask, rows = optics.monomial_support(np.zeros((1, 1, 4), dtype=complex))
+        assert mask.tolist() == [[False]] and rows.tolist() == []
 
 
 class TestFusedCompile:

@@ -1,16 +1,21 @@
 import dataclasses
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from test_records import _superposition
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import ConfigurationError, InconsistentOutcomeError, PreconditionError
 from hyperbell.hilbert import HybridState, overlap, product_state
 from hyperbell.optics import (
+    _BRANCH_DROP,
     ElementKind,
     _evaluate,
+    _kept_layers,
     _weight,
+    monomial_support,
     parse_circuit,
     run_circuit_tracked,
     serialize_circuit,
@@ -21,6 +26,7 @@ from hyperbell.protocols import (
     DetectorPattern,
     HBSG_OUTPUT_RAILS,
     HBSG_OUTPUT_TABLE,
+    HbsaBranch,
     HyperBellLabel,
     SPIN_TO_SPATIAL,
     SpinOutcome,
@@ -484,12 +490,117 @@ class TestHbsaForms:
 
     def test_forms_built_once_per_label(self):
         label = HyperBellLabel(Bell.PSI_PLUS, Bell.PHI_MINUS)
+        protocols._hbsa_support.cache_clear()
         protocols._hbsa_forms.cache_clear()
         run_hbsa(label, EXAMPLE_PAIR)
         run_hbsa(label, IDEAL_PAIR)
-        info = protocols._hbsa_forms.cache_info()
+        # run_hbsa reads the label's support, derived once from forms built once
+        info = protocols._hbsa_support.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        info = protocols._hbsa_forms.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
         assert not protocols._hbsa_forms(label, protocols.HBSA_FULL_TEXT).flags.writeable
+
+
+def _dense_hbsa(forms, pair):
+    """The oracle for run_hbsa: every monomial and branch of the forms
+    evaluated at the pair, then the runner's drop rule."""
+    layers = _evaluate(forms, pair.success_amplitude, pair.herald_amplitude)[0]
+    weights = (layers.real ** 2 + layers.imag ** 2).sum(axis=2)  # [h-degree, branch]
+    dropped = ~_kept_layers(weights)
+    layers[dropped] = 0.0
+    weights[dropped] = 0.0
+    total, amps = weights.sum(axis=0), layers.sum(axis=0)
+    probability = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
+    _, readout = protocols._readout(protocols.HBSA_FULL_TEXT)
+    classified = protocols._classified(protocols.HBSA_FULL_TEXT)
+    return [HbsaBranch(*readout[b][:2], float(probability[b]), classified[b],
+                       float(weights[0, b]), float(total[b] - weights[0, b]))
+            for b in range(len(total)) if total[b] > _BRANCH_DROP]
+
+
+def _assert_matches_oracle(got, want):
+    assert [(b.spins, b.pattern, b.classified) for b in got] == \
+        [(b.spins, b.pattern, b.classified) for b in want]
+    for g, w in zip(got, want):
+        for name in ("probability", "clean_weight", "leaked_weight"):
+            assert abs(getattr(g, name) - getattr(w, name)) <= 1e-15, name
+
+
+def _lossless_pairs(seed, n):
+    rng = np.random.default_rng(seed)
+    return [ReflectionPair(np.exp(1j * rng.uniform(0, 2 * np.pi)),
+                           np.exp(1j * rng.uniform(0, 2 * np.pi))) for _ in range(n)]
+
+
+_ORACLE_PAIRS = {
+    "ideal": IDEAL_PAIR,
+    "absorbing": reflection_coefficients(CavityParams(g=0.0, kappa_s=1.0)),
+    **{f"lossless{k}": pair for k, pair in enumerate(_lossless_pairs(17, 2))},
+    **{f"lossy{k}": pair for k, pair in enumerate(_lossy_pairs(18, 3))},
+    "gain": ReflectionPair(1.3 * np.exp(0.4j), -0.7 + 0.6j),  # |r_o| > 1
+}
+
+
+class TestHbsaSupport:
+    """run_hbsa evaluates each input's forms only on their support; the
+    reference is the dense evaluation of the whole forms."""
+
+    @pytest.mark.parametrize("pair", _ORACLE_PAIRS.values(), ids=_ORACLE_PAIRS)
+    def test_matches_dense_evaluation(self, pair):
+        text = protocols.HBSA_FULL_TEXT
+        for label in all_labels():
+            _assert_matches_oracle(run_hbsa(label, pair),
+                                   _dense_hbsa(protocols._hbsa_forms(label, text), pair))
+        state = _superposition()  # the superposition input of hbsa_branches_golden.json
+        _assert_matches_oracle(run_hbsa(state, pair),
+                               _dense_hbsa(protocols._state_forms(state, text), pair))
+
+    def test_forms_vanish_off_total_degree_four(self):
+        h_degrees = Counter()
+        for label in all_labels():
+            forms = protocols._hbsa_forms(label, protocols.HBSA_FULL_TEXT)
+            i, k = np.indices(forms.shape[:2])
+            assert not forms[i + k != 4].any(), label
+            # one monomial per leak layer: s^(4-k) h^k for every h-degree k
+            mask, rows = monomial_support(forms)
+            assert np.argwhere(mask).tolist() == [[4 - k, k]
+                                                  for k in reversed(range(forms.shape[1]))]
+            assert 30 <= len(rows) <= 64
+            h_degrees[forms.shape[1]] += 1
+        assert h_degrees == {5: 8, 4: 4, 3: 4}
+
+    def test_support_built_once_per_label_and_read_only(self):
+        protocols._hbsa_support.cache_clear()
+        for _ in range(2):
+            for label in all_labels():
+                run_hbsa(label, EXAMPLE_PAIR)
+        info = protocols._hbsa_support.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (16, 16, 16)
+        for label in all_labels():
+            deg, coef, *columns = protocols._hbsa_support(label, protocols.HBSA_FULL_TEXT)
+            # one s-degree per h-degree on every label: 4 - k, for h-degrees k
+            assert coef.ndim == 3 and (deg.sum(axis=0) == 4).all()
+            for a in (deg, coef):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0
+            assert [len(column) for column in columns] == [coef.shape[1]] * 3
+            assert all(isinstance(column, tuple) for column in columns)
+
+    def test_several_s_degrees_per_layer_take_the_general_sum(self, monkeypatch):
+        # no analysis input has them, so the forms are made up: two labels'
+        # forms, one of them shifted up by one s-degree
+        text = protocols.HBSA_FULL_TEXT
+        f, g = (protocols._hbsa_forms(label, text) for label in all_labels()[:2])
+        forms = np.zeros((f.shape[0] + 1,) + f.shape[1:], dtype=complex)
+        forms[:-1] += f
+        forms[1:, :g.shape[1]] += 0.5j * g
+        assert protocols._support(forms, text)[1].ndim == 4  # the forms, not one s-power a layer
+        monkeypatch.setattr(protocols, "_state_forms", lambda state, text: forms)
+        for pair in _ORACLE_PAIRS.values():
+            _assert_matches_oracle(run_hbsa(hbsa_input(all_labels()[0]), pair),
+                                   _dense_hbsa(forms, pair))
 
 
 class TestCircuitText:

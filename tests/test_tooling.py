@@ -1,6 +1,7 @@
 """The benchmark's tracer must keep finding the functions it wraps, its
 workloads must pass their own checks, the BENCH file writer must
-assemble its reports right, and the demos must run."""
+assemble its reports right, the committed BENCH files must hold the
+record it writes, and the demos must run."""
 
 import ast
 import importlib.util
@@ -178,6 +179,40 @@ def test_bench_compare_failed_share(parent_failed, change_failed, want):
     assert row.split() == ["sweep", "failed_share", f"{parent_failed / 120:.6g}",
                            f"{change_failed / 120:.6g}", "-", "-", *want.split()]
     assert json.loads(json.dumps(entry)) == entry
+
+
+def test_committed_bench_files_hold_their_record():
+    # the BENCH files are the performance record: per workload, ten pairs of
+    # runs and the medians, quartiles and verdicts that the pairs give; the
+    # writer added verdicts in BENCH_13, the failed share in BENCH_14 and the
+    # source line counts in BENCH_15
+    bench = _load("bench_compare", ROOT / "tools")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    directions = bench._directions(benchmark)
+    files = sorted((int(path.stem.split("_")[1]), path) for path in ROOT.glob("BENCH_*.json"))
+    assert files and files[0][0] == 10
+    for n, path in files:
+        record = json.loads(path.read_text())
+        assert list(record["workloads"]) == [w["name"] for w in benchmark["workloads"]], n
+        for workload, entry in record["workloads"].items():
+            where = f"{path.name} {workload}"
+            assert len(set(entry["seeds"])) == len(entry["pairs"]) == 10, where
+            assert [pair["seed"] for pair in entry["pairs"]] == entry["seeds"], where
+            for side in ("parent", "change"):
+                assert set(entry["median"][side]) == set(entry["quartiles"][side]) \
+                    == set(directions), (where, side)
+            summary = bench.summarize(entry["pairs"], directions)
+            for key in ("median", "quartiles", "change_over_parent", "change_better_pairs"):
+                assert entry[key] == summary[key], (where, key)
+            if n >= 13:
+                want = bench.verdicts(entry, benchmark["end_to_end"])
+                if n >= 14:
+                    assert entry["failed_share"] == summary["failed_share"], where
+                    want["failed_share"] = bench.failed_share_verdict(entry)
+                assert entry["verdict"] == want, where
+        if n >= 15:
+            assert set(record["src_lines"]) == {"parent", "change"}, n
+            assert all(isinstance(v, int) and v > 0 for v in record["src_lines"].values()), n
 
 
 # demo 05 writes into demos/out, so it stays out
