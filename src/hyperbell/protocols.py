@@ -58,7 +58,6 @@ from .optics import (
     ElementKind,
     TrackedBranch,
     _compile,
-    _evaluate,
     _kept_layers,
     _run,
     _weight,
@@ -579,7 +578,8 @@ def _state_forms(state: HybridState, text: str) -> np.ndarray:
         raise ConfigurationError(
             "input state is not a superposition of the 16 analysis basis inputs")
     used = [(a, _hbsa_forms(label, text)) for a, label in zip(coeffs, labels) if a != 0]
-    s_len, h_len = np.max([(1, 1)] + [f.shape[:2] for _, f in used], axis=0)
+    s_len = max((f.shape[0] for _, f in used), default=1)
+    h_len = max((f.shape[1] for _, f in used), default=1)
     forms = np.zeros((s_len, h_len, len(_readout(text)[1]), 4), dtype=complex)
     for a, f in used:
         forms[:f.shape[0], :f.shape[1]] += a * f
@@ -593,13 +593,14 @@ def _hbsa_support(label: HyperBellLabel, text: str) -> tuple:
 
 
 def _support(forms: np.ndarray, text: str) -> tuple:
-    """What run_hbsa evaluates of forms [s, h, branch, pol] on the branches with a
-    nonzero coefficient, read-only: each layer's s- and h-degree and coefficients
-    (or the forms, if a layer has several s-degrees); spins, patterns and labels."""
+    """What run_hbsa evaluates of forms [s, h, branch, pol] on their nonzero branches,
+    read-only: each layer's one s-degree (i + k = 4 on every analysis input, else
+    ConfigurationError), h-degree and coefficients; spins, patterns and labels."""
     monomials, rows = monomial_support(forms)
-    single = monomials.sum(axis=0).max() < 2  # at most one s-degree per h-degree
+    if monomials.sum(axis=0).max() >= 2:
+        raise ConfigurationError("analysis forms hold several s-degrees in one leak layer")
     deg = np.stack([monomials.argmax(axis=0), np.arange(forms.shape[1])]).reshape(2, -1, 1, 1)
-    coef = forms[deg[0].ravel(), deg[1].ravel()][:, rows] if single else forms[:, :, rows]
+    coef = forms[deg[0].ravel(), deg[1].ravel()][:, rows]
     deg.flags.writeable = coef.flags.writeable = False
     readout, classified = _readout(text)[1], _classified(text)
     return (deg, coef, tuple(readout[b][0] for b in rows),
@@ -619,8 +620,7 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
         _hbsa_support(state_or_label, HBSA_FULL_TEXT) if isinstance(state_or_label, HyperBellLabel)
         else _support(_state_forms(state_or_label, HBSA_FULL_TEXT), HBSA_FULL_TEXT))
     s, h = pair.success_amplitude, pair.herald_amplitude
-    # one s-power per h-degree, multiplied in as _evaluate does, or the general sum
-    layers = s ** deg[0] * coef * h ** deg[1] if coef.ndim == 3 else _evaluate(coef, s, h)[0]
+    layers = s ** deg[0] * coef * h ** deg[1]  # one s-power per h-degree, in _evaluate's order
     weights = (layers.real ** 2 + layers.imag ** 2).sum(axis=2)  # [h-degree, branch]
     dropped = ~_kept_layers(weights)
     layers[dropped], weights[dropped] = 0.0, 0.0  # new arrays, aliasing no coefficients

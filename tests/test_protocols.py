@@ -588,7 +588,7 @@ class TestHbsaSupport:
             assert [len(column) for column in columns] == [coef.shape[1]] * 3
             assert all(isinstance(column, tuple) for column in columns)
 
-    def test_several_s_degrees_per_layer_take_the_general_sum(self, monkeypatch):
+    def test_several_s_degrees_per_layer_raise(self):
         # no analysis input has them, so the forms are made up: two labels'
         # forms, one of them shifted up by one s-degree
         text = protocols.HBSA_FULL_TEXT
@@ -596,11 +596,9 @@ class TestHbsaSupport:
         forms = np.zeros((f.shape[0] + 1,) + f.shape[1:], dtype=complex)
         forms[:-1] += f
         forms[1:, :g.shape[1]] += 0.5j * g
-        assert protocols._support(forms, text)[1].ndim == 4  # the forms, not one s-power a layer
-        monkeypatch.setattr(protocols, "_state_forms", lambda state, text: forms)
-        for pair in _ORACLE_PAIRS.values():
-            _assert_matches_oracle(run_hbsa(hbsa_input(all_labels()[0]), pair),
-                                   _dense_hbsa(forms, pair))
+        with pytest.raises(ConfigurationError, match="several s-degrees"):
+            protocols._support(forms, text)
+        protocols._support(f, text)  # f alone has one s-degree per layer
 
 
 class TestCircuitText:
