@@ -37,7 +37,7 @@ from .optics import (
     run_circuit_tracked,
     serialize_circuit,
 )
-from .blocks import BlockConfig, heralded_block, parity_gate
+from .blocks import BlockConfig, heralded_block
 from .protocols import (
     Bell,
     DetectorPattern,

@@ -15,12 +15,15 @@ by single-photon Bell-state measurements (SPBSM) assisted by the now-known
 spatial state. Only stage 1, every op before the first spin measurement,
 sees the cavity. _no_click runs it at a pair or as a polynomial in (s, h)
 and keeps its no-click branch, for the analyzer and for the generator's
-forms in analysis. run_hbsa applies the fixed readout (spin X measurement,
-SPBSM) to that branch once per basis input: each of the 64 (spin outcome,
-detector pattern) branches keeps its amplitude as a polynomial, which a
-call evaluates at one pair on its exact nonzeros alone (no bound on |s|,
-|h| holds at every pair). The classifier is read off the same readout
-pass; these rules take the circuit text and are cached per text. Each
+forms in analysis. One rule, _hbsa_forms, gives any input its forms: it
+runs stage 1 on the input as a polynomial and applies the fixed readout
+(spin X measurement, SPBSM) to that branch, so each of the 64 (spin
+outcome, detector pattern) branches keeps its amplitude as a polynomial.
+run_hbsa evaluates them at one pair on their exact nonzeros alone (no
+bound on |s|, |h| holds at every pair); for a label that support is
+derived once and cached, and it is the only per-label cache. The
+classifier is read off the same readout pass; these rules take the
+circuit text, and the readout and classifier are cached per text. Each
 local correction maps one Bell product exactly onto another. run_hbsa
 returns HbsaBranch records, NamedTuples: immutable, compared by value (a
 plain tuple of the same values included) and copied with _replace.
@@ -467,9 +470,17 @@ def _readout(text: str):
     pattern, photon A's detector slice, photon B's) per readout branch,
     in the record order of run_circuit_tracked on the whole circuit:
     QD1, QD2, then photon A's detectors and photon B's in circuit order.
+    A readout that holds a qdarm or wfc, or does not measure each declared
+    QD exactly once, is a ConfigurationError.
     """
     full = _parsed(text)
-    actions = _compile(_split_stage1(full)[1], full.layout())
+    readout = _split_stage1(full)[1]
+    if any(el.kind in (ElementKind.QDARM, ElementKind.WFC) for el in readout.ops):
+        raise ConfigurationError("analysis readout holds a qdarm or wfc")
+    measured = sorted(el.qd for el in readout.ops if el.kind == ElementKind.MEASURE_SPIN)
+    if measured != sorted(qd.name for qd in full.qds):
+        raise ConfigurationError("analysis readout must measure each declared QD once")
+    actions = _compile(readout, full.layout())
     detectors = ([], [])
     for action in actions:
         if action[0] == "detector":
@@ -542,54 +553,35 @@ class HbsaBranch(NamedTuple):
     leaked_weight: float
 
 
-@lru_cache(maxsize=64)
-def _hbsa_forms(label: HyperBellLabel, text: str) -> np.ndarray:
-    """Amplitudes of every readout branch of one basis input to an analysis
+_SPAN_TOL = 1e-12  # share of a state input's squared norm allowed outside that span
+
+
+def _hbsa_forms(state: HybridState, text: str) -> np.ndarray:
+    """Amplitudes of every readout branch of a state input to an analysis
     text, as polynomials in (s, h): [s-degree, h-degree, branch, polA * polB],
     a runner coefficient array with the branches as its state axes.
 
     Stage 1 is the only part of the analysis that sees the cavity, so it runs
     once as a polynomial, and the readout acts on the coefficients of its
-    no-click branch. The array is read-only. run_hbsa evaluates its exact
-    nonzeros alone (i + k = 4 on every label): no bound on |s|, |h| holds at
-    every pair.
+    no-click branch. A state outside the span of the text's 16 basis inputs
+    is a ConfigurationError.
     """
-    circuit = _parsed(text)
-    c, _ = _no_click(circuit, make_bell(label.pol, label.spatial, circuit.layout()))
-    forms = _read_out(c, text)
-    forms.flags.writeable = False
-    return forms
-
-
-_SPAN_TOL = 1e-12  # share of a state input's squared norm allowed outside that span
-
-
-def _state_forms(state: HybridState, text: str) -> np.ndarray:
-    """The forms of a state in the span of the 16 basis inputs to an analysis
-    text: the same linear combination of their forms as the state is of them."""
-    if state.layout != _parsed(text).layout():
-        raise ConfigurationError("input state layout does not match circuit declarations")
-    labels = all_labels()
+    c, _ = _no_click(_parsed(text), state)
     basis = np.stack([make_bell(label.pol, label.spatial, state.layout).amps.ravel()
-                      for label in labels])
-    coeffs = basis.conj() @ state.amps.ravel()
-    outside = state.amps.ravel() - coeffs @ basis
+                      for label in all_labels()])
+    outside = state.amps.ravel() - (basis.conj() @ state.amps.ravel()) @ basis
     if np.sum(np.abs(outside) ** 2) > _SPAN_TOL * state.norm2:
         raise ConfigurationError(
             "input state is not a superposition of the 16 analysis basis inputs")
-    used = [(a, _hbsa_forms(label, text)) for a, label in zip(coeffs, labels) if a != 0]
-    s_len = max((f.shape[0] for _, f in used), default=1)
-    h_len = max((f.shape[1] for _, f in used), default=1)
-    forms = np.zeros((s_len, h_len, len(_readout(text)[1]), 4), dtype=complex)
-    for a, f in used:
-        forms[:f.shape[0], :f.shape[1]] += a * f
-    return forms
+    return _read_out(c, text)
 
 
 @lru_cache(maxsize=64)
 def _hbsa_support(label: HyperBellLabel, text: str) -> tuple:
-    """The support of one basis input's forms, derived once."""
-    return _support(_hbsa_forms(label, text), text)
+    """The support of one basis input's forms, derived once; the forms are
+    not kept."""
+    state = make_bell(label.pol, label.spatial, _parsed(text).layout())
+    return _support(_hbsa_forms(state, text), text)
 
 
 def _support(forms: np.ndarray, text: str) -> tuple:
@@ -614,11 +606,12 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     a run: a branch's trailing leak layers below the runner's drop threshold
     are left out, and the branch is kept iff the weight of the rest is above
     it. Only exact nonzeros are evaluated: no bound on |s|, |h| holds at every
-    pair. A state input must lie in the span of the 16 basis inputs.
+    pair. A label's support is derived once; a state input must lie in the
+    span of the 16 basis inputs, and each call runs its stage 1 afresh.
     """
     deg, coef, spins, patterns, classified = (
         _hbsa_support(state_or_label, HBSA_FULL_TEXT) if isinstance(state_or_label, HyperBellLabel)
-        else _support(_state_forms(state_or_label, HBSA_FULL_TEXT), HBSA_FULL_TEXT))
+        else _support(_hbsa_forms(state_or_label, HBSA_FULL_TEXT), HBSA_FULL_TEXT))
     s, h = pair.success_amplitude, pair.herald_amplitude
     layers = s ** deg[0] * coef * h ** deg[1]  # one s-power per h-degree, in _evaluate's order
     weights = (layers.real ** 2 + layers.imag ** 2).sum(axis=2)  # [h-degree, branch]

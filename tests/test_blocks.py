@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state
-from hyperbell.blocks import BlockConfig, heralded_block, parity_gate
+from hyperbell.blocks import BlockConfig, heralded_block
 from hyperbell.cavity import (
     IDEAL_PAIR,
     CavityParams,
@@ -11,7 +11,7 @@ from hyperbell.cavity import (
     reflection_operator,
 )
 from hyperbell.errors import PreconditionError
-from hyperbell.hilbert import HybridState, overlap, product_state
+from hyperbell.hilbert import HybridState, apply_spin_conditional_op, overlap, product_state
 from hyperbell.optics import parse_circuit, run_circuit_tracked
 
 EXAMPLE_PAIR = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
@@ -112,43 +112,61 @@ class TestHeraldedBlock:
             assert abs(got - expected) < 1e-10
 
 
+def parity_gate(state, photon, path, qd, pair):
+    """One ``block mode=parity`` on the bound path, run by the runner on the
+    state's own layout with spins QD1 and QD2: the gate's single branch."""
+    layout = state.layout
+    circuit = parse_circuit(
+        "qd QD1 basis=+\nqd QD2 basis=+\n"
+        + "".join(f"photon {name} paths={','.join(paths)}\n"
+                  for name, paths in zip(layout.photons, layout.paths))
+        + f"block mode=parity qd=QD{qd} photon={photon} path={path}\n")
+    (branch,) = run_circuit_tracked(circuit, state, pair).branches
+    return branch.physical_state()
+
+
 class TestParityGate:
     def test_ideal_on_phi_plus(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1", "+", "+")
-        out = parity_gate(state, "A", "a1",
-                          BlockConfig(qd=1, pair=IDEAL_PAIR))
+        out = parity_gate(state, "A", "a1", 1, IDEAL_PAIR)
         expected = -product_state(small_layout, "R", "a1", "R", "b1", "-", "+").amps
         np.testing.assert_allclose(out.amps, expected, atol=1e-12)
 
     def test_ideal_involution(self, small_layout, rng):
         state = random_state(small_layout, rng)
-        cfg = BlockConfig(qd=1, pair=IDEAL_PAIR)
-        out = parity_gate(parity_gate(state, "A", "a1", cfg), "A", "a1", cfg)
+        out = parity_gate(parity_gate(state, "A", "a1", 1, IDEAL_PAIR), "A", "a1", 1, IDEAL_PAIR)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
+
+    @staticmethod
+    def closed_form(pair):
+        s, h = pair.success_amplitude, pair.herald_amplitude
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        return h * np.kron(sx, np.eye(2)) + s * np.kron(np.eye(2), sz)
 
     def test_closed_form_action(self, small_layout, rng):
         # the gate must equal h * pol-flip + s * spin-X-flip on the bound path
         pair = ReflectionPair(r_o=rng.normal() + 1j * rng.normal(),
                               r_h=rng.normal() + 1j * rng.normal())
-        cfg = BlockConfig(qd=1, pair=pair)
-        s, h = pair.success_amplitude, pair.herald_amplitude
         state = random_state(small_layout, rng)
-        out = parity_gate(state, "A", "a1", cfg)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        closed = h * np.kron(sx, np.eye(2)) + s * np.kron(np.eye(2), sz)
-        from hyperbell.hilbert import apply_spin_conditional_op
-
-        oracle = apply_spin_conditional_op(state, "A", 1, closed, "a1")
+        out = parity_gate(state, "A", "a1", 1, pair)
+        oracle = apply_spin_conditional_op(state, "A", 1, self.closed_form(pair), "a1")
         np.testing.assert_allclose(out.amps, oracle.amps, atol=1e-12)
+        # and so on photon B's second rail with QD2, at pairs and states
+        # drawn as TestBlockMatchesMacro draws them
+        for _ in range(20):
+            pair = TestBlockMatchesMacro.random_pair(rng)
+            state = random_state(small_layout, rng)
+            out = parity_gate(state, "B", "b2", 2, pair)
+            oracle = apply_spin_conditional_op(state, "B", 2, self.closed_form(pair), "b2")
+            np.testing.assert_allclose(out.amps, oracle.amps, atol=1e-12)
 
     def test_fully_absorbed_arm_gives_zero_state(self, small_layout):
         # r_o = r_h = 0 (g = 0, kappa_s = kappa): nothing leaves the bound path
         pair = reflection_coefficients(CavityParams(g=0.0, kappa_s=1.0))
-        cfg = BlockConfig(qd=1, pair=pair)
         state = product_state(small_layout, "L", "a1", "R", "b1", "+", "+")
-        assert heralded_block(state, "A", "a1", cfg) == []
-        out = parity_gate(state, "A", "a1", cfg)
+        assert heralded_block(state, "A", "a1", BlockConfig(qd=1, pair=pair)) == []
+        out = parity_gate(state, "A", "a1", 1, pair)
         assert out.layout == small_layout
         assert not out.amps.any()
 
@@ -158,9 +176,8 @@ class TestParityGate:
 
         for pol in (Bell.PHI_PLUS, Bell.PHI_MINUS):
             state = make_bell(pol, Bell.PSI_PLUS)
-            cfg = BlockConfig(qd=1, pair=IDEAL_PAIR)
-            out = parity_gate(state, "A", "a1", cfg)
-            out = parity_gate(out, "B", "b1", cfg)
+            out = parity_gate(state, "A", "a1", 1, IDEAL_PAIR)
+            out = parity_gate(out, "B", "b1", 1, IDEAL_PAIR)
             target = make_bell(pol, Bell.PSI_PLUS, spins=("-", "+"))
             assert abs(abs(overlap(target, out)) - 1.0) < 1e-12
 
@@ -169,8 +186,7 @@ class TestParityGate:
         from hyperbell.protocols import Bell, make_bell
 
         state = make_bell(Bell.PSI_MINUS, Bell.PHI_MINUS)
-        cfg = BlockConfig(qd=1, pair=IDEAL_PAIR)
-        out = parity_gate(parity_gate(state, "A", "a1", cfg), "B", "b1", cfg)
+        out = parity_gate(parity_gate(state, "A", "a1", 1, IDEAL_PAIR), "B", "b1", 1, IDEAL_PAIR)
         target = make_bell(Bell.PSI_MINUS, Bell.PHI_MINUS, spins=("+", "+"))
         assert abs(abs(overlap(target, out)) - 1.0) < 1e-12
 
@@ -209,13 +225,3 @@ class TestBlockMatchesMacro:
                 np.testing.assert_allclose(
                     by[outcome].residual.amps * np.sqrt(by[outcome].probability),
                     macro[record].physical_state().amps, atol=1e-12)
-
-    def test_parity_gate(self, small_layout, rng):
-        circuit = parse_circuit(self.MACRO.format(mode="parity", label=""))
-        assert circuit.layout() == small_layout
-        for _ in range(20):
-            pair = self.random_pair(rng)
-            state = random_state(small_layout, rng)
-            out = parity_gate(state, "B", "b2", BlockConfig(qd=2, pair=pair))
-            (branch,) = run_circuit_tracked(circuit, state, pair).branches
-            np.testing.assert_allclose(out.amps, branch.physical_state().amps, atol=1e-12)

@@ -465,14 +465,11 @@ class TestHbsaForms:
         for pair in (EXAMPLE_PAIR, *_lossy_pairs(9, 2)):
             _assert_matches_full_circuit(run_hbsa(state, pair),
                                          _full_circuit_rows(state, pair))
-        # a basis input given as a state is its label, up to the rounding of
-        # its overlaps with the other inputs
-        by_state = run_hbsa(hbsa_input(labels[3]), EXAMPLE_PAIR)
-        by_label = run_hbsa(labels[3], EXAMPLE_PAIR)
-        assert [b.pattern for b in by_state] == [b.pattern for b in by_label]
-        for x, y in zip(by_state, by_label):
-            assert x.spins == y.spins and x.classified == y.classified
-            assert abs(x.probability - y.probability) < 1e-12
+        # a basis input given as a state is its label, exactly: both run the
+        # same stage 1 on the same state
+        for pair in (EXAMPLE_PAIR, *_ORACLE_PAIRS.values()):
+            for label in labels:
+                assert run_hbsa(hbsa_input(label), pair) == run_hbsa(label, pair), label
         assert run_hbsa(HybridState(hbsa_layout(), 0 * amps), EXAMPLE_PAIR) == []
 
     def test_state_outside_the_basis_span_rejected(self):
@@ -488,18 +485,19 @@ class TestHbsaForms:
         with pytest.raises(ConfigurationError, match="layout"):
             run_hbsa(make_bell(label.pol, label.spatial))
 
-    def test_forms_built_once_per_label(self):
+    def test_forms_built_once_per_label(self, monkeypatch):
         label = HyperBellLabel(Bell.PSI_PLUS, Bell.PHI_MINUS)
+        built = []
+        forms = protocols._hbsa_forms
+        monkeypatch.setattr(protocols, "_hbsa_forms",
+                            lambda state, text: built.append(text) or forms(state, text))
         protocols._hbsa_support.cache_clear()
-        protocols._hbsa_forms.cache_clear()
         run_hbsa(label, EXAMPLE_PAIR)
         run_hbsa(label, IDEAL_PAIR)
         # run_hbsa reads the label's support, derived once from forms built once
         info = protocols._hbsa_support.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        info = protocols._hbsa_forms.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
-        assert not protocols._hbsa_forms(label, protocols.HBSA_FULL_TEXT).flags.writeable
+        assert built == [protocols.HBSA_FULL_TEXT]
 
 
 def _dense_hbsa(forms, pair):
@@ -551,15 +549,15 @@ class TestHbsaSupport:
         text = protocols.HBSA_FULL_TEXT
         for label in all_labels():
             _assert_matches_oracle(run_hbsa(label, pair),
-                                   _dense_hbsa(protocols._hbsa_forms(label, text), pair))
+                                   _dense_hbsa(protocols._hbsa_forms(hbsa_input(label), text), pair))
         state = _superposition()  # the superposition input of hbsa_branches_golden.json
         _assert_matches_oracle(run_hbsa(state, pair),
-                               _dense_hbsa(protocols._state_forms(state, text), pair))
+                               _dense_hbsa(protocols._hbsa_forms(state, text), pair))
 
     def test_forms_vanish_off_total_degree_four(self):
         h_degrees = Counter()
         for label in all_labels():
-            forms = protocols._hbsa_forms(label, protocols.HBSA_FULL_TEXT)
+            forms = protocols._hbsa_forms(hbsa_input(label), protocols.HBSA_FULL_TEXT)
             i, k = np.indices(forms.shape[:2])
             assert not forms[i + k != 4].any(), label
             # one monomial per leak layer: s^(4-k) h^k for every h-degree k
@@ -592,13 +590,39 @@ class TestHbsaSupport:
         # no analysis input has them, so the forms are made up: two labels'
         # forms, one of them shifted up by one s-degree
         text = protocols.HBSA_FULL_TEXT
-        f, g = (protocols._hbsa_forms(label, text) for label in all_labels()[:2])
+        f, g = (protocols._hbsa_forms(hbsa_input(label), text) for label in all_labels()[:2])
         forms = np.zeros((f.shape[0] + 1,) + f.shape[1:], dtype=complex)
         forms[:-1] += f
         forms[1:, :g.shape[1]] += 0.5j * g
         with pytest.raises(ConfigurationError, match="several s-degrees"):
             protocols._support(forms, text)
         protocols._support(f, text)  # f alone has one s-degree per layer
+
+
+class TestLeakPins:
+    """The first-order leak coefficients, read off the polynomial forms: with
+    c_ik the coefficient of s^i h^k, ||c_31||^2 / ||c_40||^2."""
+
+    FIRST_ORDER = {  # an integer for each label
+        "phi+,phi+": 4, "phi+,phi-": 3, "phi+,psi+": 3, "phi+,psi-": 2,
+        "phi-,phi+": 0, "phi-,phi-": 1, "phi-,psi+": 1, "phi-,psi-": 2,
+        "psi+,phi+": 4, "psi+,phi-": 3, "psi+,psi+": 3, "psi+,psi-": 2,
+        "psi-,phi+": 0, "psi-,phi-": 1, "psi-,psi+": 1, "psi-,psi-": 2,
+    }
+
+    def test_hbsa_first_order_leak_is_an_integer_per_label(self):
+        assert sorted(self.FIRST_ORDER) == sorted(str(label) for label in all_labels())
+        for label in all_labels():
+            forms = protocols._hbsa_forms(hbsa_input(label), protocols.HBSA_FULL_TEXT)
+            ratio = _weight(forms[3, 1]) / _weight(forms[4, 0])
+            assert abs(ratio - self.FIRST_ORDER[str(label)]) < 1e-12, label
+
+    def test_bare_hbsg_no_click_support_and_ratios(self):
+        c, _ = protocols._no_click(hbsg_circuit(), hbsg_input())
+        mask, _ = monomial_support(c)
+        assert {tuple(ik) for ik in np.argwhere(mask).tolist()} == {(4, 0), (3, 1), (2, 2)}
+        assert abs(_weight(c[3, 1]) / _weight(c[4, 0]) - 3 / 2) < 1e-12
+        assert abs(_weight(c[2, 2]) / _weight(c[4, 0]) - 1 / 4) < 1e-12
 
 
 class TestCircuitText:
@@ -614,11 +638,16 @@ class TestCircuitText:
         text = bare.replace(lines_a + lines_b, lines_b + lines_a)
         assert text != bare
         assert protocols._classified(text) == protocols._classified(bare)
-        protocols._hbsa_forms.cache_clear()
+        protocols._hbsa_support.cache_clear()
         for label in all_labels():
-            np.testing.assert_allclose(protocols._hbsa_forms(label, text),
-                                       protocols._hbsa_forms(label, bare), rtol=0, atol=1e-15)
-        assert protocols._hbsa_forms.cache_info().currsize == 32
+            state = hbsa_input(label)
+            np.testing.assert_allclose(protocols._hbsa_forms(state, text),
+                                       protocols._hbsa_forms(state, bare), rtol=0, atol=1e-15)
+            got, want = (protocols._hbsa_support(label, t) for t in (text, bare))
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-15)
+            assert got[2:] == want[2:]
+        assert protocols._hbsa_support.cache_info().currsize == 32
 
     def test_equivalent_generation_text_gives_the_same_factors(self):
         from hyperbell import analysis
@@ -671,11 +700,24 @@ class TestCircuitText:
         with pytest.raises(ConfigurationError, match="no measure_spin"):
             protocols._readout(text)
 
+    @pytest.mark.parametrize("edit", [
+        ("op measure_spin qd=QD2\n", "op measure_spin qd=QD2\nop wfc photon=A path=a1\n"),
+        ("op measure_spin qd=QD2\n", ""),
+        ("op measure_spin qd=QD2\n", "op measure_spin qd=QD2\nop measure_spin qd=QD1\n"),
+    ], ids=["wfc-in-readout", "qd2-unmeasured", "qd1-measured-twice"])
+    def test_readout_it_cannot_read_is_a_configuration_error(self, edit):
+        text = protocols.HBSA_FULL_TEXT.replace(*edit)
+        assert text != protocols.HBSA_FULL_TEXT
+        parse_circuit(text)  # a valid circuit, but not a readout _read_out can apply
+        with pytest.raises(ConfigurationError, match="analysis readout"):
+            protocols._readout(text)
+
     def test_text_rules_take_no_default_text(self):
         from hyperbell import analysis
 
         rules = [protocols._readout, protocols._read_out, protocols._classified,
-                 protocols._hbsa_forms, protocols._state_forms, analysis._generation_forms]
+                 protocols._hbsa_forms, protocols._hbsa_support, protocols._support,
+                 analysis._generation_forms]
         for rule in rules:
             param = inspect.signature(rule).parameters["text"]
             assert param.default is inspect.Parameter.empty, rule.__name__

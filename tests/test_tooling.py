@@ -1,12 +1,16 @@
 """The benchmark's tracer must keep finding the functions it wraps, its
 workloads must pass their own checks, the BENCH file writer must
 assemble its reports right, the committed BENCH files must hold the
-record it writes, and the demos must run."""
+record it writes, the README's code names must exist, and the demos
+must run."""
 
 import ast
+import importlib
 import importlib.util
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +217,26 @@ def test_committed_bench_files_hold_their_record():
         if n >= 15:
             assert set(record["src_lines"]) == {"parent", "change"}, n
             assert all(isinstance(v, int) and v > 0 for v in record["src_lines"].values()), n
+
+
+def test_readme_code_names_resolve():
+    # the README names code as `module.name` of a hyperbell submodule or as a
+    # bare `_private` name; a rename or a deletion must take the README along
+    import hyperbell
+
+    modules = {info.name: importlib.import_module(f"hyperbell.{info.name}")
+               for info in pkgutil.iter_modules(hyperbell.__path__)}
+    checked = 0
+    for name in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text(encoding="utf-8")):
+        qualified = re.fullmatch(r"(\w+)\.(\w+)", name)
+        if qualified and qualified[1] in modules:
+            assert hasattr(modules[qualified[1]], qualified[2]), name
+        elif re.fullmatch(r"_\w+", name):
+            assert any(hasattr(module, name) for module in modules.values()), name
+        else:
+            continue
+        checked += 1
+    assert checked
 
 
 # demo 05 writes into demos/out, so it stays out
