@@ -203,7 +203,14 @@ def hbsg_branch_report(pair: ReflectionPair) -> list[tuple[tuple[str, str], floa
 def hbsa_leakage_rate(pair: ReflectionPair,
                       label: HyperBellLabel = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS),
                       ) -> float:
-    """Silent-leak share of the surviving weight for one analysis run."""
+    """Silent-leak share of the surviving weight for one analysis run.
+
+    Both are sums of layer norms over the branches: the leaked weight is
+    the sum of leaked_weight, the surviving weight that of clean_weight +
+    leaked_weight, sum of ||layer||^2. The surviving weight is therefore
+    not the branches' summed probability, ||sum of layers||^2 per branch,
+    which differs by the interference between layers.
+    """
     branches = run_hbsa(label, pair)
     clean = sum(b.clean_weight for b in branches)
     leak = sum(b.leaked_weight for b in branches)

@@ -33,7 +33,10 @@ splitter binds two distinct outputs and, by the port rule of
 _check_ports, its inputs: a pbs its ``path``, a cpbs one or two distinct
 paths, a bs two distinct paths that its outputs equal as a set or avoid.
 Parsing enforces all of this, naming the line at fault, and
-element_matrix checks the same keys and port rule. ``wfc qd=`` and
+element_matrix checks the same keys and port rule on every call. It
+builds each matrix once per (kind, path count, port indices): the matrix
+it returns is read-only, and shared by every element of the same kind and
+ports on a photon with as many paths. ``wfc qd=`` and
 ``measure_spin photon=`` are accepted and ignored by the runner. A
 detector clicks on its path, in the one polarization that ``pol`` names
 or in both; a clicked photon stays on its path. No two detectors, plain
@@ -48,6 +51,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -177,6 +181,10 @@ def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
     path. A bs maps |x1> -> (|y1>+|y2>)/sqrt2 and |x2> -> (|y1>-|y2>)/sqrt2,
     the same on R and L; a cpbs crosses R to out2/out1 and keeps L on its
     side; a pbs routes H to out1 and V to out2.
+
+    The element is checked on every call; the matrix is built once per
+    (kind, path count, port indices), so it is read-only and shared by
+    every element of that kind and ports on a photon with as many paths.
     """
     if el.kind not in _PLATES and el.kind not in _PORTS:
         raise ConfigurationError(f"element kind {el.kind.value} has no single-photon matrix")
@@ -185,15 +193,23 @@ def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
             raise ConfigurationError(f"key {_OP_KEYS[i - 1]!r} not allowed for op {el.kind.value}")
     n = len(layout.paths[layout.photon_slot(el.photon)])
     if el.kind in _PLATES:
-        idx = layout.path_index(el.photon, el.path)
+        ins, outs = (el.path,), ()
+    else:
+        ins, outs = el.in_paths or ((el.path,) if el.path else ()), el.out_paths or ()
+        _check_ports(el.kind, ins, outs)
+    return _built_matrix(el.kind, n, tuple(layout.path_index(el.photon, p) for p in ins),
+                         tuple(layout.path_index(el.photon, p) for p in outs))
+
+
+@cache
+def _built_matrix(kind: ElementKind, n: int, ins: tuple, outs: tuple) -> np.ndarray:
+    """element_matrix's matrix of an element checked there, by its port
+    indices on a photon of n paths; read-only."""
+    x, y = list(ins), list(outs)
+    if kind in _PLATES:
         mat = np.eye(2 * n, dtype=complex)
-        mat[idx::n, idx::n] = _PLATES[el.kind]
-        return mat
-    ins, outs = el.in_paths or ((el.path,) if el.path else ()), el.out_paths or ()
-    _check_ports(el.kind, ins, outs)
-    x = [layout.path_index(el.photon, p) for p in ins]
-    y = [layout.path_index(el.photon, p) for p in outs]
-    if el.kind == ElementKind.BS:
+        mat[x[0]::n, x[0]::n] = _PLATES[kind]
+    elif kind == ElementKind.BS:
         disjoint = not set(x) & set(y)
         mat = np.eye(2 * n, dtype=complex)
         path_mat = mat[:n, :n]
@@ -204,21 +220,22 @@ def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
                 if disjoint:
                     path_mat[x[i], y[j]] = _HADAMARD[i, j]
         mat[n:, n:] = path_mat  # the same path map on R and on L
-        return mat
-    cols = np.arange(n)
-    if el.kind == ElementKind.CPBS:
+    elif kind == ElementKind.CPBS:
+        cols = np.arange(n)
         mat = np.zeros((2 * n, 2 * n), dtype=complex)
         mat[_routing(n, x, y[::-1][:len(x)]), cols] = 1.0  # R crosses
         mat[n + _routing(n, x, y[:len(x)]), n + cols] = 1.0  # L keeps its side
-        return mat
-    # a pbs: H = (R + L)/sqrt2 and V = (R - L)/sqrt2 take the routes to y[0] and
-    # y[1], so the (R, L) blocks hold (to_h + to_v)/2, and (to_h - to_v)/2 off the diagonal
-    half_h, half_v = np.zeros((n, n)), np.zeros((n, n))
-    half_h[_routing(n, x, y[:1]), cols] = 0.5
-    half_v[_routing(n, x, y[1:]), cols] = 0.5
-    mat = np.empty((2 * n, 2 * n), dtype=complex)
-    mat[:n, :n] = mat[n:, n:] = half_h + half_v
-    mat[:n, n:] = mat[n:, :n] = half_h - half_v
+    else:
+        # a pbs: H = (R + L)/sqrt2 and V = (R - L)/sqrt2 take the routes to y[0] and y[1],
+        # so the (R, L) blocks hold (to_h + to_v)/2, and (to_h - to_v)/2 off the diagonal
+        cols = np.arange(n)
+        half_h, half_v = np.zeros((n, n)), np.zeros((n, n))
+        half_h[_routing(n, x, y[:1]), cols] = 0.5
+        half_v[_routing(n, x, y[1:]), cols] = 0.5
+        mat = np.empty((2 * n, 2 * n), dtype=complex)
+        mat[:n, :n] = mat[n:, n:] = half_h + half_v
+        mat[:n, n:] = mat[n:, :n] = half_h - half_v
+    mat.flags.writeable = False
     return mat
 
 
@@ -399,7 +416,11 @@ class TrackedBranch:
     run's own arrays, or of new ones that PolynomialRun.at evaluates.
     Trailing layers below the branch-drop threshold are pruned.
     The physical state is the coherent sum of all layers; the split is
-    exact by linearity and serves error accounting.
+    exact by linearity and serves error accounting. clean_weight and
+    leaked_weight are sums of layer norms, ||layers[0]||^2 and
+    sum over k >= 1 of ||layers[k]||^2, while probability is
+    ||sum of layers||^2: the layers interfere, so probability is in
+    general not clean_weight + leaked_weight.
     """
 
     record: tuple[tuple[str, str], ...]

@@ -470,16 +470,17 @@ def _readout(text: str):
     pattern, photon A's detector slice, photon B's) per readout branch,
     in the record order of run_circuit_tracked on the whole circuit:
     QD1, QD2, then photon A's detectors and photon B's in circuit order.
-    A readout that holds a qdarm or wfc, or does not measure each declared
-    QD exactly once, is a ConfigurationError.
+    It projects two spin slots, so a text that does not declare exactly
+    two QDs, or a readout that holds a qdarm or wfc or does not measure each
+    declared QD exactly once, is a ConfigurationError.
     """
     full = _parsed(text)
     readout = _split_stage1(full)[1]
     if any(el.kind in (ElementKind.QDARM, ElementKind.WFC) for el in readout.ops):
         raise ConfigurationError("analysis readout holds a qdarm or wfc")
     measured = sorted(el.qd for el in readout.ops if el.kind == ElementKind.MEASURE_SPIN)
-    if measured != sorted(qd.name for qd in full.qds):
-        raise ConfigurationError("analysis readout must measure each declared QD once")
+    if len(full.qds) != 2 or measured != sorted(qd.name for qd in full.qds):
+        raise ConfigurationError("analysis readout must measure each of two declared QDs once")
     actions = _compile(readout, full.layout())
     detectors = ([], [])
     for action in actions:
@@ -543,7 +544,14 @@ def classification_table() -> list[tuple[SpinOutcome, DetectorPattern, HyperBell
 # full analysis pipeline
 
 class HbsaBranch(NamedTuple):
-    """One analysis branch: spin results, detector pattern, classification."""
+    """One analysis branch: spin results, detector pattern, classification.
+
+    probability is the squared norm of the summed leak layers,
+    ||sum of layers||^2; clean_weight and leaked_weight are layer norms,
+    ||layer 0||^2 and the sum of ||layer k||^2 over k >= 1, as on a
+    TrackedBranch. The layers interfere, so probability is in general not
+    clean_weight + leaked_weight.
+    """
 
     spins: SpinOutcome
     pattern: DetectorPattern

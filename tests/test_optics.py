@@ -220,6 +220,41 @@ class TestElementUnitarity:
                                    atol=1e-12)
 
 
+class TestElementMatrixCache:
+    """element_matrix checks every element and builds each matrix once per
+    (kind, path count, port indices)."""
+
+    def test_result_is_read_only(self, small_layout):
+        mat = element_matrix(BS_A, small_layout)
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+
+    def test_equal_ports_on_equal_path_counts_share_one_matrix(self, small_layout):
+        other = StateLayout(photons=("C", "D"), paths=(("c1", "c2"), ("d1", "d2", "d3")))
+        for kind, path in ((ElementKind.HP, "a1"), (ElementKind.Z, "a2")):
+            assert (element_matrix(Element(kind, photon="A", path=path), small_layout)
+                    is element_matrix(Element(kind, photon="C", path="c" + path[1]), other))
+        bs_c = Element(ElementKind.BS, photon="C", in_paths=("c1", "c2"), out_paths=("c1", "c2"))
+        assert element_matrix(BS_A, small_layout) is element_matrix(bs_c, other)
+
+    @pytest.mark.parametrize("el", [BS_A, CPBS_A1, PBS_A1], ids=["bs", "cpbs", "pbs"])
+    def test_list_ports_give_the_tuple_form_matrix(self, small_layout, el):
+        listed = el._replace(in_paths=el.in_paths and list(el.in_paths),
+                             out_paths=list(el.out_paths))
+        np.testing.assert_array_equal(element_matrix(listed, small_layout),
+                                      element_matrix(el, small_layout))
+
+    @pytest.mark.parametrize("el", [
+        HP_A1._replace(out_paths=("a1", "a2")),
+        BS_A._replace(out_paths=("a1", "a1")),
+    ], ids=["off-field", "port-rule"])
+    def test_bad_element_raises_on_every_call(self, small_layout, el):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                element_matrix(el, small_layout)
+
+
 # ---------------------------------------------------------------------------
 # parser
 

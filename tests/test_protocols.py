@@ -712,6 +712,14 @@ class TestCircuitText:
         with pytest.raises(ConfigurationError, match="analysis readout"):
             protocols._readout(text)
 
+    def test_readout_of_one_declared_qd_is_a_configuration_error(self):
+        # the readout projects two spin slots, so QD2 must be declared and measured
+        text = "".join(line for line in protocols.HBSA_FULL_TEXT.splitlines(True)
+                       if "QD2" not in line)
+        assert [qd.name for qd in parse_circuit(text).qds] == ["QD1"]
+        with pytest.raises(ConfigurationError, match="analysis readout"):
+            protocols._readout(text)
+
     def test_text_rules_take_no_default_text(self):
         from hyperbell import analysis
 
