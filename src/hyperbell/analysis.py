@@ -2,10 +2,12 @@
 
 The sweep runs the heralded generation circuit's stage 1 once, through
 protocols._no_click as a polynomial in s = (r_o - r_h)/2 and
-h = (r_o + r_h)/2, and turns its no-click branch and clicks into a few
-small quadratic forms in the monomials s^i h^k, cached per circuit text. The whole grid is one
-NumPy evaluation of those forms, which reports, per point: the
-closed-form efficiency |(r_h - r_o)/2|^8, the simulated end-to-end
+h = (r_o + r_h)/2, and turns its no-click branch and clicks into
+monomials s^i h^k, each with the squared norm w of its coefficients (one
+per leak layer, which holds one s-degree, and one per click), cached per
+circuit text. The whole grid is one NumPy evaluation of
+|s|^(2i) |h|^(2k) w, which reports, per point: the closed-form
+efficiency |(r_h - r_o)/2|^8, the simulated end-to-end
 success probability (they must agree to 1e-10), the herald rate, the
 silent-leak share of the surviving weight, and the fidelity of the
 surviving unleaked component against its target. The coefficients are
@@ -53,6 +55,9 @@ from .optics import (
     _BRANCH_DROP,
     _evaluate,
     _kept_layers,
+    _weight,
+    layer_s_degrees,
+    monomial_support,
     run_circuit_tracked,
 )
 
@@ -96,84 +101,75 @@ class GenerationStats:
 
 @dataclass(frozen=True)
 class _GenerationForms:
-    """The generation run as quadratic forms in the monomials of (s, h).
+    """The generation run as monomials s^i h^k, each array [3, monomials] with rows
+    (i, k, w): w is the squared norm of the monomial's coefficients, so its weight
+    at (s, h) is |s|^(2i) |h|^(2k) w."""
 
-    A factor R of a coefficient matrix C (rows: monomials, columns: state)
-    is the triangular factor of a QR of C^T, so the weight of m @ C for a
-    monomial vector m is ||R m||^2: a sum of squares, never negative.
-    """
-
-    # [h-degree, S, S]: one factor per h-degree of the surviving branch, rows s^i
-    layers: np.ndarray
-    # [S'K', S'K']: one factor of all clicked coefficients, rows s^i h^(k+1)
-    clicks: np.ndarray
-    click_degrees: tuple[int, int]  # (S', K')
-    # [S]: <normalized lossless output | s^i coefficient of the unleaked layer>
-    overlap: np.ndarray
+    layers: np.ndarray  # the surviving branch's h-degree layers in order, each one monomial
+    clicks: np.ndarray  # one monomial per clicked branch
+    fidelity: float  # of the unleaked layer against the lossless output
 
 
 @lru_cache(maxsize=4)
 def _generation_forms(text: str) -> _GenerationForms:
-    """Factors of a generation circuit text, spins unmeasured, on its no-click branch."""
+    """The monomials of a generation circuit text, spins unmeasured, on its no-click
+    branch. A click with several monomials is a ConfigurationError, as is a layer
+    with several s-degrees (layer_s_degrees)."""
     circuit = _parsed(text)
     c, clicks = _no_click(circuit, hbsg_input(circuit))
     ideal = _evaluate(c, IDEAL_PAIR.success_amplitude, IDEAL_PAIR.herald_amplitude)[0, 0]
     ideal = ideal / np.sqrt(np.sum(np.abs(ideal) ** 2))
-    c = c.reshape(c.shape[:2] + (-1,))
+    degrees = layer_s_degrees(c)
     arrays = [a for cs in clicks.values() for a in cs]
     # a herald click needs a leak: its h^0 coefficients are rounding
     # residue of the arm, dropped so that h = 0 gives a rate of exactly 0
     residue = max(float(np.max(np.abs(a[:, 0]))) for a in arrays)
     if residue > _CLICK_RESIDUE:
         raise InconsistentOutcomeError(f"herald click without a leak ({residue:.3e})")
-    arrays = [a[:, 1:] for a in arrays]
-    s_len = max(a.shape[0] for a in arrays)
-    k_len = max(a.shape[1] for a in arrays)
-    # one row per monomial s^i h^k, k >= 1; the clicked branches side by
-    # side, so that one norm sums their weights
-    clicked = np.concatenate(
-        [np.pad(a, ((0, s_len - a.shape[0]), (0, k_len - a.shape[1]))
-                + ((0, 0),) * (a.ndim - 2)).reshape(s_len * k_len, -1) for a in arrays],
-        axis=1)
+    clicked = []
+    for a in arrays:
+        mask, _ = monomial_support(a[:, 1:])
+        if mask.sum() > 1:
+            raise ConfigurationError("a herald click holds several monomials")
+        clicked += [(i, k + 1, _weight(a[i, k + 1])) for i, k in np.argwhere(mask)]
+    layout = circuit.layout()
     return _GenerationForms(
-        layers=np.linalg.qr(c.transpose(1, 2, 0), mode="r"),
-        clicks=np.linalg.qr(clicked.T, mode="r"),
-        click_degrees=(s_len, k_len),
-        overlap=c[:, 0] @ ideal.conj().ravel())
+        layers=np.array([(i, k, _weight(c[i, k])) for k, i in enumerate(degrees)]).T,
+        clicks=np.array(clicked).reshape(-1, 3).T,
+        fidelity=fidelity(HybridState(layout, c[degrees[0], 0]), HybridState(layout, ideal)))
+
+
+def _monomial_weights(monomials: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """|s|^(2i) |h|^(2k) w of each monomial (i, k, w) at the pairs (s[N], h[N]): [M, N]."""
+    i, k, w = monomials[..., None]
+    return np.abs(s) ** (2 * i) * np.abs(h) ** (2 * k) * w
 
 
 def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
     """(eta, herald_rate, leakage_rate, conditional_fidelity) at the pairs (s[N], h[N]).
 
-    Each is an array of shape [N], from one evaluation of the quadratic
-    forms of the generation run. The herald rate is the probability that
-    at least one herald detector fires; eta and the leak share are
-    conditioned on no click, with the trailing leak layers and the
-    surviving branch dropped below the runner's threshold, as
-    PolynomialRun.at does. The waveform correctors keep the unleaked
-    component proportional to the lossless output, so
-    conditional_fidelity (its fidelity against that output, equal to the
-    per-branch post-measurement value) is 1 up to rounding; it is
-    vacuously 1.0 when nothing unleaked survives (e.g. g = 0).
+    Each is an array of shape [N], from one evaluation of the generation
+    run's monomials. The herald rate is the probability that at least one
+    herald detector fires; eta and the leak share are conditioned on no
+    click, under the runner's drop rule (optics._kept_layers: trailing leak
+    layers below the threshold go, and the branch goes unless the rest
+    weighs more). Every QD rail has its waveform corrector, so the unleaked
+    layer is s^i times one fixed vector, the same state at every pair:
+    conditional_fidelity, that state's fidelity against the lossless output
+    (the per-branch post-measurement value), is one number per text, capped
+    at 1, and vacuously 1.0 where nothing unleaked survives (e.g. g = 0).
     """
     forms = _generation_forms(HBSG_CIRCUIT_TEXT)
-    k_len, s_len = forms.layers.shape[:2]
-    s_pow = s[:, None] ** np.arange(s_len)
-    layer_w = (np.sum(np.abs(s_pow @ forms.layers.swapaxes(1, 2)) ** 2, axis=2)
-               * np.abs(h) ** (2 * np.arange(k_len))[:, None])
+    layer_w = _monomial_weights(forms.layers, s, h)
     kept = _kept_layers(layer_w)
     eta = layer_w[0]
     leak = np.sum(np.where(kept, layer_w, 0.0)[1:], axis=0)
-    cs_len, ck_len = forms.click_degrees
-    monomials = (s[:, None, None] ** np.arange(cs_len)[:, None]
-                 * h[:, None, None] ** np.arange(1, ck_len + 1)).reshape(len(s), -1)
-    herald_rate = np.sum(np.abs(monomials @ forms.clicks.T) ** 2, axis=1)
+    herald_rate = np.sum(_monomial_weights(forms.clicks, s, h), axis=0)
     survived = eta + leak
     live = survived > _BRANCH_DROP  # so also survived > _ZERO_WEIGHT
     leakage_rate = np.divide(leak, survived, out=np.ones_like(leak), where=live)
-    fidelity = np.divide(np.abs(s_pow @ forms.overlap) ** 2, eta,
-                         out=np.ones_like(eta), where=live & (eta > _ZERO_WEIGHT))
-    return np.where(live, eta, 0.0), herald_rate, leakage_rate, np.minimum(1.0, fidelity)
+    cond_fidelity = np.where(live & (eta > _ZERO_WEIGHT), min(1.0, forms.fidelity), 1.0)
+    return np.where(live, eta, 0.0), herald_rate, leakage_rate, cond_fidelity
 
 
 def hbsg_statistics(pair: ReflectionPair) -> GenerationStats:
@@ -355,8 +351,8 @@ def emit_csv(records: list[SweepRecord],
 def parse_csv(text: str) -> list[SweepRecord]:
     """Inverse of emit_csv (extra dephasing columns are ignored)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(CSV_COLUMNS.split(",")[0]):
-        raise ConfigurationError("not a sweep CSV: missing header")
+    if not lines or lines[0].split(",")[:11] != CSV_COLUMNS.split(","):
+        raise ConfigurationError("not a sweep CSV: header does not start with its 11 columns")
     records = []
     for ln in lines[1:]:
         parts = ln.split(",")

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric-domain error.
+Exit codes: 0 success, 1 output pipe closed early, 2 configuration error,
+3 numeric-domain error.
 """
 
 from __future__ import annotations
@@ -206,7 +207,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left early, as `| head -1` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,10 @@ s = (r_o - r_h)/2 and h = (r_o + r_h)/2 at qdarm (s·success + h·leak on
 its path) and wfc (s on its path). The runner keeps each branch as one
 coefficient array indexed [s-degree, h-degree, *state axes] and takes s
 and h as coefficient tuples by degree: (s,) and (0, h) at one pair, so
-they are multiplied in, or (0, 1) for both, so that
-run_circuit_polynomial runs a circuit once for every pair. Both keep
-every branch, clicked or not, and count each branch's first click only.
+they are multiplied in, or (0, 1) for both, so that one run is a
+polynomial valid at every pair, read through protocols._no_click and
+layer_s_degrees. Both keep every branch, clicked or not, and count each
+branch's first click only.
 The runner applies each photon's passive elements as one matrix, their
 product, just before that photon's next qdarm, wfc or detector and at
 the end. This is exact up to rounding: a photon's matrix commutes with
@@ -412,8 +413,7 @@ class TrackedBranch:
     layers[k] holds the component that leaked exactly k times through a
     quantum-dot arm, i.e. the coefficient of h^k with h = (r_o + r_h)/2
     (the success amplitude s = (r_o - r_h)/2 multiplied in). The layers
-    are the branch's coefficient array at one pair: views of a numeric
-    run's own arrays, or of new ones that PolynomialRun.at evaluates.
+    are views of the branch's coefficient array at one pair.
     Trailing layers below the branch-drop threshold are pruned.
     The physical state is the coherent sum of all layers; the split is
     exact by linearity and serves error accounting. clean_weight and
@@ -643,50 +643,19 @@ def run_circuit_tracked(circuit: Circuit, state: HybridState,
     return _tracked_run(*_run(circuit, state, pair))
 
 
-@dataclass(frozen=True)
-class PolynomialRun:
-    """One run with s and h left symbolic, valid for every ReflectionPair.
-
-    Each branch, and each click, is one coefficient array indexed
-    [s-degree, h-degree, *state axes], as the runner builds it. at(pair)
-    evaluates them into the TrackedRun that run_circuit_tracked returns at
-    that pair, up to rounding and branches whose weight there is at most
-    the drop threshold.
-    """
-
-    layout: StateLayout
-    branches: tuple[tuple[tuple, np.ndarray], ...]
-    clicks: tuple[tuple[str, tuple[np.ndarray, ...]], ...]
-
-    def at(self, pair: ReflectionPair) -> TrackedRun:
-        """The run at one pair; its arrays are new and never alias the coefficients."""
-        s, h = pair.success_amplitude, pair.herald_amplitude
-        run = _tracked_run(self.layout,
-                           [(rec, _evaluate(c, s, h)) for rec, c in self.branches],
-                           {label: [_evaluate(c, s, h) for c in cs] for label, cs in self.clicks})
-        run.branches = [tb for tb in run.branches if sum(map(_weight, tb.layers)) > _BRANCH_DROP]
-        return run
-
-
-def run_circuit_polynomial(circuit: Circuit, state: HybridState) -> PolynomialRun:
-    """Run a circuit once for all cavity points, as a polynomial in (s, h).
-
-    The same runner loop as run_circuit_tracked, with s and h as degree
-    raisers instead of numbers: the same branches, clicked ones included,
-    and the same first-click statistics.
-
-    Worth it only when one circuit and input are evaluated at many pairs:
-    unlike run_circuit_tracked it cannot prune the leak layers that vanish
-    at a given pair.
-    """
-    layout, branches, clicks = _run(circuit, state, None)
-    return PolynomialRun(layout, tuple(branches),
-                         tuple((label, tuple(cs)) for label, cs in clicks.items()))
-
-
 def monomial_support(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The support of c[s-degree, h-degree, *state axes]: the mask [s, h] of the monomials
     with an exactly nonzero coefficient, and the indices on the first state axis with one."""
     nz = c != 0
     return (nz.any(axis=tuple(range(2, c.ndim))),
             np.flatnonzero(nz.any(axis=(0, 1, *range(3, c.ndim)))))
+
+
+def layer_s_degrees(c: np.ndarray) -> np.ndarray:
+    """The one s-degree of each h-degree layer of c[s-degree, h-degree, *state axes]
+    with an exactly nonzero coefficient (0 for a zero layer); a layer with several
+    is a ConfigurationError."""
+    mask, _ = monomial_support(c)
+    if mask.sum(axis=0).max() >= 2:
+        raise ConfigurationError("coefficients hold several s-degrees in one leak layer")
+    return mask.argmax(axis=0)

@@ -65,6 +65,7 @@ from .optics import (
     _run,
     _weight,
     initial_spins,
+    layer_s_degrees,
     monomial_support,
     parse_circuit,
     run_circuit_tracked,
@@ -594,12 +595,10 @@ def _hbsa_support(label: HyperBellLabel, text: str) -> tuple:
 
 def _support(forms: np.ndarray, text: str) -> tuple:
     """What run_hbsa evaluates of forms [s, h, branch, pol] on their nonzero branches,
-    read-only: each layer's one s-degree (i + k = 4 on every analysis input, else
-    ConfigurationError), h-degree and coefficients; spins, patterns and labels."""
-    monomials, rows = monomial_support(forms)
-    if monomials.sum(axis=0).max() >= 2:
-        raise ConfigurationError("analysis forms hold several s-degrees in one leak layer")
-    deg = np.stack([monomials.argmax(axis=0), np.arange(forms.shape[1])]).reshape(2, -1, 1, 1)
+    read-only: each layer's one s-degree (layer_s_degrees; i + k = 4 on every
+    analysis input), h-degree and coefficients; spins, patterns and labels."""
+    _, rows = monomial_support(forms)
+    deg = np.stack([layer_s_degrees(forms), np.arange(forms.shape[1])]).reshape(2, -1, 1, 1)
     coef = forms[deg[0].ravel(), deg[1].ravel()][:, rows]
     deg.flags.writeable = coef.flags.writeable = False
     readout, classified = _readout(text)[1], _classified(text)
@@ -610,12 +609,12 @@ def _support(forms: np.ndarray, text: str) -> tuple:
 def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBranch]:
     """Run stage 1, measure both spins, and perform the SPBSM readout.
 
-    The input's forms are evaluated at the pair as PolynomialRun.at evaluates
-    a run: a branch's trailing leak layers below the runner's drop threshold
-    are left out, and the branch is kept iff the weight of the rest is above
-    it. Only exact nonzeros are evaluated: no bound on |s|, |h| holds at every
-    pair. A label's support is derived once; a state input must lie in the
-    span of the 16 basis inputs, and each call runs its stage 1 afresh.
+    The input's forms are evaluated at the pair with the runner's drop rule
+    (optics._kept_layers): a branch's trailing leak layers below the drop
+    threshold go, and the branch is kept iff the rest weighs more. Only
+    exact nonzeros are evaluated: no bound on |s|, |h| holds at every pair.
+    A label's support is derived once; a state input must lie in the span
+    of the 16 basis inputs, and each call runs its stage 1 afresh.
     """
     deg, coef, spins, patterns, classified = (
         _hbsa_support(state_or_label, HBSA_FULL_TEXT) if isinstance(state_or_label, HyperBellLabel)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyperbell import optics
 from hyperbell.hilbert import HybridState, StateLayout
 from hyperbell.cavity import IDEAL_PAIR
 from hyperbell.optics import parse_circuit, run_circuit_tracked
@@ -44,3 +45,17 @@ def apply_op(state: HybridState, op: str, pair=IDEAL_PAIR) -> HybridState:
     state, unnormalized, as a one-op circuit on the state's own layout."""
     (branch,) = run_circuit_tracked(one_op_circuit(state.layout, op), state, pair).branches
     return branch.physical_state()
+
+
+def polynomial_run_at(circuit, state: HybridState, pair) -> optics.TrackedRun:
+    """The runner's polynomial mode, optics._run with pair=None, evaluated at one
+    pair by optics._evaluate: the run_circuit_tracked run there, up to rounding
+    and branches of weight at most the drop threshold."""
+    s, h = pair.success_amplitude, pair.herald_amplitude
+    layout, branches, clicks = optics._run(circuit, state, None)
+    run = optics._tracked_run(
+        layout, [(rec, optics._evaluate(c, s, h)) for rec, c in branches],
+        {label: [optics._evaluate(c, s, h) for c in cs] for label, cs in clicks.items()})
+    run.branches = [tb for tb in run.branches
+                    if sum(map(optics._weight, tb.layers)) > optics._BRANCH_DROP]
+    return run

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import polynomial_run_at
 from hyperbell.analysis import (
     SweepGrid,
     efficiency_closed_form,
@@ -31,7 +32,7 @@ from hyperbell.cavity import (
     reflection_coefficients,
 )
 from hyperbell.errors import ConfigurationError, NumericDomainError
-from hyperbell.optics import _BRANCH_DROP, run_circuit_polynomial, run_circuit_tracked
+from hyperbell.optics import _BRANCH_DROP, run_circuit_tracked
 from hyperbell.protocols import (
     Bell,
     HyperBellLabel,
@@ -183,10 +184,9 @@ class TestWholeGridMatchesNumericRun:
 
     def test_dropped_branch_matches_polynomial_run(self):
         circuit = _split_stage1(hbsg_circuit())[0]
-        run = run_circuit_polynomial(circuit, hbsg_input(circuit))
         for g, dropped in ((1e-3, False), (3e-4, False), (1e-4, True), (3e-5, True)):
             pair = reflection_coefficients(CavityParams(g=g, gamma=0.1))
-            at = run.at(pair)
+            at = polynomial_run_at(circuit, hbsg_input(circuit), pair)
             stats = hbsg_statistics(pair)
             assert abs(stats.herald_rate - sum(at.click_probability.values())) < 1e-12
             unclicked = [tb for tb in at.branches if tb.record == ()]
@@ -326,6 +326,16 @@ class TestCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_csv("nope\n1,2\n")
+
+    @pytest.mark.parametrize("edit", [
+        ("kappa_s_over_kappa,", "kappa_s_over_kappa_typo,"),
+        ("g_over_sum,r_o_re,", "r_o_re,g_over_sum,"),
+        (",cond_fidelity", ""),
+    ], ids=["typo", "swapped", "short"])
+    def test_header_must_name_the_columns(self, edit):
+        text = emit_csv([sweep_point(0.0, 1.0)])
+        with pytest.raises(ConfigurationError, match="header"):
+            parse_csv(text.replace(*edit, 1))
 
 
 class TestSvgHeatmap:

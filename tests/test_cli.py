@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -251,6 +254,25 @@ class TestSweep:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("command", ["hbsg", "classify-table", "coeffs"])
+    def test_closed_output_pipe_exits_1_without_traceback(self, command, buffered):
+        # the pipe's reader is gone before the command writes, as after `| head -1`;
+        # a buffered stdout fails at its flush, an unbuffered one at the first print
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+        try:
+            done = subprocess.run([sys.executable, "-m", "hyperbell.cli", command],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr and "Exception" not in done.stderr
+
     @pytest.mark.parametrize("args", [
         ("coeffs", "--g", "nan"),
         ("coeffs", "--kappa-s", "inf"),

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import apply_op, one_op_circuit, random_state
+from conftest import apply_op, one_op_circuit, polynomial_run_at, random_state
 from hyperbell import optics
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import ConfigurationError
@@ -21,7 +21,6 @@ from hyperbell.optics import (
     ElementKind,
     element_matrix,
     parse_circuit,
-    run_circuit_polynomial,
     run_circuit_tracked,
     serialize_circuit,
 )
@@ -560,7 +559,7 @@ class TestRunCircuit:
                 (("DB", "click"),): 0.3 * 0.15, (): 0.3 * 0.4}
         at_least_one = sum(p for record, p in want.items() if record)
         for run in (run_circuit_tracked(circuit, state, pair),
-                    run_circuit_polynomial(circuit, state).at(pair)):
+                    polynomial_run_at(circuit, state, pair)):
             assert abs(run.click_probability["DA"] - 0.7 * 0.55) < 1e-12
             assert abs(run.click_probability["DB"] - 0.3 * 0.15) < 1e-12
             assert abs(sum(run.click_probability.values()) - at_least_one) < 1e-12
@@ -589,7 +588,7 @@ class TestPolarizationDetector:
             want = np.zeros_like(state.amps)
             want[tuple(index)] = state.amps[tuple(index)]
             for run in (run_circuit_tracked(circuit, state, EXAMPLE_PAIR),
-                        run_circuit_polynomial(circuit, state).at(EXAMPLE_PAIR)):
+                        polynomial_run_at(circuit, state, EXAMPLE_PAIR)):
                 by = {b.record: b for b in run.branches}
                 assert set(by) == {(), (("D", "click"),)}
                 assert abs(sum(b.probability for b in run.branches) - state.norm2) < 1e-12
@@ -671,7 +670,7 @@ def random_circuit_text(rng) -> str:
 
 
 class TestPolynomialRun:
-    """run_circuit_polynomial(...).at(pair) against run_circuit_tracked."""
+    """The runner's polynomial mode, evaluated at a pair, against run_circuit_tracked."""
 
     @staticmethod
     def _pairs(rng):
@@ -706,23 +705,9 @@ class TestPolynomialRun:
         for _ in range(60):
             circuit = parse_circuit(random_circuit_text(rng))
             state = random_state(circuit.layout(), rng)
-            poly = run_circuit_polynomial(circuit, state)
             for pair in self._pairs(rng):
-                self._assert_same_run(poly.at(pair), run_circuit_tracked(circuit, state, pair))
-
-    def test_at_returns_fresh_arrays(self):
-        from hyperbell.protocols import hbsg_circuit, hbsg_input
-
-        circuit = hbsg_circuit()
-        poly = run_circuit_polynomial(circuit, hbsg_input(circuit))
-        first = poly.at(EXAMPLE_PAIR)
-        for tb in first.branches:
-            for a in tb.layers:
-                a[...] = np.nan
-        self._assert_same_run(
-            poly.at(EXAMPLE_PAIR),
-            run_circuit_tracked(circuit, hbsg_input(circuit), EXAMPLE_PAIR))
-
+                self._assert_same_run(polynomial_run_at(circuit, state, pair),
+                                      run_circuit_tracked(circuit, state, pair))
 
     def test_input_state_not_aliased(self, small_layout, rng):
         # a circuit without ops keeps its input as the one branch: a later
@@ -731,10 +716,9 @@ class TestPolynomialRun:
                                 "photon A paths=a1,a2\nphoton B paths=b1,b2\n")
         state = random_state(small_layout, rng)
         before = state.amps.copy()
-        poly = run_circuit_polynomial(circuit, state)
+        _, ((_, c),), _ = optics._run(circuit, state, None)  # as a polynomial in (s, h)
         state.amps[...] = np.nan
-        (branch,) = poly.at(EXAMPLE_PAIR).branches
-        np.testing.assert_array_equal(branch.physical_state().amps, before)
+        np.testing.assert_array_equal(c, before[None, None])
 
     def test_monomial_support_is_the_exact_nonzeros(self):
         # a tiny coefficient is in the support, a signed zero is not

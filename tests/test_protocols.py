@@ -624,6 +624,44 @@ class TestLeakPins:
         assert abs(_weight(c[3, 1]) / _weight(c[4, 0]) - 3 / 2) < 1e-12
         assert abs(_weight(c[2, 2]) / _weight(c[4, 0]) - 1 / 4) < 1e-12
 
+    def test_bare_hbsg_generation_monomials(self):
+        from hyperbell import analysis
+
+        forms = analysis._generation_forms(protocols.HBSG_CIRCUIT_TEXT)
+        assert forms.layers[:2].T.tolist() == [[4, 0], [3, 1], [2, 2]]
+        np.testing.assert_allclose(forms.layers[2] / forms.layers[2, 0], [1, 3 / 2, 1 / 4],
+                                   rtol=0, atol=1e-12)
+        assert forms.clicks[:2].T.tolist() == [[0, 1], [1, 1]]  # D1A, then D1B
+        assert forms.fidelity == 1.0
+
+    def test_unmatched_qd_rail_is_a_configuration_error(self):
+        # without photon A's first waveform corrector its two rails leave the
+        # first stage with different powers of s
+        from hyperbell import analysis
+
+        text = protocols.HBSG_CIRCUIT_TEXT.replace("op wfc photon=A path=a2\n", "", 1)
+        assert text != protocols.HBSG_CIRCUIT_TEXT
+        circuit = protocols._parsed(text)
+        c, clicks = protocols._no_click(circuit, hbsg_input(circuit))
+        assert np.flatnonzero(monomial_support(c)[0][:, 0]).tolist() == [3, 4]
+        (d1b,) = clicks["D1B"]
+        mask, _ = monomial_support(d1b[:, 1:])  # past the h^0 residue
+        assert (np.argwhere(mask) + [0, 1]).tolist() == [[0, 1], [1, 1]]
+        with pytest.raises(ConfigurationError, match="several s-degrees"):
+            analysis._generation_forms(text)
+
+    def test_click_with_several_monomials_is_a_configuration_error(self, monkeypatch):
+        from hyperbell import analysis
+
+        def no_click(circuit, state):
+            c, clicks = protocols._no_click(circuit, state)
+            (d1b,) = clicks["D1B"]
+            return c, {**clicks, "D1B": [np.concatenate([d1b, d1b[:, 1:]], axis=1)]}  # s h^2
+
+        monkeypatch.setattr(analysis, "_no_click", no_click)
+        with pytest.raises(ConfigurationError, match="several monomials"):
+            analysis._generation_forms.__wrapped__(protocols.HBSG_CIRCUIT_TEXT)
+
 
 class TestCircuitText:
     """The analyzer and generator rules are keyed by their circuit text, and
@@ -657,10 +695,11 @@ class TestCircuitText:
         text = bare.replace(rail, rail + "op z photon=A path=c1\n" * 2)
         assert text != bare
         got, want = analysis._generation_forms(text), analysis._generation_forms(bare)
-        assert got.click_degrees == want.click_degrees
-        for name in ("layers", "clicks", "overlap"):
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+        for name in ("layers", "clicks"):  # rows: s-degree, h-degree, weight
+            np.testing.assert_array_equal(getattr(got, name)[:2], getattr(want, name)[:2])
+            np.testing.assert_allclose(getattr(got, name)[2], getattr(want, name)[2],
                                        rtol=0, atol=1e-15)
+        assert abs(got.fidelity - want.fidelity) < 1e-15
 
     def test_dropped_no_click_branch_is_zero(self):
         # g = 0 and kappa_s = kappa give r_o = r_h = 0, so the runner drops
