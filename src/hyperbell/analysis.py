@@ -123,7 +123,7 @@ def _generation_forms(text: str) -> _GenerationForms:
     arrays = [a for cs in clicks.values() for a in cs]
     # a herald click needs a leak: its h^0 coefficients are rounding
     # residue of the arm, dropped so that h = 0 gives a rate of exactly 0
-    residue = max(float(np.max(np.abs(a[:, 0]))) for a in arrays)
+    residue = max((float(np.max(np.abs(a[:, 0]))) for a in arrays), default=0.0)
     if residue > _CLICK_RESIDUE:
         raise InconsistentOutcomeError(f"herald click without a leak ({residue:.3e})")
     clicked = []

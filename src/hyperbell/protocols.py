@@ -19,14 +19,16 @@ forms in analysis. One rule, _hbsa_forms, gives any input its forms: it
 runs stage 1 on the input as a polynomial and applies the fixed readout
 (spin X measurement, SPBSM) to that branch, so each of the 64 (spin
 outcome, detector pattern) branches keeps its amplitude as a polynomial.
-run_hbsa evaluates them at one pair on their exact nonzeros alone (no
-bound on |s|, |h| holds at every pair); for a label that support is
-derived once and cached, and it is the only per-label cache. The
-classifier is read off the same readout pass; these rules take the
-circuit text, and the readout and classifier are cached per text. Each
-local correction maps one Bell product exactly onto another. run_hbsa
-returns HbsaBranch records, NamedTuples: immutable, compared by value (a
-plain tuple of the same values included) and copied with _replace.
+Each h-degree layer of it is one monomial s^i h^k, so run_hbsa reads an
+input's support, its exactly nonzero branches (a residue stays: no bound
+on |s|, |h| holds at every pair), as monomials: one value per layer, its
+squared norms per branch, and one product for the kept amplitudes. A
+label's support is derived once and cached, the only per-label cache. The
+classifier is read off the same readout pass; these rules take the circuit
+text, and the readout and classifier are cached per text. Each local
+correction maps one Bell product exactly onto another. run_hbsa returns
+HbsaBranch records, NamedTuples: immutable, compared by value (a plain
+tuple of the same values included) and copied with _replace.
 """
 
 from __future__ import annotations
@@ -594,38 +596,51 @@ def _hbsa_support(label: HyperBellLabel, text: str) -> tuple:
 
 
 def _support(forms: np.ndarray, text: str) -> tuple:
-    """What run_hbsa evaluates of forms [s, h, branch, pol] on their nonzero branches,
-    read-only: each layer's one s-degree (layer_s_degrees; i + k = 4 on every
-    analysis input), h-degree and coefficients; spins, patterns and labels."""
+    """What run_hbsa reads of forms [s, h, branch, pol] on their nonzero branches,
+    read-only: each h-degree layer's one monomial (i, k), s^i h^k (layer_s_degrees;
+    i + k = 4 on every analysis input), the squared norms [layer, branch] of its
+    coefficients and the coefficients [layer, branch, pol]; spins, patterns and labels.
+    Only exact zeros are cut: whether a rounding residue (1e-35 here) stays under
+    the drop threshold depends on |s| and |h|, and no bound on them holds at every pair."""
     _, rows = monomial_support(forms)
-    deg = np.stack([layer_s_degrees(forms), np.arange(forms.shape[1])]).reshape(2, -1, 1, 1)
-    coef = forms[deg[0].ravel(), deg[1].ravel()][:, rows]
-    deg.flags.writeable = coef.flags.writeable = False
+    i, k = layer_s_degrees(forms), np.arange(forms.shape[1])
+    coef = forms[i, k][:, rows]
+    norms = (coef.real ** 2 + coef.imag ** 2).sum(axis=2)
+    norms.flags.writeable = coef.flags.writeable = False
     readout, classified = _readout(text)[1], _classified(text)
-    return (deg, coef, tuple(readout[b][0] for b in rows),
+    return (tuple(zip(i.tolist(), k.tolist())), norms, coef, tuple(readout[b][0] for b in rows),
             tuple(readout[b][1] for b in rows), tuple(classified[b] for b in rows))
 
 
 def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBranch]:
     """Run stage 1, measure both spins, and perform the SPBSM readout.
 
-    The input's forms are evaluated at the pair with the runner's drop rule
-    (optics._kept_layers): a branch's trailing leak layers below the drop
-    threshold go, and the branch is kept iff the rest weighs more. Only
-    exact nonzeros are evaluated: no bound on |s|, |h| holds at every pair.
-    A label's support is derived once; a state input must lie in the span
-    of the 16 basis inputs, and each call runs its stage 1 afresh.
+    The input's support (_support, cut at exact zeros only) is read as
+    monomials: each layer's value v = s^i h^k, one Python complex, weighs
+    |v|^2 times the layer's squared norms. The runner's drop rule
+    (optics._kept_layers) then applies: a branch's trailing leak layers
+    below the drop threshold go, and the branch is kept iff the rest weighs
+    more. The kept layers' v times their coefficients, one product, are the
+    branch amplitudes. A label's support is derived once; a state input must
+    lie in the span of the 16 basis inputs, and each call runs its stage 1
+    afresh. Any other input is a ConfigurationError.
     """
-    deg, coef, spins, patterns, classified = (
-        _hbsa_support(state_or_label, HBSA_FULL_TEXT) if isinstance(state_or_label, HyperBellLabel)
-        else _support(_hbsa_forms(state_or_label, HBSA_FULL_TEXT), HBSA_FULL_TEXT))
-    s, h = pair.success_amplitude, pair.herald_amplitude
-    layers = s ** deg[0] * coef * h ** deg[1]  # one s-power per h-degree, in _evaluate's order
-    weights = (layers.real ** 2 + layers.imag ** 2).sum(axis=2)  # [h-degree, branch]
-    dropped = ~_kept_layers(weights)
-    layers[dropped], weights[dropped] = 0.0, 0.0  # new arrays, aliasing no coefficients
-    total, amps = weights.sum(axis=0), layers.sum(axis=0)
-    clean, probability = weights[0], (amps.real ** 2 + amps.imag ** 2).sum(axis=1).tolist()
+    if isinstance(state_or_label, HyperBellLabel):
+        support = _hbsa_support(state_or_label, HBSA_FULL_TEXT)
+    elif isinstance(state_or_label, HybridState):
+        support = _support(_hbsa_forms(state_or_label, HBSA_FULL_TEXT), HBSA_FULL_TEXT)
+    else:
+        raise ConfigurationError("run_hbsa takes a HyperBellLabel or a HybridState, "
+                                 f"not {type(state_or_label).__name__}")
+    monomials, norms, coef, spins, patterns, classified = support
+    s, h = complex(pair.success_amplitude), complex(pair.herald_amplitude)
+    v = np.array([s ** i * h ** k for i, k in monomials])
+    weights = (v.real ** 2 + v.imag ** 2)[:, None] * norms  # [h-degree, branch]
+    kept = _kept_layers(weights)
+    weights *= kept
+    amps = np.einsum("kb,kbp->bp", kept * v[:, None], coef)
+    total, clean = weights.sum(axis=0), weights[0]
+    probability = (amps.real ** 2 + amps.imag ** 2).sum(axis=1).tolist()
     rows = zip(spins, patterns, probability, classified, clean.tolist(), (total - clean).tolist())
     return list(map(tuple.__new__, repeat(HbsaBranch),
                     compress(rows, (total > _BRANCH_DROP).tolist())))

@@ -576,15 +576,44 @@ class TestHbsaSupport:
         info = protocols._hbsa_support.cache_info()
         assert (info.misses, info.hits, info.currsize) == (16, 16, 16)
         for label in all_labels():
-            deg, coef, *columns = protocols._hbsa_support(label, protocols.HBSA_FULL_TEXT)
-            # one s-degree per h-degree on every label: 4 - k, for h-degrees k
-            assert coef.ndim == 3 and (deg.sum(axis=0) == 4).all()
-            for a in (deg, coef):
+            monomials, norms, coef, *columns = protocols._hbsa_support(
+                label, protocols.HBSA_FULL_TEXT)
+            # one monomial s^(4-k) h^k per h-degree k on every label
+            assert monomials == tuple((4 - k, k) for k in range(len(monomials)))
+            assert coef.shape == norms.shape + (4,)
+            assert len(monomials) == len(norms)
+            np.testing.assert_array_equal(norms, (np.abs(coef) ** 2).sum(axis=2))
+            for a in (norms, coef):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 0
             assert [len(column) for column in columns] == [coef.shape[1]] * 3
             assert all(isinstance(column, tuple) for column in columns)
+
+    def test_mixed_kept_layers_match_dense_evaluation(self):
+        # at a lossy pair one label's branches keep different layers: a top
+        # layer holding only rounding residue goes where another branch keeps it
+        text = protocols.HBSA_FULL_TEXT
+        label = HyperBellLabel(Bell.PHI_MINUS, Bell.PHI_PLUS)
+        pair = EXAMPLE_PAIR
+        monomials, norms, *_ = protocols._hbsa_support(label, text)
+        s, h = pair.success_amplitude, pair.herald_amplitude
+        weights = np.array([abs(s ** i * h ** k) ** 2 for i, k in monomials])[:, None] * norms
+        kept = _kept_layers(weights)
+        residue_dropped = ~kept & (norms > 0) & (norms < 1e-30)
+        assert (residue_dropped.any(axis=1) & (kept & (norms > 1e-30)).any(axis=1)).any()
+        _assert_matches_oracle(run_hbsa(label, pair),
+                               _dense_hbsa(protocols._hbsa_forms(hbsa_input(label), text), pair))
+        # the ideal, absorbing and |r| > 1 pairs are test_matches_dense_evaluation's
+        zero = HybridState(hbsa_layout(), np.zeros_like(hbsa_input(label).amps))
+        zero_forms = protocols._hbsa_forms(zero, text)
+        for p in (pair, *_ORACLE_PAIRS.values()):
+            assert run_hbsa(zero, p) == _dense_hbsa(zero_forms, p) == []
+
+    def test_input_of_another_type_rejected(self):
+        for bad in ("phi+,phi+", None, hbsa_input(all_labels()[0]).amps):
+            with pytest.raises(ConfigurationError, match="HyperBellLabel or a HybridState"):
+                run_hbsa(bad, EXAMPLE_PAIR)
 
     def test_several_s_degrees_per_layer_raise(self):
         # no analysis input has them, so the forms are made up: two labels'
@@ -634,6 +663,22 @@ class TestLeakPins:
         assert forms.clicks[:2].T.tolist() == [[0, 1], [1, 1]]  # D1A, then D1B
         assert forms.fidelity == 1.0
 
+    def test_generation_text_with_no_herald_detector_has_no_click(self):
+        # each heralded block replaced by a waveform corrector on its path:
+        # nothing can click, so the herald rate is 0 at every pair
+        from hyperbell import analysis
+
+        text = protocols.HBSG_CIRCUIT_TEXT
+        for photon, path, label in (("A", "a1", "D1A"), ("B", "b1", "D1B")):
+            text = text.replace(f"block mode=heralded qd=QD1 photon={photon} path={path} "
+                                f"label={label}", f"op wfc photon={photon} path={path}")
+        assert "heralded" not in text
+        forms = analysis._generation_forms(text)
+        assert forms.clicks.shape == (3, 0)
+        assert forms.layers[:2].T.tolist() == [[4, 0], [3, 1], [2, 2]]
+        s, h = np.array([0.9, 0.5j, 0.0]), np.array([0.1, 0.3, 1.0])
+        assert analysis._monomial_weights(forms.clicks, s, h).sum(axis=0).tolist() == [0.0] * 3
+
     def test_unmatched_qd_rail_is_a_configuration_error(self):
         # without photon A's first waveform corrector its two rails leave the
         # first stage with different powers of s
@@ -682,9 +727,10 @@ class TestCircuitText:
             np.testing.assert_allclose(protocols._hbsa_forms(state, text),
                                        protocols._hbsa_forms(state, bare), rtol=0, atol=1e-15)
             got, want = (protocols._hbsa_support(label, t) for t in (text, bare))
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-15)
-            assert got[2:] == want[2:]
+            assert got[0] == want[0]  # the monomials
+            for g, w in zip(got[1:3], want[1:3]):  # the norms and the coefficients
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+            assert got[3:] == want[3:]
         assert protocols._hbsa_support.cache_info().currsize == 32
 
     def test_equivalent_generation_text_gives_the_same_factors(self):
