@@ -36,7 +36,7 @@ from .cavity import (
     reflection_coefficients,  # bound here for perfbench's tracer; the sweep uses the grid form
     reflection_coefficients_grid,
 )
-from .errors import ConfigurationError, InconsistentOutcomeError
+from .errors import ConfigurationError, InconsistentOutcomeError, NumericDomainError
 from .hilbert import HybridState, overlap
 from .protocols import (
     HBSG_CIRCUIT_TEXT,
@@ -158,14 +158,19 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
     conditional_fidelity, that state's fidelity against the lossless output
     (the per-branch post-measurement value), is one number per text, capped
     at 1, and vacuously 1.0 where nothing unleaked survives (e.g. g = 0).
+    A pair at which a weight or sum overflows is a NumericDomainError.
     """
     forms = _generation_forms(HBSG_CIRCUIT_TEXT)
-    layer_w = _monomial_weights(forms.layers, s, h)
-    kept = _kept_layers(layer_w)
-    eta = layer_w[0]
-    leak = np.sum(np.where(kept, layer_w, 0.0)[1:], axis=0)
-    herald_rate = np.sum(_monomial_weights(forms.clicks, s, h), axis=0)
-    survived = eta + leak
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            layer_w = _monomial_weights(forms.layers, s, h)
+            kept = _kept_layers(layer_w)
+            eta = layer_w[0]
+            leak = np.sum(np.where(kept, layer_w, 0.0)[1:], axis=0)
+            herald_rate = np.sum(_monomial_weights(forms.clicks, s, h), axis=0)
+            survived = eta + leak
+    except FloatingPointError:
+        raise NumericDomainError("generation statistics overflow at a pair") from None
     live = survived > _BRANCH_DROP  # so also survived > _ZERO_WEIGHT
     leakage_rate = np.divide(leak, survived, out=np.ones_like(leak), where=live)
     cond_fidelity = np.where(live & (eta > _ZERO_WEIGHT), min(1.0, forms.fidelity), 1.0)

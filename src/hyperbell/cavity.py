@@ -44,10 +44,15 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class ReflectionPair:
-    """Cold (r_o) and hot (r_h) complex reflection coefficients."""
+    """Cold (r_o) and hot (r_h) complex reflection coefficients, scalars or
+    arrays of them; a coefficient that is not finite is a NumericDomainError."""
 
     r_o: complex
     r_h: complex
+
+    def __post_init__(self):
+        if not (np.isfinite(self.r_o).all() and np.isfinite(self.r_h).all()):
+            raise NumericDomainError("reflection coefficients r_o and r_h must be finite")
 
     @property
     def phi_o(self) -> float:

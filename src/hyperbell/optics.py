@@ -523,10 +523,10 @@ def _trim(c: np.ndarray) -> np.ndarray:
 
 
 def _kept_layers(weights: np.ndarray) -> np.ndarray:
-    """The h-degree layers that _trim keeps, by the layer weights on axis 0:
-    the first, and each one at or after which a layer weighs _BRANCH_DROP
-    or more."""
-    kept = np.maximum.accumulate(weights[::-1], axis=0)[::-1] >= _BRANCH_DROP
+    """The h-degree layers that _trim keeps, by the finite layer weights on
+    axis 0: the first, and each one at or after which a layer weighs
+    _BRANCH_DROP or more."""
+    kept = np.logical_or.accumulate((weights >= _BRANCH_DROP)[::-1], axis=0)[::-1]
     kept[0] = True
     return kept
 

@@ -22,17 +22,19 @@ outcome, detector pattern) branches keeps its amplitude as a polynomial.
 Each h-degree layer of it is one monomial s^i h^k, so run_hbsa reads an
 input's support, its exactly nonzero branches (a residue stays: no bound
 on |s|, |h| holds at every pair), as monomials: one value per layer, its
-squared norms per branch, and one product for the kept amplitudes. A
-label's support is derived once and cached, the only per-label cache. The
-classifier is read off the same readout pass; these rules take the circuit
-text, and the readout and classifier are cached per text. Each local
-correction maps one Bell product exactly onto another. run_hbsa returns
-HbsaBranch records, NamedTuples: immutable, compared by value (a plain
-tuple of the same values included) and copied with _replace.
+squared norms per branch, and the coefficients branch-major, so that one
+batched product gives every kept amplitude. A label's support is derived
+once and cached, the only per-label cache. The classifier is read off the
+same readout pass; these rules take the circuit text, and the readout and
+classifier are cached per text. Each local correction maps one Bell
+product exactly onto another. run_hbsa returns HbsaBranch records,
+NamedTuples: immutable, compared by value (a plain tuple of the same
+values included) and copied with _replace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -42,7 +44,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair
-from .errors import ConfigurationError, InconsistentOutcomeError, PreconditionError
+from .errors import (
+    ConfigurationError,
+    InconsistentOutcomeError,
+    NumericDomainError,
+    PreconditionError,
+)
 from .hilbert import (
     _SPIN_X_PROJ,
     _SQRT2,
@@ -599,13 +606,14 @@ def _support(forms: np.ndarray, text: str) -> tuple:
     """What run_hbsa reads of forms [s, h, branch, pol] on their nonzero branches,
     read-only: each h-degree layer's one monomial (i, k), s^i h^k (layer_s_degrees;
     i + k = 4 on every analysis input), the squared norms [layer, branch] of its
-    coefficients and the coefficients [layer, branch, pol]; spins, patterns and labels.
+    coefficients and the coefficients branch-major, [branch, layer, pol] and
+    C-contiguous; spins, patterns and labels.
     Only exact zeros are cut: whether a rounding residue (1e-35 here) stays under
     the drop threshold depends on |s| and |h|, and no bound on them holds at every pair."""
     _, rows = monomial_support(forms)
     i, k = layer_s_degrees(forms), np.arange(forms.shape[1])
-    coef = forms[i, k][:, rows]
-    norms = (coef.real ** 2 + coef.imag ** 2).sum(axis=2)
+    coef = forms[i, k, rows[:, None]]
+    norms = np.ascontiguousarray((coef.real ** 2 + coef.imag ** 2).sum(axis=2).T)
     norms.flags.writeable = coef.flags.writeable = False
     readout, classified = _readout(text)[1], _classified(text)
     return (tuple(zip(i.tolist(), k.tolist())), norms, coef, tuple(readout[b][0] for b in rows),
@@ -620,10 +628,12 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     |v|^2 times the layer's squared norms. The runner's drop rule
     (optics._kept_layers) then applies: a branch's trailing leak layers
     below the drop threshold go, and the branch is kept iff the rest weighs
-    more. The kept layers' v times their coefficients, one product, are the
-    branch amplitudes. A label's support is derived once; a state input must
-    lie in the span of the 16 basis inputs, and each call runs its stage 1
-    afresh. Any other input is a ConfigurationError.
+    more. One batched product of each branch's masked v with its
+    coefficients [layer, pol] gives the branch amplitudes, and a float view
+    of them the probabilities. A label's support is derived once; a state
+    input must lie in the span of the 16 basis inputs, and each call runs
+    its stage 1 afresh. Any other input is a ConfigurationError, and a pair
+    at which the evaluation overflows a NumericDomainError.
     """
     if isinstance(state_or_label, HyperBellLabel):
         support = _hbsa_support(state_or_label, HBSA_FULL_TEXT)
@@ -634,13 +644,20 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
                                  f"not {type(state_or_label).__name__}")
     monomials, norms, coef, spins, patterns, classified = support
     s, h = complex(pair.success_amplitude), complex(pair.herald_amplitude)
-    v = np.array([s ** i * h ** k for i, k in monomials])
+    try:
+        v = np.array([s ** i * h ** k for i, k in monomials])
+    except OverflowError:
+        raise NumericDomainError(f"run_hbsa overflows at {pair}") from None
     weights = (v.real ** 2 + v.imag ** 2)[:, None] * norms  # [h-degree, branch]
     kept = _kept_layers(weights)
     weights *= kept
-    amps = np.einsum("kb,kbp->bp", kept * v[:, None], coef)
+    amps = (kept.T * v)[:, None, :] @ coef  # [branch, 1, pol]
     total, clean = weights.sum(axis=0), weights[0]
-    probability = (amps.real ** 2 + amps.imag ** 2).sum(axis=1).tolist()
-    rows = zip(spins, patterns, probability, classified, clean.tolist(), (total - clean).tolist())
+    re_im = amps.view(float)  # [branch, 1, re and im of each pol]
+    probability = (re_im @ re_im.swapaxes(1, 2)).ravel().tolist()
+    leaked = (total - clean).tolist()
+    if not math.isfinite(sum(probability) + sum(leaked)):  # inf or nan if any overflowed
+        raise NumericDomainError(f"run_hbsa overflows at {pair}")
+    rows = zip(spins, patterns, probability, classified, clean.tolist(), leaked)
     return list(map(tuple.__new__, repeat(HbsaBranch),
                     compress(rows, (total > _BRANCH_DROP).tolist())))

@@ -123,6 +123,22 @@ class TestGenerationStatistics:
         assert stats.leakage_rate == 1.0
         assert stats.conditional_fidelity == 1.0  # vacuous: nothing survives
 
+    def test_non_finite_pair_is_numeric_domain_error(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NumericDomainError, match="must be finite"):
+                hbsg_statistics(ReflectionPair(bad, 1.0))
+
+    def test_overflow_is_numeric_domain_error(self):
+        # |h|^2k overflows at 1e200 and |s|^2i at 1e70, with no NumPy warning on the way
+        for pair in (ReflectionPair(1e200, 1e200), ReflectionPair(1e70, -1e70)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericDomainError, match="overflow"):
+                    hbsg_statistics(pair)
+        # |r| > 1 stays legal where nothing overflows
+        stats = hbsg_statistics(ReflectionPair(1e30, 1e30))
+        assert stats.eta_simulated == 0.0 and math.isfinite(stats.herald_rate)
+
 
 def _numeric_statistics(pair):
     """Reference: run the generation circuit at the pair and aggregate."""

@@ -228,3 +228,22 @@ class TestPhases:
         pair = ReflectionPair(r_o=-0.5 + 0.5j, r_h=0.25 - 0.1j)
         assert pair.phi_o == cmath.phase(-0.5 + 0.5j)
         assert pair.phi_h == cmath.phase(0.25 - 0.1j)
+
+
+class TestReflectionPairDomain:
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.inf), complex(math.nan, 1.0)))
+    def test_non_finite_coefficient_rejected(self, bad):
+        for args in ((bad, 1.0), (-1.0, bad)):
+            with pytest.raises(NumericDomainError, match="must be finite"):
+                ReflectionPair(*args)
+
+    def test_arrays_checked_elementwise(self):
+        # run_sweep holds a whole grid in one pair of arrays
+        r = np.array([-1.0, 0.5 + 0.1j, 1.3])
+        pair = ReflectionPair(r, r[::-1])
+        np.testing.assert_array_equal(pair.success_amplitude, (r - r[::-1]) / 2)
+        with pytest.raises(NumericDomainError, match="must be finite"):
+            ReflectionPair(r, np.array([1.0, math.nan, 0.0]))
+        with pytest.raises(NumericDomainError, match="must be finite"):
+            ReflectionPair(np.array([math.inf, 0.0, 0.0]), r)

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 
 from test_records import _superposition
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
-from hyperbell.errors import ConfigurationError, InconsistentOutcomeError, PreconditionError
+from hyperbell.errors import (
+    ConfigurationError,
+    InconsistentOutcomeError,
+    NumericDomainError,
+    PreconditionError,
+)
 from hyperbell.hilbert import HybridState, overlap, product_state
 from hyperbell.optics import (
     _BRANCH_DROP,
@@ -406,6 +412,30 @@ class TestRealisticHbsa:
         # up to interference between leak orders, wrong weight is leak weight
         assert wrong <= 1.1 * leaked
 
+    def test_non_finite_pair_is_numeric_domain_error(self):
+        label = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NumericDomainError, match="must be finite"):
+                run_hbsa(label, ReflectionPair(bad, 1.0))
+            with pytest.raises(NumericDomainError, match="must be finite"):
+                run_hbsg(ReflectionPair(1.0, bad))
+
+    def test_overflow_is_numeric_domain_error(self):
+        label = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)
+        # at 1e200, h^4 overflows in Python's complex power; at 1e40, h^4 is
+        # finite and its squared modulus overflows in NumPy, which may warn first
+        for pair in (ReflectionPair(1e200, 1e200), ReflectionPair(1e40, 1e40)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for given in (label, hbsa_input(label)):
+                    with pytest.raises(NumericDomainError, match="overflows"):
+                        run_hbsa(given, pair)
+        # |r| > 1 stays legal where nothing overflows: at s = 0 only the h^4
+        # layer is nonzero, so every weight scales as |h|^8
+        big, unit = (run_hbsa(label, ReflectionPair(r, r)) for r in (1e30, 1.0))
+        assert big and all(b.clean_weight == 0.0 for b in big)
+        assert math.isclose(sum(b.leaked_weight for b in big),
+                            1e240 * sum(b.leaked_weight for b in unit), rel_tol=1e-12)
+
 
 def _full_circuit_rows(state, pair):
     """(spins, pattern, classification, probability, clean, leaked) of every
@@ -580,14 +610,16 @@ class TestHbsaSupport:
                 label, protocols.HBSA_FULL_TEXT)
             # one monomial s^(4-k) h^k per h-degree k on every label
             assert monomials == tuple((4 - k, k) for k in range(len(monomials)))
-            assert coef.shape == norms.shape + (4,)
+            # coefficients branch-major, [branch, layer, pol]; norms [layer, branch]
+            assert coef.shape == norms.T.shape + (4,)
+            assert coef.flags.c_contiguous
             assert len(monomials) == len(norms)
-            np.testing.assert_array_equal(norms, (np.abs(coef) ** 2).sum(axis=2))
+            np.testing.assert_array_equal(norms, (np.abs(coef) ** 2).sum(axis=2).T)
             for a in (norms, coef):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 0
-            assert [len(column) for column in columns] == [coef.shape[1]] * 3
+            assert [len(column) for column in columns] == [coef.shape[0]] * 3
             assert all(isinstance(column, tuple) for column in columns)
 
     def test_mixed_kept_layers_match_dense_evaluation(self):
