@@ -52,9 +52,8 @@ from .protocols import (
     run_hbsa,
 )
 from .optics import (
-    _BRANCH_DROP,
     _evaluate,
-    _kept_layers,
+    _surviving,
     _weight,
     layer_s_degrees,
     monomial_support,
@@ -151,7 +150,7 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
     Each is an array of shape [N], from one evaluation of the generation
     run's monomials. The herald rate is the probability that at least one
     herald detector fires; eta and the leak share are conditioned on no
-    click, under the runner's drop rule (optics._kept_layers: trailing leak
+    click, under the runner's drop rule (optics._surviving: trailing leak
     layers below the threshold go, and the branch goes unless the rest
     weighs more). Every QD rail has its waveform corrector, so the unleaked
     layer is s^i times one fixed vector, the same state at every pair:
@@ -163,16 +162,12 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
     forms = _generation_forms(HBSG_CIRCUIT_TEXT)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            layer_w = _monomial_weights(forms.layers, s, h)
-            kept = _kept_layers(layer_w)
-            eta = layer_w[0]
-            leak = np.sum(np.where(kept, layer_w, 0.0)[1:], axis=0)
+            _, eta, leak, live = _surviving(_monomial_weights(forms.layers, s, h))
             herald_rate = np.sum(_monomial_weights(forms.clicks, s, h), axis=0)
-            survived = eta + leak
     except FloatingPointError:
         raise NumericDomainError("generation statistics overflow at a pair") from None
-    live = survived > _BRANCH_DROP  # so also survived > _ZERO_WEIGHT
-    leakage_rate = np.divide(leak, survived, out=np.ones_like(leak), where=live)
+    # live is eta + leak > _BRANCH_DROP, so also eta + leak > _ZERO_WEIGHT
+    leakage_rate = np.divide(leak, eta + leak, out=np.ones_like(leak), where=live)
     cond_fidelity = np.where(live & (eta > _ZERO_WEIGHT), min(1.0, forms.fidelity), 1.0)
     return np.where(live, eta, 0.0), herald_rate, leakage_rate, cond_fidelity
 

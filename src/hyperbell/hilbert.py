@@ -44,30 +44,27 @@ _SPIN_NAMES = {"up": SPIN_UP, "down": SPIN_DOWN, "+": SPIN_PLUS, "-": SPIN_MINUS
 AMP_TOL = 1e-12  # amplitude comparisons
 
 
-def pol_vector(x) -> np.ndarray:
-    """Coerce "R"/"L"/"H"/"V" or a length-2 array to a polarization vector."""
+def _two_vector(x, names: dict, unknown: str, noun: str) -> np.ndarray:
+    """A copy of names[x] for a name x, else x as a length-2 complex array."""
     if isinstance(x, str):
         try:
-            return _POL_NAMES[x].copy()
+            return names[x].copy()
         except KeyError:
-            raise ConfigurationError(f"unknown polarization {x!r}") from None
+            raise ConfigurationError(f"unknown {unknown} {x!r}") from None
     v = np.asarray(x, dtype=complex)
     if v.shape != (2,):
-        raise ConfigurationError("polarization vector must have length 2")
+        raise ConfigurationError(f"{noun} vector must have length 2")
     return v
+
+
+def pol_vector(x) -> np.ndarray:
+    """Coerce "R"/"L"/"H"/"V" or a length-2 array to a polarization vector."""
+    return _two_vector(x, _POL_NAMES, "polarization", "polarization")
 
 
 def spin_vector(x) -> np.ndarray:
     """Coerce "up"/"down"/"+"/"-" or a length-2 array to a spin vector."""
-    if isinstance(x, str):
-        try:
-            return _SPIN_NAMES[x].copy()
-        except KeyError:
-            raise ConfigurationError(f"unknown spin state {x!r}") from None
-    v = np.asarray(x, dtype=complex)
-    if v.shape != (2,):
-        raise ConfigurationError("spin vector must have length 2")
-    return v
+    return _two_vector(x, _SPIN_NAMES, "spin state", "spin")
 
 
 @dataclass(frozen=True)
@@ -181,15 +178,9 @@ def _apply_photon_matrix(amps: np.ndarray, slot: int, mat: np.ndarray) -> np.nda
     return (mat @ amps.reshape(-1, mat.shape[0], inner)).reshape(amps.shape)
 
 
-# einsum of _polspin per (photon slot, spin slot), on the view of one path:
-# photon A's view has axes (polA, polB, pathB, s1, s2), photon B's
-# (polA, pathA, polB, s1, s2)
-_POLSPIN_EINSUM = {
-    (0, 0): "PSps,...pqbst->...PqbSt",
-    (0, 1): "PTpt,...pqbst->...PqbsT",
-    (1, 0): "QSqs,...paqst->...paQSt",
-    (1, 1): "QTqt,...paqst->...paQsT",
-}
+# the (polarization, spin) axes per (photon slot, spin slot) of a one-path view:
+# photon A's has axes (..., polA, polB, pathB, s1, s2), photon B's (..., polA, pathA, polB, s1, s2)
+_POLSPIN_AXES = {(p, q): (2 * p - 5, q - 2) for p in (0, 1) for q in (0, 1)}
 
 
 def _polspin(view: np.ndarray, slot: int, spin_slot: int, mat4: np.ndarray) -> np.ndarray:
@@ -198,7 +189,10 @@ def _polspin(view: np.ndarray, slot: int, spin_slot: int, mat4: np.ndarray) -> n
     view is ``amps[_path_slice(slot, path)]``; mat4 is in the pol-major
     basis {R up, R down, L up, L down}. Returns a new array.
     """
-    return np.einsum(_POLSPIN_EINSUM[slot, spin_slot], mat4.reshape(2, 2, 2, 2), view)
+    axes = _POLSPIN_AXES[slot, spin_slot]
+    moved = np.moveaxis(view, axes, (-2, -1))
+    out = moved.reshape(moved.shape[:-2] + (4,)) @ mat4.T
+    return np.moveaxis(out.reshape(moved.shape), (-2, -1), axes)
 
 
 def _path_slice(slot: int, path_idx: int, pol=slice(None)) -> tuple:

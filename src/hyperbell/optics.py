@@ -33,16 +33,16 @@ kinds: cpbs, pbs, bs, hp, z, wfc, qdarm, detector, measure_spin. Each
 splitter binds two distinct outputs and, by the port rule of
 _check_ports, its inputs: a pbs its ``path``, a cpbs one or two distinct
 paths, a bs two distinct paths that its outputs equal as a set or avoid.
-Parsing enforces all of this, naming the line at fault, and
-element_matrix checks the same keys and port rule on every call. It
-builds each matrix once per (kind, path count, port indices): the matrix
-it returns is read-only, and shared by every element of the same kind and
-ports on a photon with as many paths. ``wfc qd=`` and
-``measure_spin photon=`` are accepted and ignored by the runner. A
-detector clicks on its path, in the one polarization that ``pol`` names
-or in both; a clicked photon stays on its path. No two detectors, plain
-or of heralded blocks, share a label. The ``block`` macro expands into
-the primitives of block_ops: Hp - qdarm - Hp on the bound path, then
+Parsing enforces all of this, naming the line at fault; element_matrix
+checks the same keys and port rule on every call, and the runner checks
+every other element's keys and pol. element_matrix builds each matrix
+once per (kind, path count, port indices): read-only, and shared by every
+element of the same kind and ports on a photon with as many paths.
+``wfc qd=`` and ``measure_spin photon=`` are accepted and ignored by the
+runner. A detector clicks on its path, in the one polarization that
+``pol`` names or in both; a clicked photon stays on its path. No two
+detectors, plain or of heralded blocks, share a label. The ``block``
+macro expands into block_ops: Hp - qdarm - Hp on the bound path, then
 ``z`` (parity) or ``detector pol=L`` (heralded), which catches the leak,
 as the leak keeps the L polarization of the input.
 """
@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import IDEAL_PAIR, ReflectionPair, reflection_operator
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericDomainError
 from .hilbert import (
     _HADAMARD,
     _SPIN_X_PROJ,
@@ -69,16 +69,16 @@ from .hilbert import (
     _apply_photon_matrix,
     _apply_spin_matrix,
     _path_slice,
+    _POLSPIN_AXES,
     _project_path,
 )
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 # qdarm success component, the reflection map at s = 1, h = 0: pol sigma_z (x) spin sigma_z
 _SUCC4 = reflection_operator(ReflectionPair(r_o=1, r_h=-1))
-# its diagonal as a sign mask per (photon slot p, spin slot q) on the view of
-# one path, of axes (polA, polB, pathB, s1, s2) or (polA, pathA, polB, s1, s2)
-_SUCC_SIGN = {(p, q): np.diag(_SUCC4).real.reshape(
-    [2 if axis in (2 * p, 3 + q) else 1 for axis in range(5)]) for p in (0, 1) for q in (0, 1)}
+# its diagonal as a sign mask per (photon slot p, spin slot q) on the view of one path
+_SUCC_SIGN = {key: np.diag(_SUCC4).real.reshape(
+    [2 if axis in axes else 1 for axis in range(-5, 0)]) for key, axes in _POLSPIN_AXES.items()}
 
 _BRANCH_DROP = 1e-26  # squared-norm threshold below which a branch is discarded
 
@@ -189,15 +189,13 @@ def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
     """
     if el.kind not in _PLATES and el.kind not in _PORTS:
         raise ConfigurationError(f"element kind {el.kind.value} has no single-photon matrix")
-    for i in _OFF_FIELDS[el.kind]:
-        if el[i] is not None:
-            raise ConfigurationError(f"key {_OP_KEYS[i - 1]!r} not allowed for op {el.kind.value}")
-    n = len(layout.paths[layout.photon_slot(el.photon)])
     if el.kind in _PLATES:
         ins, outs = (el.path,), ()
     else:
         ins, outs = el.in_paths or ((el.path,) if el.path else ()), el.out_paths or ()
         _check_ports(el.kind, ins, outs)
+    _check_fields(el)
+    n = len(layout.paths[layout.photon_slot(el.photon)])
     return _built_matrix(el.kind, n, tuple(layout.path_index(el.photon, p) for p in ins),
                          tuple(layout.path_index(el.photon, p) for p in outs))
 
@@ -262,9 +260,24 @@ _KEYS = {
 }
 # the op key of each Element field after kind, in field (and serialized) order
 _OP_KEYS = ("photon", "path", "in", "out", "qd", "label", "pol")
-# per passive kind, the indices of the Element fields whose keys its line does not take
-_OFF_FIELDS = {kind: [i for i, key in enumerate(_OP_KEYS, 1)  # no passive kind has an optional key
-                      if key not in _KEYS[f"op {kind.value}"][0]] for kind in (*_PLATES, *_PORTS)}
+# per op kind, the indices of the Element fields whose keys its line requires, and does not take
+_FIELDS = {kind: ([i for i, key in enumerate(_OP_KEYS, 1) if key in keys[0]],
+                  [i for i, key in enumerate(_OP_KEYS, 1) if key not in keys[0] + keys[1]])
+           for kind in ElementKind for keys in [_KEYS[f"op {kind.value}"]]}
+
+
+def _check_fields(el: Element):
+    """Raise, as parsing does, unless an element sets every field whose key its kind's
+    line requires and none whose key it does not take, and a set pol is R or L."""
+    required, refused = _FIELDS[el.kind]
+    for i in refused:
+        if el[i] is not None:
+            raise ConfigurationError(f"key {_OP_KEYS[i - 1]!r} not allowed for op {el.kind.value}")
+    for i in required:
+        if el[i] is None:
+            raise ConfigurationError(f"op {el.kind.value} requires {_OP_KEYS[i - 1]}=")
+    if el.pol is not None and el.pol not in _POL_INDEX:
+        raise ConfigurationError(f"detector pol must be R or L, got {el.pol!r}")
 
 
 def _parse_kv(head: str, tokens: list[str]) -> dict:
@@ -352,8 +365,7 @@ def _elements(keyword: str, rest: list[str], qds: dict, photons: dict) -> list[E
         raise ConfigurationError(f"undeclared QD {kv['qd']!r}")
     if el.kind in _PORTS:
         _check_ports(el.kind, el.in_paths or (el.path,), el.out_paths)
-    if kv.get("pol", "R") not in _POL_INDEX:
-        raise ConfigurationError(f"detector pol must be R or L, got {kv['pol']!r}")
+    _check_fields(el)  # its keys are checked already: this checks its pol
     return els
 
 
@@ -485,6 +497,7 @@ def _compile(circuit: Circuit, layout: StateLayout):
     actions = []
     pending = [None, None]  # per photon slot, the product of its matrices so far
     for el in circuit.ops:
+        _check_fields(el)
         if el.kind == ElementKind.MEASURE_SPIN:
             actions.append(("spin", circuit.qd_slot(el.qd), el.qd))
             continue
@@ -522,13 +535,15 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[:s_len, :h_len]
 
 
-def _kept_layers(weights: np.ndarray) -> np.ndarray:
-    """The h-degree layers that _trim keeps, by the finite layer weights on
-    axis 0: the first, and each one at or after which a layer weighs
-    _BRANCH_DROP or more."""
+def _surviving(weights: np.ndarray):
+    """The runner's drop rule on finite layer weights [h-degree, ...] at a pair:
+    (kept, clean, leaked, live). kept marks the layers that _trim keeps, the first and
+    each one at or after which a layer weighs _BRANCH_DROP or more; clean is layer 0's
+    weight, leaked the kept leak layers' sum; live, clean + leaked > _BRANCH_DROP."""
     kept = np.logical_or.accumulate((weights >= _BRANCH_DROP)[::-1], axis=0)[::-1]
     kept[0] = True
-    return kept
+    leaked = (weights[1:] * kept[1:]).sum(axis=0)
+    return kept, weights[0], leaked, weights[0] + leaked > _BRANCH_DROP
 
 
 def _lossy_passage(action, c: np.ndarray, s: tuple, h: tuple) -> np.ndarray:
@@ -581,7 +596,8 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
     at a pair they are the numbers themselves, (s,) and (0, h), so the
     s axis keeps length 1; with pair=None they are (0, 1) both, so every
     passage raises a degree. Only a branch's first click is kept, as its
-    coefficients, under its detector's label.
+    coefficients, under its detector's label. At a pair, a weight that is not finite,
+    of a measurement outcome (a click is one) or a returned branch, is a NumericDomainError.
     """
     layout = circuit.layout()
     if state.layout != layout:
@@ -592,6 +608,7 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
         s, h = (pair.success_amplitude,), (0, pair.herald_amplitude)
     clicks = {el.label: [] for el in circuit.ops if el.kind == ElementKind.DETECTOR}
     branches = [((), state.amps[None, None].copy())]
+    weights = []  # those compared with _BRANCH_DROP
     for action in _compile(circuit, layout):
         kind = action[0]
         if kind == "matrix":
@@ -607,10 +624,13 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
                     if first and entry is not None and entry[1] == "click":
                         clicks[entry[0]].append(projected)
                     projected = _trim(projected)
-                    if _weight(projected) > _BRANCH_DROP:
+                    weights.append(_weight(projected))
+                    if weights[-1] > _BRANCH_DROP:
                         new_branches.append(
                             (rec if entry is None else rec + (entry,), projected))
             branches = new_branches
+    if pair is not None and not np.isfinite(sum(weights) + sum(_weight(c) for _, c in branches)):
+        raise NumericDomainError(f"a branch weight overflows at {pair}")
     return layout, branches, clicks
 
 

@@ -24,9 +24,9 @@ input's support, its exactly nonzero branches (a residue stays: no bound
 on |s|, |h| holds at every pair), as monomials: one value per layer, its
 squared norms per branch, and the coefficients branch-major, so that one
 batched product gives every kept amplitude. A label's support is derived
-once and cached, the only per-label cache. The classifier is read off the
-same readout pass; these rules take the circuit text, and the readout and
-classifier are cached per text. Each local correction maps one Bell
+once and cached, the only per-label cache. These rules take the circuit
+text; the readout table, cached per text, gives each branch its label, so
+the classifier is one of its columns. Each local correction maps one Bell
 product exactly onto another. run_hbsa returns HbsaBranch records,
 NamedTuples: immutable, compared by value (a plain tuple of the same
 values included) and copied with _replace.
@@ -65,13 +65,12 @@ from .hilbert import (
     zero_state,
 )
 from .optics import (
-    _BRANCH_DROP,
     Circuit,
     ElementKind,
     TrackedBranch,
     _compile,
-    _kept_layers,
     _run,
+    _surviving,
     _weight,
     initial_spins,
     layer_s_degrees,
@@ -166,22 +165,18 @@ def make_bell(pol: Bell, spatial: Bell, layout: StateLayout = _MIN_LAYOUT,
               rails=DEFAULT_RAILS, spins=("+", "+")) -> HybridState:
     """Normalized product of a polarization and a spatial-mode Bell state.
 
-    rails names the dual-rail path pair per photon carrying the spatial
+    rails names the two distinct paths per photon carrying the spatial
     qubit; spins fixes the factored-out spin configuration.
     """
-    pol_m = _bell_matrix(pol)
-    spat_m = _bell_matrix(spatial)
-    ia = [layout.path_index(layout.photons[0], p) for p in rails[0]]
-    ib = [layout.path_index(layout.photons[1], p) for p in rails[1]]
+    if any(len(set(pair)) != len(pair) for pair in rails):
+        raise ConfigurationError(f"a rail pair repeats a path: {rails}")
+    ia, ib = ([layout.path_index(photon, p) for p in pair]
+              for photon, pair in zip(layout.photons, rails))
     state = zero_state(layout)
-    s1 = spin_vector(spins[0])
-    s2 = spin_vector(spins[1])
-    for xa in (0, 1):
-        for xb in (0, 1):
-            if spat_m[xa, xb] == 0:
-                continue
-            state.amps[:, ia[xa], :, ib[xb]] += np.einsum(
-                "pq,s,t->pqst", pol_m * spat_m[xa, xb], s1, s2)
+    # the rail block, axes (railA, railB, polA, polB, s1, s2)
+    state.amps[:, np.array(ia)[:, None], :, ib] = np.einsum(
+        "xy,pq,s,t->xypqst", _bell_matrix(spatial), _bell_matrix(pol),
+        spin_vector(spins[0]), spin_vector(spins[1]))
     return state
 
 
@@ -192,11 +187,6 @@ def _photon_factor(state: HybridState) -> np.ndarray:
     if sv[0] <= 0 or (sv.size > 1 and sv[1] > 1e-6 * sv[0]):
         raise PreconditionError("state does not factor into photons (x) spins")
     return u[:, 0]
-
-
-def _photon_overlap(a: HybridState, b: HybridState) -> complex:
-    """Overlap of photonic factors, ignoring the spin configuration."""
-    return complex(np.vdot(_photon_factor(a), _photon_factor(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +334,8 @@ def apply_local_correction(state: HybridState, frm: HyperBellLabel,
     if norm <= 0:
         raise PreconditionError("cannot correct a zero state")
     expected = make_bell(frm.pol, frm.spatial, state.layout, rails)
-    if abs(_photon_overlap(expected, state)) ** 2 < 1 - 1e-9:
+    # the overlap of the photonic factors, whatever the spins
+    if abs(np.vdot(_photon_factor(expected), _photon_factor(state))) ** 2 < 1 - 1e-9:
         raise PreconditionError(f"input state is not the {frm} hyperentangled state")
     photon_a = state.layout.photons[0]
     ia = [state.layout.path_index(photon_a, p) for p in rails[0]]
@@ -473,13 +464,16 @@ def run_hbsa_stage1(state: HybridState,
 
 @lru_cache(maxsize=4)
 def _readout(text: str):
-    """The readout, an analysis circuit text from its first spin measurement on.
+    """The readout table, an analysis circuit text from its first spin measurement on.
 
     Returns its passive matrices as (photon slot, matrix), fused per
-    photon as _compile emits them, and one (spin outcome, detector
-    pattern, photon A's detector slice, photon B's) per readout branch,
-    in the record order of run_circuit_tracked on the whole circuit:
+    photon as _compile emits them, and one row (spin outcome, detector
+    pattern, photon A's detector slice, photon B's, label) per readout
+    branch, in the record order of run_circuit_tracked on the whole circuit:
     QD1, QD2, then photon A's detectors and photon B's in circuit order.
+    A row's label is the one basis input with amplitude on it, each input
+    taken with the spins that SPIN_TO_SPATIAL gives its spatial state, as
+    stage 1 leaves them; none or several is an InconsistentOutcomeError.
     It projects two spin slots, so a text that does not declare exactly
     two QDs, or a readout that holds a qdarm or wfc or does not measure each
     declared QD exactly once, is a ConfigurationError.
@@ -497,43 +491,33 @@ def _readout(text: str):
         if action[0] == "detector":
             _, slot, path_idx, pol, label = action
             detectors[slot].append((label, _path_slice(slot, path_idx, pol)))
-    branches = [(SpinOutcome(e1, e2), DetectorPattern(a, b), on_a, on_b)
-                for e1, e2 in product(_SPIN_X_PROJ, repeat=2)
-                for (a, on_a), (b, on_b) in product(*detectors)]
-    return [action[1:] for action in actions if action[0] == "matrix"], branches
+    matrices = [action[1:] for action in actions if action[0] == "matrix"]
+    rows = [(SpinOutcome(e1, e2), DetectorPattern(a, b), on_a, on_b)
+            for e1, e2 in product(_SPIN_X_PROJ, repeat=2)
+            for (a, on_a), (b, on_b) in product(*detectors)]
+    labels = all_labels()
+    spins = {spatial: key for key, spatial in SPIN_TO_SPATIAL.items()}
+    amps = np.stack([make_bell(label.pol, label.spatial, full.layout(),
+                               spins=spins[label.spatial]).amps for label in labels])
+    reached = np.linalg.norm(_read_out(amps, (matrices, rows)), axis=-1) > 1e-9  # [input, row]
+    if (reached.sum(axis=0) != 1).any():
+        raise InconsistentOutcomeError("a readout branch has no basis input or several")
+    return matrices, [row + (labels[i],) for row, i in zip(rows, reached.argmax(axis=0))]
 
 
-def _read_out(amps: np.ndarray, text: str) -> np.ndarray:
-    """The readout's amplitudes [..., branch, polA * polB] of amplitudes
-    [..., *state axes] on the text's layout. A spin projected on an X
-    eigenvector has the same up amplitude, 1/sqrt2 of the outcome's, for
-    both outcomes, so a branch keeps its (up, up) spin component, doubled.
+def _read_out(amps: np.ndarray, readout) -> np.ndarray:
+    """The amplitudes [..., row, polA * polB] of each row of a readout table, as
+    _readout returns it, on amplitudes [..., *state axes] of its text's layout. A
+    spin projected on an X eigenvector has the same up amplitude, 1/sqrt2 of the
+    outcome's, for both outcomes, so a row keeps its (up, up) component, doubled.
     """
-    matrices, branches = _readout(text)
+    matrices, rows = readout
     for slot, mat in matrices:
         amps = _apply_photon_matrix(amps, slot, mat)
     projected = _x_projected(amps)
     out = np.stack([2 * projected[spins.e1, spins.e2][on_a][on_b][..., 0, 0]
-                    for spins, _, on_a, on_b in branches], axis=-3)
+                    for spins, _, on_a, on_b, *_ in rows], axis=-3)
     return out.reshape(out.shape[:-2] + (-1,))
-
-
-@lru_cache(maxsize=4)
-def _classified(text: str) -> tuple[HyperBellLabel, ...]:
-    """The label of each readout branch, read off the readout itself.
-
-    Each of the 16 basis inputs goes through it with the spins that
-    SPIN_TO_SPATIAL gives its spatial state, as stage 1 leaves them; a
-    branch belongs to the one input with amplitude on it.
-    """
-    labels = all_labels()
-    spins = {spatial: key for key, spatial in SPIN_TO_SPATIAL.items()}
-    amps = np.stack([make_bell(label.pol, label.spatial, _parsed(text).layout(),
-                               spins=spins[label.spatial]).amps for label in labels])
-    reached = np.linalg.norm(_read_out(amps, text), axis=-1) > 1e-9  # [input, branch]
-    if (reached.sum(axis=0) != 1).any():
-        raise InconsistentOutcomeError("a readout branch has no basis input or several")
-    return tuple(labels[i] for i in reached.argmax(axis=0))
 
 
 def classify(spins: SpinOutcome, pattern: DetectorPattern) -> HyperBellLabel:
@@ -545,9 +529,7 @@ def classify(spins: SpinOutcome, pattern: DetectorPattern) -> HyperBellLabel:
 
 def classification_table() -> list[tuple[SpinOutcome, DetectorPattern, HyperBellLabel]]:
     """Full (spins x pattern) -> label map, 64 rows, one per readout branch."""
-    _, branches = _readout(HBSA_FULL_TEXT)
-    return [(spins, pattern, label)
-            for (spins, pattern, *_), label in zip(branches, _classified(HBSA_FULL_TEXT))]
+    return [(spins, pattern, label) for spins, pattern, *_, label in _readout(HBSA_FULL_TEXT)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +573,7 @@ def _hbsa_forms(state: HybridState, text: str) -> np.ndarray:
     if np.sum(np.abs(outside) ** 2) > _SPAN_TOL * state.norm2:
         raise ConfigurationError(
             "input state is not a superposition of the 16 analysis basis inputs")
-    return _read_out(c, text)
+    return _read_out(c, _readout(text))
 
 
 @lru_cache(maxsize=64)
@@ -607,7 +589,7 @@ def _support(forms: np.ndarray, text: str) -> tuple:
     read-only: each h-degree layer's one monomial (i, k), s^i h^k (layer_s_degrees;
     i + k = 4 on every analysis input), the squared norms [layer, branch] of its
     coefficients and the coefficients branch-major, [branch, layer, pol] and
-    C-contiguous; spins, patterns and labels.
+    C-contiguous; and the spins, patterns and labels of the readout table.
     Only exact zeros are cut: whether a rounding residue (1e-35 here) stays under
     the drop threshold depends on |s| and |h|, and no bound on them holds at every pair."""
     _, rows = monomial_support(forms)
@@ -615,9 +597,9 @@ def _support(forms: np.ndarray, text: str) -> tuple:
     coef = forms[i, k, rows[:, None]]
     norms = np.ascontiguousarray((coef.real ** 2 + coef.imag ** 2).sum(axis=2).T)
     norms.flags.writeable = coef.flags.writeable = False
-    readout, classified = _readout(text)[1], _classified(text)
-    return (tuple(zip(i.tolist(), k.tolist())), norms, coef, tuple(readout[b][0] for b in rows),
-            tuple(readout[b][1] for b in rows), tuple(classified[b] for b in rows))
+    table = _readout(text)[1]
+    return (tuple(zip(i.tolist(), k.tolist())), norms, coef,
+            *(tuple(table[b][column] for b in rows) for column in (0, 1, -1)))
 
 
 def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBranch]:
@@ -626,7 +608,7 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     The input's support (_support, cut at exact zeros only) is read as
     monomials: each layer's value v = s^i h^k, one Python complex, weighs
     |v|^2 times the layer's squared norms. The runner's drop rule
-    (optics._kept_layers) then applies: a branch's trailing leak layers
+    (optics._surviving) then applies: a branch's trailing leak layers
     below the drop threshold go, and the branch is kept iff the rest weighs
     more. One batched product of each branch's masked v with its
     coefficients [layer, pol] gives the branch amplitudes, and a float view
@@ -649,15 +631,12 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     except OverflowError:
         raise NumericDomainError(f"run_hbsa overflows at {pair}") from None
     weights = (v.real ** 2 + v.imag ** 2)[:, None] * norms  # [h-degree, branch]
-    kept = _kept_layers(weights)
-    weights *= kept
+    kept, clean, leaked, live = _surviving(weights)
     amps = (kept.T * v)[:, None, :] @ coef  # [branch, 1, pol]
-    total, clean = weights.sum(axis=0), weights[0]
     re_im = amps.view(float)  # [branch, 1, re and im of each pol]
     probability = (re_im @ re_im.swapaxes(1, 2)).ravel().tolist()
-    leaked = (total - clean).tolist()
-    if not math.isfinite(sum(probability) + sum(leaked)):  # inf or nan if any overflowed
+    clean, leaked = clean.tolist(), leaked.tolist()
+    if not math.isfinite(sum(probability) + sum(clean) + sum(leaked)):  # inf or nan on overflow
         raise NumericDomainError(f"run_hbsa overflows at {pair}")
-    rows = zip(spins, patterns, probability, classified, clean.tolist(), leaked)
-    return list(map(tuple.__new__, repeat(HbsaBranch),
-                    compress(rows, (total > _BRANCH_DROP).tolist())))
+    rows = zip(spins, patterns, probability, classified, clean, leaked)
+    return list(map(tuple.__new__, repeat(HbsaBranch), compress(rows, live.tolist())))

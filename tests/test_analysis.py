@@ -139,6 +139,13 @@ class TestGenerationStatistics:
         stats = hbsg_statistics(ReflectionPair(1e30, 1e30))
         assert stats.eta_simulated == 0.0 and math.isfinite(stats.herald_rate)
 
+    def test_branch_report_overflow_is_numeric_domain_error(self):
+        # the forking runner's branch weights overflow at 1e200: the report was empty
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericDomainError, match="overflows"):
+                hbsg_branch_report(ReflectionPair(1e200, 1e200))
+        assert hbsg_branch_report(ReflectionPair(1e30, 1e30)) == []  # s = 0: nothing clean
+
 
 def _numeric_statistics(pair):
     """Reference: run the generation circuit at the pair and aggregate."""

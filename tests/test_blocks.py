@@ -10,7 +10,7 @@ from hyperbell.cavity import (
     reflection_coefficients,
     reflection_operator,
 )
-from hyperbell.errors import PreconditionError
+from hyperbell.errors import NumericDomainError, PreconditionError
 from hyperbell.hilbert import HybridState, apply_spin_conditional_op, overlap, product_state
 from hyperbell.optics import parse_circuit, run_circuit_tracked
 
@@ -65,6 +65,17 @@ class TestHeraldedBlock:
         # sigma_z leaves the up spin alone: the success output keeps spin up
         target = product_state(small_layout, "R", "a1", "R", "b1", "up", "+")
         assert abs(abs(overlap(target, success.residual)) - 1.0) < 1e-12
+
+    def test_overflow_is_numeric_domain_error(self, small_layout):
+        # at 1e200 both branches came back with probability inf and zeroed states
+        state = product_state(small_layout, "L", "a1", "R", "b1", "+", "+")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericDomainError, match="overflows"):
+                heralded_block(state, "A", "a1", BlockConfig(1, ReflectionPair(1e200, 1e200)))
+        # |r| > 1 stays legal where nothing overflows
+        branches = heralded_block(state, "A", "a1", BlockConfig(1, ReflectionPair(1e30, 1e30)))
+        by = {b.record[0][1]: b.probability for b in branches}
+        assert by["click"] == pytest.approx(1e60) and np.isfinite(list(by.values())).all()
 
     def test_r_amplitude_on_path_rejected(self, small_layout):
         state = product_state(small_layout, "R", "a1", "R", "b1", "+", "+")

@@ -7,7 +7,7 @@ import pytest
 from conftest import apply_op, one_op_circuit, polynomial_run_at, random_state
 from hyperbell import optics
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
-from hyperbell.errors import ConfigurationError
+from hyperbell.errors import ConfigurationError, NumericDomainError
 from hyperbell.hilbert import (
     HybridState,
     StateLayout,
@@ -567,6 +567,84 @@ class TestRunCircuit:
             assert set(got) == set(want)  # the branch where both fired is kept
             for record, p in want.items():
                 assert abs(got[record] - p) < 1e-12
+
+    @pytest.mark.parametrize("el, message", [
+        (Element(ElementKind.DETECTOR, photon="A", path="a1", label="D", pol="X"),
+         "detector pol must be R or L, got 'X'"),
+        (Element(ElementKind.DETECTOR, photon="A", path="a1"), "op detector requires label="),
+        (Element(ElementKind.QDARM, photon="A", path="a1", qd="QD1", out_paths=("a1", "a2")),
+         "key 'out' not allowed for op qdarm"),
+        (Element(ElementKind.WFC, photon="A", path="a1", label="D"),
+         "key 'label' not allowed for op wfc"),
+        (Element(ElementKind.MEASURE_SPIN, path="a1", qd="QD1"),
+         "key 'path' not allowed for op measure_spin"),
+    ], ids=["detector-pol", "detector-no-label", "qdarm-out", "wfc-label", "measure-spin-path"])
+    def test_hand_built_element_checked_against_its_kind(self, rng, el, message):
+        # as parsing and element_matrix do, the runner checks every element
+        # against the keys and pol values that its kind's line takes
+        circuit = _two_photon_circuit("")
+        circuit = Circuit(circuit.qds, circuit.photons, (el,))
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            run_circuit_tracked(circuit, random_state(circuit.layout(), rng))
+
+    def test_overflowing_weight_is_numeric_domain_error(self, rng):
+        # at r_o = r_h = 1e200, s = 0 and h^2 overflows: the measured branch
+        # weighs inf or nan, and the stage ending in a qdarm returns it
+        circuit = parse_circuit(BLOCK_CIRCUIT)
+        state = product_state(circuit.layout(), "L", "a1", "R", "b1", "+", "+")
+        arm = Circuit(circuit.qds, circuit.photons, circuit.ops[:3])
+        for c in (circuit, arm):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericDomainError, match="overflows"):
+                    run_circuit_tracked(c, state, ReflectionPair(1e200, 1e200))
+            # |r| > 1 stays legal where nothing overflows
+            run = run_circuit_tracked(c, state, ReflectionPair(1e30, 1e30))
+            assert all(np.isfinite(b.probability) for b in run.branches)
+
+
+class TestDropRule:
+    """optics._surviving, the drop rule on layer weights that run_hbsa and
+    hbsg_statistics_grid apply, keeps the layers that the runner's _trim
+    keeps and the branches that the runner keeps."""
+
+    @staticmethod
+    def _coefficients(rng, s_len):
+        """Arrays [s, h, 3] of random layers, each at a scale from 1 down to
+        well below the drop threshold, some with trailing layers of residue
+        only, and the all-zero and single-layer ones."""
+        arrays = [np.zeros((s_len, 4, 3), dtype=complex), np.zeros((s_len, 1, 3), dtype=complex)]
+        for _ in range(300):
+            h_len = int(rng.integers(1, 6))
+            shape = (s_len, h_len, 3)
+            c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            c *= 10.0 ** rng.uniform(-16, 0, size=(1, h_len, 1))
+            c[:, h_len - int(rng.integers(0, h_len)):] *= 1e-10  # residue-only top layers
+            arrays.append(c)
+        return arrays
+
+    @staticmethod
+    def _assert_agrees(weights, c):
+        kept, clean, leaked, live = optics._surviving(weights)
+        trimmed = optics._trim(c)
+        assert kept.tolist() == [k < trimmed.shape[1] for k in range(c.shape[1])]
+        assert clean == weights[0]
+        assert leaked == pytest.approx(weights[1:trimmed.shape[1]].sum(), rel=1e-12, abs=0)
+        assert live == (optics._weight(trimmed) > optics._BRANCH_DROP)
+
+    def test_agrees_with_trim_at_a_pair(self, rng):
+        for c in self._coefficients(rng, 1):
+            self._assert_agrees(np.array([optics._weight(layer) for layer in c[0]]), c)
+
+    def test_agrees_with_trim_on_monomials(self, rng):
+        # the polynomial form as run_hbsa reads it: one s-degree per layer, its
+        # monomial's weight at a pair times the layer's squared norm
+        for c in self._coefficients(rng, 3):
+            degrees = rng.integers(0, 3, size=c.shape[1])
+            c[np.arange(3)[:, None] != degrees] = 0.0
+            norms = np.array([optics._weight(c[:, k]) for k in range(c.shape[1])])
+            s, h = rng.normal(size=2) + 1j * rng.normal(size=2)
+            weights = np.abs(s ** degrees * h ** np.arange(c.shape[1])) ** 2 * norms
+            self._assert_agrees(weights, optics._evaluate(c, s, h))
 
 
 class TestPolarizationDetector:

@@ -19,7 +19,7 @@ from hyperbell.optics import (
     _BRANCH_DROP,
     ElementKind,
     _evaluate,
-    _kept_layers,
+    _surviving,
     _weight,
     monomial_support,
     parse_circuit,
@@ -80,6 +80,16 @@ class TestMakeBell:
         gram = np.array([[overlap(a, b) for b in states] for a in states])
         np.testing.assert_allclose(gram, np.eye(16), atol=1e-14)
 
+    def test_rail_pair_repeating_a_path_rejected(self, small_layout):
+        # both rail components on one path would not be a Bell state
+        label = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)
+        for rails in ((("a1", "a1"), ("b1", "b2")), (("a1", "a2"), ("b2", "b2"))):
+            with pytest.raises(ConfigurationError, match="repeats a path"):
+                make_bell(label.pol, label.spatial, small_layout, rails)
+            with pytest.raises(ConfigurationError, match="repeats a path"):
+                apply_local_correction(make_bell(label.pol, label.spatial, small_layout),
+                                       label, label, rails)
+
     def test_parse_label(self):
         assert parse_label("phi+,psi-") == HyperBellLabel(Bell.PHI_PLUS, Bell.PSI_MINUS)
         with pytest.raises(ConfigurationError):
@@ -89,6 +99,16 @@ class TestMakeBell:
 
 
 class TestHbsg:
+    def test_overflow_is_numeric_domain_error(self):
+        # at r_o = r_h = 1e200, s = 0 and h^2 overflows: the runner dropped the
+        # branches of weight nan and returned none
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericDomainError, match="overflows"):
+                run_hbsg(ReflectionPair(1e200, 1e200))
+        # |r| > 1 stays legal where nothing overflows
+        branches = run_hbsg(ReflectionPair(1e30, 1e30))
+        assert branches and all(math.isfinite(b.probability) for b in branches)
+
     def test_ideal_run_four_quarter_branches(self):
         branches = run_hbsg()
         assert len(branches) == 4
@@ -233,6 +253,15 @@ class TestLocalCorrection:
 
 
 class TestHbsaStage1:
+    def test_overflow_is_numeric_domain_error(self):
+        # stage 1 ends in a passage: its no-click branch weighed nan at 1e200
+        state = hbsa_input(HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericDomainError, match="overflows"):
+                run_hbsa_stage1(state, ReflectionPair(1e200, 1e200))
+        res = run_hbsa_stage1(state, ReflectionPair(1e30, 1e30))  # |r| > 1 is legal here
+        assert res.clean_weight == 0.0 and math.isfinite(res.leaked_weight)
+
     def test_even_parity_inputs(self):
         for pol in (Bell.PHI_PLUS, Bell.PHI_MINUS):
             res = run_hbsa_stage1(hbsa_input(HyperBellLabel(pol, Bell.PHI_PLUS)))
@@ -383,13 +412,13 @@ class TestClassifier:
     @pytest.mark.parametrize("fill", [0.0, 1.0], ids=["no-owner", "two-owners"])
     def test_unowned_or_shared_branch_raises_at_build(self, monkeypatch, fill):
         monkeypatch.setattr(protocols, "_read_out", lambda amps, *_: np.full((16, 64, 4), fill))
-        protocols._classified.cache_clear()
+        protocols._readout.cache_clear()
         try:
             with pytest.raises(InconsistentOutcomeError, match="readout branch"):
-                protocols._classified(protocols.HBSA_FULL_TEXT)
+                protocols._readout(protocols.HBSA_FULL_TEXT)
         finally:
             monkeypatch.undo()
-            protocols._classified.cache_clear()
+            protocols._readout.cache_clear()
 
 
 class TestRealisticHbsa:
@@ -535,14 +564,13 @@ def _dense_hbsa(forms, pair):
     evaluated at the pair, then the runner's drop rule."""
     layers = _evaluate(forms, pair.success_amplitude, pair.herald_amplitude)[0]
     weights = (layers.real ** 2 + layers.imag ** 2).sum(axis=2)  # [h-degree, branch]
-    dropped = ~_kept_layers(weights)
+    dropped = ~_surviving(weights)[0]
     layers[dropped] = 0.0
     weights[dropped] = 0.0
     total, amps = weights.sum(axis=0), layers.sum(axis=0)
     probability = (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
-    _, readout = protocols._readout(protocols.HBSA_FULL_TEXT)
-    classified = protocols._classified(protocols.HBSA_FULL_TEXT)
-    return [HbsaBranch(*readout[b][:2], float(probability[b]), classified[b],
+    _, rows = protocols._readout(protocols.HBSA_FULL_TEXT)
+    return [HbsaBranch(*rows[b][:2], float(probability[b]), rows[b][-1],
                        float(weights[0, b]), float(total[b] - weights[0, b]))
             for b in range(len(total)) if total[b] > _BRANCH_DROP]
 
@@ -631,7 +659,7 @@ class TestHbsaSupport:
         monomials, norms, *_ = protocols._hbsa_support(label, text)
         s, h = pair.success_amplitude, pair.herald_amplitude
         weights = np.array([abs(s ** i * h ** k) ** 2 for i, k in monomials])[:, None] * norms
-        kept = _kept_layers(weights)
+        kept = _surviving(weights)[0]
         residue_dropped = ~kept & (norms > 0) & (norms < 1e-30)
         assert (residue_dropped.any(axis=1) & (kept & (norms > 1e-30)).any(axis=1)).any()
         _assert_matches_oracle(run_hbsa(label, pair),
@@ -752,7 +780,8 @@ class TestCircuitText:
         bare = protocols.HBSA_FULL_TEXT
         text = bare.replace(lines_a + lines_b, lines_b + lines_a)
         assert text != bare
-        assert protocols._classified(text) == protocols._classified(bare)
+        assert ([row[:2] + row[-1:] for row in protocols._readout(text)[1]]
+                == [row[:2] + row[-1:] for row in protocols._readout(bare)[1]])
         protocols._hbsa_support.cache_clear()
         for label in all_labels():
             state = hbsa_input(label)
@@ -840,9 +869,8 @@ class TestCircuitText:
     def test_text_rules_take_no_default_text(self):
         from hyperbell import analysis
 
-        rules = [protocols._readout, protocols._read_out, protocols._classified,
-                 protocols._hbsa_forms, protocols._hbsa_support, protocols._support,
-                 analysis._generation_forms]
+        rules = [protocols._readout, protocols._hbsa_forms, protocols._hbsa_support,
+                 protocols._support, analysis._generation_forms]
         for rule in rules:
             param = inspect.signature(rule).parameters["text"]
             assert param.default is inspect.Parameter.empty, rule.__name__
