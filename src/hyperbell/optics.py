@@ -30,21 +30,21 @@ Circuit file format (UTF-8, line oriented, ``#`` comments)::
 
 _KEYS lists the keys that each kind of line requires and allows. Element
 kinds: cpbs, pbs, bs, hp, z, wfc, qdarm, detector, measure_spin. Each
-splitter binds two distinct outputs and, by the port rule of
-_check_ports, its inputs: a pbs its ``path``, a cpbs one or two distinct
-paths, a bs two distinct paths that its outputs equal as a set or avoid.
-Parsing enforces all of this, naming the line at fault; element_matrix
-checks the same keys and port rule on every call, and the runner checks
-every other element's keys and pol. element_matrix builds each matrix
-once per (kind, path count, port indices): read-only, and shared by every
-element of the same kind and ports on a photon with as many paths.
-``wfc qd=`` and ``measure_spin photon=`` are accepted and ignored by the
-runner. A detector clicks on its path, in the one polarization that
-``pol`` names or in both; a clicked photon stays on its path. No two
-detectors, plain or of heralded blocks, share a label. The ``block``
-macro expands into block_ops: Hp - qdarm - Hp on the bound path, then
-``z`` (parity) or ``detector pol=L`` (heralded), which catches the leak,
-as the leak keeps the L polarization of the input.
+splitter binds two distinct outputs and, by the port rule, its inputs: a
+pbs its ``path``, a cpbs one or two distinct paths, a bs two distinct
+paths that its outputs equal as a set or avoid. _check_element holds
+these rules, pol and declared names for one element. The parser calls it
+on each element of a line, element_matrix on every call and _compile on
+the other kinds, so once per op; a hand-built circuit gets the parser's
+messages. element_matrix builds each matrix once per (kind, path count,
+port indices): read-only, and shared by every element of the same kind
+and ports on a photon with as many paths. The runner ignores ``wfc qd=``
+and ``measure_spin photon=``. A detector clicks on its path, in the one
+polarization that ``pol`` names or in both; a clicked photon stays on
+its path. No two detectors, plain or of heralded blocks, share a label.
+The ``block`` macro expands into block_ops: Hp - qdarm - Hp on the bound
+path, then ``z`` (parity) or ``detector pol=L`` (heralded), which
+catches the leak, as the leak keeps the L polarization of the input.
 """
 
 from __future__ import annotations
@@ -133,13 +133,11 @@ class Circuit:
         )
 
     def qd_slot(self, name: str) -> int:
-        """Spin slot (0 or 1) of a declared QD."""
-        for i, qd in enumerate(self.qds):
-            if qd.name == name:
-                if i > 1:
-                    raise ConfigurationError("at most two QDs are supported")
-                return i
-        raise ConfigurationError(f"unknown QD {name!r}")
+        """Spin slot (0 or 1) of a QD that the circuit declares, as _check_element ensures."""
+        slot = [qd.name for qd in self.qds].index(name)
+        if slot > 1:
+            raise ConfigurationError("at most two QDs are supported")
+        return slot
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +160,6 @@ _PORTS = {ElementKind.BS: ((2,), "two distinct inputs"),
 _PLATES = {ElementKind.HP: _HADAMARD, ElementKind.Z: _PAULI_X}
 
 
-def _check_ports(kind: ElementKind, ins, outs):
-    """Raise unless the ports of a bs, cpbs or pbs, as path names or
-    indices, keep the port rule that the module docstring states."""
-    counts, inputs = _PORTS[kind]
-    if (len(ins) not in counts or len(set(ins)) != len(ins)
-            or len(outs) != 2 or outs[0] == outs[1]):
-        raise ConfigurationError(f"{kind.value} binds {inputs} and two distinct outputs")
-    # a bs's ports are 2 distinct paths if they coincide as a set, 4 if disjoint
-    if kind == ElementKind.BS and len({*ins, *outs}) == 3:
-        raise ConfigurationError("bs ports must coincide as a set or be disjoint")
-
-
 def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
     """Single-photon matrix of a passive element (hp, z, bs, cpbs, pbs), over
     the photon's pol-major (pol, path) index.
@@ -183,21 +169,17 @@ def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
     the same on R and L; a cpbs crosses R to out2/out1 and keeps L on its
     side; a pbs routes H to out1 and V to out2.
 
-    The element is checked on every call; the matrix is built once per
-    (kind, path count, port indices), so it is read-only and shared by
-    every element of that kind and ports on a photon with as many paths.
+    _check_element checks the element on every call; the matrix is built
+    once per (kind, path count, port indices), so it is read-only and shared
+    by every element of that kind and ports on a photon with as many paths.
     """
     if el.kind not in _PLATES and el.kind not in _PORTS:
         raise ConfigurationError(f"element kind {el.kind.value} has no single-photon matrix")
-    if el.kind in _PLATES:
-        ins, outs = (el.path,), ()
-    else:
-        ins, outs = el.in_paths or ((el.path,) if el.path else ()), el.out_paths or ()
-        _check_ports(el.kind, ins, outs)
-    _check_fields(el)
-    n = len(layout.paths[layout.photon_slot(el.photon)])
-    return _built_matrix(el.kind, n, tuple(layout.path_index(el.photon, p) for p in ins),
-                         tuple(layout.path_index(el.photon, p) for p in outs))
+    paths = dict(zip(layout.photons, layout.paths))
+    _check_element(el, paths, ())
+    own = paths[el.photon]  # hp and z: their path in, no outs
+    return _built_matrix(el.kind, len(own), tuple(map(own.index, el.in_paths or (el.path,))),
+                         tuple(map(own.index, el.out_paths or ())))
 
 
 @cache
@@ -260,24 +242,38 @@ _KEYS = {
 }
 # the op key of each Element field after kind, in field (and serialized) order
 _OP_KEYS = ("photon", "path", "in", "out", "qd", "label", "pol")
-# per op kind, the indices of the Element fields whose keys its line requires, and does not take
-_FIELDS = {kind: ([i for i, key in enumerate(_OP_KEYS, 1) if key in keys[0]],
-                  [i for i, key in enumerate(_OP_KEYS, 1) if key not in keys[0] + keys[1]])
-           for kind in ElementKind for keys in [_KEYS[f"op {kind.value}"]]}
 
 
-def _check_fields(el: Element):
-    """Raise, as parsing does, unless an element sets every field whose key its kind's
-    line requires and none whose key it does not take, and a set pol is R or L."""
-    required, refused = _FIELDS[el.kind]
-    for i in refused:
-        if el[i] is not None:
-            raise ConfigurationError(f"key {_OP_KEYS[i - 1]!r} not allowed for op {el.kind.value}")
-    for i in required:
-        if el[i] is None:
-            raise ConfigurationError(f"op {el.kind.value} requires {_OP_KEYS[i - 1]}=")
-    if el.pol is not None and el.pol not in _POL_INDEX:
-        raise ConfigurationError(f"detector pol must be R or L, got {el.pol!r}")
+def _check_element(el: Element, paths: dict, qds) -> None:
+    """Raise the parser's message unless el has, in turn, a declared photon (paths maps it to
+    its paths) and paths of it, the splitter port rule, its kind's keys, pol R or L, a QD in qds."""
+    kind, photon, path, ins, outs, qd, _, pol = el
+    if photon is not None and photon not in paths:
+        raise ConfigurationError(f"undeclared photon {photon!r}")
+    for p in (path, *(ins or ()), *(outs or ())) if photon in paths else ():
+        if p is not None and p not in paths[photon]:
+            raise ConfigurationError(f"dangling path reference {p!r} for photon {photon!r}")
+    if kind in _PORTS:
+        counts, inputs = _PORTS[kind]
+        ins, outs = ins or ((path,) if path else ()), outs or ()
+        if (len(ins) not in counts or len(set(ins)) != len(ins)
+                or len(outs) != 2 or outs[0] == outs[1]):
+            raise ConfigurationError(f"{kind.value} binds {inputs} and two distinct outputs")
+        # a bs's ports are 2 distinct paths if they coincide as a set, 4 if disjoint
+        if kind == ElementKind.BS and len({*ins, *outs}) == 3:
+            raise ConfigurationError("bs ports must coincide as a set or be disjoint")
+    required, optional = _KEYS["op " + kind]
+    keys = [key for key, value in zip(_OP_KEYS, el[1:]) if value is not None]
+    for key in keys:
+        if key not in required and key not in optional:
+            raise ConfigurationError(f"key {key!r} not allowed for op {kind.value}")
+    for key in required:
+        if key not in keys:
+            raise ConfigurationError(f"op {kind.value} requires {key}=")
+    if pol is not None and pol not in _POL_INDEX:
+        raise ConfigurationError(f"detector pol must be R or L, got {pol!r}")
+    if qd is not None and qd not in qds:
+        raise ConfigurationError(f"undeclared QD {qd!r}")
 
 
 def _parse_kv(head: str, tokens: list[str]) -> dict:
@@ -335,8 +331,9 @@ def _declaration(keyword: str, rest: list[str]) -> QDDecl | PhotonDecl:
     return PhotonDecl(name, paths)
 
 
-def _elements(keyword: str, rest: list[str], qds: dict, photons: dict) -> list[Element]:
-    """The elements of one op or block line, on the declared QDs and photons."""
+def _elements(keyword: str, rest: list[str], qds: dict, paths: dict,
+              labels: set) -> list[Element]:
+    """The checked elements of one op or block line, their detector labels claimed."""
     if keyword == "op":
         if not rest:
             raise ConfigurationError("op needs a kind")
@@ -354,19 +351,18 @@ def _elements(keyword: str, rest: list[str], qds: dict, photons: dict) -> list[E
             raise ConfigurationError("parity block takes no label" if label
                                      else "heralded block requires label=")
         els = block_ops(mode, kv["photon"], kv["path"], kv["qd"], label)
-    el = els[0]
-    if el.photon is not None and el.photon not in photons:
-        raise ConfigurationError(f"undeclared photon {el.photon!r}")
-    for path in (el.path, *kv.get("in", ()), *kv.get("out", ())):
-        if path is not None and path not in photons[el.photon].paths:
-            raise ConfigurationError(
-                f"dangling path reference {path!r} for photon {el.photon!r}")
-    if "qd" in kv and kv["qd"] not in qds:
-        raise ConfigurationError(f"undeclared QD {kv['qd']!r}")
-    if el.kind in _PORTS:
-        _check_ports(el.kind, el.in_paths or (el.path,), el.out_paths)
-    _check_fields(el)  # its keys are checked already: this checks its pol
+    for el in els:
+        _check_element(el, paths, qds)
+    _claim_labels(labels, els)
     return els
+
+
+def _claim_labels(labels: set, els) -> None:
+    """Add the labels of the detectors in els to labels, which none of them may be in."""
+    for label in (el.label for el in els if el.kind == ElementKind.DETECTOR):
+        if label in labels:
+            raise ConfigurationError(f"duplicate detector label {label!r}")
+        labels.add(label)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -375,7 +371,7 @@ def parse_circuit(text: str) -> Circuit:
     An error names the line it is on.
     """
     decls = {"qd": {}, "photon": {}}  # by keyword, each declaration by name
-    ops, labels = [], set()
+    ops, labels, paths = [], set(), {}  # paths: each declared photon's paths
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -390,13 +386,9 @@ def parse_circuit(text: str) -> Circuit:
                 if len(same) == 2:
                     raise ConfigurationError(f"at most two {noun}s are supported")
                 same[decl.name] = decl
+                paths = {name: photon.paths for name, photon in decls["photon"].items()}
             elif keyword in ("op", "block"):
-                els = _elements(keyword, rest, decls["qd"], decls["photon"])
-                for label in (el.label for el in els if el.kind == ElementKind.DETECTOR):
-                    if label in labels:
-                        raise ConfigurationError(f"duplicate detector label {label!r}")
-                    labels.add(label)
-                ops.extend(els)
+                ops.extend(_elements(keyword, rest, decls["qd"], paths, labels))
             else:
                 raise ConfigurationError(f"unknown keyword {keyword!r}")
         except ConfigurationError as exc:
@@ -492,29 +484,32 @@ def _compile(circuit: Circuit, layout: StateLayout):
 
     A photon's passive matrices are multiplied together and emitted as one
     matrix action just before that photon's next qdarm, wfc or detector,
-    and at the end.
+    and at the end. Each op is checked once, a passive one by element_matrix.
     """
-    actions = []
+    actions, labels = [], set()
     pending = [None, None]  # per photon slot, the product of its matrices so far
+    paths, qds = dict(zip(layout.photons, layout.paths)), {qd.name for qd in circuit.qds}
     for el in circuit.ops:
-        _check_fields(el)
+        if el.kind in _PLATES or el.kind in _PORTS:
+            mat = element_matrix(el, layout)
+            slot = layout.photons.index(el.photon)
+            pending[slot] = mat if pending[slot] is None else mat @ pending[slot]
+            continue
+        _check_element(el, paths, qds)
         if el.kind == ElementKind.MEASURE_SPIN:
             actions.append(("spin", circuit.qd_slot(el.qd), el.qd))
             continue
-        slot = layout.photon_slot(el.photon)
-        if el.kind not in (ElementKind.QDARM, ElementKind.WFC, ElementKind.DETECTOR):
-            mat = element_matrix(el, layout)
-            pending[slot] = mat if pending[slot] is None else mat @ pending[slot]
-            continue
+        slot = layout.photons.index(el.photon)
         if pending[slot] is not None:
             actions.append(("matrix", slot, pending[slot]))
             pending[slot] = None
-        path_idx = layout.path_index(el.photon, el.path)
+        path_idx = paths[el.photon].index(el.path)
         if el.kind == ElementKind.QDARM:
             actions.append(("qdarm", slot, path_idx, circuit.qd_slot(el.qd)))
         elif el.kind == ElementKind.WFC:
             actions.append(("wfc", slot, path_idx))
         else:
+            _claim_labels(labels, (el,))
             actions.append(("detector", slot, path_idx, _POL_INDEX.get(el.pol, slice(None)),
                             el.label))
     return actions + [("matrix", slot, mat) for slot, mat in enumerate(pending)

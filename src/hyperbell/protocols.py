@@ -627,12 +627,15 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     monomials, norms, coef, spins, patterns, classified = support
     s, h = complex(pair.success_amplitude), complex(pair.herald_amplitude)
     try:
-        v = np.array([s ** i * h ** k for i, k in monomials])
+        v = [s ** i * h ** k for i, k in monomials]
+        squares = [x.real * x.real + x.imag * x.imag for x in v]  # |v|^2 per layer
+        if not all(map(math.isfinite, squares)):  # bounded in Python, before NumPy can warn
+            raise OverflowError
     except OverflowError:
         raise NumericDomainError(f"run_hbsa overflows at {pair}") from None
-    weights = (v.real ** 2 + v.imag ** 2)[:, None] * norms  # [h-degree, branch]
+    weights = np.array(squares)[:, None] * norms  # [h-degree, branch]
     kept, clean, leaked, live = _surviving(weights)
-    amps = (kept.T * v)[:, None, :] @ coef  # [branch, 1, pol]
+    amps = (kept.T * np.array(v))[:, None, :] @ coef  # [branch, 1, pol]
     re_im = amps.view(float)  # [branch, 1, re and im of each pol]
     probability = (re_im @ re_im.swapaxes(1, 2)).ravel().tolist()
     clean, leaked = clean.tolist(), leaked.tolist()

@@ -580,11 +580,49 @@ class TestRunCircuit:
          "key 'path' not allowed for op measure_spin"),
     ], ids=["detector-pol", "detector-no-label", "qdarm-out", "wfc-label", "measure-spin-path"])
     def test_hand_built_element_checked_against_its_kind(self, rng, el, message):
-        # as parsing and element_matrix do, the runner checks every element
-        # against the keys and pol values that its kind's line takes
+        # _compile checks each element that element_matrix does not take with
+        # _check_element, the one checker that parsing and element_matrix call
         circuit = _two_photon_circuit("")
         circuit = Circuit(circuit.qds, circuit.photons, (el,))
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            run_circuit_tracked(circuit, random_state(circuit.layout(), rng))
+
+    @pytest.mark.parametrize("el, message", [
+        (Element(ElementKind.HP, photon="C", path="a1"), "undeclared photon 'C'"),
+        (Element(ElementKind.CPBS, photon="A", in_paths=("a1",), out_paths=("a2", "a3")),
+         "dangling path reference 'a3' for photon 'A'"),
+        (Element(ElementKind.PBS, photon="B", path="b3", out_paths=("b1", "b2")),
+         "dangling path reference 'b3' for photon 'B'"),
+        (Element(ElementKind.QDARM, photon="A", path="a1", qd="QD9"), "undeclared QD 'QD9'"),
+        (Element(ElementKind.WFC, photon="B", path="b1", qd="QD9"), "undeclared QD 'QD9'"),
+        (Element(ElementKind.DETECTOR, photon="A", path="a3", label="D"),
+         "dangling path reference 'a3' for photon 'A'"),
+        (Element(ElementKind.MEASURE_SPIN, photon="C", qd="QD1"), "undeclared photon 'C'"),
+        (Element(ElementKind.MEASURE_SPIN, qd="QD9"), "undeclared QD 'QD9'"),
+    ], ids=["hp-photon", "cpbs-out", "pbs-path", "qdarm-qd", "wfc-qd", "detector-path",
+            "measure-spin-photon", "measure-spin-qd"])
+    def test_hand_built_undeclared_name_gets_the_parser_message(self, rng, el, message):
+        # a passive element is checked by element_matrix, any other by the runner;
+        # both raise what parsing the element's line raises
+        circuit = _two_photon_circuit("")
+        circuit = Circuit(circuit.qds, circuit.photons, (el,))
+        with pytest.raises(ConfigurationError, match=f"^line 5: {re.escape(message)}$"):
+            parse_circuit(serialize_circuit(circuit))
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            if el.kind in {ElementKind.HP, ElementKind.CPBS, ElementKind.PBS}:
+                element_matrix(el, circuit.layout())
+            else:
+                run_circuit_tracked(circuit, random_state(circuit.layout(), rng))
+
+    def test_hand_built_detectors_keep_the_label_rule(self, rng):
+        # two detectors labelled D: parsing the serialized circuit names the second
+        # one's line, and running the circuit raises the same message
+        circuit = _two_photon_circuit("op detector photon=A path=a1 label=D\n")
+        circuit = Circuit(circuit.qds, circuit.photons, circuit.ops * 2)
+        message = "duplicate detector label 'D'"
+        with pytest.raises(ConfigurationError, match=f"^line 6: {message}$"):
+            parse_circuit(serialize_circuit(circuit))
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
             run_circuit_tracked(circuit, random_state(circuit.layout(), rng))
 
     def test_overflowing_weight_is_numeric_domain_error(self, rng):
@@ -837,6 +875,22 @@ class TestFusedCompile:
                     fused[action[1]] = True
                 elif action[0] in ("qdarm", "wfc", "detector"):
                     fused[action[1]] = False
+
+    def test_each_op_checked_once(self, rng, monkeypatch):
+        # passive ops inside element_matrix, every other op by _compile itself
+        checked, check = [], optics._check_element
+
+        def counting(el, paths, qds):
+            checked.append(el)
+            return check(el, paths, qds)
+
+        monkeypatch.setattr(optics, "_check_element", counting)
+        for _ in range(100):
+            circuit = parse_circuit(random_circuit_text(rng))
+            checked.clear()
+            optics._compile(circuit, circuit.layout())
+            assert len(checked) == len(circuit.ops)
+            assert all(a is b for a, b in zip(checked, circuit.ops))
 
     def test_fused_matrix_is_the_ordered_product(self):
         circuit = _two_photon_circuit("op hp photon=A path=a1\n"

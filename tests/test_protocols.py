@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -178,6 +179,17 @@ class TestHbsg:
 
         path = Path(__file__).resolve().parent.parent / "demos" / "hbsg.circ"
         assert parse_circuit(path.read_text()) == hbsg_circuit()
+
+    def test_shipped_circuit_file_round_trips(self):
+        # demos/hbsg.circ serializes to the same canonical text as HBSG_CIRCUIT_TEXT,
+        # and that text parses back to the circuit
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "demos" / "hbsg.circ"
+        text = serialize_circuit(parse_circuit(path.read_text()))
+        assert text == serialize_circuit(parse_circuit(protocols.HBSG_CIRCUIT_TEXT))
+        assert parse_circuit(text) == hbsg_circuit()
+        assert serialize_circuit(parse_circuit(text)) == text
 
 
 @pytest.fixture(scope="module")
@@ -452,7 +464,7 @@ class TestRealisticHbsa:
     def test_overflow_is_numeric_domain_error(self):
         label = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)
         # at 1e200, h^4 overflows in Python's complex power; at 1e40, h^4 is
-        # finite and its squared modulus overflows in NumPy, which may warn first
+        # finite and its squared modulus is not
         for pair in (ReflectionPair(1e200, 1e200), ReflectionPair(1e40, 1e40)):
             with np.errstate(over="ignore", invalid="ignore"):
                 for given in (label, hbsa_input(label)):
@@ -464,6 +476,22 @@ class TestRealisticHbsa:
         assert big and all(b.clean_weight == 0.0 for b in big)
         assert math.isclose(sum(b.leaked_weight for b in big),
                             1e240 * sum(b.leaked_weight for b in unit), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("label, pair", [
+        ("psi-,phi+", ReflectionPair(1e40, 1e40)),  # |h^4|^2 overflows
+        ("psi-,phi+", ReflectionPair(1e40, -1e40)),  # |s^4|^2 overflows
+        ("psi-,phi+", ReflectionPair(1e200j, 1e200)),  # h^4 overflows
+        ("phi+,psi-", ReflectionPair(1e50 + 1e125j, -1e50 + 1e125j)),  # s^2 h^2 is inf
+        ("psi-,phi+", ReflectionPair(3e78 - 1e78j, 0)),  # s^4 is nan + nan j, with no error
+    ], ids=["h-square", "s-square", "h-power", "product", "nan-power"])
+    def test_overflow_raises_before_numpy_warns(self, label, pair):
+        # the layer values are bounded in Python, so no NumPy step overflows
+        label = parse_label(label)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for given in (label, hbsa_input(label)):
+                with pytest.raises(NumericDomainError, match="overflows"):
+                    run_hbsa(given, pair)
 
 
 def _full_circuit_rows(state, pair):

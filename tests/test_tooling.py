@@ -11,6 +11,7 @@ import json
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -239,11 +240,17 @@ def test_readme_code_names_resolve():
     assert checked
 
 
-# demo 05 writes into demos/out, so it stays out
-@pytest.mark.parametrize("demo", ["01", "02", "03", "04"])
-def test_demo_runs(demo):
+@pytest.mark.parametrize("demo", ["01", "02", "03", "04", "05"])
+def test_demo_runs(demo, tmp_path):
+    # each demo runs as a copy in tmp_path, next to the circuit file that demo 03
+    # reads, so demo 05 writes its CSV and SVG files under tmp_path, not demos/out
     (script,) = (ROOT / "demos").glob(f"{demo}_*.py")
+    for path in (script, ROOT / "demos" / "hbsg.circ"):
+        shutil.copy(path, tmp_path)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, str(tmp_path / script.name)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    if demo == "05":
+        written = {"sweep.csv", "sweep_eta_sim.svg", "sweep_leakage_rate.svg"}
+        assert {p.name for p in (tmp_path / "out").iterdir()} == written
