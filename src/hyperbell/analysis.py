@@ -9,8 +9,8 @@ circuit text. The whole grid is one NumPy evaluation of
 |s|^(2i) |h|^(2k) w, which reports, per point: the closed-form
 efficiency |(r_h - r_o)/2|^8, the simulated end-to-end
 success probability (they must agree to 1e-10), the herald rate, the
-silent-leak share of the surviving weight, and the fidelity of the
-surviving unleaked component against its target. The coefficients are
+silent-leak share of the surviving weight, and the conditional fidelity,
+1 by construction (hbsg_statistics_grid). The coefficients are
 one array evaluation too, and the CSV and SVG writers work on columns;
 the CSV writer formats each distinct value of a mostly-repeating column
 once, telling values apart by bit pattern (-0.0 is not 0.0).
@@ -29,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import (
-    IDEAL_PAIR,
     DephasingParams,
     ReflectionPair,
     dephasing_penalty,
@@ -52,7 +51,6 @@ from .protocols import (
     run_hbsa,
 )
 from .optics import (
-    _evaluate,
     _surviving,
     _weight,
     layer_s_degrees,
@@ -102,11 +100,10 @@ class GenerationStats:
 class _GenerationForms:
     """The generation run as monomials s^i h^k, each array [3, monomials] with rows
     (i, k, w): w is the squared norm of the monomial's coefficients, so its weight
-    at (s, h) is |s|^(2i) |h|^(2k) w."""
+    at (s, h) is |s|^(2i) |h|^(2k) w. Only weights: no state is compared."""
 
     layers: np.ndarray  # the surviving branch's h-degree layers in order, each one monomial
     clicks: np.ndarray  # one monomial per clicked branch
-    fidelity: float  # of the unleaked layer against the lossless output
 
 
 @lru_cache(maxsize=4)
@@ -116,8 +113,6 @@ def _generation_forms(text: str) -> _GenerationForms:
     with several s-degrees (layer_s_degrees)."""
     circuit = _parsed(text)
     c, clicks = _no_click(circuit, hbsg_input(circuit))
-    ideal = _evaluate(c, IDEAL_PAIR.success_amplitude, IDEAL_PAIR.herald_amplitude)[0, 0]
-    ideal = ideal / np.sqrt(np.sum(np.abs(ideal) ** 2))
     degrees = layer_s_degrees(c)
     arrays = [a for cs in clicks.values() for a in cs]
     # a herald click needs a leak: its h^0 coefficients are rounding
@@ -131,11 +126,9 @@ def _generation_forms(text: str) -> _GenerationForms:
         if mask.sum() > 1:
             raise ConfigurationError("a herald click holds several monomials")
         clicked += [(i, k + 1, _weight(a[i, k + 1])) for i, k in np.argwhere(mask)]
-    layout = circuit.layout()
     return _GenerationForms(
         layers=np.array([(i, k, _weight(c[i, k])) for k, i in enumerate(degrees)]).T,
-        clicks=np.array(clicked).reshape(-1, 3).T,
-        fidelity=fidelity(HybridState(layout, c[degrees[0], 0]), HybridState(layout, ideal)))
+        clicks=np.array(clicked).reshape(-1, 3).T)
 
 
 def _monomial_weights(monomials: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -152,11 +145,11 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
     herald detector fires; eta and the leak share are conditioned on no
     click, under the runner's drop rule (optics._surviving: trailing leak
     layers below the threshold go, and the branch goes unless the rest
-    weighs more). Every QD rail has its waveform corrector, so the unleaked
-    layer is s^i times one fixed vector, the same state at every pair:
-    conditional_fidelity, that state's fidelity against the lossless output
-    (the per-branch post-measurement value), is one number per text, capped
-    at 1, and vacuously 1.0 where nothing unleaked survives (e.g. g = 0).
+    weighs more). conditional_fidelity, of the unleaked layer against the
+    lossless output, is 1 at every pair by construction: layer_s_degrees
+    gives the unleaked layer one s-degree i, so it is s^i times one fixed
+    vector, and at the lossless pair h = 0, so the output is that layer.
+    hbsg_branch_report checks each branch against its HBSG_OUTPUT_TABLE target.
     A pair at which a weight or sum overflows is a NumericDomainError.
     """
     forms = _generation_forms(HBSG_CIRCUIT_TEXT)
@@ -168,8 +161,7 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
         raise NumericDomainError("generation statistics overflow at a pair") from None
     # live is eta + leak > _BRANCH_DROP, so also eta + leak > _ZERO_WEIGHT
     leakage_rate = np.divide(leak, eta + leak, out=np.ones_like(leak), where=live)
-    cond_fidelity = np.where(live & (eta > _ZERO_WEIGHT), min(1.0, forms.fidelity), 1.0)
-    return np.where(live, eta, 0.0), herald_rate, leakage_rate, cond_fidelity
+    return np.where(live, eta, 0.0), herald_rate, leakage_rate, np.ones_like(leakage_rate)
 
 
 def hbsg_statistics(pair: ReflectionPair) -> GenerationStats:

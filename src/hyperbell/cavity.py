@@ -20,6 +20,14 @@ import numpy as np
 from .errors import ConfigurationError, NumericDomainError
 
 
+def _finite(*values) -> bool:
+    """Whether every value, scalar or array, is finite; an int too large for a float is not."""
+    try:
+        return all(np.isfinite(np.asarray(v, dtype=complex)).all() for v in values)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Physical cavity parameters (rates in units of kappa)."""
@@ -34,7 +42,7 @@ class CavityParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not math.isfinite(value):
+            if not _finite(value):
                 raise ConfigurationError(f"{name} must be finite")
         if not self.kappa > 0:
             raise ConfigurationError("kappa must be positive")
@@ -51,7 +59,7 @@ class ReflectionPair:
     r_h: complex
 
     def __post_init__(self):
-        if not (np.isfinite(self.r_o).all() and np.isfinite(self.r_h).all()):
+        if not _finite(self.r_o, self.r_h):
             raise NumericDomainError("reflection coefficients r_o and r_h must be finite")
 
     @property
@@ -86,7 +94,7 @@ class DephasingParams:
     big_gamma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and math.isfinite(self.big_gamma)):
+        if not _finite(self.tau, self.big_gamma):
             raise ConfigurationError("tau and Gamma must be finite")
         if not (self.tau >= 0 and self.big_gamma > 0):
             raise ConfigurationError("tau must be >= 0 and Gamma > 0")

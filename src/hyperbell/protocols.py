@@ -132,17 +132,10 @@ class SpinOutcome:
 
 @dataclass(frozen=True)
 class DetectorPattern:
-    """Which single-photon detector of hbsa_full_circuit fired for each photon."""
+    """The label of the detector that fired for each photon; classify checks it."""
 
     a: str
     b: str
-
-    def __post_init__(self):
-        full = hbsa_full_circuit()
-        named = {(el.photon, el.label) for el in full.ops if el.kind == ElementKind.DETECTOR}
-        a, b = (photon.name for photon in full.photons)
-        if not {(a, self.a), (b, self.b)} <= named:
-            raise ConfigurationError(f"invalid detector pattern ({self.a}, {self.b})")
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +468,9 @@ def _readout(text: str):
     taken with the spins that SPIN_TO_SPATIAL gives its spatial state, as
     stage 1 leaves them; none or several is an InconsistentOutcomeError.
     It projects two spin slots, so a text that does not declare exactly
-    two QDs, or a readout that holds a qdarm or wfc or does not measure each
-    declared QD exactly once, is a ConfigurationError.
+    two QDs, or a readout that holds a qdarm or wfc, applies a passive op after
+    one of that photon's detectors or does not measure each declared QD exactly
+    once, is a ConfigurationError.
     """
     full = _parsed(text)
     readout = _split_stage1(full)[1]
@@ -485,13 +479,15 @@ def _readout(text: str):
     measured = sorted(el.qd for el in readout.ops if el.kind == ElementKind.MEASURE_SPIN)
     if len(full.qds) != 2 or measured != sorted(qd.name for qd in full.qds):
         raise ConfigurationError("analysis readout must measure each of two declared QDs once")
-    actions = _compile(readout, full.layout())
-    detectors = ([], [])
-    for action in actions:
-        if action[0] == "detector":
-            _, slot, path_idx, pol, label = action
+    detectors, matrices = ([], []), []
+    for kind, slot, *rest in _compile(readout, full.layout()):
+        if kind == "detector":
+            path_idx, pol, label = rest
             detectors[slot].append((label, _path_slice(slot, path_idx, pol)))
-    matrices = [action[1:] for action in actions if action[0] == "matrix"]
+        elif kind == "matrix" and detectors[slot]:
+            raise ConfigurationError("analysis readout: a photon's passive op follows its detector")
+        elif kind == "matrix":
+            matrices.append((slot, *rest))
     rows = [(SpinOutcome(e1, e2), DetectorPattern(a, b), on_a, on_b)
             for e1, e2 in product(_SPIN_X_PROJ, repeat=2)
             for (a, on_a), (b, on_b) in product(*detectors)]
@@ -521,10 +517,13 @@ def _read_out(amps: np.ndarray, readout) -> np.ndarray:
 
 
 def classify(spins: SpinOutcome, pattern: DetectorPattern) -> HyperBellLabel:
-    """Identify the analyzed hyperentangled state from the spin outcomes
-    (spatial-mode index) and the detector pattern (polarization index,
-    resolved with the help of the known spatial state)."""
-    return next(label for s, p, label in classification_table() if (s, p) == (spins, pattern))
+    """Identify the analyzed hyperentangled state from the spin outcomes (spatial-mode
+    index) and the detector pattern (polarization index, resolved with the known
+    spatial state). A pattern that the readout table lacks is a ConfigurationError."""
+    for s, p, label in classification_table():
+        if (s, p) == (spins, pattern):
+            return label
+    raise ConfigurationError(f"invalid detector pattern ({pattern.a}, {pattern.b})")
 
 
 def classification_table() -> list[tuple[SpinOutcome, DetectorPattern, HyperBellLabel]]:

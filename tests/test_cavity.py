@@ -247,3 +247,28 @@ class TestReflectionPairDomain:
             ReflectionPair(r, np.array([1.0, math.nan, 0.0]))
         with pytest.raises(NumericDomainError, match="must be finite"):
             ReflectionPair(np.array([math.inf, 0.0, 0.0]), r)
+
+
+class TestHugeInts:
+    """A Python int is checked as the float it converts to: one too large for a
+    float gets its type's own non-finite error, not a TypeError or OverflowError."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda v: ReflectionPair(v, 1), NumericDomainError, "must be finite"),
+        (lambda v: ReflectionPair(-1.0, v), NumericDomainError, "must be finite"),
+        (lambda v: CavityParams(g=v), ConfigurationError, "^g must be finite$"),
+        (lambda v: CavityParams(g=1.0, omega=v), ConfigurationError, "^omega must be finite$"),
+        (lambda v: DephasingParams(v, 1), ConfigurationError, "^tau and Gamma must be finite$"),
+        (lambda v: DephasingParams(0, v), ConfigurationError, "^tau and Gamma must be finite$"),
+    ], ids=["pair-r_o", "pair-r_h", "cavity-g", "cavity-omega", "dephasing-tau",
+            "dephasing-gamma"])
+    def test_int_past_float_range_is_not_finite(self, make, error, message):
+        make(10**20)  # past int64, but a finite float
+        for huge in (10**400, -10**400):
+            with pytest.raises(error, match=message):
+                make(huge)
+
+    def test_int_within_float_range_is_usable(self):
+        pair = ReflectionPair(10**20, 1)
+        assert pair.success_amplitude == (10**20 - 1) / 2
+        assert reflection_coefficients(CavityParams(g=10**20)).r_o == -1

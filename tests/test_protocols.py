@@ -22,6 +22,7 @@ from hyperbell.optics import (
     _evaluate,
     _surviving,
     _weight,
+    layer_s_degrees,
     monomial_support,
     parse_circuit,
     run_circuit_tracked,
@@ -55,6 +56,7 @@ from hyperbell.protocols import (
 
 SQ2 = np.sqrt(2.0)
 EXAMPLE_PAIR = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
+_LAST_DETECTOR = "op detector photon=B path=b2m label=b2-\n"  # HBSA_FULL_TEXT's last line
 
 
 class TestMakeBell:
@@ -414,11 +416,12 @@ class TestClassifier:
             assert counts == {pol: 4 for pol in Bell}
 
     def test_invalid_pattern_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DetectorPattern("a3+", "b1+")
+        spins = SpinOutcome("+", "+")
+        with pytest.raises(ConfigurationError, match=r"invalid detector pattern \(a3\+, b1\+\)"):
+            classify(spins, DetectorPattern("a3+", "b1+"))
         # each name belongs to one photon's detectors
-        with pytest.raises(ConfigurationError):
-            DetectorPattern("b1+", "a1+")
+        with pytest.raises(ConfigurationError, match=r"invalid detector pattern \(b1\+, a1\+\)"):
+            classify(spins, DetectorPattern("b1+", "a1+"))
 
 
     @pytest.mark.parametrize("fill", [0.0, 1.0], ids=["no-owner", "two-owners"])
@@ -749,7 +752,7 @@ class TestLeakPins:
         np.testing.assert_allclose(forms.layers[2] / forms.layers[2, 0], [1, 3 / 2, 1 / 4],
                                    rtol=0, atol=1e-12)
         assert forms.clicks[:2].T.tolist() == [[0, 1], [1, 1]]  # D1A, then D1B
-        assert forms.fidelity == 1.0
+        _assert_lossless_output_is_unleaked_layer(protocols.HBSG_CIRCUIT_TEXT)
 
     def test_generation_text_with_no_herald_detector_has_no_click(self):
         # each heralded block replaced by a waveform corrector on its path:
@@ -796,6 +799,17 @@ class TestLeakPins:
             analysis._generation_forms.__wrapped__(protocols.HBSG_CIRCUIT_TEXT)
 
 
+def _assert_lossless_output_is_unleaked_layer(text):
+    """At the lossless pair h = 0 and s = -1, so a generation text's no-click
+    branch there is its unleaked layer (-1)^i c[i, 0], one s-degree i
+    (layer_s_degrees): the sweep's conditional fidelity is 1 by construction."""
+    circuit = protocols._parsed(text)
+    c, _ = protocols._no_click(circuit, hbsg_input(circuit))
+    i0 = layer_s_degrees(c)[0]
+    at_pair, _ = protocols._no_click(circuit, hbsg_input(circuit), IDEAL_PAIR)
+    np.testing.assert_allclose(at_pair, (-1) ** i0 * c[None, None, i0, 0], rtol=0, atol=1e-12)
+
+
 class TestCircuitText:
     """The analyzer and generator rules are keyed by their circuit text, and
     read stage 1 by its no-click branch."""
@@ -822,6 +836,25 @@ class TestCircuitText:
             assert got[3:] == want[3:]
         assert protocols._hbsa_support.cache_info().currsize == 32
 
+    def test_other_detector_labels_give_the_same_rows_and_support(self):
+        # the readout table reads each text's own labels
+        bare = protocols.HBSA_FULL_TEXT
+        text = bare.replace("label=a1+", "label=x1+")
+        assert text != bare
+        rename = {"a1+": "x1+"}
+        want = [(spins, DetectorPattern(rename.get(p.a, p.a), p.b), label)
+                for spins, p, *_, label in protocols._readout(bare)[1]]
+        rows = protocols._readout(text)[1]
+        assert [(spins, p, label) for spins, p, *_, label in rows] == want
+        assert any(p.a == "x1+" for _, p, *_ in rows)
+        for label in all_labels():
+            got, base = (protocols._hbsa_support(label, t) for t in (text, bare))
+            assert got[0] == base[0]  # the monomials
+            for g, w in zip(got[1:3], base[1:3]):  # the norms and the coefficients
+                np.testing.assert_array_equal(g, w)
+            assert got[3] == base[3] and got[5] == base[5]  # spins and labels
+            assert got[4] == tuple(DetectorPattern(rename.get(p.a, p.a), p.b) for p in base[4])
+
     def test_equivalent_generation_text_gives_the_same_factors(self):
         from hyperbell import analysis
 
@@ -834,7 +867,8 @@ class TestCircuitText:
             np.testing.assert_array_equal(getattr(got, name)[:2], getattr(want, name)[:2])
             np.testing.assert_allclose(getattr(got, name)[2], getattr(want, name)[2],
                                        rtol=0, atol=1e-15)
-        assert abs(got.fidelity - want.fidelity) < 1e-15
+        for t in (text, bare):
+            _assert_lossless_output_is_unleaked_layer(t)
 
     def test_dropped_no_click_branch_is_zero(self):
         # g = 0 and kappa_s = kappa give r_o = r_h = 0, so the runner drops
@@ -878,7 +912,10 @@ class TestCircuitText:
         ("op measure_spin qd=QD2\n", "op measure_spin qd=QD2\nop wfc photon=A path=a1\n"),
         ("op measure_spin qd=QD2\n", ""),
         ("op measure_spin qd=QD2\n", "op measure_spin qd=QD2\nop measure_spin qd=QD1\n"),
-    ], ids=["wfc-in-readout", "qd2-unmeasured", "qd1-measured-twice"])
+        (_LAST_DETECTOR, _LAST_DETECTOR + "op bs photon=A in=a1p,c1 out=a1p,c1\n"),
+        (_LAST_DETECTOR, _LAST_DETECTOR + "op bs photon=A in=a1p,a2p out=a1p,a2p\n"),
+    ], ids=["wfc-in-readout", "qd2-unmeasured", "qd1-measured-twice",
+            "passive-op-after-detector", "paths-mixed-after-detection"])
     def test_readout_it_cannot_read_is_a_configuration_error(self, edit):
         text = protocols.HBSA_FULL_TEXT.replace(*edit)
         assert text != protocols.HBSA_FULL_TEXT
