@@ -20,7 +20,6 @@ A point is a SweepRecord, a NamedTuple: immutable, compared by value
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
@@ -31,6 +30,8 @@ import numpy as np
 from .cavity import (
     DephasingParams,
     ReflectionPair,
+    _check_real,
+    _finite,
     dephasing_penalty,
     reflection_coefficients,  # bound here for perfbench's tracer; the sweep uses the grid form
     reflection_coefficients_grid,
@@ -77,13 +78,17 @@ def fidelity(actual: HybridState, ideal: HybridState) -> float:
 
 
 def efficiency_closed_form(pair: ReflectionPair) -> float:
-    """End-to-end success probability |(r_h - r_o)/2|^8.
+    """End-to-end success probability |s|^8, s = (r_o - r_h)/2 (success_amplitude).
 
-    Eight lossy passages (two photons through two stages of either a QD
-    arm or its matched corrector, squared); invariant under the overall
-    sign convention. A pair of coefficient arrays gives one value per point.
+    Eight lossy passages (two photons through two stages of either a QD arm or its
+    matched corrector, squared); invariant under the overall sign convention. A pair
+    of coefficient arrays gives one value per point; an overflow is a NumericDomainError.
     """
-    return (abs(pair.r_h - pair.r_o) / 2) ** 8
+    try:
+        with np.errstate(over="raise"):
+            return abs(pair.success_amplitude) ** 8
+    except (OverflowError, FloatingPointError):
+        raise NumericDomainError("closed-form efficiency overflows at a pair") from None
 
 
 @dataclass(frozen=True)
@@ -96,21 +101,13 @@ class GenerationStats:
     conditional_fidelity: float
 
 
-@dataclass(frozen=True)
-class _GenerationForms:
-    """The generation run as monomials s^i h^k, each array [3, monomials] with rows
-    (i, k, w): w is the squared norm of the monomial's coefficients, so its weight
-    at (s, h) is |s|^(2i) |h|^(2k) w. Only weights: no state is compared."""
-
-    layers: np.ndarray  # the surviving branch's h-degree layers in order, each one monomial
-    clicks: np.ndarray  # one monomial per clicked branch
-
-
 @lru_cache(maxsize=4)
-def _generation_forms(text: str) -> _GenerationForms:
-    """The monomials of a generation circuit text, spins unmeasured, on its no-click
-    branch. A click with several monomials is a ConfigurationError, as is a layer
-    with several s-degrees (layer_s_degrees)."""
+def _generation_forms(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """(layers, clicks): the monomials s^i h^k of a generation circuit text, spins unmeasured,
+    as arrays [3, monomials] of rows (i, k, w), w the squared norm of the monomial's
+    coefficients, so its weight at (s, h) is |s|^(2i) |h|^(2k) w. layers holds the no-click
+    branch's h-degree layers in order, one monomial each, and clicks one per clicked branch.
+    A click with several monomials, or a layer with several s-degrees, is a ConfigurationError."""
     circuit = _parsed(text)
     c, clicks = _no_click(circuit, hbsg_input(circuit))
     degrees = layer_s_degrees(c)
@@ -126,9 +123,8 @@ def _generation_forms(text: str) -> _GenerationForms:
         if mask.sum() > 1:
             raise ConfigurationError("a herald click holds several monomials")
         clicked += [(i, k + 1, _weight(a[i, k + 1])) for i, k in np.argwhere(mask)]
-    return _GenerationForms(
-        layers=np.array([(i, k, _weight(c[i, k])) for k, i in enumerate(degrees)]).T,
-        clicks=np.array(clicked).reshape(-1, 3).T)
+    return (np.array([(i, k, _weight(c[i, k])) for k, i in enumerate(degrees)]).T,
+            np.array(clicked).reshape(-1, 3).T)
 
 
 def _monomial_weights(monomials: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -152,11 +148,11 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
     hbsg_branch_report checks each branch against its HBSG_OUTPUT_TABLE target.
     A pair at which a weight or sum overflows is a NumericDomainError.
     """
-    forms = _generation_forms(HBSG_CIRCUIT_TEXT)
+    layers, clicks = _generation_forms(HBSG_CIRCUIT_TEXT)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            _, eta, leak, live = _surviving(_monomial_weights(forms.layers, s, h))
-            herald_rate = np.sum(_monomial_weights(forms.clicks, s, h), axis=0)
+            _, eta, leak, live = _surviving(_monomial_weights(layers, s, h))
+            herald_rate = np.sum(_monomial_weights(clicks, s, h), axis=0)
     except FloatingPointError:
         raise NumericDomainError("generation statistics overflow at a pair") from None
     # live is eta + leak > _BRANCH_DROP, so also eta + leak > _ZERO_WEIGHT
@@ -206,16 +202,6 @@ def hbsa_leakage_rate(pair: ReflectionPair,
     return leak / survived if survived > _ZERO_WEIGHT else 1.0
 
 
-def hbsa_misclassification_rate(pair: ReflectionPair, label: HyperBellLabel) -> float:
-    """Share of the surviving weight (the analysis branches' summed
-    probability) in branches classified to the wrong label; 0.0 when no
-    weight survives."""
-    branches = run_hbsa(label, pair)
-    total = sum(b.probability for b in branches)
-    wrong = sum(b.probability for b in branches if b.classified != label)
-    return wrong / total if total > _ZERO_WEIGHT else 0.0
-
-
 # ---------------------------------------------------------------------------
 # parameter sweep
 
@@ -231,10 +217,11 @@ class SweepGrid:
     def __post_init__(self):
         if not self.kappa_s_over_kappa or not self.g_over_sum:
             raise ConfigurationError("sweep grid axes must not be empty")
+        _check_real(vars(self))
         values = list(self.kappa_s_over_kappa) + list(self.g_over_sum)
-        if any(not math.isfinite(v) or v < 0 for v in values):
+        if not _finite(values) or any(v < 0 for v in values):
             raise ConfigurationError("grid values must be finite and non-negative")
-        if not (math.isfinite(self.gamma_over_kappa) and math.isfinite(self.detuning)):
+        if not _finite(self.gamma_over_kappa, self.detuning):
             raise ConfigurationError("gamma_over_kappa and detuning must be finite")
 
     @staticmethod

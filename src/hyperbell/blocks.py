@@ -32,11 +32,11 @@ _HERALD = "D"  # label of the heralded block's detector
 class BlockConfig:
     """Binding of a block to a QD spin and a reflection pair."""
 
-    qd: int  # spin slot, 1 or 2
+    qd: int  # spin slot, the int 1 or 2
     pair: ReflectionPair
 
     def __post_init__(self):
-        if self.qd not in (1, 2):
+        if not isinstance(self.qd, (int, np.integer)) or self.qd not in (1, 2):
             raise ConfigurationError("block qd must be spin 1 or 2")
 
 

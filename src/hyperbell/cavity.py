@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Complex, Real
 
 import numpy as np
 
@@ -26,6 +27,14 @@ def _finite(*values) -> bool:
         return all(np.isfinite(np.asarray(v, dtype=complex)).all() for v in values)
     except OverflowError:
         return False
+
+
+def _check_real(fields: dict) -> None:
+    """Raise ConfigurationError naming the first field holding a value that is not a real number."""
+    for name, value in fields.items():
+        for item in value if isinstance(value, (tuple, list)) else (value,):
+            if not isinstance(item, Real):
+                raise ConfigurationError(f"{name} must be a real number, got {item!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,7 @@ class CavityParams:
     omega_x: float = 0.0     # trion transition frequency
 
     def __post_init__(self):
+        _check_real(vars(self))
         for name, value in vars(self).items():
             if not _finite(value):
                 raise ConfigurationError(f"{name} must be finite")
@@ -52,13 +62,16 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class ReflectionPair:
-    """Cold (r_o) and hot (r_h) complex reflection coefficients, scalars or
-    arrays of them; a coefficient that is not finite is a NumericDomainError."""
+    """Cold (r_o) and hot (r_h) complex reflection coefficients, numbers or
+    NumPy arrays of them; a coefficient that is not finite is a NumericDomainError."""
 
     r_o: complex
     r_h: complex
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, Complex) and np.asarray(value).dtype.kind not in "biufc":
+                raise ConfigurationError(f"{name} must be a complex number or array, got {value!r}")
         if not _finite(self.r_o, self.r_h):
             raise NumericDomainError("reflection coefficients r_o and r_h must be finite")
 
@@ -94,6 +107,7 @@ class DephasingParams:
     big_gamma: float
 
     def __post_init__(self):
+        _check_real(vars(self))
         if not _finite(self.tau, self.big_gamma):
             raise ConfigurationError("tau and Gamma must be finite")
         if not (self.tau >= 0 and self.big_gamma > 0):

@@ -225,7 +225,7 @@ def _built_matrix(kind: ElementKind, n: int, ins: tuple, outs: tuple) -> np.ndar
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_+\-]+$")
 _POL_INDEX = {"R": R, "L": L}
-# (required, optional) keys of each kind of line, by how the line starts
+# (required, optional) keys of each kind of line, by how the line starts (_check_keys)
 _KEYS = {
     "qd": (("basis",), ()),
     "photon": (("paths",), ()),
@@ -262,14 +262,7 @@ def _check_element(el: Element, paths: dict, qds) -> None:
         # a bs's ports are 2 distinct paths if they coincide as a set, 4 if disjoint
         if kind == ElementKind.BS and len({*ins, *outs}) == 3:
             raise ConfigurationError("bs ports must coincide as a set or be disjoint")
-    required, optional = _KEYS["op " + kind]
-    keys = [key for key, value in zip(_OP_KEYS, el[1:]) if value is not None]
-    for key in keys:
-        if key not in required and key not in optional:
-            raise ConfigurationError(f"key {key!r} not allowed for op {kind.value}")
-    for key in required:
-        if key not in keys:
-            raise ConfigurationError(f"op {kind.value} requires {key}=")
+    _check_keys("op " + kind, [key for key, value in zip(_OP_KEYS, el[1:]) if value is not None])
     if pol is not None and pol not in _POL_INDEX:
         raise ConfigurationError(f"detector pol must be R or L, got {pol!r}")
     if qd is not None and qd not in qds:
@@ -289,14 +282,19 @@ def _parse_kv(head: str, tokens: list[str]) -> dict:
         if key in kv:
             raise ConfigurationError(f"duplicate key {key!r}")
         kv[key] = tuple(value.split(",")) if key in ("in", "out", "paths") else value
+    _check_keys(head, kv)
+    return kv
+
+
+def _check_keys(head: str, keys) -> None:
+    """Raise unless keys hold each key that _KEYS[head] requires and only keys it allows."""
     required, optional = _KEYS[head]
-    for key in kv:
+    for key in keys:
         if key not in required and key not in optional:
             raise ConfigurationError(f"key {key!r} not allowed for {head}")
     for key in required:
-        if key not in kv:
+        if key not in keys:
             raise ConfigurationError(f"{head} requires {key}=")
-    return kv
 
 
 def block_ops(mode: str, photon: str, path: str, qd: str,

@@ -13,7 +13,6 @@ from hyperbell.analysis import (
     emit_svg_heatmap,
     fidelity,
     hbsa_leakage_rate,
-    hbsa_misclassification_rate,
     hbsg_branch_report,
     hbsg_statistics,
     parse_csv,
@@ -32,6 +31,7 @@ from hyperbell.cavity import (
     reflection_coefficients,
 )
 from hyperbell.errors import ConfigurationError, NumericDomainError
+from hyperbell.hilbert import zero_state
 from hyperbell.optics import _BRANCH_DROP, run_circuit_tracked
 from hyperbell.protocols import (
     Bell,
@@ -40,6 +40,7 @@ from hyperbell.protocols import (
     hbsg_circuit,
     hbsg_input,
     make_bell,
+    run_hbsa,
 )
 
 EXAMPLE_PAIR = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
@@ -70,6 +71,11 @@ class TestFidelity:
         with pytest.raises(ConfigurationError):
             fidelity(state, shrunk)
 
+    def test_zero_actual_state_rejected(self, small_layout):
+        ideal = make_bell(Bell.PSI_PLUS, Bell.PHI_MINUS, small_layout)
+        with pytest.raises(ConfigurationError, match="^actual state has zero norm$"):
+            fidelity(zero_state(small_layout), ideal)
+
     def test_generation_branch_fidelity_at_example_point(self):
         for _, _, fid in hbsg_branch_report(EXAMPLE_PAIR):
             assert fid >= 1 - 1e-12
@@ -93,6 +99,22 @@ class TestEfficiencyClosedForm:
         a = ReflectionPair(r_o=-0.9, r_h=0.8)
         b = ReflectionPair(r_o=0.9, r_h=-0.8)
         assert abs(efficiency_closed_form(a) - efficiency_closed_form(b)) < 1e-15
+
+    def test_is_the_eighth_power_of_the_success_amplitude(self, rng):
+        r = rng.normal(size=(2, 50)) + 1j * rng.normal(size=(2, 50))
+        pair = ReflectionPair(*r)
+        assert np.array_equal(efficiency_closed_form(pair), abs(pair.success_amplitude) ** 8)
+        assert efficiency_closed_form(ReflectionPair(2.0, -2.0)) == 256.0  # |r| > 1 is legal
+
+    @pytest.mark.parametrize("pair", [
+        ReflectionPair(1e40, -1e40),
+        ReflectionPair(complex(1e308, 1e308), -1.0),  # |s| itself overflows
+        ReflectionPair(np.array([1.0, 1e40]), np.array([-1.0, -1e40])),
+        ReflectionPair(np.complex128(1e40), 0),
+    ], ids=["scalar", "scalar-abs", "array", "numpy-scalar"])
+    def test_overflow_is_numeric_domain_error(self, pair):
+        with pytest.raises(NumericDomainError, match="closed-form efficiency overflows"):
+            efficiency_closed_form(pair)
 
 
 class TestGenerationStatistics:
@@ -240,7 +262,9 @@ class TestHbsaRates:
         bound = 4 * abs(pair.herald_amplitude) ** 2 / abs(pair.success_amplitude) ** 2
         for label in (HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS),
                       HyperBellLabel(Bell.PSI_MINUS, Bell.PSI_PLUS)):
-            assert hbsa_misclassification_rate(pair, label) <= bound
+            branches = run_hbsa(label, pair)
+            wrong = sum(b.probability for b in branches if b.classified != label)
+            assert wrong / sum(b.probability for b in branches) <= bound
 
 
 class TestSweep:
@@ -277,6 +301,25 @@ class TestSweep:
         for steps in ({"ks_steps": 0}, {"g_steps": 0}, {"ks_steps": -1}):
             with pytest.raises(ConfigurationError):
                 SweepGrid.regular(**steps)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"kappa_s_over_kappa": (1j,)}, "kappa_s_over_kappa"),
+        ({"kappa_s_over_kappa": ("1",)}, "kappa_s_over_kappa"),
+        ({"g_over_sum": (0.5, "1")}, "g_over_sum"),
+        ({"gamma_over_kappa": 1j}, "gamma_over_kappa"),
+        ({"detuning": "0"}, "detuning"),
+    ], ids=["ks-complex", "ks-str", "g-str", "gamma-complex", "detuning-str"])
+    def test_wrong_type_names_the_field(self, kwargs, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a real number"):
+            SweepGrid(**{"kappa_s_over_kappa": (0.5,), "g_over_sum": (1.0,), **kwargs})
+
+    def test_int_past_float_range_is_not_finite(self):
+        SweepGrid((0.5,), (10**20,), gamma_over_kappa=10**20)  # past int64, a finite float
+        for kwargs in ({"g_over_sum": (10**400,)}, {"kappa_s_over_kappa": (-10**400,)}):
+            with pytest.raises(ConfigurationError, match="^grid values must be finite"):
+                SweepGrid(**{"kappa_s_over_kappa": (0.5,), "g_over_sum": (1.0,), **kwargs})
+        with pytest.raises(ConfigurationError, match="^gamma_over_kappa and detuning must be"):
+            SweepGrid((0.5,), (1.0,), detuning=10**400)
 
 
 def _first_scalar_error(grid):
@@ -349,6 +392,12 @@ class TestCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_csv("nope\n1,2\n")
+
+    def test_short_row_rejected(self):
+        text = emit_csv([sweep_point(0.0, 1.0)])
+        row = text.splitlines()[1].rsplit(",", 1)[0]  # 10 of the 11 fields
+        with pytest.raises(ConfigurationError, match=f"^short CSV row: {re.escape(repr(row))}$"):
+            parse_csv(f"{CSV_COLUMNS}\n{row}\n")
 
     @pytest.mark.parametrize("edit", [
         ("kappa_s_over_kappa,", "kappa_s_over_kappa_typo,"),

@@ -10,7 +10,7 @@ from hyperbell.cavity import (
     reflection_coefficients,
     reflection_operator,
 )
-from hyperbell.errors import NumericDomainError, PreconditionError
+from hyperbell.errors import ConfigurationError, NumericDomainError, PreconditionError
 from hyperbell.hilbert import HybridState, apply_spin_conditional_op, overlap, product_state
 from hyperbell.optics import parse_circuit, run_circuit_tracked
 
@@ -81,6 +81,18 @@ class TestHeraldedBlock:
         state = product_state(small_layout, "R", "a1", "R", "b1", "+", "+")
         with pytest.raises(PreconditionError):
             heralded_block(state, "A", "a1", BlockConfig(qd=1, pair=IDEAL_PAIR))
+
+    @pytest.mark.parametrize("qd", [0, 3, 1.0, 2.0, "1", None])
+    def test_qd_must_be_the_int_1_or_2(self, qd):
+        with pytest.raises(ConfigurationError, match="^block qd must be spin 1 or 2$"):
+            BlockConfig(qd=qd, pair=IDEAL_PAIR)
+
+    def test_qd_numpy_int_binds_its_spin(self, small_layout):
+        state = product_state(small_layout, "L", "a1", "R", "b1", "+", "+")
+        for qd in (2, np.int64(2)):
+            (branch,) = heralded_block(state, "A", "a1", BlockConfig(qd=qd, pair=IDEAL_PAIR))
+            target = product_state(small_layout, "R", "a1", "R", "b1", "+", "-")
+            assert abs(abs(overlap(target, branch.residual)) - 1.0) < 1e-12
 
     def test_off_path_amplitude_passes_by(self, small_layout):
         state = product_state(small_layout, "L", {"a1": 1 / SQ2, "a2": 1 / SQ2},

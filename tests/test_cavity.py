@@ -75,6 +75,11 @@ class TestReflectionCoefficients:
             with pytest.raises(NumericDomainError):
                 reflection_coefficients(params)
 
+    def test_vanishing_denominator_is_numeric_domain_error(self):
+        # on resonance with gamma = 0, x = 0, and g**2 = 1e-400 underflows to 0
+        with pytest.raises(NumericDomainError, match="^hot-cavity denominator vanishes"):
+            reflection_coefficients(CavityParams(g=1e-200, gamma=0.0))
+
     def test_moduli_bounded_over_random_physical_parameters(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
@@ -272,3 +277,32 @@ class TestHugeInts:
         pair = ReflectionPair(10**20, 1)
         assert pair.success_amplitude == (10**20 - 1) / 2
         assert reflection_coefficients(CavityParams(g=10**20)).r_o == -1
+
+
+class TestValueTypes:
+    """A field of the wrong type is a ConfigurationError naming the field, not a
+    bare TypeError or ValueError, and a string is not taken for a number."""
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: CavityParams(g=1j), "g"),
+        (lambda: CavityParams(g="1"), "g"),
+        (lambda: CavityParams(g=1, kappa=1j), "kappa"),
+        (lambda: CavityParams(g=1, gamma="0.1"), "gamma"),
+        (lambda: DephasingParams(1j, 1), "tau"),
+        (lambda: DephasingParams("1", 1), "tau"),
+        (lambda: DephasingParams(1, "300"), "big_gamma"),
+        (lambda: ReflectionPair(1j, "x"), "r_h"),
+        (lambda: ReflectionPair("1", "1"), "r_o"),
+        (lambda: ReflectionPair(-1.0, np.array(["1"])), "r_h"),
+    ], ids=["cavity-g-complex", "cavity-g-str", "cavity-kappa-complex", "cavity-gamma-str",
+            "dephasing-tau-complex", "dephasing-tau-str", "dephasing-gamma-str",
+            "pair-r_h-str", "pair-r_o-str", "pair-r_h-str-array"])
+    def test_wrong_type_names_the_field(self, make, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a"):
+            make()
+
+    def test_numbers_of_every_numeric_type_are_accepted(self):
+        assert CavityParams(g=np.float64(1.0), kappa=1, gamma=np.int64(0)).kappa == 1
+        assert DephasingParams(np.float32(20.0), 300).big_gamma == 300
+        for r_o, r_h in ((-1, 1.0), (np.complex128(-1), 1 + 0j), (np.array([-1]), np.ones(1))):
+            assert ReflectionPair(r_o, r_h).success_amplitude == -1

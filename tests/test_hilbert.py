@@ -22,7 +22,9 @@ from hyperbell.hilbert import (
     apply_spin_conditional_op,
     format_state,
     overlap,
+    pol_vector,
     product_state,
+    spin_vector,
     zero_state,
 )
 
@@ -280,3 +282,43 @@ class TestFormatState:
 
     def test_zero_state(self, small_layout):
         assert format_state(zero_state(small_layout)) == "0"
+
+
+class TestInvalidInputs:
+    """Each invalid argument of the public state API is a ConfigurationError."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: pol_vector("X"), "unknown polarization 'X'"),
+        (lambda: spin_vector("sideways"), "unknown spin state 'sideways'"),
+        (lambda: pol_vector([1, 0, 0]), "polarization vector must have length 2"),
+        (lambda: spin_vector([[1, 0]]), "spin vector must have length 2"),
+        (lambda: StateLayout(photons=("A", "A"), paths=(("a1",), ("b1",))),
+         "two distinct photon names"),
+    ], ids=["pol-name", "spin-name", "pol-length", "spin-shape", "same-photon-names"])
+    def test_factor_and_layout_errors(self, make, message):
+        with pytest.raises(ConfigurationError, match=message):
+            make()
+
+    def test_path_vector_takes_an_array_of_the_photon_length(self, small_layout):
+        v = small_layout.path_vector("B", [0.6, 0.8j])
+        assert v.dtype == complex and v.tolist() == [0.6, 0.8j]
+        with pytest.raises(ConfigurationError, match="photon 'B' must have length 2"):
+            small_layout.path_vector("B", [1.0, 0.0, 0.0])
+
+    def test_amplitude_shape_must_match_the_layout(self, small_layout):
+        with pytest.raises(ConfigurationError, match="does not match layout shape"):
+            HybridState(small_layout, np.zeros((2, 2, 2, 2, 2)))
+
+    def test_zero_state_cannot_be_normalized(self, small_layout):
+        with pytest.raises(ConfigurationError, match="cannot normalize a zero state"):
+            zero_state(small_layout).normalized()
+
+    @pytest.mark.parametrize("spin, op, message", [
+        (0, np.eye(4), "spin must be 1 or 2"),
+        (3, np.eye(4), "spin must be 1 or 2"),
+        (1, np.eye(2), "spin-conditional operator must be 4x4"),
+    ], ids=["spin-0", "spin-3", "op-2x2"])
+    def test_spin_conditional_op_arguments(self, small_layout, spin, op, message):
+        state = product_state(small_layout, "R", "a1", "R", "b1")
+        with pytest.raises(ConfigurationError, match=message):
+            apply_spin_conditional_op(state, "A", spin, op, "a1")

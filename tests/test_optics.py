@@ -19,6 +19,7 @@ from hyperbell.optics import (
     Circuit,
     Element,
     ElementKind,
+    QDDecl,
     element_matrix,
     parse_circuit,
     run_circuit_tracked,
@@ -422,6 +423,21 @@ class TestParser:
             parse_circuit("qd QD1 basis=+\nphoton A paths=a1,a2\nphoton B paths=b1\n"
                           f"{lines}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("qd basis=+", "qd needs a name"),
+        ("photon", "photon needs a name"),
+        ("photon A paths=a1,a1", "duplicate path in ['a1', 'a1']"),
+        ("qd Q basis=+ paths=a1", "key 'paths' not allowed for qd"),
+        ("photon A", "photon requires paths="),
+        ("block qd=QD1 photon=A path=a1", "block requires mode="),
+        ("block mode=parity qd=QD1 photon=A path=a1 pol=L", "key 'pol' not allowed for block"),
+    ], ids=["qd-name", "photon-name", "photon-paths", "qd-key", "photon-paths-missing",
+            "block-mode-missing", "block-key"])
+    def test_declaration_and_block_errors_name_their_line(self, text, message):
+        # the key rule (_check_keys) reads every kind of line by its head
+        with pytest.raises(ConfigurationError, match=f"^line 1: {re.escape(message)}$"):
+            parse_circuit(f"{text}\n")
+
     def test_readme_example_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## Circuit files", 1)[1]
@@ -624,6 +640,24 @@ class TestRunCircuit:
             parse_circuit(serialize_circuit(circuit))
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             run_circuit_tracked(circuit, random_state(circuit.layout(), rng))
+
+    def test_circuit_needs_two_photons(self):
+        with pytest.raises(ConfigurationError, match="^circuit must declare exactly two photons$"):
+            parse_circuit("photon A paths=a1\n").layout()
+
+    def test_hand_built_third_qd_is_rejected_at_run(self, rng):
+        # the parser stops at two QDs; a hand-built circuit may declare a third
+        circuit = _two_photon_circuit("")
+        qds = circuit.qds + (QDDecl("QD3", "+"),)
+        ops = (Element(ElementKind.MEASURE_SPIN, qd="QD3"),)
+        with pytest.raises(ConfigurationError, match="^at most two QDs are supported$"):
+            run_circuit_tracked(Circuit(qds, circuit.photons, ops),
+                                random_state(circuit.layout(), rng))
+
+    @pytest.mark.parametrize("kind", ["wfc", "qdarm", "detector", "measure_spin"])
+    def test_element_matrix_of_an_active_kind_is_rejected(self, small_layout, kind):
+        with pytest.raises(ConfigurationError, match=f"^element kind {kind} has no single"):
+            element_matrix(Element(ElementKind(kind), photon="A", path="a1"), small_layout)
 
     def test_overflowing_weight_is_numeric_domain_error(self, rng):
         # at r_o = r_h = 1e200, s = 0 and h^2 overflows: the measured branch

@@ -112,6 +112,13 @@ class TestHbsg:
         branches = run_hbsg(ReflectionPair(1e30, 1e30))
         assert branches and all(math.isfinite(b.probability) for b in branches)
 
+    def test_heralded_branch_has_no_label(self):
+        branches = run_hbsg(EXAMPLE_PAIR)
+        heralded = [b for b in branches if b.heralds]
+        assert heralded and all(b.label is None for b in heralded)
+        assert all(b.label == HBSG_OUTPUT_TABLE[b.spins.e1, b.spins.e2]
+                   for b in branches if not b.heralds)
+
     def test_ideal_run_four_quarter_branches(self):
         branches = run_hbsg()
         assert len(branches) == 4
@@ -265,6 +272,20 @@ class TestLocalCorrection:
         with pytest.raises(PreconditionError):
             apply_local_correction(b.state, wrong, wrong, rails=HBSG_OUTPUT_RAILS)
 
+    def test_zero_state_rejected(self, small_layout):
+        label = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)
+        with pytest.raises(PreconditionError, match="^cannot correct a zero state$"):
+            apply_local_correction(HybridState(small_layout, np.zeros(small_layout.shape)),
+                                   label, label)
+
+    def test_photons_entangled_with_the_spins_rejected(self, small_layout):
+        # (phi+,phi+ with spins ++) + (psi+,phi+ with spins --): no photonic factor
+        label = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)
+        amps = (make_bell(Bell.PHI_PLUS, Bell.PHI_PLUS, small_layout).amps
+                + make_bell(Bell.PSI_PLUS, Bell.PHI_PLUS, small_layout, spins=("-", "-")).amps)
+        with pytest.raises(PreconditionError, match="does not factor into photons"):
+            apply_local_correction(HybridState(small_layout, amps / SQ2), label, label)
+
 
 class TestHbsaStage1:
     def test_overflow_is_numeric_domain_error(self):
@@ -415,6 +436,11 @@ class TestClassifier:
                     counts[label.pol] = counts.get(label.pol, 0) + 1
             assert counts == {pol: 4 for pol in Bell}
 
+    @pytest.mark.parametrize("e1, e2", [("x", "+"), ("+", "up"), ("", "-")])
+    def test_spin_outcome_must_be_plus_or_minus(self, e1, e2):
+        with pytest.raises(ConfigurationError, match="^spin outcomes must be '\\+' or '-'$"):
+            SpinOutcome(e1, e2)
+
     def test_invalid_pattern_rejected(self):
         spins = SpinOutcome("+", "+")
         with pytest.raises(ConfigurationError, match=r"invalid detector pattern \(a3\+, b1\+\)"):
@@ -495,6 +521,21 @@ class TestRealisticHbsa:
             for given in (label, hbsa_input(label)):
                 with pytest.raises(NumericDomainError, match="overflows"):
                     run_hbsa(given, pair)
+
+
+    def test_overflow_of_the_summed_probabilities(self):
+        # every layer's |v|^2 is finite, below 2.2e307, but the branch probabilities
+        # overflow: the final check raises, not the bound on the layer values
+        label = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)
+        pair = ReflectionPair(complex(3.35e38, 3.35e38), 6.7e37)
+        s, h = complex(pair.success_amplitude), complex(pair.herald_amplitude)
+        monomials = protocols._hbsa_support(label, protocols.HBSA_FULL_TEXT)[0]
+        assert all(math.isfinite(abs(s ** i * h ** k) ** 2) for i, k in monomials)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match="^run_hbsa overflows at") as info:
+                run_hbsa(label, pair)
+        assert not info.value.__suppress_context__  # not raised "from None" by the bound
 
 
 def _full_circuit_rows(state, pair):
@@ -747,11 +788,11 @@ class TestLeakPins:
     def test_bare_hbsg_generation_monomials(self):
         from hyperbell import analysis
 
-        forms = analysis._generation_forms(protocols.HBSG_CIRCUIT_TEXT)
-        assert forms.layers[:2].T.tolist() == [[4, 0], [3, 1], [2, 2]]
-        np.testing.assert_allclose(forms.layers[2] / forms.layers[2, 0], [1, 3 / 2, 1 / 4],
+        layers, clicks = analysis._generation_forms(protocols.HBSG_CIRCUIT_TEXT)
+        assert layers[:2].T.tolist() == [[4, 0], [3, 1], [2, 2]]
+        np.testing.assert_allclose(layers[2] / layers[2, 0], [1, 3 / 2, 1 / 4],
                                    rtol=0, atol=1e-12)
-        assert forms.clicks[:2].T.tolist() == [[0, 1], [1, 1]]  # D1A, then D1B
+        assert clicks[:2].T.tolist() == [[0, 1], [1, 1]]  # D1A, then D1B
         _assert_lossless_output_is_unleaked_layer(protocols.HBSG_CIRCUIT_TEXT)
 
     def test_generation_text_with_no_herald_detector_has_no_click(self):
@@ -764,11 +805,11 @@ class TestLeakPins:
             text = text.replace(f"block mode=heralded qd=QD1 photon={photon} path={path} "
                                 f"label={label}", f"op wfc photon={photon} path={path}")
         assert "heralded" not in text
-        forms = analysis._generation_forms(text)
-        assert forms.clicks.shape == (3, 0)
-        assert forms.layers[:2].T.tolist() == [[4, 0], [3, 1], [2, 2]]
+        layers, clicks = analysis._generation_forms(text)
+        assert clicks.shape == (3, 0)
+        assert layers[:2].T.tolist() == [[4, 0], [3, 1], [2, 2]]
         s, h = np.array([0.9, 0.5j, 0.0]), np.array([0.1, 0.3, 1.0])
-        assert analysis._monomial_weights(forms.clicks, s, h).sum(axis=0).tolist() == [0.0] * 3
+        assert analysis._monomial_weights(clicks, s, h).sum(axis=0).tolist() == [0.0] * 3
 
     def test_unmatched_qd_rail_is_a_configuration_error(self):
         # without photon A's first waveform corrector its two rails leave the
@@ -784,6 +825,16 @@ class TestLeakPins:
         mask, _ = monomial_support(d1b[:, 1:])  # past the h^0 residue
         assert (np.argwhere(mask) + [0, 1]).tolist() == [[0, 1], [1, 1]]
         with pytest.raises(ConfigurationError, match="several s-degrees"):
+            analysis._generation_forms(text)
+
+    def test_herald_click_without_a_leak_is_an_inconsistent_outcome(self):
+        # a detector on the corrected R rail fires with no leak: its coefficients sit at h^0
+        from hyperbell import analysis
+
+        wfc = "op wfc photon=A path=a2\n"
+        text = protocols.HBSG_CIRCUIT_TEXT.replace(
+            wfc, wfc + "op detector photon=A path=a2 label=X\n", 1)
+        with pytest.raises(InconsistentOutcomeError, match="^herald click without a leak"):
             analysis._generation_forms(text)
 
     def test_click_with_several_monomials_is_a_configuration_error(self, monkeypatch):
@@ -862,11 +913,10 @@ class TestCircuitText:
         rail = "op bs photon=A in=a1,a2 out=c1,c2\n"
         text = bare.replace(rail, rail + "op z photon=A path=c1\n" * 2)
         assert text != bare
-        got, want = analysis._generation_forms(text), analysis._generation_forms(bare)
-        for name in ("layers", "clicks"):  # rows: s-degree, h-degree, weight
-            np.testing.assert_array_equal(getattr(got, name)[:2], getattr(want, name)[:2])
-            np.testing.assert_allclose(getattr(got, name)[2], getattr(want, name)[2],
-                                       rtol=0, atol=1e-15)
+        # layers, then clicks; rows: s-degree, h-degree, weight
+        for got, want in zip(analysis._generation_forms(text), analysis._generation_forms(bare)):
+            np.testing.assert_array_equal(got[:2], want[:2])
+            np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-15)
         for t in (text, bare):
             _assert_lossless_output_is_unleaked_layer(t)
 
