@@ -228,8 +228,11 @@ class SweepGrid:
     def regular(ks_min=0.0, ks_max=1.0, ks_steps=101,
                 g_min=0.0, g_max=2.5, g_steps=101,
                 gamma_over_kappa=0.1, detuning=0.0) -> "SweepGrid":
+        if not all(isinstance(steps, int | np.integer) for steps in (ks_steps, g_steps)):
+            raise ConfigurationError(f"sweep steps must be ints, got {ks_steps!r}, {g_steps!r}")
         if ks_steps < 1 or g_steps < 1:
             raise ConfigurationError("sweep axes need at least one step")
+        SweepGrid((ks_min, ks_max), (g_min, g_max))  # the bounds, checked before np.linspace
         return SweepGrid(
             tuple(np.linspace(ks_min, ks_max, ks_steps).tolist()),
             tuple(np.linspace(g_min, g_max, g_steps).tolist()),

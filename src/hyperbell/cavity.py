@@ -70,7 +70,8 @@ class ReflectionPair:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not isinstance(value, Complex) and np.asarray(value).dtype.kind not in "biufc":
+            if not isinstance(value, Complex) and not (
+                    isinstance(value, np.ndarray) and value.dtype.kind in "biufc"):
                 raise ConfigurationError(f"{name} must be a complex number or array, got {value!r}")
         if not _finite(self.r_o, self.r_h):
             raise NumericDomainError("reflection coefficients r_o and r_h must be finite")

@@ -35,13 +35,13 @@ pbs its ``path``, a cpbs one or two distinct paths, a bs two distinct
 paths that its outputs equal as a set or avoid. _check_element holds
 these rules, pol and declared names for one element. The parser calls it
 on each element of a line, element_matrix on every call and _compile on
-the other kinds, so once per op; a hand-built circuit gets the parser's
-messages. element_matrix builds each matrix once per (kind, path count,
-port indices): read-only, and shared by every element of the same kind
-and ports on a photon with as many paths. The runner ignores ``wfc qd=``
-and ``measure_spin photon=``. A detector clicks on its path, in the one
-polarization that ``pol`` names or in both; a clicked photon stays on
-its path. No two detectors, plain or of heralded blocks, share a label.
+every op, so a hand-built circuit gets the parser's messages. A passing
+check is cached on all it reads, so _compile finds a parsed op's check
+cached. Each matrix is built once per (kind, path count, port indices),
+read-only and shared. The runner ignores ``wfc qd=`` and ``measure_spin
+photon=``. A detector clicks on its path, in the one polarization that
+``pol`` names or in both; a clicked photon stays on its path. No two
+detectors, plain or of heralded blocks, share a label.
 The ``block`` macro expands into block_ops: Hp - qdarm - Hp on the bound
 path, then ``z`` (parity) or ``detector pol=L`` (heralded), which
 catches the leak, as the leak keeps the L polarization of the input.
@@ -52,7 +52,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -169,23 +169,24 @@ def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
     the same on R and L; a cpbs crosses R to out2/out1 and keeps L on its
     side; a pbs routes H to out1 and V to out2.
 
-    _check_element checks the element on every call; the matrix is built
-    once per (kind, path count, port indices), so it is read-only and shared
-    by every element of that kind and ports on a photon with as many paths.
+    Checked on every call; built once per (kind, path count, port indices), read-only, shared.
     """
     if el.kind not in _PLATES and el.kind not in _PORTS:
         raise ConfigurationError(f"element kind {el.kind.value} has no single-photon matrix")
     paths = dict(zip(layout.photons, layout.paths))
     _check_element(el, paths, ())
-    own = paths[el.photon]  # hp and z: their path in, no outs
+    return _matrix(el, paths[el.photon])
+
+
+def _matrix(el: Element, own: tuple) -> np.ndarray:
+    """The matrix of a passive element that _check_element passed, on a photon of paths own."""
     return _built_matrix(el.kind, len(own), tuple(map(own.index, el.in_paths or (el.path,))),
-                         tuple(map(own.index, el.out_paths or ())))
+                         tuple(map(own.index, el.out_paths or ())))  # hp and z: no outs
 
 
 @cache
 def _built_matrix(kind: ElementKind, n: int, ins: tuple, outs: tuple) -> np.ndarray:
-    """element_matrix's matrix of an element checked there, by its port
-    indices on a photon of n paths; read-only."""
+    """_matrix's matrix, by port indices on a photon of n paths; read-only."""
     x, y = list(ins), list(outs)
     if kind in _PLATES:
         mat = np.eye(2 * n, dtype=complex)
@@ -242,16 +243,27 @@ _KEYS = {
 }
 # the op key of each Element field after kind, in field (and serialized) order
 _OP_KEYS = ("photon", "path", "in", "out", "qd", "label", "pol")
+_CHECKED_MAX = 4096  # checks _checked keeps; the benchmark's circuits level off near 1,600
 
 
 def _check_element(el: Element, paths: dict, qds) -> None:
     """Raise the parser's message unless el has, in turn, a declared photon (paths maps it to
-    its paths) and paths of it, the splitter port rule, its kind's keys, pol R or L, a QD in qds."""
+    its paths) and paths of it, the splitter port rule, its kind's keys, pol R or L, a QD in qds.
+    A passing check is cached on all it reads: el, its photon's paths, if its QD is declared."""
+    try:
+        _checked(el, paths.get(el.photon), el.qd in qds)
+    except TypeError:  # list ports cannot be in a cache key: check uncached
+        _checked.__wrapped__(el, paths.get(el.photon), el.qd in qds)
+
+
+@lru_cache(maxsize=_CHECKED_MAX)  # a check that raises is not cached
+def _checked(el: Element, own: tuple | None, qd_declared: bool) -> None:
+    """_check_element's check; own: the paths of el's photon (None if undeclared)."""
     kind, photon, path, ins, outs, qd, _, pol = el
-    if photon is not None and photon not in paths:
+    if photon is not None and own is None:
         raise ConfigurationError(f"undeclared photon {photon!r}")
-    for p in (path, *(ins or ()), *(outs or ())) if photon in paths else ():
-        if p is not None and p not in paths[photon]:
+    for p in (path, *(ins or ()), *(outs or ())) if own is not None else ():
+        if p is not None and p not in own:
             raise ConfigurationError(f"dangling path reference {p!r} for photon {photon!r}")
     if kind in _PORTS:
         counts, inputs = _PORTS[kind]
@@ -265,7 +277,7 @@ def _check_element(el: Element, paths: dict, qds) -> None:
     _check_keys("op " + kind, [key for key, value in zip(_OP_KEYS, el[1:]) if value is not None])
     if pol is not None and pol not in _POL_INDEX:
         raise ConfigurationError(f"detector pol must be R or L, got {pol!r}")
-    if qd is not None and qd not in qds:
+    if qd is not None and not qd_declared:
         raise ConfigurationError(f"undeclared QD {qd!r}")
 
 
@@ -482,22 +494,21 @@ def _compile(circuit: Circuit, layout: StateLayout):
 
     A photon's passive matrices are multiplied together and emitted as one
     matrix action just before that photon's next qdarm, wfc or detector,
-    and at the end. Each op is checked once, a passive one by element_matrix.
+    and at the end. Each op is checked once; a passive op's matrix is _matrix's.
     """
     actions, labels = [], set()
     pending = [None, None]  # per photon slot, the product of its matrices so far
     paths, qds = dict(zip(layout.photons, layout.paths)), {qd.name for qd in circuit.qds}
     for el in circuit.ops:
-        if el.kind in _PLATES or el.kind in _PORTS:
-            mat = element_matrix(el, layout)
-            slot = layout.photons.index(el.photon)
-            pending[slot] = mat if pending[slot] is None else mat @ pending[slot]
-            continue
         _check_element(el, paths, qds)
         if el.kind == ElementKind.MEASURE_SPIN:
             actions.append(("spin", circuit.qd_slot(el.qd), el.qd))
             continue
         slot = layout.photons.index(el.photon)
+        if el.kind in _PLATES or el.kind in _PORTS:
+            mat = _matrix(el, paths[el.photon])
+            pending[slot] = mat if pending[slot] is None else mat @ pending[slot]
+            continue
         if pending[slot] is not None:
             actions.append(("matrix", slot, pending[slot]))
             pending[slot] = None

@@ -354,6 +354,18 @@ class TestSweepErrors:
                 run_sweep(grid)
         assert str(got.value) == str(expected)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"g_max": math.inf}, "grid values must be finite and non-negative"),
+        ({"ks_min": math.nan}, "grid values must be finite and non-negative"),
+        ({"g_min": "0"}, "g_over_sum must be a real number, got '0'"),
+        ({"ks_steps": 2.5}, "sweep steps must be ints, got 2.5, 101"),
+        ({"g_steps": "3"}, "sweep steps must be ints, got 101, '3'"),
+    ], ids=["g-max-inf", "ks-min-nan", "g-min-str", "ks-steps-float", "g-steps-str"])
+    def test_regular_checks_its_arguments_before_linspace(self, kwargs, message):
+        # the suite turns warnings into errors, so NumPy's RuntimeWarning would fail this
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            SweepGrid.regular(**kwargs)
+
     def test_regular_grid_holds_python_floats(self):
         grid = SweepGrid.regular(ks_steps=3, g_steps=2, g_max=1e200)
         assert all(type(v) is float for v in grid.kappa_s_over_kappa + grid.g_over_sum)

@@ -294,9 +294,12 @@ class TestValueTypes:
         (lambda: ReflectionPair(1j, "x"), "r_h"),
         (lambda: ReflectionPair("1", "1"), "r_o"),
         (lambda: ReflectionPair(-1.0, np.array(["1"])), "r_h"),
+        (lambda: ReflectionPair([1], [1]), "r_o"),
+        (lambda: ReflectionPair(-1.0, (1.0,)), "r_h"),
     ], ids=["cavity-g-complex", "cavity-g-str", "cavity-kappa-complex", "cavity-gamma-str",
             "dephasing-tau-complex", "dephasing-tau-str", "dephasing-gamma-str",
-            "pair-r_h-str", "pair-r_o-str", "pair-r_h-str-array"])
+            "pair-r_h-str", "pair-r_o-str", "pair-r_h-str-array", "pair-r_o-list",
+            "pair-r_h-tuple"])
     def test_wrong_type_names_the_field(self, make, field):
         with pytest.raises(ConfigurationError, match=f"^{field} must be a"):
             make()

@@ -286,6 +286,7 @@ class TestExitCodes:
         ("sweep", "--g-steps", "0"),
         ("sweep", "--ks-steps", "1", "--g-steps", "1", "--tau", "inf", "--big-gamma", "300"),
         ("sweep", "--ks-steps", "1", "--g-steps", "1", "--tau", "20", "--big-gamma", "inf"),
+        ("sweep", "--g-max", "inf", "--ks-steps", "2", "--g-steps", "2"),
     ])
     def test_non_finite_or_empty_input_exits_2(self, capsys, args):
         code, out, err = run_cli(capsys, *args)

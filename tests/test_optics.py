@@ -255,6 +255,39 @@ class TestElementMatrixCache:
                 element_matrix(el, small_layout)
 
 
+class TestElementCheckCache:
+    """_check_element caches a passing check on the element, its photon's paths and
+    whether its QD is declared, so a verdict in one context never answers another."""
+
+    @pytest.mark.parametrize("el, good, bad, message", [
+        (HP_A1._replace(path="a2"), ({"A": ("a1", "a2")}, ()), ({"A": ("a1",)}, ()),
+         "dangling path reference 'a2' for photon 'A'"),
+        (Element(ElementKind.QDARM, photon="A", path="a1", qd="QD1"),
+         ({"A": ("a1",)}, {"QD1"}), ({"A": ("a1",)}, {"QD2"}), "undeclared QD 'QD1'"),
+        (HP_A1, ({"A": ("a1",)}, ()), ({"B": ("a1",)}, ()), "undeclared photon 'A'"),
+    ], ids=["path", "qd", "photon"])
+    @pytest.mark.parametrize("bad_first", [False, True], ids=["good-first", "bad-first"])
+    def test_no_verdict_leaks_between_contexts(self, el, good, bad, message, bad_first):
+        optics._checked.cache_clear()
+        for context in (bad, good) if bad_first else (good, bad):
+            if context is good:
+                optics._check_element(el, *context)
+                continue
+            for _ in range(2):  # a check that raised is not cached, and raises again
+                with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                    optics._check_element(el, *context)
+        assert optics._checked.cache_info().currsize == 1
+
+    def test_list_ports_are_checked_uncached(self):
+        optics._checked.cache_clear()
+        listed = BS_A._replace(in_paths=["a1", "a2"], out_paths=["a1", "a2"])
+        optics._check_element(listed, {"A": ("a1", "a2")}, ())
+        optics._check_element(BS_A, {"A": ["a1", "a2"]}, ())
+        with pytest.raises(ConfigurationError, match="^dangling path reference 'a2'"):
+            optics._check_element(listed, {"A": ("a1",)}, ())
+        assert optics._checked.cache_info().currsize == 0
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -596,8 +629,8 @@ class TestRunCircuit:
          "key 'path' not allowed for op measure_spin"),
     ], ids=["detector-pol", "detector-no-label", "qdarm-out", "wfc-label", "measure-spin-path"])
     def test_hand_built_element_checked_against_its_kind(self, rng, el, message):
-        # _compile checks each element that element_matrix does not take with
-        # _check_element, the one checker that parsing and element_matrix call
+        # _compile checks each element with _check_element, the one checker
+        # that parsing and element_matrix call too
         circuit = _two_photon_circuit("")
         circuit = Circuit(circuit.qds, circuit.photons, (el,))
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
@@ -888,13 +921,13 @@ class TestFusedCompile:
     stretch between that photon's qdarm, wfc and detector actions."""
 
     def test_one_matrix_per_stretch_and_one_call_per_passive_op(self, rng, monkeypatch):
-        calls = []
+        calls, matrix = [], optics._matrix
 
-        def counting(el, layout):
+        def counting(el, own):
             calls.append(el)
-            return element_matrix(el, layout)
+            return matrix(el, own)
 
-        monkeypatch.setattr(optics, "element_matrix", counting)
+        monkeypatch.setattr(optics, "_matrix", counting)
         passive = {ElementKind.HP, ElementKind.Z, ElementKind.BS, ElementKind.CPBS,
                    ElementKind.PBS}
         for _ in range(200):
@@ -911,7 +944,7 @@ class TestFusedCompile:
                     fused[action[1]] = False
 
     def test_each_op_checked_once(self, rng, monkeypatch):
-        # passive ops inside element_matrix, every other op by _compile itself
+        # _compile checks every op itself, passive or not, before it builds an action
         checked, check = [], optics._check_element
 
         def counting(el, paths, qds):
