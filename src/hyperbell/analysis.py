@@ -52,6 +52,7 @@ from .protocols import (
     run_hbsa,
 )
 from .optics import (
+    _BRANCH_DROP,
     _surviving,
     _weight,
     layer_s_degrees,
@@ -63,7 +64,6 @@ CSV_COLUMNS = ("kappa_s_over_kappa,g_over_sum,r_o_re,r_o_im,r_h_re,r_h_im,"
                "eta_closed,eta_sim,herald_rate,leakage_rate,cond_fidelity")
 _DEPHASING_COLUMNS = ",dephasing_penalty,cond_fidelity_dephased,cond_fidelity_exp_scaled"
 
-_ZERO_WEIGHT = 1e-30
 _CLICK_RESIDUE = 1e-15  # largest rounding residue tolerated in a click's h^0 coefficients
 
 
@@ -155,7 +155,7 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
             herald_rate = np.sum(_monomial_weights(clicks, s, h), axis=0)
     except FloatingPointError:
         raise NumericDomainError("generation statistics overflow at a pair") from None
-    # live is eta + leak > _BRANCH_DROP, so also eta + leak > _ZERO_WEIGHT
+    # live is eta + leak > _BRANCH_DROP, so the divisor is nonzero where it is used
     leakage_rate = np.divide(leak, eta + leak, out=np.ones_like(leak), where=live)
     return np.where(live, eta, 0.0), herald_rate, leakage_rate, np.ones_like(leakage_rate)
 
@@ -173,7 +173,7 @@ def hbsg_branch_report(pair: ReflectionPair) -> list[tuple[tuple[str, str], floa
     layout = circuit.layout()
     rows = []
     for tb in run_circuit_tracked(circuit, hbsg_input(circuit), pair).branches:
-        if tb.heralds() or tb.clean_weight <= _ZERO_WEIGHT:
+        if tb.heralds() or tb.clean_weight <= _BRANCH_DROP:
             continue
         spins = tb.spin_results()
         key = (spins["QD1"], spins["QD2"])
@@ -199,7 +199,7 @@ def hbsa_leakage_rate(pair: ReflectionPair,
     clean = sum(b.clean_weight for b in branches)
     leak = sum(b.leaked_weight for b in branches)
     survived = clean + leak
-    return leak / survived if survived > _ZERO_WEIGHT else 1.0
+    return leak / survived if survived > _BRANCH_DROP else 1.0
 
 
 # ---------------------------------------------------------------------------

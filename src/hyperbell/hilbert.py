@@ -32,11 +32,11 @@ POL_H = np.array([1.0, 1.0], dtype=complex) / _SQRT2  # (R+L)/sqrt2
 POL_V = np.array([1.0, -1.0], dtype=complex) / _SQRT2  # (R-L)/sqrt2
 SPIN_UP = np.array([1.0, 0.0], dtype=complex)
 SPIN_DOWN = np.array([0.0, 1.0], dtype=complex)
-SPIN_PLUS = np.array([1.0, 1.0], dtype=complex) / _SQRT2  # (up+down)/sqrt2
-SPIN_MINUS = np.array([1.0, -1.0], dtype=complex) / _SQRT2
+# the spin X basis, once: row e is sqrt2 <e| for e = "+", "-" (real, so no -0j below)
+_SPIN_X_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+SPIN_PLUS, SPIN_MINUS = (_SPIN_X_SIGNS / _SQRT2).astype(complex)  # (up +/- down)/sqrt2
 # X-basis spin projectors |e><e|, one per measurement outcome e
-_SPIN_X_PROJ = {"+": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-                "-": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)}
+_SPIN_X_PROJ = {e: (np.outer(row, row) / 2).astype(complex) for e, row in zip("+-", _SPIN_X_SIGNS)}
 
 _POL_NAMES = {"R": POL_R, "L": POL_L, "H": POL_H, "V": POL_V}
 _SPIN_NAMES = {"up": SPIN_UP, "down": SPIN_DOWN, "+": SPIN_PLUS, "-": SPIN_MINUS}
@@ -219,6 +219,12 @@ def _apply_spin_matrix(amps: np.ndarray, spin_slot: int, mat2: np.ndarray) -> np
     return (amps.reshape(-1, 4) @ mat4.T).reshape(amps.shape)
 
 
+def _x_amplitudes(amps: np.ndarray) -> np.ndarray:
+    """Amplitudes [..., s1, s2] in the X basis of both spins, [..., e1, e2] with 0 for "+"
+    and 1 for "-". Only the sums round, never a 1/sqrt2: protocols._support cuts exact zeros."""
+    return 0.5 * _apply_spin_matrix(_apply_spin_matrix(amps, 0, _SPIN_X_SIGNS), 1, _SPIN_X_SIGNS)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -281,8 +287,7 @@ def format_state(state: HybridState) -> str:
     """Human-readable ket expansion, spins shown in the X basis; amplitudes
     of modulus 1e-9 or less are left out."""
     tol = 1e-9
-    to_x = np.stack([SPIN_PLUS, SPIN_MINUS])  # rows <+|, <-| (real entries)
-    amps = _apply_spin_matrix(_apply_spin_matrix(state.amps, 0, to_x), 1, to_x)
+    amps = _x_amplitudes(state.amps)
     spin_names = ("+", "-")
     pol_names = ("R", "L")
     parts = []

@@ -252,8 +252,8 @@ def _check_element(el: Element, paths: dict, qds) -> None:
     A passing check is cached on all it reads: el, its photon's paths, if its QD is declared."""
     try:
         _checked(el, paths.get(el.photon), el.qd in qds)
-    except TypeError:  # list ports cannot be in a cache key: check uncached
-        _checked.__wrapped__(el, paths.get(el.photon), el.qd in qds)
+    except TypeError:  # a field or path is unhashable, as a list is, or a port list not iterable
+        raise ConfigurationError(f"fields and paths must be str or tuples of str: {el}") from None
 
 
 @lru_cache(maxsize=_CHECKED_MAX)  # a check that raises is not cached
@@ -481,14 +481,6 @@ class TrackedRun:
     click_probability: dict[str, float]
 
 
-def initial_spins(circuit: Circuit) -> tuple[str, str]:
-    """Spin preparation from the circuit's qd declarations (default "+")."""
-    prep = ["+", "+"]
-    for i, qd in enumerate(circuit.qds[:2]):
-        prep[i] = qd.basis
-    return tuple(prep)
-
-
 def _compile(circuit: Circuit, layout: StateLayout):
     """Parameter-free actions; the cavity enters only at qdarm and wfc.
 
@@ -610,10 +602,11 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
         s = h = (0, 1)
     else:
         s, h = (pair.success_amplitude,), (0, pair.herald_amplitude)
-    clicks = {el.label: [] for el in circuit.ops if el.kind == ElementKind.DETECTOR}
+    actions = _compile(circuit, layout)  # checks every op, so each label is a string
+    clicks = {action[-1]: [] for action in actions if action[0] == "detector"}
     branches = [((), state.amps[None, None].copy())]
     weights = []  # those compared with _BRANCH_DROP
-    for action in _compile(circuit, layout):
+    for action in actions:
         kind = action[0]
         if kind == "matrix":
             _, slot, mat = action

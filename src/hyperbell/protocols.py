@@ -16,8 +16,9 @@ spatial state. Only stage 1, every op before the first spin measurement,
 sees the cavity. _no_click runs it at a pair or as a polynomial in (s, h)
 and keeps its no-click branch, for the analyzer and for the generator's
 forms in analysis. One rule, _hbsa_forms, gives any input its forms: it
-runs stage 1 on the input as a polynomial and applies the fixed readout
-(spin X measurement, SPBSM) to that branch, so each of the 64 (spin
+runs stage 1 on the input as a polynomial and applies the fixed readout to
+that branch: the SPBSM's matrices, then both spins' X basis, whose outcome
+is the spatial state (hilbert._x_amplitudes), so each of the 64 (spin
 outcome, detector pattern) branches keeps its amplitude as a polynomial.
 Each h-degree layer of it is one monomial s^i h^k, so run_hbsa reads an
 input's support, its exactly nonzero branches (a residue stays: no bound
@@ -51,13 +52,12 @@ from .errors import (
     PreconditionError,
 )
 from .hilbert import (
-    _SPIN_X_PROJ,
     _SQRT2,
     HybridState,
     StateLayout,
     _apply_photon_matrix,
-    _apply_spin_matrix,
     _path_slice,
+    _x_amplitudes,
     apply_single_photon_op,
     overlap,  # bound here for perfbench's tracer; nothing here calls it
     product_state,
@@ -72,7 +72,6 @@ from .optics import (
     _run,
     _surviving,
     _weight,
-    initial_spins,
     layer_s_degrees,
     monomial_support,
     parse_circuit,
@@ -161,7 +160,9 @@ def make_bell(pol: Bell, spatial: Bell, layout: StateLayout = _MIN_LAYOUT,
     rails names the two distinct paths per photon carrying the spatial
     qubit; spins fixes the factored-out spin configuration.
     """
-    if any(len(set(pair)) != len(pair) for pair in rails):
+    if len(rails) != 2 or any(len(pair) != 2 for pair in rails):
+        raise ConfigurationError(f"rails must name two paths per photon: {rails}")
+    if any(pair[0] == pair[1] for pair in rails):
         raise ConfigurationError(f"a rail pair repeats a path: {rails}")
     ia, ib = ([layout.path_index(photon, p) for p in pair]
               for photon, pair in zip(layout.photons, rails))
@@ -265,8 +266,8 @@ def _no_click(circuit: Circuit, state: HybridState, pair: ReflectionPair | None 
 def hbsg_input(circuit: Circuit | None = None) -> HybridState:
     """Both photons H-polarized on the entry rails, spins as declared."""
     circuit = circuit or hbsg_circuit()
-    spin1, spin2 = initial_spins(circuit)
-    return product_state(circuit.layout(), "H", "a1", "H", "b1", spin1, spin2)
+    return product_state(circuit.layout(), "H", "a1", "H", "b1",
+                         *(qd.basis for qd in circuit.qds[:2]))
 
 
 @dataclass(frozen=True)
@@ -415,19 +416,12 @@ class Stage1Result:
     leaked_weight: float
 
 
-def _x_projected(amps: np.ndarray) -> dict:
-    """Amplitudes [..., *state axes] projected on each X-basis outcome of
-    both spins, by outcome pair (e1, e2)."""
-    return {(e1, e2): _apply_spin_matrix(_apply_spin_matrix(amps, 0, proj1), 1, proj2)
-            for (e1, proj1), (e2, proj2) in product(_SPIN_X_PROJ.items(), repeat=2)}
-
-
 def _definite_spins(state: HybridState) -> SpinOutcome | None:
     """The X-basis outcome of both spins that keeps all but 1e-12 of the
     state's weight, None if there is none."""
-    total = state.norm2
-    for (e1, e2), projected in _x_projected(state.amps).items():
-        if _weight(projected) > total - 1e-12 * total:
+    total, x = state.norm2, _x_amplitudes(state.amps)
+    for (i, e1), (j, e2) in product(enumerate("+-"), repeat=2):
+        if _weight(x[..., i, j]) > total - 1e-12 * total:
             return SpinOutcome(e1, e2)
     return None
 
@@ -489,7 +483,7 @@ def _readout(text: str):
         elif kind == "matrix":
             matrices.append((slot, *rest))
     rows = [(SpinOutcome(e1, e2), DetectorPattern(a, b), on_a, on_b)
-            for e1, e2 in product(_SPIN_X_PROJ, repeat=2)
+            for e1, e2 in product("+-", repeat=2)
             for (a, on_a), (b, on_b) in product(*detectors)]
     labels = all_labels()
     spins = {spatial: key for key, spatial in SPIN_TO_SPATIAL.items()}
@@ -503,15 +497,12 @@ def _readout(text: str):
 
 def _read_out(amps: np.ndarray, readout) -> np.ndarray:
     """The amplitudes [..., row, polA * polB] of each row of a readout table, as
-    _readout returns it, on amplitudes [..., *state axes] of its text's layout. A
-    spin projected on an X eigenvector has the same up amplitude, 1/sqrt2 of the
-    outcome's, for both outcomes, so a row keeps its (up, up) component, doubled.
-    """
+    _readout returns it, on amplitudes [..., *state axes] of its text's layout."""
     matrices, rows = readout
     for slot, mat in matrices:
         amps = _apply_photon_matrix(amps, slot, mat)
-    projected = _x_projected(amps)
-    out = np.stack([2 * projected[spins.e1, spins.e2][on_a][on_b][..., 0, 0]
+    x = _x_amplitudes(amps)
+    out = np.stack([x[on_a][on_b][..., "+-".index(spins.e1), "+-".index(spins.e2)]
                     for spins, _, on_a, on_b, *_ in rows], axis=-3)
     return out.reshape(out.shape[:-2] + (-1,))
 

@@ -18,6 +18,7 @@ from hyperbell.hilbert import (
     _path_slice,
     _polspin,
     _project_path,
+    _x_amplitudes,
     apply_single_photon_op,
     apply_spin_conditional_op,
     format_state,
@@ -50,6 +51,28 @@ class TestSpinXBasis:
     @pytest.mark.parametrize("e, v", [("+", SPIN_PLUS), ("-", SPIN_MINUS)])
     def test_projector_is_outer_product_of_x_vector(self, e, v):
         np.testing.assert_allclose(_SPIN_X_PROJ[e], np.outer(v, v.conj()), rtol=0, atol=2e-16)
+
+    def test_x_amplitudes_are_overlaps_with_the_x_products(self, rng):
+        shape = (3, 2) + (2,) * 6  # two leading degree axes, as on runner coefficients
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x = _x_amplitudes(amps)
+        for i, u in enumerate((SPIN_PLUS, SPIN_MINUS)):
+            for j, v in enumerate((SPIN_PLUS, SPIN_MINUS)):
+                overlaps = amps.reshape(-1, 4) @ np.kron(u, v).conj()
+                np.testing.assert_allclose(x[..., i, j].ravel(), overlaps, rtol=0, atol=1e-15)
+
+    def test_derived_vectors_and_projectors_equal_their_literals_bit_for_bit(self):
+        # the literals the X basis was once written as; int64 views count signed zeros
+        literals = [
+            (SPIN_PLUS, np.array([1.0, 1.0], dtype=complex) / SQ2),
+            (SPIN_MINUS, np.array([1.0, -1.0], dtype=complex) / SQ2),
+            (_SPIN_X_PROJ["+"], np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)),
+            (_SPIN_X_PROJ["-"], np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)),
+        ]
+        assert list(_SPIN_X_PROJ) == ["+", "-"]
+        for derived, literal in literals:
+            assert derived.dtype == literal.dtype and derived.shape == literal.shape
+            np.testing.assert_array_equal(derived.view(np.int64), literal.view(np.int64))
 
 
 class TestLayout:

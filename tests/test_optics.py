@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ Z_A1 = Element(ElementKind.Z, photon="A", path="a1")
 BS_A = Element(ElementKind.BS, photon="A", in_paths=("a1", "a2"), out_paths=("a1", "a2"))
 CPBS_A1 = Element(ElementKind.CPBS, photon="A", in_paths=("a1",), out_paths=("a1", "a2"))
 PBS_A1 = Element(ElementKind.PBS, photon="A", path="a1", out_paths=("a1", "a2"))
+NOT_STR = "fields and paths must be str or tuples of str: "  # the element type rule's message
 
 
 class TestHalfWavePlate:
@@ -239,11 +241,12 @@ class TestElementMatrixCache:
         assert element_matrix(BS_A, small_layout) is element_matrix(bs_c, other)
 
     @pytest.mark.parametrize("el", [BS_A, CPBS_A1, PBS_A1], ids=["bs", "cpbs", "pbs"])
-    def test_list_ports_give_the_tuple_form_matrix(self, small_layout, el):
+    def test_list_ports_are_a_configuration_error(self, small_layout, el):
         listed = el._replace(in_paths=el.in_paths and list(el.in_paths),
                              out_paths=list(el.out_paths))
-        np.testing.assert_array_equal(element_matrix(listed, small_layout),
-                                      element_matrix(el, small_layout))
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(NOT_STR)}"):
+                element_matrix(listed, small_layout)
 
     @pytest.mark.parametrize("el", [
         HP_A1._replace(out_paths=("a1", "a2")),
@@ -281,11 +284,23 @@ class TestElementCheckCache:
     def test_list_ports_are_checked_uncached(self):
         optics._checked.cache_clear()
         listed = BS_A._replace(in_paths=["a1", "a2"], out_paths=["a1", "a2"])
-        optics._check_element(listed, {"A": ("a1", "a2")}, ())
-        optics._check_element(BS_A, {"A": ["a1", "a2"]}, ())
-        with pytest.raises(ConfigurationError, match="^dangling path reference 'a2'"):
-            optics._check_element(listed, {"A": ("a1",)}, ())
+        for el, paths in ((listed, {"A": ("a1", "a2")}), (listed, {"A": ("a1",)}),
+                          (BS_A, {"A": ["a1", "a2"]})):
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(NOT_STR)}"):
+                optics._check_element(el, paths, ())
         assert optics._checked.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("el", [
+        BS_A._replace(in_paths=["a1", "a2"], out_paths=["a1", "a2"]),
+        Element(ElementKind.MEASURE_SPIN, qd=["QD1"]),
+        Element(ElementKind.DETECTOR, photon="A", path="a1", label=["D"]),
+        HP_A1._replace(photon=["A"]),
+        BS_A._replace(in_paths=5),
+    ], ids=["list-ports", "qd", "label", "photon", "int-ports"])
+    def test_a_field_not_a_string_or_string_tuple_fails_a_run(self, small_layout, rng, el):
+        circuit = replace(one_op_circuit(small_layout, "hp photon=A path=a1"), ops=(el,))
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(NOT_STR)}"):
+            run_circuit_tracked(circuit, random_state(small_layout, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,19 @@ class TestMakeBell:
                 apply_local_correction(make_bell(label.pol, label.spatial, small_layout),
                                        label, label, rails)
 
+    @pytest.mark.parametrize("rails", [
+        (("a1",), ("b1", "b2")),
+        (("a1", "a2"), ("b1", "b2", "b1")),
+        (("a1", "a2"),),
+    ], ids=["one-path", "three-paths", "one-photon"])
+    def test_rails_naming_other_than_two_paths_per_photon_rejected(self, small_layout, rails):
+        label = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)
+        with pytest.raises(ConfigurationError, match="^rails must name two paths per photon"):
+            make_bell(label.pol, label.spatial, small_layout, rails)
+        with pytest.raises(ConfigurationError, match="^rails must name two paths per photon"):
+            apply_local_correction(make_bell(label.pol, label.spatial, small_layout),
+                                   label, label, rails)
+
     def test_parse_label(self):
         assert parse_label("phi+,psi-") == HyperBellLabel(Bell.PHI_PLUS, Bell.PSI_MINUS)
         with pytest.raises(ConfigurationError):
