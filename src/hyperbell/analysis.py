@@ -10,10 +10,11 @@ circuit text. The whole grid is one NumPy evaluation of
 efficiency |(r_h - r_o)/2|^8, the simulated end-to-end
 success probability (they must agree to 1e-10), the herald rate, the
 silent-leak share of the surviving weight, and the conditional fidelity,
-1 by construction (hbsg_statistics_grid). The coefficients are
-one array evaluation too, and the CSV and SVG writers work on columns;
-the CSV writer formats each distinct value of a mostly-repeating column
-once, telling values apart by bit pattern (-0.0 is not 0.0).
+1 by construction (hbsg_statistics_grid); hbsg_branch_report checks it per
+spin branch on protocols.run_hbsg, the one per-pair generation run. The
+coefficients are one array evaluation too, and the CSV and SVG writers work
+on columns; the CSV writer formats each distinct value of a mostly-repeating
+column once, telling values apart by bit pattern (-0.0 is not 0.0).
 A point is a SweepRecord, a NamedTuple: immutable, compared by value
 (a plain tuple of the same values included), and copied with _replace.
 """
@@ -41,15 +42,14 @@ from .hilbert import HybridState, overlap
 from .protocols import (
     HBSG_CIRCUIT_TEXT,
     HBSG_OUTPUT_RAILS,
-    HBSG_OUTPUT_TABLE,
     HyperBellLabel,
     Bell,
     _no_click,
     _parsed,
-    hbsg_circuit,
     hbsg_input,
     make_bell,
     run_hbsa,
+    run_hbsg,
 )
 from .optics import (
     _BRANCH_DROP,
@@ -57,7 +57,7 @@ from .optics import (
     _weight,
     layer_s_degrees,
     monomial_support,
-    run_circuit_tracked,
+    run_circuit_tracked,  # bound here for perfbench's tracer; run_hbsg runs the circuit
 )
 
 CSV_COLUMNS = ("kappa_s_over_kappa,g_over_sum,r_o_re,r_o_im,r_h_re,r_h_im,"
@@ -145,7 +145,7 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
     lossless output, is 1 at every pair by construction: layer_s_degrees
     gives the unleaked layer one s-degree i, so it is s^i times one fixed
     vector, and at the lossless pair h = 0, so the output is that layer.
-    hbsg_branch_report checks each branch against its HBSG_OUTPUT_TABLE target.
+    hbsg_branch_report checks each branch of run_hbsg against its HBSG_OUTPUT_TABLE target.
     A pair at which a weight or sum overflows is a NumericDomainError.
     """
     layers, clicks = _generation_forms(HBSG_CIRCUIT_TEXT)
@@ -168,20 +168,12 @@ def hbsg_statistics(pair: ReflectionPair) -> GenerationStats:
 
 
 def hbsg_branch_report(pair: ReflectionPair) -> list[tuple[tuple[str, str], float, float]]:
-    """Per spin branch: (spins, probability, clean-component target fidelity)."""
-    circuit = hbsg_circuit()
-    layout = circuit.layout()
-    rows = []
-    for tb in run_circuit_tracked(circuit, hbsg_input(circuit), pair).branches:
-        if tb.heralds() or tb.clean_weight <= _BRANCH_DROP:
-            continue
-        spins = tb.spin_results()
-        key = (spins["QD1"], spins["QD2"])
-        label = HBSG_OUTPUT_TABLE[key]
-        target = make_bell(label.pol, label.spatial, layout,
-                           rails=HBSG_OUTPUT_RAILS, spins=key)
-        rows.append((key, tb.probability, fidelity(tb.clean_state(), target)))
-    return rows
+    """Per unheralded branch of run_hbsg(pair) whose clean weight exceeds _BRANCH_DROP:
+    (spins, probability, fidelity of its clean component with its HBSG_OUTPUT_TABLE target)."""
+    return [(key, b.probability, fidelity(b.clean_state, make_bell(
+                b.label.pol, b.label.spatial, b.clean_state.layout, HBSG_OUTPUT_RAILS, key)))
+            for b in run_hbsg(pair) if not b.heralds and b.clean_weight > _BRANCH_DROP
+            for key in [(b.spins.e1, b.spins.e2)]]
 
 
 def hbsa_leakage_rate(pair: ReflectionPair,

@@ -40,14 +40,13 @@ def _pair_from_args(args) -> "analysis.ReflectionPair":
 
 def _cmd_coeffs(args) -> int:
     pair = _pair_from_args(args)
-    success = abs(pair.r_h - pair.r_o) ** 2 / 4
     print(f"r_o_re={pair.r_o.real!r}")
     print(f"r_o_im={pair.r_o.imag!r}")
     print(f"r_h_re={pair.r_h.real!r}")
     print(f"r_h_im={pair.r_h.imag!r}")
     print(f"phi_o={pair.phi_o!r}")
     print(f"phi_h={pair.phi_h!r}")
-    print(f"success_prob_per_passage={success!r}")
+    print(f"success_prob_per_passage={abs(pair.success_amplitude) ** 2!r}")
     return 0
 
 

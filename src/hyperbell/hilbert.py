@@ -85,10 +85,6 @@ class StateLayout:
     def shape(self) -> tuple[int, ...]:
         return (2, len(self.paths[0]), 2, len(self.paths[1]), 2, 2)
 
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.shape))
-
     def photon_slot(self, photon: str) -> int:
         try:
             return self.photons.index(photon)

@@ -171,8 +171,9 @@ def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
 
     Checked on every call; built once per (kind, path count, port indices), read-only, shared.
     """
-    if el.kind not in _PLATES and el.kind not in _PORTS:
-        raise ConfigurationError(f"element kind {el.kind.value} has no single-photon matrix")
+    kind = _kind(el.kind)
+    if kind not in _PLATES and kind not in _PORTS:
+        raise ConfigurationError(f"element kind {kind.value} has no single-photon matrix")
     paths = dict(zip(layout.photons, layout.paths))
     _check_element(el, paths, ())
     return _matrix(el, paths[el.photon])
@@ -246,6 +247,14 @@ _OP_KEYS = ("photon", "path", "in", "out", "qd", "label", "pol")
 _CHECKED_MAX = 4096  # checks _checked keeps; the benchmark's circuits level off near 1,600
 
 
+def _kind(kind) -> ElementKind:
+    """The ElementKind that kind is or names; any other value is the parser's error."""
+    try:
+        return ElementKind(kind)
+    except ValueError:
+        raise ConfigurationError(f"unknown element kind {kind!r}") from None
+
+
 def _check_element(el: Element, paths: dict, qds) -> None:
     """Raise the parser's message unless el has, in turn, a declared photon (paths maps it to
     its paths) and paths of it, the splitter port rule, its kind's keys, pol R or L, a QD in qds.
@@ -259,7 +268,7 @@ def _check_element(el: Element, paths: dict, qds) -> None:
 @lru_cache(maxsize=_CHECKED_MAX)  # a check that raises is not cached
 def _checked(el: Element, own: tuple | None, qd_declared: bool) -> None:
     """_check_element's check; own: the paths of el's photon (None if undeclared)."""
-    kind, photon, path, ins, outs, qd, _, pol = el
+    kind, photon, path, ins, outs, qd, _, pol = _kind(el.kind), *el[1:]
     if photon is not None and own is None:
         raise ConfigurationError(f"undeclared photon {photon!r}")
     for p in (path, *(ins or ()), *(outs or ())) if own is not None else ():
@@ -347,11 +356,9 @@ def _elements(keyword: str, rest: list[str], qds: dict, paths: dict,
     if keyword == "op":
         if not rest:
             raise ConfigurationError("op needs a kind")
-        head = f"op {rest[0]}"
-        if head not in _KEYS:
-            raise ConfigurationError(f"unknown element kind {rest[0]!r}")
-        kv = _parse_kv(head, rest[1:])
-        els = [Element(ElementKind(rest[0]), *map(kv.get, _OP_KEYS))]
+        kind = _kind(rest[0])
+        kv = _parse_kv("op " + kind, rest[1:])
+        els = [Element(kind, *map(kv.get, _OP_KEYS))]
     else:
         kv = _parse_kv("block", rest)
         mode, label = kv["mode"], kv.get("label")
@@ -411,7 +418,7 @@ def serialize_circuit(circuit: Circuit) -> str:
     lines = [f"qd {qd.name} basis={qd.basis}" for qd in circuit.qds]
     lines += [f"photon {ph.name} paths={','.join(ph.paths)}" for ph in circuit.photons]
     for el in circuit.ops:
-        lines.append(" ".join([f"op {el.kind.value}"] + [
+        lines.append(" ".join([f"op {_kind(el.kind).value}"] + [
             f"{key}={value if isinstance(value, str) else ','.join(value)}"
             for key, value in zip(_OP_KEYS, el[1:]) if value is not None]))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -15,9 +15,10 @@ by single-photon Bell-state measurements (SPBSM) assisted by the now-known
 spatial state. Only stage 1, every op before the first spin measurement,
 sees the cavity. _no_click runs it at a pair or as a polynomial in (s, h)
 and keeps its no-click branch, for the analyzer and for the generator's
-forms in analysis. One rule, _hbsa_forms, gives any input its forms: it
-runs stage 1 on the input as a polynomial and applies the fixed readout to
-that branch: the SPBSM's matrices, then both spins' X basis, whose outcome
+forms in analysis; run_hbsg, which analysis.hbsg_branch_report reads, is
+the one per-pair generation run. One rule, _hbsa_forms, gives any input its
+forms: it runs stage 1 on the input as a polynomial and applies the fixed
+readout to that branch: the SPBSM's matrices, then both spins' X basis, whose outcome
 is the spatial state (hilbert._x_amplitudes), so each of the 64 (spin
 outcome, detector pattern) branches keeps its amplitude as a polynomial.
 Each h-degree layer of it is one monomial s^i h^k, so run_hbsa reads an
@@ -88,9 +89,6 @@ class Bell(str, Enum):
     PSI_MINUS = "psi-"
 
 
-BELL_ORDER = (Bell.PHI_PLUS, Bell.PHI_MINUS, Bell.PSI_PLUS, Bell.PSI_MINUS)
-
-
 @dataclass(frozen=True)
 class HyperBellLabel:
     """One of the 16 two-photon polarization (x) spatial-mode Bell products."""
@@ -103,7 +101,7 @@ class HyperBellLabel:
 
 
 def all_labels() -> list[HyperBellLabel]:
-    return [HyperBellLabel(p, s) for p in BELL_ORDER for s in BELL_ORDER]
+    return [HyperBellLabel(p, s) for p in Bell for s in Bell]
 
 
 def parse_label(text: str) -> HyperBellLabel:
@@ -141,16 +139,13 @@ class DetectorPattern:
 # Bell-state constructors
 
 DEFAULT_RAILS = (("a1", "a2"), ("b1", "b2"))
-_MIN_LAYOUT = StateLayout(photons=("A", "B"), paths=(("a1", "a2"), ("b1", "b2")))
+_MIN_LAYOUT = StateLayout(photons=("A", "B"), paths=DEFAULT_RAILS)
 
-
-# sqrt2 times each Bell state's matrix, rows photon A's basis and columns photon B's
-_BELL = {Bell.PHI_PLUS: ((1, 0), (0, 1)), Bell.PHI_MINUS: ((1, 0), (0, -1)),
-         Bell.PSI_PLUS: ((0, 1), (1, 0)), Bell.PSI_MINUS: ((0, 1), (-1, 0))}
-
-
-def _bell_matrix(index: Bell) -> np.ndarray:
-    return np.array(_BELL[index], dtype=complex) / _SQRT2
+# each Bell state's matrix, rows photon A's basis and columns photon B's, read-only
+_BELL = dict(zip(Bell, np.array([((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)),
+                                 ((0, 1), (-1, 0))], dtype=complex) / _SQRT2))
+for _bell in _BELL.values():
+    _bell.flags.writeable = False
 
 
 def make_bell(pol: Bell, spatial: Bell, layout: StateLayout = _MIN_LAYOUT,
@@ -160,17 +155,20 @@ def make_bell(pol: Bell, spatial: Bell, layout: StateLayout = _MIN_LAYOUT,
     rails names the two distinct paths per photon carrying the spatial
     qubit; spins fixes the factored-out spin configuration.
     """
-    if len(rails) != 2 or any(len(pair) != 2 for pair in rails):
-        raise ConfigurationError(f"rails must name two paths per photon: {rails}")
-    if any(pair[0] == pair[1] for pair in rails):
+    try:
+        (a1, a2), (b1, b2) = rails
+        spin_a, spin_b = map(spin_vector, spins)
+    except (TypeError, ValueError):
+        raise ConfigurationError("rails must name two paths per photon and spins two spin "
+                                 f"states: {rails}, {spins!r}") from None
+    if a1 == a2 or b1 == b2:
         raise ConfigurationError(f"a rail pair repeats a path: {rails}")
     ia, ib = ([layout.path_index(photon, p) for p in pair]
               for photon, pair in zip(layout.photons, rails))
     state = zero_state(layout)
     # the rail block, axes (railA, railB, polA, polB, s1, s2)
     state.amps[:, np.array(ia)[:, None], :, ib] = np.einsum(
-        "xy,pq,s,t->xypqst", _bell_matrix(spatial), _bell_matrix(pol),
-        spin_vector(spins[0]), spin_vector(spins[1]))
+        "xy,pq,s,t->xypqst", _BELL[spatial], _BELL[pol], spin_a, spin_b)
     return state
 
 
@@ -257,10 +255,7 @@ def _no_click(circuit: Circuit, state: HybridState, pair: ReflectionPair | None 
     runner dropped it) and its clicks, a list of coefficient arrays per
     detector label, as the runner keeps them in both modes."""
     _, branches, clicks = _run(_split_stage1(circuit)[0], state, pair)
-    for record, c in branches:
-        if record == ():
-            return c, clicks
-    return np.zeros((1, 1) + state.amps.shape, dtype=complex), clicks
+    return dict(branches).get((), np.zeros((1, 1) + state.amps.shape, dtype=complex)), clicks
 
 
 def hbsg_input(circuit: Circuit | None = None) -> HybridState:
@@ -272,7 +267,7 @@ def hbsg_input(circuit: Circuit | None = None) -> HybridState:
 
 @dataclass(frozen=True)
 class HbsgBranch:
-    """One generation branch: spin results, herald clicks, collapsed state."""
+    """One generation branch: spin results, herald clicks, collapsed and clean states."""
 
     spins: SpinOutcome
     heralds: tuple[str, ...]
@@ -280,6 +275,7 @@ class HbsgBranch:
     probability: float
     clean_weight: float
     leaked_weight: float
+    clean_state: HybridState  # never leaked, unnormalized (TrackedBranch.clean_state)
 
     @property
     def label(self) -> HyperBellLabel | None:
@@ -289,27 +285,17 @@ class HbsgBranch:
         return HBSG_OUTPUT_TABLE[(self.spins.e1, self.spins.e2)]
 
 
-def _branch_from_tracked(tb: TrackedBranch) -> HbsgBranch:
-    spins = tb.spin_results()
-    return HbsgBranch(
-        spins=SpinOutcome(spins["QD1"], spins["QD2"]),
-        heralds=tb.heralds(),
-        state=tb.physical_state().normalized(),
-        probability=tb.probability,
-        clean_weight=tb.clean_weight,
-        leaked_weight=tb.leaked_weight,
-    )
-
-
 def run_hbsg(pair: ReflectionPair = IDEAL_PAIR) -> list[HbsgBranch]:
-    """Run the full generation circuit and return every branch.
+    """The one per-pair generation run: every branch of the full generation circuit.
 
     Unheralded branches carry the four spin outcomes with probability
     |s|^8 / 4 each (s = (r_o - r_h)/2) and match HBSG_OUTPUT_TABLE.
     """
     circuit = hbsg_circuit()
-    run = run_circuit_tracked(circuit, hbsg_input(circuit), pair)
-    return [_branch_from_tracked(tb) for tb in run.branches]
+    return [HbsgBranch(SpinOutcome(*map(tb.spin_results().get, ("QD1", "QD2"))), tb.heralds(),
+                       tb.physical_state().normalized(), tb.probability, tb.clean_weight,
+                       tb.leaked_weight, tb.clean_state())
+            for tb in run_circuit_tracked(circuit, hbsg_input(circuit), pair).branches]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +319,7 @@ def apply_local_correction(state: HybridState, frm: HyperBellLabel,
         raise PreconditionError(f"input state is not the {frm} hyperentangled state")
     photon_a = state.layout.photons[0]
     ia = [state.layout.path_index(photon_a, p) for p in rails[0]]
-    pol, rail = (2 * _bell_matrix(t) @ _bell_matrix(f).conj().T
+    pol, rail = (2 * _BELL[t] @ _BELL[f].conj().T
                  for f, t in ((frm.pol, to.pol), (frm.spatial, to.spatial)))
     path = np.eye(len(state.layout.paths[0]), dtype=complex)
     path[np.ix_(ia, ia)] = rail

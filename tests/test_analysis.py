@@ -34,6 +34,8 @@ from hyperbell.errors import ConfigurationError, NumericDomainError
 from hyperbell.hilbert import zero_state
 from hyperbell.optics import _BRANCH_DROP, run_circuit_tracked
 from hyperbell.protocols import (
+    HBSG_OUTPUT_RAILS,
+    HBSG_OUTPUT_TABLE,
     Bell,
     HyperBellLabel,
     _split_stage1,
@@ -79,6 +81,22 @@ class TestFidelity:
     def test_generation_branch_fidelity_at_example_point(self):
         for _, _, fid in hbsg_branch_report(EXAMPLE_PAIR):
             assert fid >= 1 - 1e-12
+
+    @pytest.mark.parametrize("pair", [EXAMPLE_PAIR, ReflectionPair(1.7 + 0.2j, -0.4 + 1.1j),
+                                      ReflectionPair(0.5, 0.3)], ids=["example", "gain", "lossy"])
+    def test_branch_report_is_the_runners_rows(self, pair):
+        # the rows rebuilt straight from run_circuit_tracked, bit for bit
+        circuit = hbsg_circuit()
+        want = []
+        for tb in run_circuit_tracked(circuit, hbsg_input(circuit), pair).branches:
+            if tb.heralds() or tb.clean_weight <= _BRANCH_DROP:
+                continue
+            key = (tb.spin_results()["QD1"], tb.spin_results()["QD2"])
+            label = HBSG_OUTPUT_TABLE[key]
+            target = make_bell(label.pol, label.spatial, circuit.layout(),
+                               rails=HBSG_OUTPUT_RAILS, spins=key)
+            want.append((key, tb.probability, fidelity(tb.clean_state(), target)))
+        assert len(want) == 4 and hbsg_branch_report(pair) == want
 
 
 class TestEfficiencyClosedForm:

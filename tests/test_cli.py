@@ -306,6 +306,15 @@ class TestExitCodes:
         assert out == ""
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_failed_write_exits_2(self, capsys, flag):
+        # /dev/full passes the writability check and fails the write itself
+        code, _, err = run_cli(capsys, "sweep", "--ks-steps", "2", "--g-steps", "2",
+                               flag, "/dev/full")
+        assert code == 2
+        assert err == "configuration error: cannot write /dev/full: No space left on device\n"
+
     def test_output_paths_checked_before_sweep(self, capsys, monkeypatch, tmp_path):
         from hyperbell import analysis
 

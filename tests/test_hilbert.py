@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ class TestSpinXBasis:
 class TestLayout:
     def test_shape(self, small_layout):
         assert small_layout.shape == (2, 2, 2, 2, 2, 2)
-        assert small_layout.dim == 64
+        assert math.prod(small_layout.shape) == 64
 
     def test_unknown_path_rejected(self, small_layout):
         with pytest.raises(ConfigurationError):

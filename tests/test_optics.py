@@ -1,5 +1,7 @@
+import random
 import re
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from hyperbell.optics import (
     run_circuit_tracked,
     serialize_circuit,
 )
+from hyperbell.protocols import HBSA_FULL_TEXT, HBSG_CIRCUIT_TEXT
 
 SQ2 = np.sqrt(2.0)
 EXAMPLE_PAIR = reflection_coefficients(CavityParams(g=1.0, gamma=0.1))
@@ -301,6 +304,36 @@ class TestElementCheckCache:
         circuit = replace(one_op_circuit(small_layout, "hp photon=A path=a1"), ops=(el,))
         with pytest.raises(ConfigurationError, match=f"^{re.escape(NOT_STR)}"):
             run_circuit_tracked(circuit, random_state(small_layout, rng))
+
+    @pytest.mark.parametrize("el, message", [
+        (BS_A._replace(kind="bs", out_paths=("a1", "a1")),
+         "bs binds two distinct inputs and two distinct outputs"),
+        (HP_A1._replace(kind=5), "unknown element kind 5"),
+        (HP_A1._replace(kind="nope"), "unknown element kind 'nope'"),
+        (HP_A1._replace(kind="qdarm", qd="QD1"), "element kind qdarm has no single-photon matrix"),
+    ], ids=["str-bs", "int", "unknown-str", "str-qdarm"])
+    def test_a_kind_not_an_element_kind_is_checked(self, small_layout, rng, el, message):
+        # a string that names a kind is that kind; any other value is the parser's error
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            element_matrix(el, small_layout)
+        circuit = replace(one_op_circuit(small_layout, "hp photon=A path=a1"), ops=(el,))
+        if "single-photon" not in message:
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                run_circuit_tracked(circuit, random_state(small_layout, rng))
+        if "unknown" in message:
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                serialize_circuit(circuit)
+
+    def test_a_kind_named_by_a_string_runs_as_that_kind(self, small_layout, rng):
+        named = replace(one_op_circuit(small_layout, "hp photon=A path=a1"),
+                        ops=(HP_A1._replace(kind="hp"),))
+        state = random_state(small_layout, rng)
+        np.testing.assert_array_equal(element_matrix(named.ops[0], small_layout),
+                                      element_matrix(HP_A1, small_layout))
+        (got,), (want,) = (run_circuit_tracked(c, state).branches
+                           for c in (named, replace(named, ops=(HP_A1,))))
+        np.testing.assert_array_equal(got.layers[0], want.layers[0])
+        assert serialize_circuit(named).endswith("op hp photon=A path=a1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -999,3 +1032,43 @@ class TestRandomCircuitRoundTrip:
             c2 = parse_circuit(serialized)
             assert c1 == c2
             assert serialize_circuit(c2) == serialized
+
+
+# ---------------------------------------------------------------------------
+# fuzz
+
+_TOKEN = re.compile(r"[^\s=,]+")  # a name, kind, key or value of a circuit line
+FUZZ_SEEDS = (0, 1)  # one random.Random(seed) per (seed, text): 2 x 2 x 125 mutants
+FUZZ_PAIR = reflection_coefficients(CavityParams(g=0.5, kappa_s=0.3, gamma=0.2, omega=0.4))
+
+
+def _mutants(text: str, seed: int, vocab: list, n: int):
+    """n mutants of text, each with one or two of its tokens replaced by one of vocab."""
+    rng = random.Random(seed)
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    for _ in range(n):
+        mutant = text
+        for start, end in sorted(rng.sample(spans, rng.choice((1, 2))), reverse=True):
+            mutant = mutant[:start] + rng.choice(vocab) + mutant[end:]
+        yield mutant
+
+
+class TestMutantFuzz:
+    def test_shipped_text_mutants_run_or_raise_the_package_errors(self):
+        texts = (HBSA_FULL_TEXT, HBSG_CIRCUIT_TEXT)
+        vocab = sorted(set(_TOKEN.findall("".join(texts)))) + ["", "=", ",", "#", "x", "-1"]
+        ran = 0
+        for seed, text in product(FUZZ_SEEDS, texts):
+            for mutant in _mutants(text, seed, vocab, 125):
+                try:
+                    circuit = parse_circuit(mutant)
+                    layout = circuit.layout()
+                    state = product_state(layout, "H", dict.fromkeys(layout.paths[0], 0.5),
+                                          "H", dict.fromkeys(layout.paths[1], 0.5))
+                    run_circuit_tracked(circuit, state, FUZZ_PAIR)
+                    ran += 1
+                except (ConfigurationError, NumericDomainError):
+                    continue
+                except Exception as exc:  # warnings are errors too
+                    pytest.fail(f"{type(exc).__name__}: {exc}\non the mutant:\n{mutant}")
+        assert ran > 0  # some mutants get past the parser

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -30,6 +31,7 @@ from hyperbell.optics import (
 )
 from hyperbell import protocols
 from hyperbell.protocols import (
+    DEFAULT_RAILS,
     Bell,
     DetectorPattern,
     HBSG_OUTPUT_RAILS,
@@ -106,6 +108,15 @@ class TestMakeBell:
             apply_local_correction(make_bell(label.pol, label.spatial, small_layout),
                                    label, label, rails)
 
+    @pytest.mark.parametrize("rails, spins", [
+        (DEFAULT_RAILS, ("+",)), (DEFAULT_RAILS, 5), (5, ("+", "+")), (DEFAULT_RAILS, (None, "+")),
+    ], ids=["one-spin", "int-spins", "int-rails", "none-spin"])
+    def test_spins_or_rails_not_two_rejected(self, small_layout, rails, spins):
+        message = ("rails must name two paths per photon and spins two spin states: "
+                   f"{rails}, {spins!r}")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            make_bell(Bell.PHI_PLUS, Bell.PHI_PLUS, small_layout, rails, spins)
+
     def test_parse_label(self):
         assert parse_label("phi+,psi-") == HyperBellLabel(Bell.PHI_PLUS, Bell.PSI_MINUS)
         with pytest.raises(ConfigurationError):
@@ -124,6 +135,18 @@ class TestHbsg:
         # |r| > 1 stays legal where nothing overflows
         branches = run_hbsg(ReflectionPair(1e30, 1e30))
         assert branches and all(math.isfinite(b.probability) for b in branches)
+
+    @pytest.mark.parametrize("pair", [EXAMPLE_PAIR, ReflectionPair(1.7 + 0.2j, -0.4 + 1.1j)],
+                             ids=["example", "gain"])
+    def test_clean_state_is_the_runners_layer_0(self, pair):
+        circuit = hbsg_circuit()
+        layers = {tb.record: tb.layers[0]
+                  for tb in run_circuit_tracked(circuit, hbsg_input(circuit), pair).branches}
+        unheralded = [b for b in run_hbsg(pair) if not b.heralds]
+        assert len(unheralded) == 4
+        for b in unheralded:
+            np.testing.assert_array_equal(
+                b.clean_state.amps, layers[("QD1", b.spins.e1), ("QD2", b.spins.e2)])
 
     def test_heralded_branch_has_no_label(self):
         branches = run_hbsg(EXAMPLE_PAIR)

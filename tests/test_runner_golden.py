@@ -15,6 +15,7 @@ Both files were written by the functions below.
 """
 
 import json
+import math
 from itertools import product
 from pathlib import Path
 
@@ -76,8 +77,8 @@ def element_matrix_table() -> dict[str, np.ndarray]:
 
 def _probe(layout: StateLayout) -> np.ndarray:
     """The fixed vector that the layers of a layout are projected on."""
-    rng = np.random.default_rng(list(layout.shape))
-    return rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
+    rng, n = np.random.default_rng(list(layout.shape)), math.prod(layout.shape)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def run_snapshot(text: str, product_args, r_o: complex, r_h: complex) -> dict:
