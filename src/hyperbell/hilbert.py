@@ -52,8 +52,8 @@ def _two_vector(x, names: dict, unknown: str, noun: str) -> np.ndarray:
         except KeyError:
             raise ConfigurationError(f"unknown {unknown} {x!r}") from None
     v = np.asarray(x, dtype=complex)
-    if v.shape != (2,):
-        raise ConfigurationError(f"{noun} vector must have length 2")
+    if v.shape != (2,) or not np.isfinite(v).all():
+        raise ConfigurationError(f"{noun} vector must have length 2 and finite entries: {x!r}")
     return v
 
 

@@ -34,14 +34,17 @@ splitter binds two distinct outputs and, by the port rule, its inputs: a
 pbs its ``path``, a cpbs one or two distinct paths, a bs two distinct
 paths that its outputs equal as a set or avoid. _check_element holds
 these rules, pol and declared names for one element. The parser calls it
-on each element of a line, element_matrix on every call and _compile on
-every op, so a hand-built circuit gets the parser's messages. A passing
-check is cached on all it reads, so _compile finds a parsed op's check
-cached. Each matrix is built once per (kind, path count, port indices),
-read-only and shared. The runner ignores ``wfc qd=`` and ``measure_spin
-photon=``. A detector clicks on its path, in the one polarization that
-``pol`` names or in both; a clicked photon stays on its path. No two
-detectors, plain or of heralded blocks, share a label.
+on each element of a line, element_matrix on every call, serialize_circuit
+and _compile on every op, so a hand-built circuit gets the parser's
+messages. A passing check is cached on all it reads, with the op's action
+less its slots and label (its matrix, path and pol indices). The parser
+caches each op or block line's elements on its text and the declarations
+before it (96% hits over 3,000 benchmark circuits); labels are claimed
+per circuit. Each matrix is built once per (kind, path count, port
+indices), read-only and shared. The runner ignores ``wfc qd=`` and
+``measure_spin photon=``. A detector clicks on its path, in the one
+polarization that ``pol`` names or in both; a clicked photon stays on
+its path. No two detectors, plain or of heralded blocks, share a label.
 The ``block`` macro expands into block_ops: Hp - qdarm - Hp on the bound
 path, then ``z`` (parity) or ``detector pol=L`` (heralded), which
 catches the leak, as the leak keeps the L polarization of the input.
@@ -174,20 +177,12 @@ def element_matrix(el: Element, layout: StateLayout) -> np.ndarray:
     kind = _kind(el.kind)
     if kind not in _PLATES and kind not in _PORTS:
         raise ConfigurationError(f"element kind {kind.value} has no single-photon matrix")
-    paths = dict(zip(layout.photons, layout.paths))
-    _check_element(el, paths, ())
-    return _matrix(el, paths[el.photon])
-
-
-def _matrix(el: Element, own: tuple) -> np.ndarray:
-    """The matrix of a passive element that _check_element passed, on a photon of paths own."""
-    return _built_matrix(el.kind, len(own), tuple(map(own.index, el.in_paths or (el.path,))),
-                         tuple(map(own.index, el.out_paths or ())))  # hp and z: no outs
+    return _check_element(el, dict(zip(layout.photons, layout.paths)), ())[1]
 
 
 @cache
 def _built_matrix(kind: ElementKind, n: int, ins: tuple, outs: tuple) -> np.ndarray:
-    """_matrix's matrix, by port indices on a photon of n paths; read-only."""
+    """A passive element's matrix, by port indices on a photon of n paths; read-only."""
     x, y = list(ins), list(outs)
     if kind in _PLATES:
         mat = np.eye(2 * n, dtype=complex)
@@ -244,7 +239,9 @@ _KEYS = {
 }
 # the op key of each Element field after kind, in field (and serialized) order
 _OP_KEYS = ("photon", "path", "in", "out", "qd", "label", "pol")
-_CHECKED_MAX = 4096  # checks _checked keeps; the benchmark's circuits level off near 1,600
+_CHECKED_MAX = 4096  # entries of _checked and of _elements; circuits level off near 1,630, 3,460
+# the first cached value equal to value: equal values that caches hold share one object
+_shared = lru_cache(maxsize=_CHECKED_MAX)(lambda value: value)
 
 
 def _kind(kind) -> ElementKind:
@@ -255,19 +252,20 @@ def _kind(kind) -> ElementKind:
         raise ConfigurationError(f"unknown element kind {kind!r}") from None
 
 
-def _check_element(el: Element, paths: dict, qds) -> None:
+def _check_element(el: Element, paths: dict, qds) -> tuple:
     """Raise the parser's message unless el has, in turn, a declared photon (paths maps it to
-    its paths) and paths of it, the splitter port rule, its kind's keys, pol R or L, a QD in qds.
-    A passing check is cached on all it reads: el, its photon's paths, if its QD is declared."""
+    its paths) and paths of it, the splitter port rule, its kind's keys, pol R or L, a QD in qds;
+    else return el's action less its slots and label: ("matrix", mat), ("qdarm"|"wfc", path
+    index), ("detector", path index, pol index) or ("spin",). Cached on all it reads."""
     try:
-        _checked(el, paths.get(el.photon), el.qd in qds)
+        return _checked(el, paths.get(el.photon), el.qd in qds)
     except TypeError:  # a field or path is unhashable, as a list is, or a port list not iterable
         raise ConfigurationError(f"fields and paths must be str or tuples of str: {el}") from None
 
 
 @lru_cache(maxsize=_CHECKED_MAX)  # a check that raises is not cached
-def _checked(el: Element, own: tuple | None, qd_declared: bool) -> None:
-    """_check_element's check; own: the paths of el's photon (None if undeclared)."""
+def _checked(el: Element, own: tuple | None, qd_declared: bool) -> tuple:
+    """_check_element's check and result; own: the paths of el's photon (None if undeclared)."""
     kind, photon, path, ins, outs, qd, _, pol = _kind(el.kind), *el[1:]
     if photon is not None and own is None:
         raise ConfigurationError(f"undeclared photon {photon!r}")
@@ -288,6 +286,14 @@ def _checked(el: Element, own: tuple | None, qd_declared: bool) -> None:
         raise ConfigurationError(f"detector pol must be R or L, got {pol!r}")
     if qd is not None and not qd_declared:
         raise ConfigurationError(f"undeclared QD {qd!r}")
+    if kind == ElementKind.MEASURE_SPIN:
+        return ("spin",)
+    if kind in _PLATES or kind in _PORTS:  # hp and z: no outs
+        return ("matrix", _built_matrix(kind, len(own), tuple(map(own.index, ins or (path,))),
+                                        tuple(map(own.index, outs or ()))))
+    if kind == ElementKind.DETECTOR:
+        return ("detector", own.index(path), _POL_INDEX.get(pol, slice(None)))
+    return (kind.value, own.index(path))
 
 
 def _parse_kv(head: str, tokens: list[str]) -> dict:
@@ -350,9 +356,11 @@ def _declaration(keyword: str, rest: list[str]) -> QDDecl | PhotonDecl:
     return PhotonDecl(name, paths)
 
 
-def _elements(keyword: str, rest: list[str], qds: dict, paths: dict,
-              labels: set) -> list[Element]:
-    """The checked elements of one op or block line, their detector labels claimed."""
+@lru_cache(maxsize=_CHECKED_MAX)  # a line that raises is not cached
+def _elements(line: str, context: tuple) -> tuple[Element, ...]:
+    """The checked elements of one op or block line, comment and outer blanks stripped, under
+    context: the declarations before it, as (each photon's (name, paths), the QD names)."""
+    (keyword, *rest), paths, qds = line.split(), dict(context[0]), context[1]
     if keyword == "op":
         if not rest:
             raise ConfigurationError("op needs a kind")
@@ -370,8 +378,7 @@ def _elements(keyword: str, rest: list[str], qds: dict, paths: dict,
         els = block_ops(mode, kv["photon"], kv["path"], kv["qd"], label)
     for el in els:
         _check_element(el, paths, qds)
-    _claim_labels(labels, els)
-    return els
+    return tuple(map(_shared, els))
 
 
 def _claim_labels(labels: set, els) -> None:
@@ -388,24 +395,27 @@ def parse_circuit(text: str) -> Circuit:
     An error names the line it is on.
     """
     decls = {"qd": {}, "photon": {}}  # by keyword, each declaration by name
-    ops, labels, paths = [], set(), {}  # paths: each declared photon's paths
+    ops, labels, context = [], set(), ((), ())  # context: the declarations so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        keyword, rest = tokens[0], tokens[1:]
+        keyword = line.split(None, 1)[0]
         try:
             if keyword in decls:
-                decl, same = _declaration(keyword, rest), decls[keyword]
+                decl, same = _declaration(keyword, line.split()[1:]), decls[keyword]
                 noun = "QD" if keyword == "qd" else keyword
                 if decl.name in same:
                     raise ConfigurationError(f"duplicate {noun} id {decl.name!r}")
                 if len(same) == 2:
                     raise ConfigurationError(f"at most two {noun}s are supported")
                 same[decl.name] = decl
-                paths = {name: photon.paths for name, photon in decls["photon"].items()}
+                context = _shared((tuple((name, ph.paths) for name, ph in decls["photon"].items()),
+                                   tuple(decls["qd"])))
             elif keyword in ("op", "block"):
-                ops.extend(_elements(keyword, rest, decls["qd"], paths, labels))
+                els = _elements(line, context)
+                _claim_labels(labels, els)
+                ops.extend(els)
             else:
                 raise ConfigurationError(f"unknown keyword {keyword!r}")
         except ConfigurationError as exc:
@@ -414,11 +424,20 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    """Canonical text form; parse(serialize(parse(t))) == parse(t)."""
+    """Canonical text form; parse(serialize(parse(t))) == parse(t). An op that fails
+    _compile's check raises what parsing the text raises, on the line it would take."""
     lines = [f"qd {qd.name} basis={qd.basis}" for qd in circuit.qds]
     lines += [f"photon {ph.name} paths={','.join(ph.paths)}" for ph in circuit.photons]
+    paths, labels = {ph.name: ph.paths for ph in circuit.photons}, set()
+    qds = {qd.name for qd in circuit.qds}
     for el in circuit.ops:
-        lines.append(" ".join([f"op {_kind(el.kind).value}"] + [
+        head = f"op {_kind(el.kind).value}"  # an unknown kind has no line to name
+        try:
+            _check_element(el, paths, qds)
+            _claim_labels(labels, (el,))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"line {len(lines) + 1}: {exc}") from None
+        lines.append(" ".join([head] + [
             f"{key}={value if isinstance(value, str) else ','.join(value)}"
             for key, value in zip(_OP_KEYS, el[1:]) if value is not None]))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -493,33 +512,30 @@ def _compile(circuit: Circuit, layout: StateLayout):
 
     A photon's passive matrices are multiplied together and emitted as one
     matrix action just before that photon's next qdarm, wfc or detector,
-    and at the end. Each op is checked once; a passive op's matrix is _matrix's.
+    and at the end. Each op is checked once, and its check returns its action's tail.
     """
     actions, labels = [], set()
     pending = [None, None]  # per photon slot, the product of its matrices so far
     paths, qds = dict(zip(layout.photons, layout.paths)), {qd.name for qd in circuit.qds}
     for el in circuit.ops:
-        _check_element(el, paths, qds)
-        if el.kind == ElementKind.MEASURE_SPIN:
+        kind, *tail = _check_element(el, paths, qds)
+        if kind == "spin":
             actions.append(("spin", circuit.qd_slot(el.qd), el.qd))
             continue
         slot = layout.photons.index(el.photon)
-        if el.kind in _PLATES or el.kind in _PORTS:
-            mat = _matrix(el, paths[el.photon])
-            pending[slot] = mat if pending[slot] is None else mat @ pending[slot]
+        if kind == "matrix":
+            pending[slot] = tail[0] if pending[slot] is None else tail[0] @ pending[slot]
             continue
         if pending[slot] is not None:
             actions.append(("matrix", slot, pending[slot]))
             pending[slot] = None
-        path_idx = paths[el.photon].index(el.path)
-        if el.kind == ElementKind.QDARM:
-            actions.append(("qdarm", slot, path_idx, circuit.qd_slot(el.qd)))
-        elif el.kind == ElementKind.WFC:
-            actions.append(("wfc", slot, path_idx))
+        if kind == "qdarm":
+            actions.append(("qdarm", slot, *tail, circuit.qd_slot(el.qd)))
+        elif kind == "wfc":
+            actions.append(("wfc", slot, *tail))
         else:
             _claim_labels(labels, (el,))
-            actions.append(("detector", slot, path_idx, _POL_INDEX.get(el.pol, slice(None)),
-                            el.label))
+            actions.append(("detector", slot, *tail, el.label))
     return actions + [("matrix", slot, mat) for slot, mat in enumerate(pending)
                       if mat is not None]
 

@@ -156,6 +156,10 @@ def make_bell(pol: Bell, spatial: Bell, layout: StateLayout = _MIN_LAYOUT,
     qubit; spins fixes the factored-out spin configuration.
     """
     try:
+        pol, spatial = Bell(pol), Bell(spatial)
+    except ValueError:
+        raise ConfigurationError(f"pol and spatial must be Bells: {pol!r}, {spatial!r}") from None
+    try:
         (a1, a2), (b1, b2) = rails
         spin_a, spin_b = map(spin_vector, spins)
     except (TypeError, ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,15 @@ class TestInvalidInputs:
     def test_factor_and_layout_errors(self, make, message):
         with pytest.raises(ConfigurationError, match=message):
             make()
+
+    @pytest.mark.parametrize("vector", [[None, 1], [np.nan, 1], [1, np.inf]],
+                             ids=["none", "nan", "inf"])
+    def test_a_non_finite_factor_vector_is_rejected(self, small_layout, vector):
+        message = f"spin vector must have length 2 and finite entries: {vector!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            product_state(small_layout, "H", "a1", "H", "b1", spin1=vector)
+        with pytest.raises(ConfigurationError, match="^polarization vector must have length 2"):
+            product_state(small_layout, vector, "a1", "H", "b1")
 
     def test_path_vector_takes_an_array_of_the_photon_length(self, small_layout):
         v = small_layout.path_vector("B", [0.6, 0.8j])

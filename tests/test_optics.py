@@ -339,6 +339,50 @@ class TestElementCheckCache:
 # ---------------------------------------------------------------------------
 # parser
 
+class TestLineCache:
+    """parse_circuit caches the elements of each op or block line on its text and the
+    declarations before it, and claims detector labels per circuit."""
+
+    @pytest.mark.parametrize("line, good, bad, message", [
+        ("op hp photon=A path=a2", "photon A paths=a1,a2", "photon A paths=a1",
+         "dangling path reference 'a2' for photon 'A'"),
+        ("op qdarm photon=A path=a1 qd=QD1", "qd QD1 basis=+\nphoton A paths=a1",
+         "qd QD2 basis=+\nphoton A paths=a1", "undeclared QD 'QD1'"),
+        ("op hp photon=A path=a1", "photon A paths=a1", "photon C paths=a1",
+         "undeclared photon 'A'"),
+    ], ids=["path", "qd", "photon"])
+    @pytest.mark.parametrize("bad_first", [False, True], ids=["good-first", "bad-first"])
+    def test_no_line_leaks_between_declarations(self, line, good, bad, message, bad_first):
+        optics._elements.cache_clear()
+        for decls in (bad, good) if bad_first else (good, bad):
+            text = f"{decls}\nphoton B paths=b1\n  {line}  # a comment\n"
+            for _ in range(2):  # a line that raised is not cached, and raises again
+                if decls is good:
+                    kind, *fields = line.split()[1:]
+                    fields = dict(field.split("=") for field in fields)
+                    assert parse_circuit(text).ops == (Element(ElementKind(kind), **fields),)
+                    continue
+                with pytest.raises(ConfigurationError, match=(
+                        f"^line {text.count(chr(10))}: {re.escape(message)}$")):
+                    parse_circuit(text)
+        assert optics._elements.cache_info().currsize == 1
+
+    def test_equal_elements_of_kept_lines_share_one_object(self):
+        decls = "qd QD1 basis=+\nphoton A paths=a1\nphoton B paths=b1\n"
+        hp, *_ = parse_circuit(decls + "op hp photon=A path=a1 # one hp\n").ops
+        block = parse_circuit(decls + "block mode=parity qd=QD1 photon=A path=a1\n").ops
+        assert block[0] is hp and block[2] is hp
+
+    @pytest.mark.parametrize("line", ["op detector photon=A path=a1 label=D",
+                                      "block mode=heralded qd=QD1 photon=A path=a1 label=D"],
+                             ids=["detector", "heralded-block"])
+    def test_a_repeated_detector_line_claims_its_label_again(self, line):
+        text = f"qd QD1 basis=+\nphoton A paths=a1\nphoton B paths=b1\n{line}\n"
+        for _ in range(2):  # its labels are claimed per circuit, the line cached or not
+            assert len(parse_circuit(text).ops) in (1, 4)
+            with pytest.raises(ConfigurationError, match="^line 5: duplicate detector label 'D'$"):
+                parse_circuit(text + line)
+
 BLOCK_CIRCUIT = """\
 # error-heralded block acting on photon A
 qd QD1 basis=+
@@ -711,6 +755,18 @@ class TestRunCircuit:
             else:
                 run_circuit_tracked(circuit, random_state(circuit.layout(), rng))
 
+    @pytest.mark.parametrize("el, message", [
+        (Element(ElementKind.HP, photon=5, path="a1"), "undeclared photon 5"),
+        (HP_A1._replace(path=["a1"]), NOT_STR + str(HP_A1._replace(path=["a1"]))),
+        (Element(ElementKind.QDARM, photon="A", path="a1", qd="QD9"), "undeclared QD 'QD9'"),
+    ], ids=["int-photon", "list-path", "undeclared-qd"])
+    def test_serializing_a_bad_op_names_its_line(self, el, message):
+        # _compile's check, named by the line that the op would take in the text
+        circuit = _two_photon_circuit("op hp photon=A path=a1\n")
+        circuit = Circuit(circuit.qds, circuit.photons, circuit.ops + (el,))
+        with pytest.raises(ConfigurationError, match=f"^line 6: {re.escape(message)}$"):
+            serialize_circuit(circuit)
+
     def test_hand_built_detectors_keep_the_label_rule(self, rng):
         # two detectors labelled D: parsing the serialized circuit names the second
         # one's line, and running the circuit raises the same message
@@ -969,20 +1025,39 @@ class TestFusedCompile:
     stretch between that photon's qdarm, wfc and detector actions."""
 
     def test_one_matrix_per_stretch_and_one_call_per_passive_op(self, rng, monkeypatch):
-        calls, matrix = [], optics._matrix
+        # one check per op, whose result carries a passive op's matrix; each fused matrix
+        # is, bit for bit, the ordered product of its stretch's matrices, each op's once
+        calls, check = [], optics._check_element
 
-        def counting(el, own):
+        def counting(el, paths, qds):
             calls.append(el)
-            return matrix(el, own)
+            return check(el, paths, qds)
 
-        monkeypatch.setattr(optics, "_matrix", counting)
+        monkeypatch.setattr(optics, "_check_element", counting)
         passive = {ElementKind.HP, ElementKind.Z, ElementKind.BS, ElementKind.CPBS,
                    ElementKind.PBS}
         for _ in range(200):
             circuit = parse_circuit(random_circuit_text(rng))
+            layout = circuit.layout()
             calls.clear()
-            actions = optics._compile(circuit, circuit.layout())
-            assert calls == [el for el in circuit.ops if el.kind in passive]
+            actions = optics._compile(circuit, layout)
+            assert calls == list(circuit.ops)
+            want, pending = [], [None, None]
+            for el in circuit.ops:
+                if el.kind == ElementKind.MEASURE_SPIN:
+                    continue
+                slot = layout.photons.index(el.photon)
+                if el.kind in passive:
+                    mat = element_matrix(el, layout)
+                    pending[slot] = mat if pending[slot] is None else mat @ pending[slot]
+                elif pending[slot] is not None:
+                    want.append((slot, pending[slot]))
+                    pending[slot] = None
+            want += [(slot, mat) for slot, mat in enumerate(pending) if mat is not None]
+            got = [action[1:] for action in actions if action[0] == "matrix"]
+            assert [slot for slot, _ in got] == [slot for slot, _ in want]
+            for (_, got_mat), (_, want_mat) in zip(got, want):
+                np.testing.assert_array_equal(got_mat, want_mat)
             fused = [False, False]  # a matrix action since the photon's last bound action
             for action in actions:
                 if action[0] == "matrix":

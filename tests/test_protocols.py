@@ -117,6 +117,22 @@ class TestMakeBell:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             make_bell(Bell.PHI_PLUS, Bell.PHI_PLUS, small_layout, rails, spins)
 
+    @pytest.mark.parametrize("pol, spatial", [
+        ("x", Bell.PHI_PLUS), (Bell.PHI_PLUS, 3), (["phi+"], Bell.PSI_MINUS),
+    ], ids=["unknown-str", "int", "list"])
+    def test_pol_or_spatial_not_a_bell_rejected(self, small_layout, pol, spatial):
+        message = f"pol and spatial must be Bells: {pol!r}, {spatial!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            make_bell(pol, spatial, small_layout)
+        label = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            apply_local_correction(make_bell(label.pol, label.spatial, small_layout),
+                                   HyperBellLabel(pol, spatial), label)
+
+    def test_a_bell_named_by_its_string_is_that_bell(self, small_layout):
+        np.testing.assert_array_equal(make_bell("psi-", "phi-", small_layout).amps,
+                                      make_bell(Bell.PSI_MINUS, Bell.PHI_MINUS, small_layout).amps)
+
     def test_parse_label(self):
         assert parse_label("phi+,psi-") == HyperBellLabel(Bell.PHI_PLUS, Bell.PSI_MINUS)
         with pytest.raises(ConfigurationError):
