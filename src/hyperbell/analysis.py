@@ -106,7 +106,7 @@ def _generation_forms(text: str) -> tuple[np.ndarray, np.ndarray]:
     """(layers, clicks): the monomials s^i h^k of a generation circuit text, spins unmeasured,
     as arrays [3, monomials] of rows (i, k, w), w the squared norm of the monomial's
     coefficients, so its weight at (s, h) is |s|^(2i) |h|^(2k) w. layers holds the no-click
-    branch's h-degree layers in order, one monomial each, and clicks one per clicked branch.
+    branch's h-degree layers in order, one monomial each, and clicks one per first click.
     A click with several monomials, or a layer with several s-degrees, is a ConfigurationError."""
     circuit = _parsed(text)
     c, clicks = _no_click(circuit, hbsg_input(circuit))
@@ -176,10 +176,8 @@ def hbsg_branch_report(pair: ReflectionPair) -> list[tuple[tuple[str, str], floa
             for key in [(b.spins.e1, b.spins.e2)]]
 
 
-def hbsa_leakage_rate(pair: ReflectionPair,
-                      label: HyperBellLabel = HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS),
-                      ) -> float:
-    """Silent-leak share of the surviving weight for one analysis run.
+def hbsa_leakage_rate(pair: ReflectionPair) -> float:
+    """Silent-leak share of the surviving weight for the analysis run of phi+,phi+.
 
     Both are sums of layer norms over the branches: the leaked weight is
     the sum of leaked_weight, the surviving weight that of clean_weight +
@@ -187,7 +185,7 @@ def hbsa_leakage_rate(pair: ReflectionPair,
     not the branches' summed probability, ||sum of layers||^2 per branch,
     which differs by the interference between layers.
     """
-    branches = run_hbsa(label, pair)
+    branches = run_hbsa(HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS), pair)
     clean = sum(b.clean_weight for b in branches)
     leak = sum(b.leaked_weight for b in branches)
     survived = clean + leak

@@ -24,7 +24,7 @@ from .errors import ConfigurationError, PreconditionError
 from .hilbert import AMP_TOL, BranchOutcome, HybridState, R, _path_slice
 from .optics import Circuit, PhotonDecl, QDDecl, block_ops, run_circuit_tracked
 
-_QDS = (QDDecl("QD1", "+"), QDDecl("QD2", "+"))  # spin slots 1, 2; basis is unread
+_QDS = (QDDecl("QD1", "+"), QDDecl("QD2", "+"))  # spin slots 1, 2; the runner reads no basis
 _HERALD = "D"  # label of the heralded block's detector
 
 

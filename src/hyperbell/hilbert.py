@@ -44,6 +44,18 @@ _SPIN_NAMES = {"up": SPIN_UP, "down": SPIN_DOWN, "+": SPIN_PLUS, "-": SPIN_MINUS
 AMP_TOL = 1e-12  # amplitude comparisons
 
 
+def _vector(values, n: int, noun: str, given) -> np.ndarray:
+    """values as a new complex array of n finite numbers; anything else, such as None,
+    a string or nan, is "<noun> must have length <n> and finite entries: <given>"."""
+    try:
+        v = np.asarray(values)
+        if v.dtype.kind in "biufc" and v.shape == (n,) and np.isfinite(v).all():
+            return v.astype(complex)
+    except ValueError:  # a ragged array
+        pass
+    raise ConfigurationError(f"{noun} must have length {n} and finite entries: {given!r}")
+
+
 def _two_vector(x, names: dict, unknown: str, noun: str) -> np.ndarray:
     """A copy of names[x] for a name x, else x as a length-2 complex array."""
     if isinstance(x, str):
@@ -51,10 +63,7 @@ def _two_vector(x, names: dict, unknown: str, noun: str) -> np.ndarray:
             return names[x].copy()
         except KeyError:
             raise ConfigurationError(f"unknown {unknown} {x!r}") from None
-    v = np.asarray(x, dtype=complex)
-    if v.shape != (2,) or not np.isfinite(v).all():
-        raise ConfigurationError(f"{noun} vector must have length 2 and finite entries: {x!r}")
-    return v
+    return _vector(x, 2, f"{noun} vector", x)
 
 
 def pol_vector(x) -> np.ndarray:
@@ -101,21 +110,17 @@ class StateLayout:
             ) from None
 
     def path_vector(self, photon: str, x) -> np.ndarray:
-        """Coerce a path label, {label: amp} mapping, or array to a path vector."""
-        n = len(self.paths[self.photon_slot(photon)])
+        """Coerce a path label, {label: amp} mapping, or array to a path vector
+        (_vector: an entry that is not a finite number is a ConfigurationError)."""
+        n, entries = len(self.paths[self.photon_slot(photon)]), x
         if isinstance(x, str):
             v = np.zeros(n, dtype=complex)
             v[self.path_index(photon, x)] = 1.0
             return v
         if isinstance(x, Mapping):
-            v = np.zeros(n, dtype=complex)
-            for label, amp in x.items():
-                v[self.path_index(photon, label)] = amp
-            return v
-        v = np.asarray(x, dtype=complex)
-        if v.shape != (n,):
-            raise ConfigurationError(f"path vector for photon {photon!r} must have length {n}")
-        return v
+            amps = {self.path_index(photon, label): amp for label, amp in x.items()}
+            entries = [amps.get(i, 0.0) for i in range(n)]
+        return _vector(entries, n, f"path vector for photon {photon!r}", x)
 
 
 @dataclass

@@ -12,8 +12,8 @@ coefficient array indexed [s-degree, h-degree, *state axes] and takes s
 and h as coefficient tuples by degree: (s,) and (0, h) at one pair, so
 they are multiplied in, or (0, 1) for both, so that one run is a
 polynomial valid at every pair, read through protocols._no_click and
-layer_s_degrees. Both keep every branch, clicked or not, and count each
-branch's first click only.
+layer_s_degrees. Both store a branch's first click under its label; at a
+pair the branch runs on, as a polynomial it stops (_no_click reads no more).
 The runner applies each photon's passive elements as one matrix, their
 product, just before that photon's next qdarm, wfc or detector and at
 the end. This is exact up to rounding: a photon's matrix commutes with
@@ -36,12 +36,13 @@ paths that its outputs equal as a set or avoid. _check_element holds
 these rules, pol and declared names for one element. The parser calls it
 on each element of a line, element_matrix on every call, serialize_circuit
 and _compile on every op, so a hand-built circuit gets the parser's
-messages. A passing check is cached on all it reads, with the op's action
-less its slots and label (its matrix, path and pol indices). The parser
-caches each op or block line's elements on its text and the declarations
-before it (96% hits over 3,000 benchmark circuits); labels are claimed
-per circuit. Each matrix is built once per (kind, path count, port
-indices), read-only and shared. The runner ignores ``wfc qd=`` and
+messages; _check_declaration does so for each qd and photon declaration.
+A passing check is cached on all it reads, with the op's action less its
+slots and label (its matrix, path and pol indices). The parser caches
+each op or block line's elements on its text and the declarations before
+it (96% hits over 3,000 benchmark circuits); labels are claimed per
+circuit. Each matrix is built once per (kind, path count, port indices),
+read-only and shared. The runner ignores ``wfc qd=`` and
 ``measure_spin photon=``. A detector clicks on its path, in the one
 polarization that ``pol`` names or in both; a clicked photon stays on
 its path. No two detectors, plain or of heralded blocks, share a label.
@@ -342,18 +343,33 @@ def _declaration(keyword: str, rest: list[str]) -> QDDecl | PhotonDecl:
     """The declaration of one qd or photon line."""
     if not rest or "=" in rest[0]:
         raise ConfigurationError(f"{keyword} needs a name")
-    name, kv = rest[0], _parse_kv(keyword, rest[1:])
-    paths = kv.get("paths", ())
-    for what, n in [(keyword, name)] + [("path", p) for p in paths]:
-        if not _NAME_RE.match(n):
+    kv = _parse_kv(keyword, rest[1:])
+    decl = QDDecl(rest[0], kv["basis"]) if keyword == "qd" else PhotonDecl(rest[0], kv["paths"])
+    _check_declaration(decl)
+    return decl
+
+
+def _check_declaration(decl: QDDecl | PhotonDecl) -> None:
+    """Raise the parser's message unless decl's name and paths are names (_NAME_RE),
+    its paths a tuple of distinct ones and a QD's basis + or -."""
+    keyword, paths = ("qd", ()) if isinstance(decl, QDDecl) else ("photon", decl.paths)
+    if not isinstance(paths, tuple):
+        raise ConfigurationError(f"photon paths must be a tuple of names, got {paths!r}")
+    for what, n in [(keyword, decl.name)] + [("path", p) for p in paths]:
+        if not isinstance(n, str) or not _NAME_RE.match(n):
             raise ConfigurationError(f"invalid {what} name {n!r}")
-    if keyword == "qd":
-        if kv["basis"] not in ("+", "-"):
-            raise ConfigurationError("qd needs basis=+|-")
-        return QDDecl(name, kv["basis"])
     if len(set(paths)) != len(paths):
         raise ConfigurationError(f"duplicate path in {list(paths)}")
-    return PhotonDecl(name, paths)
+    if keyword == "qd" and decl.basis not in ("+", "-"):
+        raise ConfigurationError("qd needs basis=+|-")
+
+
+def _declared(circuit: Circuit) -> tuple[dict, set]:
+    """Each photon's paths by its name, and the QD names, of declarations that pass
+    the parser's _check_declaration."""
+    for decl in (*circuit.qds, *circuit.photons):
+        _check_declaration(decl)
+    return {ph.name: ph.paths for ph in circuit.photons}, {qd.name for qd in circuit.qds}
 
 
 @lru_cache(maxsize=_CHECKED_MAX)  # a line that raises is not cached
@@ -426,10 +442,9 @@ def parse_circuit(text: str) -> Circuit:
 def serialize_circuit(circuit: Circuit) -> str:
     """Canonical text form; parse(serialize(parse(t))) == parse(t). An op that fails
     _compile's check raises what parsing the text raises, on the line it would take."""
+    (paths, qds), labels = _declared(circuit), set()
     lines = [f"qd {qd.name} basis={qd.basis}" for qd in circuit.qds]
     lines += [f"photon {ph.name} paths={','.join(ph.paths)}" for ph in circuit.photons]
-    paths, labels = {ph.name: ph.paths for ph in circuit.photons}, set()
-    qds = {qd.name for qd in circuit.qds}
     for el in circuit.ops:
         head = f"op {_kind(el.kind).value}"  # an unknown kind has no line to name
         try:
@@ -516,7 +531,7 @@ def _compile(circuit: Circuit, layout: StateLayout):
     """
     actions, labels = [], set()
     pending = [None, None]  # per photon slot, the product of its matrices so far
-    paths, qds = dict(zip(layout.photons, layout.paths)), {qd.name for qd in circuit.qds}
+    paths, qds = _declared(circuit)
     for el in circuit.ops:
         kind, *tail = _check_element(el, paths, qds)
         if kind == "spin":
@@ -614,9 +629,9 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
     coefficients of s^i h^k. s and h enter as coefficient tuples by degree:
     at a pair they are the numbers themselves, (s,) and (0, h), so the
     s axis keeps length 1; with pair=None they are (0, 1) both, so every
-    passage raises a degree. Only a branch's first click is kept, as its
-    coefficients, under its detector's label. At a pair, a weight that is not finite,
-    of a measurement outcome (a click is one) or a returned branch, is a NumericDomainError.
+    passage raises a degree. A branch's first click is kept, as its coefficients, under its
+    detector's label; with pair=None the branch ends there. At a pair, a weight that is not
+    finite (of a measurement outcome, a click too, or a returned branch) is a NumericDomainError.
     """
     layout = circuit.layout()
     if state.layout != layout:
@@ -643,6 +658,8 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
                 for entry, projected in _outcomes(action, c):
                     if first and entry is not None and entry[1] == "click":
                         clicks[entry[0]].append(projected)
+                        if pair is None:  # the click is all that _no_click reads of it
+                            continue
                     projected = _trim(projected)
                     weights.append(_weight(projected))
                     if weights[-1] > _BRANCH_DROP:

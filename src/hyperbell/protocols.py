@@ -256,8 +256,8 @@ def _split_stage1(circuit: Circuit) -> tuple[Circuit, Circuit]:
 def _no_click(circuit: Circuit, state: HybridState, pair: ReflectionPair | None = None):
     """Stage 1 of a circuit run on a state at a pair or, with pair=None, as a
     polynomial in (s, h): its no-click branch's coefficients (all zero if the
-    runner dropped it) and its clicks, a list of coefficient arrays per
-    detector label, as the runner keeps them in both modes."""
+    runner dropped it) and its clicks, a list per detector label of the first
+    clicks' coefficient arrays; as a polynomial no clicked branch is run on."""
     _, branches, clicks = _run(_split_stage1(circuit)[0], state, pair)
     return dict(branches).get((), np.zeros((1, 1) + state.amps.shape, dtype=complex)), clicks
 
@@ -422,8 +422,8 @@ def run_hbsa_stage1(state: HybridState,
 
     The photonic state is returned unchanged (exactly, for the unleaked
     component); for each basis input the two spins end in the definite
-    X-basis states given by SPIN_TO_SPATIAL. The state is zero where the
-    runner drops the no-click branch, as at r_o = r_h = 0.
+    X-basis states given by SPIN_TO_SPATIAL. Stage 1 measures nothing, so its
+    one branch is kept at every pair; at r_o = r_h = 0 it is zero.
     """
     c, _ = _no_click(hbsa_full_circuit(), state, pair)
     tb = TrackedBranch((), state.layout, list(c[0]))

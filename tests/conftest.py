@@ -49,8 +49,9 @@ def apply_op(state: HybridState, op: str, pair=IDEAL_PAIR) -> HybridState:
 
 def polynomial_run_at(circuit, state: HybridState, pair) -> optics.TrackedRun:
     """The runner's polynomial mode, optics._run with pair=None, evaluated at one
-    pair by optics._evaluate: the run_circuit_tracked run there, up to rounding
-    and branches of weight at most the drop threshold."""
+    pair by optics._evaluate: the click-free branches and every click probability
+    of the run_circuit_tracked run there, up to rounding and branches of weight at
+    most the drop threshold. The mode stops each branch at its first click."""
     s, h = pair.success_amplitude, pair.herald_amplitude
     layout, branches, clicks = optics._run(circuit, state, None)
     run = optics._tracked_run(

@@ -325,8 +325,8 @@ class TestInvalidInputs:
         with pytest.raises(ConfigurationError, match=message):
             make()
 
-    @pytest.mark.parametrize("vector", [[None, 1], [np.nan, 1], [1, np.inf]],
-                             ids=["none", "nan", "inf"])
+    @pytest.mark.parametrize("vector", [[None, 1], [np.nan, 1], [1, np.inf], ["x", 1], ["1", 0]],
+                             ids=["none", "nan", "inf", "str", "numeric-str"])
     def test_a_non_finite_factor_vector_is_rejected(self, small_layout, vector):
         message = f"spin vector must have length 2 and finite entries: {vector!r}"
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
@@ -339,6 +339,17 @@ class TestInvalidInputs:
         assert v.dtype == complex and v.tolist() == [0.6, 0.8j]
         with pytest.raises(ConfigurationError, match="photon 'B' must have length 2"):
             small_layout.path_vector("B", [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("path", [{"a1": float("nan")}, {"a2": None}, [np.inf, 0],
+                                      [None, 1], ["x", 1], ["1", 0], [[1], [1, 0]]],
+                             ids=["nan-map", "none-map", "inf", "none", "str", "numeric-str",
+                                  "ragged"])
+    def test_a_path_vector_entry_not_a_finite_number_is_rejected(self, small_layout, path):
+        message = f"path vector for photon 'A' must have length 2 and finite entries: {path!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            small_layout.path_vector("A", path)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            product_state(small_layout, "H", path, "H", "b1")
 
     def test_amplitude_shape_must_match_the_layout(self, small_layout):
         with pytest.raises(ConfigurationError, match="does not match layout shape"):

@@ -22,6 +22,7 @@ from hyperbell.optics import (
     Circuit,
     Element,
     ElementKind,
+    PhotonDecl,
     QDDecl,
     element_matrix,
     parse_circuit,
@@ -699,15 +700,19 @@ class TestRunCircuit:
         want = {(("DA", "click"), ("DB", "click")): 0.7 * 0.15, (("DA", "click"),): 0.7 * 0.4,
                 (("DB", "click"),): 0.3 * 0.15, (): 0.3 * 0.4}
         at_least_one = sum(p for record, p in want.items() if record)
-        for run in (run_circuit_tracked(circuit, state, pair),
-                    polynomial_run_at(circuit, state, pair)):
-            assert abs(run.click_probability["DA"] - 0.7 * 0.55) < 1e-12
-            assert abs(run.click_probability["DB"] - 0.3 * 0.15) < 1e-12
-            assert abs(sum(run.click_probability.values()) - at_least_one) < 1e-12
-            got = {b.record: b.probability for b in run.branches}
-            assert set(got) == set(want)  # the branch where both fired is kept
-            for record, p in want.items():
-                assert abs(got[record] - p) < 1e-12
+        run, poly = (run_circuit_tracked(circuit, state, pair),
+                     polynomial_run_at(circuit, state, pair))
+        for r in (run, poly):
+            assert abs(r.click_probability["DA"] - 0.7 * 0.55) < 1e-12
+            assert abs(r.click_probability["DB"] - 0.3 * 0.15) < 1e-12
+            assert abs(sum(r.click_probability.values()) - at_least_one) < 1e-12
+        got = {b.record: b.probability for b in run.branches}
+        assert set(got) == set(want)  # the branch where both fired is kept
+        for record, p in want.items():
+            assert abs(got[record] - p) < 1e-12
+        # the polynomial mode stops each branch at its first click
+        (clean,) = poly.branches
+        assert clean.record == () and abs(clean.probability - want[()]) < 1e-12
 
     @pytest.mark.parametrize("el, message", [
         (Element(ElementKind.DETECTOR, photon="A", path="a1", label="D", pol="X"),
@@ -766,6 +771,26 @@ class TestRunCircuit:
         circuit = Circuit(circuit.qds, circuit.photons, circuit.ops + (el,))
         with pytest.raises(ConfigurationError, match=f"^line 6: {re.escape(message)}$"):
             serialize_circuit(circuit)
+
+    @pytest.mark.parametrize("photon_a, qd1, message", [
+        (PhotonDecl(["A"], ("a1", "a2")), None, "invalid photon name ['A']"),
+        (PhotonDecl("A", ["a1", "a2"]), None,
+         "photon paths must be a tuple of names, got ['a1', 'a2']"),
+        (PhotonDecl("A", ("a1", 2)), None, "invalid path name 2"),
+        (PhotonDecl("A b", ("a1", "a2")), None, "invalid photon name 'A b'"),
+        (None, QDDecl(["QD1"], "+"), "invalid qd name ['QD1']"),
+        (None, QDDecl("QD1", "x"), "qd needs basis=+|-"),
+    ], ids=["list-photon", "list-paths", "int-path", "spaced-photon", "list-qd", "bad-basis"])
+    def test_a_bad_declaration_gets_the_parsers_message(self, rng, photon_a, qd1, message):
+        # one check of declared names and paths, for serializing and for running
+        circuit = _two_photon_circuit("op hp photon=B path=b1\n")
+        circuit = replace(circuit, qds=(qd1 or circuit.qds[0], circuit.qds[1]),
+                          photons=(photon_a or circuit.photons[0], circuit.photons[1]))
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            serialize_circuit(circuit)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            run_circuit_tracked(circuit, HybridState(
+                circuit.layout(), np.zeros(circuit.layout().shape, dtype=complex)))
 
     def test_hand_built_detectors_keep_the_label_rule(self, rng):
         # two detectors labelled D: parsing the serialized circuit names the second
@@ -874,16 +899,21 @@ class TestPolarizationDetector:
             index[2 * slot], index[2 * slot + 1] = "RL".index(pol), path_idx
             want = np.zeros_like(state.amps)
             want[tuple(index)] = state.amps[tuple(index)]
-            for run in (run_circuit_tracked(circuit, state, EXAMPLE_PAIR),
-                        polynomial_run_at(circuit, state, EXAMPLE_PAIR)):
-                by = {b.record: b for b in run.branches}
-                assert set(by) == {(), (("D", "click"),)}
-                assert abs(sum(b.probability for b in run.branches) - state.norm2) < 1e-12
-                np.testing.assert_allclose(by[(("D", "click"),)].physical_state().amps,
-                                           want, rtol=0, atol=1e-15)
-                np.testing.assert_allclose(by[()].physical_state().amps,
+            run, poly = (run_circuit_tracked(circuit, state, EXAMPLE_PAIR),
+                         polynomial_run_at(circuit, state, EXAMPLE_PAIR))
+            by = {b.record: b for b in run.branches}
+            assert set(by) == {(), (("D", "click"),)}
+            assert abs(sum(b.probability for b in run.branches) - state.norm2) < 1e-12
+            np.testing.assert_allclose(by[(("D", "click"),)].physical_state().amps,
+                                       want, rtol=0, atol=1e-15)
+            # the polynomial mode keeps only the no-click branch
+            (clean,) = poly.branches
+            assert clean.record == ()
+            for b in (by[()], clean):
+                np.testing.assert_allclose(b.physical_state().amps,
                                            state.amps - want, rtol=0, atol=1e-15)
-                assert abs(run.click_probability["D"] - np.sum(np.abs(want) ** 2)) < 1e-12
+            for r in (run, poly):
+                assert abs(r.click_probability["D"] - np.sum(np.abs(want) ** 2)) < 1e-12
 
     def test_clicked_photon_stays_on_its_path(self):
         # a heralded block's click leaves the photon where it was, so a later
@@ -975,7 +1005,8 @@ class TestPolynomialRun:
         for label, p in want.click_probability.items():
             assert abs(got.click_probability[label] - p) < 1e-10
         got_b = [b for b in got.branches if b.probability > 1e-20]
-        want_b = [b for b in want.branches if b.probability > 1e-20]
+        # the polynomial mode stops each branch at its first click
+        want_b = [b for b in want.branches if b.probability > 1e-20 and not b.heralds()]
         assert [b.record for b in got_b] == [b.record for b in want_b]
         for g, w in zip(got_b, want_b):
             n = max(len(g.layers), len(w.layers))
@@ -995,6 +1026,16 @@ class TestPolynomialRun:
             for pair in self._pairs(rng):
                 self._assert_same_run(polynomial_run_at(circuit, state, pair),
                                       run_circuit_tracked(circuit, state, pair))
+
+    def test_keeps_no_clicked_branch(self, rng):
+        # a clicked outcome is stored as its label's click, not kept as a branch
+        clicked = 0
+        for _ in range(60):
+            circuit = parse_circuit(random_circuit_text(rng))
+            _, branches, clicks = optics._run(circuit, random_state(circuit.layout(), rng), None)
+            assert all(outcome != "click" for rec, _ in branches for _, outcome in rec)
+            clicked += sum(map(len, clicks.values()))
+        assert clicked  # some circuit had a click to stop at
 
     def test_input_state_not_aliased(self, small_layout, rng):
         # a circuit without ops keeps its input as the one branch: a later
