@@ -12,18 +12,19 @@ success probability (they must agree to 1e-10), the herald rate, the
 silent-leak share of the surviving weight, and the conditional fidelity,
 1 by construction (hbsg_statistics_grid); hbsg_branch_report checks it per
 spin branch on protocols.run_hbsg, the one per-pair generation run. The
-coefficients are one array evaluation too, and the CSV and SVG writers work
-on columns; the CSV writer formats each distinct value of a mostly-repeating
-column once, telling values apart by bit pattern (-0.0 is not 0.0).
-A point is a SweepRecord, a NamedTuple: immutable, compared by value
-(a plain tuple of the same values included), and copied with _replace.
+coefficients are one array evaluation too, and the records are built from the
+columns by tuple.__new__. The CSV writer counts a column's distinct bit patterns
+(-0.0 is not 0.0) with one sort and formats each once if they repeat; the SVG
+writer finds each cell's last record with one np.unique and writes every fill
+with one bytes.hex. A point is a SweepRecord, a NamedTuple: immutable, compared
+by value (a plain tuple of the same values included), and copied with _replace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -186,9 +187,8 @@ def hbsa_leakage_rate(pair: ReflectionPair) -> float:
     which differs by the interference between layers.
     """
     branches = run_hbsa(HyperBellLabel(Bell.PHI_PLUS, Bell.PHI_PLUS), pair)
-    clean = sum(b.clean_weight for b in branches)
     leak = sum(b.leaked_weight for b in branches)
-    survived = clean + leak
+    survived = sum(b.clean_weight for b in branches) + leak
     return leak / survived if survived > _BRANCH_DROP else 1.0
 
 
@@ -246,7 +246,7 @@ def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
 
     The grid is held as columns: its coefficients are one
     reflection_coefficients_grid call and its statistics one
-    hbsg_statistics_grid call; records are built from the columns last.
+    hbsg_statistics_grid call; records are built from the columns last, by tuple.__new__.
     """
     ks_axis = np.array(grid.kappa_s_over_kappa, dtype=float)
     g_axis = np.array(grid.g_over_sum, dtype=float)
@@ -258,7 +258,7 @@ def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
         kappa_s, g, grid.gamma_over_kappa, grid.detuning))  # one array per coefficient
     stats = hbsg_statistics_grid(pair.success_amplitude, pair.herald_amplitude)
     columns = (kappa_s, g_over_sum, pair.r_o, pair.r_h, efficiency_closed_form(pair), *stats)
-    return list(map(SweepRecord, *(c.tolist() for c in columns)))
+    return list(map(tuple.__new__, repeat(SweepRecord), zip(*(c.tolist() for c in columns))))
 
 
 def sweep_point(kappa_s: float, g_over_sum: float, gamma_over_kappa: float = 0.1,
@@ -288,17 +288,18 @@ def _csv_columns(records: list[SweepRecord], dephasing: DephasingParams | None) 
 def _texts(column):
     """repr(float(v)) for each v of a column, in order.
 
-    Equal bits give equal text (values would merge -0.0 into 0.0), so when
-    at most half of the bit patterns are distinct each is formatted once
-    and the rows share the texts. Otherwise a memoryview hands out one
-    float at a time and the texts are made as the rows are joined, so a
-    near-unique column's texts are never all alive at once.
+    Equal bits give equal text (values would merge -0.0 into 0.0), so the
+    distinct bit patterns are counted with one sort. When more than half
+    are distinct, a memoryview hands out one float at a time and the texts
+    are made as the rows are joined, so a near-unique column's texts are
+    never all alive at once. Otherwise each pattern is formatted once and
+    the rows share the texts.
     """
     column = np.ascontiguousarray(column, dtype=float)
-    _, first, inverse = np.unique(column.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    if 2 * len(first) > len(column):
+    bits = np.sort(column.view(np.int64))
+    if 2 * (np.count_nonzero(bits[1:] != bits[:-1]) + 1) > len(column):
         return map(repr, memoryview(column))
+    _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
     return np.array(list(map(repr, column[first].tolist())), dtype=object)[inverse]
 
 
@@ -367,21 +368,20 @@ SVG_PLOT_SIZE = 480
 
 _KNOTS = np.array([t for t, _ in _VIRIDIS])
 _KNOT_RGB = np.array([rgb for _, rgb in _VIRIDIS], dtype=float)
-_HEX = [f"{i:02x}" for i in range(256)]
 
 
-def _color(t: np.ndarray) -> list[str]:
-    """Viridis colours at t, clamped to [0, 1], interpolated linearly between
-    knots and rounded half to even; "#ffffff" where t is NaN."""
+def _color(t: np.ndarray) -> np.ndarray:
+    """Viridis colours at t as uint8 rows (r, g, b): t clamped to [0, 1],
+    interpolated linearly between knots and rounded half to even; white where t is NaN."""
     t = np.clip(t, 0.0, 1.0)
     nan = np.isnan(t)
     t = np.where(nan, 0.0, t)
     seg = np.searchsorted(_KNOTS[1:], t)  # the first segment ending at or above t
     f = (t - _KNOTS[seg]) / (_KNOTS[seg + 1] - _KNOTS[seg])
     c0 = _KNOT_RGB[seg]
-    rgb = np.rint(c0 + f[:, None] * (_KNOT_RGB[seg + 1] - c0)).astype(int).tolist()
-    return ["#ffffff" if blank else "#" + _HEX[r] + _HEX[g] + _HEX[b]
-            for blank, (r, g, b) in zip(nan.tolist(), rgb)]
+    rgb = np.rint(c0 + f[:, None] * (_KNOT_RGB[seg + 1] - c0))
+    rgb[nan] = 255
+    return rgb.astype(np.uint8)
 
 
 def svg_cell_geometry(n_x: int, n_y: int) -> tuple[float, float]:
@@ -394,31 +394,33 @@ def emit_svg_heatmap(records: list[SweepRecord],
     """Self-contained SVG heatmap of one record column over the sweep grid.
 
     x axis: kappa_s/kappa (left to right), y axis: g/(kappa_s+kappa)
-    (bottom to top). Cells are laid out on the unique sorted axis values.
+    (bottom to top). Cells are laid out on the unique sorted axis values
+    (-0.0 and 0.0 are one, labelled as first met); a cell drawn by several
+    records takes the last one's value.
     """
     if value_column not in VALUE_COLUMNS:
         raise ConfigurationError(
             f"unknown value column {value_column!r}; choose from {sorted(VALUE_COLUMNS)}")
     if not records:
         raise ConfigurationError("cannot plot an empty record list")
-    attr = VALUE_COLUMNS[value_column]
-    ks = list(map(attrgetter("kappa_s_over_kappa"), records))
-    gs = list(map(attrgetter("g_over_sum"), records))
+    columns = dict(zip(SweepRecord._fields, zip(*records)))
+    ks, gs = columns["kappa_s_over_kappa"], columns["g_over_sum"]
     xs, ys = sorted(set(ks)), sorted(set(gs))
-    x_index = {v: i for i, v in enumerate(xs)}
-    y_index = {v: i for i, v in enumerate(ys)}
-    # one value per cell, the last record's
-    cell_values = dict(zip(zip(map(x_index.__getitem__, ks), map(y_index.__getitem__, gs)),
-                           map(attrgetter(attr), records)))
-    cells = sorted(cell_values)
-    values = np.array(list(map(cell_values.__getitem__, cells)), dtype=float)
+    x_index, y_index = ({v: i for i, v in enumerate(axis)} for axis in (xs, ys))
+    cell = (np.fromiter(map(x_index.__getitem__, ks), dtype=np.intp, count=len(ks)) * len(ys)
+            + np.fromiter(map(y_index.__getitem__, gs), dtype=np.intp, count=len(gs)))
+    # each cell i * len(ys) + j once, in (i, j) order, from its last record: its first reversed
+    cells, last = np.unique(cell[::-1], return_index=True)
+    values = np.array(columns[VALUE_COLUMNS[value_column]], dtype=float)[::-1][last]
     finite = np.isfinite(values)
     vmin = float(values[finite].min()) if finite.any() else 0.0
     vmax = float(values[finite].max()) if finite.any() else 1.0
     span = vmax - vmin
     with np.errstate(all="ignore"):
         t = np.full(len(values), 0.5) if span == 0 else (values - vmin) / span
-    fills = [fill if ok else "#888888" for fill, ok in zip(_color(t), finite.tolist())]
+    rgb = _color(np.concatenate([_KNOTS, t]))  # the legend's stops, then the cells
+    rgb[len(_KNOTS):][~finite] = 0x88  # grey where the value is not finite
+    hexes = rgb.tobytes().hex("#", 3).split("#")  # rrggbb per row, from one hex call
     cw, ch = svg_cell_geometry(len(xs), len(ys))
     width = SVG_MARGIN_LEFT + SVG_PLOT_SIZE + SVG_MARGIN_RIGHT
     height = SVG_MARGIN_TOP + SVG_PLOT_SIZE + SVG_MARGIN_BOTTOM
@@ -426,16 +428,15 @@ def emit_svg_heatmap(records: list[SweepRecord],
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         "<defs><linearGradient id=\"scale\" x1=\"0\" y1=\"1\" x2=\"0\" y2=\"0\">",
+        *(f'<stop offset="{at}" stop-color="#{h}"/>' for (at, _), h in zip(_VIRIDIS, hexes)),
+        "</linearGradient></defs>",
+        f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for (offset, _), stop in zip(_VIRIDIS, _color(_KNOTS)):
-        out.append(f'<stop offset="{offset}" stop-color="{stop}"/>')
-    out.append("</linearGradient></defs>")
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     x_text = [f"{SVG_MARGIN_LEFT + i * cw:.2f}" for i in range(len(xs))]
     y_text = [f"{SVG_MARGIN_TOP + (len(ys) - 1 - i) * ch:.2f}" for i in range(len(ys))]
     size = f'width="{cw:.2f}" height="{ch:.2f}"'
-    out += [f'<rect x="{x_text[i]}" y="{y_text[j]}" {size} fill="{fill}"/>'
-            for (i, j), fill in zip(cells, fills)]
+    out += [f'<rect x="{x_text[i]}" y="{y_text[j]}" {size} fill="#{fill}"/>' for i, j, fill
+            in zip(*(a.tolist() for a in np.divmod(cells, len(ys))), hexes[len(_KNOTS):])]
     # axes and legend
     x0, y0 = SVG_MARGIN_LEFT, SVG_MARGIN_TOP + SVG_PLOT_SIZE
     out.append(f'<text x="{x0 + SVG_PLOT_SIZE / 2:.0f}" y="{y0 + 40}" '

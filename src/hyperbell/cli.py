@@ -40,13 +40,10 @@ def _pair_from_args(args) -> "analysis.ReflectionPair":
 
 def _cmd_coeffs(args) -> int:
     pair = _pair_from_args(args)
-    print(f"r_o_re={pair.r_o.real!r}")
-    print(f"r_o_im={pair.r_o.imag!r}")
-    print(f"r_h_re={pair.r_h.real!r}")
-    print(f"r_h_im={pair.r_h.imag!r}")
-    print(f"phi_o={pair.phi_o!r}")
-    print(f"phi_h={pair.phi_h!r}")
-    print(f"success_prob_per_passage={abs(pair.success_amplitude) ** 2!r}")
+    values = {"r_o_re": pair.r_o.real, "r_o_im": pair.r_o.imag, "r_h_re": pair.r_h.real,
+              "r_h_im": pair.r_h.imag, "phi_o": pair.phi_o, "phi_h": pair.phi_h,
+              "success_prob_per_passage": abs(pair.success_amplitude) ** 2}
+    print("\n".join(f"{name}={value!r}" for name, value in values.items()))
     return 0
 
 
@@ -137,9 +134,8 @@ def _cmd_sweep(args) -> int:
     if args.tau is not None:
         dephasing = DephasingParams(tau=args.tau, big_gamma=args.big_gamma)
         print(f"# dephasing_penalty={dephasing_penalty(dephasing)!r}", file=sys.stderr)
-    for path in (args.out, args.svg):
-        if path:
-            _check_writable(path)
+    for path in filter(None, (args.out, args.svg)):
+        _check_writable(path)
     records = analysis.run_sweep(grid)
     csv_text = analysis.emit_csv(records, dephasing)
     if args.out:
@@ -158,17 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
                      "analysis of two-photon hyperentangled Bell states."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", help="cold/hot cavity reflection coefficients")
-    _add_cavity_args(p)
-    p.set_defaults(func=_cmd_coeffs)
-
-    p = sub.add_parser("block", help="error-heralded block on one L photon")
-    _add_cavity_args(p)
-    p.set_defaults(func=_cmd_block)
-
-    p = sub.add_parser("hbsg", help="hyperentangled Bell-state generation run")
-    _add_cavity_args(p)
-    p.set_defaults(func=_cmd_hbsg)
+    for name, func, text in (("coeffs", _cmd_coeffs, "cold/hot cavity reflection coefficients"),
+                             ("block", _cmd_block, "error-heralded block on one L photon"),
+                             ("hbsg", _cmd_hbsg, "hyperentangled Bell-state generation run")):
+        p = sub.add_parser(name, help=text)
+        _add_cavity_args(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("hbsa", help="complete hyperentangled Bell-state analysis run")
     p.add_argument("--input", required=True, metavar="POL,SPATIAL",

@@ -36,7 +36,8 @@ paths that its outputs equal as a set or avoid. _check_element holds
 these rules, pol and declared names for one element. The parser calls it
 on each element of a line, element_matrix on every call, serialize_circuit
 and _compile on every op, so a hand-built circuit gets the parser's
-messages; _check_declaration does so for each qd and photon declaration.
+messages; _declare does so for each qd and photon declaration, one by one
+and against the others of its kind.
 A passing check is cached on all it reads, with the op's action less its
 slots and label (its matrix, path and pol indices). The parser caches
 each op or block line's elements on its text and the declarations before
@@ -137,11 +138,8 @@ class Circuit:
         )
 
     def qd_slot(self, name: str) -> int:
-        """Spin slot (0 or 1) of a QD that the circuit declares, as _check_element ensures."""
-        slot = [qd.name for qd in self.qds].index(name)
-        if slot > 1:
-            raise ConfigurationError("at most two QDs are supported")
-        return slot
+        """Spin slot (0 or 1) of a declared QD, as _check_element and _declared ensure."""
+        return [qd.name for qd in self.qds].index(name)
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +342,31 @@ def _declaration(keyword: str, rest: list[str]) -> QDDecl | PhotonDecl:
     if not rest or "=" in rest[0]:
         raise ConfigurationError(f"{keyword} needs a name")
     kv = _parse_kv(keyword, rest[1:])
-    decl = QDDecl(rest[0], kv["basis"]) if keyword == "qd" else PhotonDecl(rest[0], kv["paths"])
-    _check_declaration(decl)
-    return decl
+    return QDDecl(rest[0], kv["basis"]) if keyword == "qd" else PhotonDecl(rest[0], kv["paths"])
+
+
+def _declare(same: dict, *decls: QDDecl | PhotonDecl) -> dict:
+    """Add decls in turn to same, their kind's declarations so far by name, and return it; raise
+    the parser's message unless each passes _check_declaration, is new by name and at most 2nd."""
+    for decl in decls:
+        _check_declaration(decl)
+        noun = "QD" if isinstance(decl, QDDecl) else "photon"
+        if decl.name in same:
+            raise ConfigurationError(f"duplicate {noun} id {decl.name!r}")
+        if len(same) == 2:
+            raise ConfigurationError(f"at most two {noun}s are supported")
+        same[decl.name] = decl
+    return same
 
 
 def _check_declaration(decl: QDDecl | PhotonDecl) -> None:
     """Raise the parser's message unless decl's name and paths are names (_NAME_RE),
-    its paths a tuple of distinct ones and a QD's basis + or -."""
+    its paths a nonempty tuple of distinct ones and a QD's basis + or -."""
     keyword, paths = ("qd", ()) if isinstance(decl, QDDecl) else ("photon", decl.paths)
     if not isinstance(paths, tuple):
         raise ConfigurationError(f"photon paths must be a tuple of names, got {paths!r}")
+    if keyword == "photon" and not paths:
+        raise ConfigurationError("empty key or value in 'paths='")
     for what, n in [(keyword, decl.name)] + [("path", p) for p in paths]:
         if not isinstance(n, str) or not _NAME_RE.match(n):
             raise ConfigurationError(f"invalid {what} name {n!r}")
@@ -365,11 +377,9 @@ def _check_declaration(decl: QDDecl | PhotonDecl) -> None:
 
 
 def _declared(circuit: Circuit) -> tuple[dict, set]:
-    """Each photon's paths by its name, and the QD names, of declarations that pass
-    the parser's _check_declaration."""
-    for decl in (*circuit.qds, *circuit.photons):
-        _check_declaration(decl)
-    return {ph.name: ph.paths for ph in circuit.photons}, {qd.name for qd in circuit.qds}
+    """Each photon's paths by its name, and the QD names, of declarations that pass _declare."""
+    qds, photons = _declare({}, *circuit.qds), _declare({}, *circuit.photons)
+    return {name: ph.paths for name, ph in photons.items()}, set(qds)
 
 
 @lru_cache(maxsize=_CHECKED_MAX)  # a line that raises is not cached
@@ -419,13 +429,7 @@ def parse_circuit(text: str) -> Circuit:
         keyword = line.split(None, 1)[0]
         try:
             if keyword in decls:
-                decl, same = _declaration(keyword, line.split()[1:]), decls[keyword]
-                noun = "QD" if keyword == "qd" else keyword
-                if decl.name in same:
-                    raise ConfigurationError(f"duplicate {noun} id {decl.name!r}")
-                if len(same) == 2:
-                    raise ConfigurationError(f"at most two {noun}s are supported")
-                same[decl.name] = decl
+                _declare(decls[keyword], _declaration(keyword, line.split()[1:]))
                 context = _shared((tuple((name, ph.paths) for name, ph in decls["photon"].items()),
                                    tuple(decls["qd"])))
             elif keyword in ("op", "block"):
@@ -633,7 +637,11 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
     detector's label; with pair=None the branch ends there. At a pair, a weight that is not
     finite (of a measurement outcome, a click too, or a returned branch) is a NumericDomainError.
     """
-    layout = circuit.layout()
+    try:
+        layout = circuit.layout()
+    except ConfigurationError:
+        _declared(circuit)  # a declaration that the parser refuses gets the parser's message
+        raise
     if state.layout != layout:
         raise ConfigurationError("input state layout does not match circuit declarations")
     if pair is None:

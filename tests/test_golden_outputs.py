@@ -1,5 +1,6 @@
 """Sweep, CSV and SVG output against files captured before the sweep was
-made columnar.
+made columnar, and SVGs of the irregular sweep and of signed-zero axes
+captured before the records and the heatmap's cells were built from arrays.
 
 The sweep's numbers may move in the last bits (NumPy's complex division
 is not CPython's), so the computed CSV values are compared to 1e-12 and
@@ -70,6 +71,20 @@ def hand_built_records() -> list[SweepRecord]:
     return [SweepRecord(*row) for row in rows]
 
 
+def signed_zero_records() -> list[SweepRecord]:
+    """Records on a 2x2 grid of (kappa_s, g) cells whose axes each hold -0.0 and 0.0.
+
+    kappa_s meets -0.0 first and g meets 0.0 first; each pair is one axis
+    value, labelled as it was first met (-0 and 0). The cells (0, 0) and
+    (0, 1) come twice under different zero signs, and the later record's
+    value is drawn; the rows are out of grid order.
+    """
+    rows = [(-0.0, 1.0, 0.5), (0.5, 0.0, 0.25), (0.0, -0.0, 0.75), (0.5, 1.0, 1.0),
+            (-0.0, 0.0, 0.125), (0.0, 1.0, 0.0), (0.5, -0.0, 0.375)]
+    return [SweepRecord(ks, g, complex(-1.0, 0.0), complex(0.5, 0.0), 0.0, 0.0, value, 0.0, 1.0)
+            for ks, g, value in rows]
+
+
 def _golden(name: str) -> str:
     return (DATA / name).read_text(encoding="utf-8")
 
@@ -96,3 +111,13 @@ def test_emit_csv_is_byte_identical(dephasing, name):
 @pytest.mark.parametrize("column", sorted(VALUE_COLUMNS))
 def test_emit_svg_heatmap_is_byte_identical(column):
     assert emit_svg_heatmap(hand_built_records(), column) == _golden(f"records_{column}.svg")
+
+
+@pytest.mark.parametrize("column", sorted(VALUE_COLUMNS))
+def test_sweep_svg_heatmap_is_byte_identical(column):
+    golden = _golden(f"sweep_irregular_{column}.svg")
+    assert emit_svg_heatmap(run_sweep(IRREGULAR_GRID), column) == golden
+
+
+def test_signed_zero_axes_svg_is_byte_identical():
+    assert emit_svg_heatmap(signed_zero_records(), "herald_rate") == _golden("signed_zero_axes.svg")

@@ -792,6 +792,46 @@ class TestRunCircuit:
             run_circuit_tracked(circuit, HybridState(
                 circuit.layout(), np.zeros(circuit.layout().shape, dtype=complex)))
 
+    _CLASHES = pytest.mark.parametrize("qds, photons, lineno, message", [
+        (("QD1", "QD1"), None, 2, "duplicate QD id 'QD1'"),
+        (("QD1", "QD2", "QD3"), None, 3, "at most two QDs are supported"),
+        (None, (("A", ("a1",)), ("A", ("b1",))), 4, "duplicate photon id 'A'"),
+        (None, (("A", ("a1",)), ("B", ("b1",)), ("C", ("c1",))), 5,
+         "at most two photons are supported"),
+        (None, (("A", ()), ("B", ("b1",))), 3, "empty key or value in 'paths='"),
+    ], ids=["duplicate-qd", "third-qd", "duplicate-photon", "third-photon", "empty-paths"])
+
+    @staticmethod
+    def _redeclared(qds, photons) -> Circuit:
+        """A two-photon circuit with the QDs (basis +) or photons (name, paths) replaced."""
+        circuit = _two_photon_circuit("op hp photon=B path=b1\n")
+        return replace(
+            circuit,
+            qds=circuit.qds if qds is None else tuple(QDDecl(name, "+") for name in qds),
+            photons=circuit.photons if photons is None else tuple(
+                PhotonDecl(name, paths) for name, paths in photons))
+
+    @_CLASHES
+    def test_serializing_clashing_declarations_gets_the_parsers_message(self, qds, photons,
+                                                                         lineno, message):
+        # the parser's rules between declarations (no name twice, at most two of a kind)
+        # and on a photon's path list: the text that serializing would write fails to parse
+        circuit = self._redeclared(qds, photons)
+        text = "".join(f"qd {qd.name} basis=+\n" for qd in circuit.qds) + "".join(
+            f"photon {ph.name} paths={','.join(ph.paths)}\n" for ph in circuit.photons)
+        with pytest.raises(ConfigurationError, match=f"^line {lineno}: {re.escape(message)}$"):
+            parse_circuit(text)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            serialize_circuit(circuit)
+
+    @_CLASHES
+    def test_running_clashing_declarations_gets_the_parsers_message(self, rng, qds, photons,
+                                                                     lineno, message):
+        # the same rules hold at run time, ahead of the layout's own messages
+        state = random_state(_two_photon_circuit("").layout(), rng)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            run_circuit_tracked(self._redeclared(qds, photons), state)
+
     def test_hand_built_detectors_keep_the_label_rule(self, rng):
         # two detectors labelled D: parsing the serialized circuit names the second
         # one's line, and running the circuit raises the same message

@@ -9,6 +9,7 @@ default sweep domain. hbsa_golden below wrote it.
 """
 
 import inspect
+import itertools
 import json
 import random
 import re
@@ -17,7 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperbell.analysis import SweepGrid, SweepRecord, emit_csv, parse_csv, run_sweep
+from hyperbell.analysis import (
+    SweepGrid,
+    SweepRecord,
+    emit_csv,
+    parse_csv,
+    run_sweep,
+    sweep_point,
+)
 from hyperbell.cavity import (
     IDEAL_PAIR,
     CavityParams,
@@ -173,6 +181,24 @@ def test_equal_by_value_with_equal_hashes(cls):
 @_RECORDS
 def test_repr_names_every_field(cls):
     assert repr(_record(cls)) == _REPRS[cls]
+
+
+def test_run_sweep_returns_sweep_records():
+    # each record, made from the sweep's columns, is a SweepRecord and the one-point sweep
+    # at its point: the axes and coefficients bit for bit, the statistics to TOL (a sum
+    # over one point may round its last bit apart from the same sum over the grid)
+    grid = SweepGrid((0.0, 0.2, 0.55), (0.0, 0.3, 1.1, 2.5), gamma_over_kappa=0.12,
+                     detuning=0.05)
+    records = run_sweep(grid)
+    points = list(itertools.product(grid.kappa_s_over_kappa, grid.g_over_sum))
+    assert len(records) == len(points) == 12
+    for record, (kappa_s, g_over_sum) in zip(records, points):
+        assert type(record) is SweepRecord and record._fields == _FIELDS[SweepRecord]
+        changed = record._replace(conditional_fidelity=0.5)
+        assert type(changed) is SweepRecord and changed == (*record[:-1], 0.5)
+        point = sweep_point(kappa_s, g_over_sum, 0.12, 0.05)
+        assert record[:4] == point[:4] and record[:2] == (kappa_s, g_over_sum)
+        np.testing.assert_allclose(record[4:], point[4:], rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("dephasing", [None, DephasingParams(tau=0.1, big_gamma=1.0)])
