@@ -129,9 +129,11 @@ def _generation_forms(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _monomial_weights(monomials: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """|s|^(2i) |h|^(2k) w of each monomial (i, k, w) at the pairs (s[N], h[N]): [M, N]."""
-    i, k, w = monomials[..., None]
-    return np.abs(s) ** (2 * i) * np.abs(h) ** (2 * k) * w
+    """|s|^(2i) |h|^(2k) w of each monomial (i, k, w) at the pairs (s[N], h[N]): [M, N]. A row
+    takes scalar int powers, so a pair's weights have the same bits at every N."""
+    a, b = np.abs(s), np.abs(h)
+    return np.array([a ** (2 * int(i)) * b ** (2 * int(k)) * w for i, k, w in monomials.T]
+                    or np.zeros((0, a.size)))  # no monomials, as a text without heralds has
 
 
 def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
@@ -205,9 +207,9 @@ class SweepGrid:
     detuning: float = 0.0
 
     def __post_init__(self):
+        _check_real(vars(self), sequences=("kappa_s_over_kappa", "g_over_sum"))
         if not self.kappa_s_over_kappa or not self.g_over_sum:
             raise ConfigurationError("sweep grid axes must not be empty")
-        _check_real(vars(self))
         values = list(self.kappa_s_over_kappa) + list(self.g_over_sum)
         if not _finite(values) or any(v < 0 for v in values):
             raise ConfigurationError("grid values must be finite and non-negative")
@@ -350,13 +352,8 @@ _VIRIDIS = (
     (1.0, (253, 231, 37)),
 )
 
-VALUE_COLUMNS = {
-    "eta_closed": "eta_closed_form",
-    "eta_sim": "eta_simulated",
-    "herald_rate": "herald_rate",
-    "leakage_rate": "leakage_rate",
-    "cond_fidelity": "conditional_fidelity",
-}
+# each heatmap value column's CSV name, the last five, mapped to its SweepRecord field
+VALUE_COLUMNS = dict(zip(CSV_COLUMNS.split(",")[6:], SweepRecord._fields[4:]))
 
 # heatmap geometry (pixels)
 SVG_MARGIN_LEFT = 70

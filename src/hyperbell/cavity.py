@@ -29,10 +29,13 @@ def _finite(*values) -> bool:
         return False
 
 
-def _check_real(fields: dict) -> None:
-    """Raise ConfigurationError naming the first field holding a value that is not a real number."""
+def _check_real(fields: dict, sequences=()) -> None:
+    """Raise ConfigurationError naming the first field that is not a real number or, if named in
+    sequences, not a tuple or list of reals."""
     for name, value in fields.items():
-        for item in value if isinstance(value, (tuple, list)) else (value,):
+        if name in sequences and not isinstance(value, (tuple, list)):
+            raise ConfigurationError(f"{name} must be a tuple or list of reals, got {value!r}")
+        for item in value if name in sequences else (value,):
             if not isinstance(item, Real):
                 raise ConfigurationError(f"{name} must be a real number, got {item!r}")
 

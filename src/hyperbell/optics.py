@@ -37,7 +37,8 @@ these rules, pol and declared names for one element. The parser calls it
 on each element of a line, element_matrix on every call, serialize_circuit
 and _compile on every op, so a hand-built circuit gets the parser's
 messages; _declare does so for each qd and photon declaration, one by one
-and against the others of its kind.
+and against the others of its kind. _compile is the run's one reader of a
+circuit: its declarations, then its layout, then each op's action.
 A passing check is cached on all it reads, with the op's action less its
 slots and label (its matrix, path and pol indices). The parser caches
 each op or block line's elements on its text and the declarations before
@@ -136,10 +137,6 @@ class Circuit:
             photons=(self.photons[0].name, self.photons[1].name),
             paths=(self.photons[0].paths, self.photons[1].paths),
         )
-
-    def qd_slot(self, name: str) -> int:
-        """Spin slot (0 or 1) of a declared QD, as _check_element and _declared ensure."""
-        return [qd.name for qd in self.qds].index(name)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +373,11 @@ def _check_declaration(decl: QDDecl | PhotonDecl) -> None:
         raise ConfigurationError("qd needs basis=+|-")
 
 
-def _declared(circuit: Circuit) -> tuple[dict, set]:
-    """Each photon's paths by its name, and the QD names, of declarations that pass _declare."""
+def _declared(circuit: Circuit) -> tuple[dict, dict]:
+    """Each photon's paths and each QD's spin slot (0 or 1) by name, of declarations that pass
+    _declare; a QD's slot is its place among them."""
     qds, photons = _declare({}, *circuit.qds), _declare({}, *circuit.photons)
-    return {name: ph.paths for name, ph in photons.items()}, set(qds)
+    return {name: ph.paths for name, ph in photons.items()}, dict(zip(qds, range(2)))
 
 
 @lru_cache(maxsize=_CHECKED_MAX)  # a line that raises is not cached
@@ -526,20 +524,19 @@ class TrackedRun:
     click_probability: dict[str, float]
 
 
-def _compile(circuit: Circuit, layout: StateLayout):
-    """Parameter-free actions; the cavity enters only at qdarm and wfc.
-
-    A photon's passive matrices are multiplied together and emitted as one
-    matrix action just before that photon's next qdarm, wfc or detector,
-    and at the end. Each op is checked once, and its check returns its action's tail.
-    """
+def _compile(circuit: Circuit):
+    """The one reader of a circuit: (its layout, its parameter-free actions), its declarations
+    checked first, so they get the parser's messages, and each op once, by a check that returns
+    its action's tail. A photon's passive matrices are multiplied together and emitted as one
+    matrix action just before that photon's next qdarm, wfc or detector, and at the end."""
+    paths, qds = _declared(circuit)
+    layout = circuit.layout()
     actions, labels = [], set()
     pending = [None, None]  # per photon slot, the product of its matrices so far
-    paths, qds = _declared(circuit)
     for el in circuit.ops:
         kind, *tail = _check_element(el, paths, qds)
         if kind == "spin":
-            actions.append(("spin", circuit.qd_slot(el.qd), el.qd))
+            actions.append(("spin", qds[el.qd], el.qd))
             continue
         slot = layout.photons.index(el.photon)
         if kind == "matrix":
@@ -549,14 +546,14 @@ def _compile(circuit: Circuit, layout: StateLayout):
             actions.append(("matrix", slot, pending[slot]))
             pending[slot] = None
         if kind == "qdarm":
-            actions.append(("qdarm", slot, *tail, circuit.qd_slot(el.qd)))
+            actions.append(("qdarm", slot, *tail, qds[el.qd]))
         elif kind == "wfc":
             actions.append(("wfc", slot, *tail))
         else:
             _claim_labels(labels, (el,))
             actions.append(("detector", slot, *tail, el.label))
-    return actions + [("matrix", slot, mat) for slot, mat in enumerate(pending)
-                      if mat is not None]
+    return layout, actions + [("matrix", slot, mat) for slot, mat in enumerate(pending)
+                              if mat is not None]
 
 
 def _weight(a: np.ndarray) -> float:
@@ -627,7 +624,7 @@ def _outcomes(action, c: np.ndarray) -> list:
 
 
 def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
-    """The runner loop: (layout, [(record, coefficients)], clicks).
+    """The runner loop over _compile's actions: (layout, [(record, coefficients)], clicks).
 
     A branch is one array c[s-degree, h-degree, *state axes] of the
     coefficients of s^i h^k. s and h enter as coefficient tuples by degree:
@@ -637,18 +634,13 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
     detector's label; with pair=None the branch ends there. At a pair, a weight that is not
     finite (of a measurement outcome, a click too, or a returned branch) is a NumericDomainError.
     """
-    try:
-        layout = circuit.layout()
-    except ConfigurationError:
-        _declared(circuit)  # a declaration that the parser refuses gets the parser's message
-        raise
+    layout, actions = _compile(circuit)  # checks every op, so each label is a string
     if state.layout != layout:
         raise ConfigurationError("input state layout does not match circuit declarations")
     if pair is None:
         s = h = (0, 1)
     else:
         s, h = (pair.success_amplitude,), (0, pair.herald_amplitude)
-    actions = _compile(circuit, layout)  # checks every op, so each label is a string
     clicks = {action[-1]: [] for action in actions if action[0] == "detector"}
     branches = [((), state.amps[None, None].copy())]
     weights = []  # those compared with _BRANCH_DROP

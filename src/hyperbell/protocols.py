@@ -451,27 +451,27 @@ def _readout(text: str):
     A row's label is the one basis input with amplitude on it, each input
     taken with the spins that SPIN_TO_SPATIAL gives its spatial state, as
     stage 1 leaves them; none or several is an InconsistentOutcomeError.
-    It projects two spin slots, so a text that does not declare exactly
-    two QDs, or a readout that holds a qdarm or wfc, applies a passive op after
-    one of that photon's detectors or does not measure each declared QD exactly
-    once, is a ConfigurationError.
+    It reads the readout only as _compile's actions, and projects two spin
+    slots: a readout that holds a qdarm or wfc, applies a passive op after one
+    of that photon's detectors or does not measure spin slots 0 and 1 once each
+    (so a text that declares one QD) is a ConfigurationError.
     """
     full = _parsed(text)
-    readout = _split_stage1(full)[1]
-    if any(el.kind in (ElementKind.QDARM, ElementKind.WFC) for el in readout.ops):
-        raise ConfigurationError("analysis readout holds a qdarm or wfc")
-    measured = sorted(el.qd for el in readout.ops if el.kind == ElementKind.MEASURE_SPIN)
-    if len(full.qds) != 2 or measured != sorted(qd.name for qd in full.qds):
-        raise ConfigurationError("analysis readout must measure each of two declared QDs once")
-    detectors, matrices = ([], []), []
-    for kind, slot, *rest in _compile(readout, full.layout()):
-        if kind == "detector":
+    detectors, matrices, slots = ([], []), [], []
+    for kind, slot, *rest in _compile(_split_stage1(full)[1])[1]:
+        if kind in ("qdarm", "wfc"):
+            raise ConfigurationError("analysis readout holds a qdarm or wfc")
+        if kind == "spin":
+            slots.append(slot)
+        elif kind == "detector":
             path_idx, pol, label = rest
             detectors[slot].append((label, _path_slice(slot, path_idx, pol)))
-        elif kind == "matrix" and detectors[slot]:
+        elif detectors[slot]:
             raise ConfigurationError("analysis readout: a photon's passive op follows its detector")
-        elif kind == "matrix":
+        else:
             matrices.append((slot, *rest))
+    if sorted(slots) != [0, 1]:
+        raise ConfigurationError("analysis readout must measure each of two declared QDs once")
     rows = [(SpinOutcome(e1, e2), DetectorPattern(a, b), on_a, on_b)
             for e1, e2 in product("+-", repeat=2)
             for (a, on_a), (b, on_b) in product(*detectors)]

@@ -331,6 +331,17 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match=f"^{field} must be a real number"):
             SweepGrid(**{"kappa_s_over_kappa": (0.5,), "g_over_sum": (1.0,), **kwargs})
 
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (((0.1,), (0.5,)), {"gamma_over_kappa": [0.1]}, "gamma_over_kappa must be a real number"),
+        (((0.1,), (0.5,)), {"detuning": (0.2,)}, "detuning must be a real number"),
+        ((5, (1.0,)), {}, "kappa_s_over_kappa must be a tuple or list of reals, got 5"),
+        (((0.1,), np.array([0.5, 1.0])), {}, "g_over_sum must be a tuple or list of reals"),
+    ], ids=["gamma-list", "detuning-tuple", "ks-int", "g-array"])
+    def test_only_the_axes_are_sequences(self, args, kwargs, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            SweepGrid(*args, **kwargs)
+        assert SweepGrid([0.1], [0.5, 1.0]).g_over_sum == [0.5, 1.0]  # a list axis stays one
+
     def test_int_past_float_range_is_not_finite(self):
         SweepGrid((0.5,), (10**20,), gamma_over_kappa=10**20)  # past int64, a finite float
         for kwargs in ({"g_over_sum": (10**400,)}, {"kappa_s_over_kappa": (-10**400,)}):

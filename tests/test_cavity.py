@@ -296,10 +296,15 @@ class TestValueTypes:
         (lambda: ReflectionPair(-1.0, np.array(["1"])), "r_h"),
         (lambda: ReflectionPair([1], [1]), "r_o"),
         (lambda: ReflectionPair(-1.0, (1.0,)), "r_h"),
+        (lambda: CavityParams(g=[1.0]), "g"),
+        (lambda: CavityParams(g=1, gamma=(0.1,)), "gamma"),
+        (lambda: DephasingParams(1, [300.0]), "big_gamma"),
+        (lambda: DephasingParams((), 3.0), "tau"),
     ], ids=["cavity-g-complex", "cavity-g-str", "cavity-kappa-complex", "cavity-gamma-str",
             "dephasing-tau-complex", "dephasing-tau-str", "dephasing-gamma-str",
             "pair-r_h-str", "pair-r_o-str", "pair-r_h-str-array", "pair-r_o-list",
-            "pair-r_h-tuple"])
+            "pair-r_h-tuple", "cavity-g-list", "cavity-gamma-tuple", "dephasing-gamma-list",
+            "dephasing-tau-empty-tuple"])
     def test_wrong_type_names_the_field(self, make, field):
         with pytest.raises(ConfigurationError, match=f"^{field} must be a"):
             make()

@@ -273,6 +273,16 @@ class TestExitCodes:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr and "Exception" not in done.stderr
 
+    @pytest.mark.parametrize("args", [("coeffs",), ("sweep", "--ks-steps", "2", "--g-steps", "2")])
+    def test_closed_output_pipe_exits_1_in_process(self, capsys, monkeypatch, args):
+        # the same branch of main, run here: stdout is a buffered pipe whose reader is gone
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(list(args)) == 1
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("args", [
         ("coeffs", "--g", "nan"),
         ("coeffs", "--kappa-s", "inf"),

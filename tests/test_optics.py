@@ -847,6 +847,20 @@ class TestRunCircuit:
         with pytest.raises(ConfigurationError, match="^circuit must declare exactly two photons$"):
             parse_circuit("photon A paths=a1\n").layout()
 
+    def test_hand_built_circuit_is_read_declarations_layout_ops_state(self, rng):
+        # _compile reads a circuit in one order, and the run checks the state's layout last
+        circuit = _two_photon_circuit("op hp photon=A path=a1\n")
+        state = random_state(circuit.layout(), rng)
+        one_photon = replace(circuit, photons=circuit.photons[:1])
+        with pytest.raises(ConfigurationError, match="^circuit must declare exactly two photons$"):
+            run_circuit_tracked(one_photon, state)
+        with pytest.raises(ConfigurationError, match="^duplicate QD id 'QD1'$"):
+            run_circuit_tracked(replace(one_photon, qds=circuit.qds[:1] * 2), state)
+        bad_op = replace(circuit, ops=(circuit.ops[0]._replace(path="a3"),))
+        other = random_state(replace(circuit.layout(), photons=("A", "C")), rng)
+        with pytest.raises(ConfigurationError, match="^dangling path reference 'a3'"):
+            run_circuit_tracked(bad_op, other)
+
     def test_hand_built_third_qd_is_rejected_at_run(self, rng):
         # the parser stops at two QDs; a hand-built circuit may declare a third
         circuit = _two_photon_circuit("")
@@ -1121,7 +1135,7 @@ class TestFusedCompile:
             circuit = parse_circuit(random_circuit_text(rng))
             layout = circuit.layout()
             calls.clear()
-            actions = optics._compile(circuit, layout)
+            actions = optics._compile(circuit)[1]
             assert calls == list(circuit.ops)
             want, pending = [], [None, None]
             for el in circuit.ops:
@@ -1159,7 +1173,7 @@ class TestFusedCompile:
         for _ in range(100):
             circuit = parse_circuit(random_circuit_text(rng))
             checked.clear()
-            optics._compile(circuit, circuit.layout())
+            optics._compile(circuit)
             assert len(checked) == len(circuit.ops)
             assert all(a is b for a, b in zip(checked, circuit.ops))
 
@@ -1170,7 +1184,7 @@ class TestFusedCompile:
                                       "op z photon=B path=b2\n"
                                       "op cpbs photon=A in=a1 out=a2,a1\n")
         layout = circuit.layout()
-        actions = optics._compile(circuit, layout)
+        actions = optics._compile(circuit)[1]
         assert [a[:2] for a in actions] == [("matrix", 0), ("matrix", 1)]
         for slot, ops in ((0, circuit.ops[0::2]), (1, circuit.ops[1::2])):
             want = np.eye(4, dtype=complex)

@@ -185,8 +185,7 @@ def test_repr_names_every_field(cls):
 
 def test_run_sweep_returns_sweep_records():
     # each record, made from the sweep's columns, is a SweepRecord and the one-point sweep
-    # at its point: the axes and coefficients bit for bit, the statistics to TOL (a sum
-    # over one point may round its last bit apart from the same sum over the grid)
+    # at its point
     grid = SweepGrid((0.0, 0.2, 0.55), (0.0, 0.3, 1.1, 2.5), gamma_over_kappa=0.12,
                      detuning=0.05)
     records = run_sweep(grid)
@@ -197,8 +196,18 @@ def test_run_sweep_returns_sweep_records():
         changed = record._replace(conditional_fidelity=0.5)
         assert type(changed) is SweepRecord and changed == (*record[:-1], 0.5)
         point = sweep_point(kappa_s, g_over_sum, 0.12, 0.05)
-        assert record[:4] == point[:4] and record[:2] == (kappa_s, g_over_sum)
-        np.testing.assert_allclose(record[4:], point[4:], rtol=0, atol=TOL)
+        assert record == point and record[:2] == (kappa_s, g_over_sum)
+
+
+@pytest.mark.parametrize("grid", [
+    SweepGrid((0.0, 0.2, 0.55), (0.0, 0.3, 1.1, 2.5), gamma_over_kappa=0.12, detuning=0.05),
+    SweepGrid.regular(0.0, 1.0, 9, 0.0, 2.5, 9, gamma_over_kappa=0.12, detuning=0.05),
+], ids=["3x4", "9x9"])
+def test_sweep_point_is_bit_equal_to_its_grid_record(grid):
+    # a pair's monomial weights take the same bits whatever the number of pairs beside it
+    for record in run_sweep(grid):
+        point = sweep_point(*record[:2], grid.gamma_over_kappa, grid.detuning)
+        assert repr(point) == repr(record)
 
 
 @pytest.mark.parametrize("dephasing", [None, DephasingParams(tau=0.1, big_gamma=1.0)])
