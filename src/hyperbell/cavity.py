@@ -1,7 +1,7 @@
 """Reflection coefficients of the single-sided quantum-dot microcavity.
 
-All rates are expressed in units of kappa and all frequencies as
-detunings in units of kappa. The hot-cavity coefficient comes from the
+All rates and the photon's detuning omega are in units of kappa, with the
+cavity and trion on resonance. The hot-cavity coefficient comes from the
 steady-state weak-excitation solution of the input-output relations;
 the cold-cavity coefficient is its g = 0 reduction. The raw complex
 values are applied directly (no inserted minus signs): at resonance r_o
@@ -42,23 +42,18 @@ def _check_real(fields: dict, sequences=()) -> None:
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Physical cavity parameters (rates in units of kappa)."""
+    """Physical cavity parameters in units of kappa: the CLI's cavity flags."""
 
     g: float                 # QD-cavity coupling strength
-    kappa: float = 1.0       # cavity decay rate (reference unit)
     kappa_s: float = 0.0     # side-leakage rate
     gamma: float = 0.0       # exciton decay rate
-    omega: float = 0.0       # input photon frequency (as detuning)
-    omega_c: float = 0.0     # cavity frequency
-    omega_x: float = 0.0     # trion transition frequency
+    omega: float = 0.0       # photon detuning from the resonant cavity and trion
 
     def __post_init__(self):
         _check_real(vars(self))
         for name, value in vars(self).items():
             if not _finite(value):
                 raise ConfigurationError(f"{name} must be finite")
-        if not self.kappa > 0:
-            raise ConfigurationError("kappa must be positive")
         if self.kappa_s < 0 or self.gamma < 0 or self.g < 0:
             raise ConfigurationError("kappa_s, gamma and g must be non-negative")
 
@@ -125,12 +120,15 @@ def reflection_coefficients(params: CavityParams) -> ReflectionPair:
     exactly or a coefficient overflows. At g = 0 the hot coefficient
     reduces to the cold one and is returned bit-identically.
     """
-    y = 1j * (params.omega_c - params.omega) + (params.kappa + params.kappa_s) / 2
-    r_o = (1j * (params.omega_c - params.omega)
-           - params.kappa / 2 + params.kappa_s / 2) / y
+    if not isinstance(params, CavityParams):
+        raise ConfigurationError(
+            f"reflection_coefficients takes a CavityParams, not {type(params).__name__}")
+    detuning = 1j * (0.0 - params.omega)
+    y = detuning + (1.0 + params.kappa_s) / 2
+    r_o = (detuning - 0.5 + params.kappa_s / 2) / y
     r_h = r_o
     if params.g != 0:
-        x = 1j * (params.omega_x - params.omega) + params.gamma / 2
+        x = detuning + params.gamma / 2
         try:
             denom = x * y + params.g ** 2
         except OverflowError:
@@ -138,7 +136,7 @@ def reflection_coefficients(params: CavityParams) -> ReflectionPair:
         if denom == 0:
             raise NumericDomainError(
                 f"hot-cavity denominator vanishes for parameters {params}")
-        r_h = 1 - params.kappa * x / denom
+        r_h = 1 - x / denom
     if not (cmath.isfinite(r_o) and cmath.isfinite(r_h)):
         raise NumericDomainError(f"reflection coefficients overflow for parameters {params}")
     return ReflectionPair(r_o=r_o, r_h=r_h)
@@ -146,8 +144,7 @@ def reflection_coefficients(params: CavityParams) -> ReflectionPair:
 
 def reflection_coefficients_grid(kappa_s: np.ndarray, g: np.ndarray, gamma: float,
                                  omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """(r_o, r_h) at the points (kappa_s[N], g[N]), with kappa = 1 and the
-    cavity and trion on resonance (omega_c = omega_x = 0).
+    """(r_o, r_h) at the points (kappa_s[N], g[N]).
 
     The formula of reflection_coefficients, in NumPy complex arithmetic,
     whose division may differ from CPython's in the last bit. Points that
@@ -157,14 +154,14 @@ def reflection_coefficients_grid(kappa_s: np.ndarray, g: np.ndarray, gamma: floa
     denominator, where CPython's does not; such a point keeps the scalar
     function's values.
     """
-    kappa, detuning = 1.0, 0.0 - omega  # omega_c - omega, sign of a zero included
+    detuning = 1j * (0.0 - omega)  # not -omega, as the scalar path: keeps a zero's sign
     with np.errstate(all="ignore"):
-        y = 1j * detuning + (kappa + kappa_s) / 2
-        r_o = (1j * detuning - kappa / 2 + kappa_s / 2) / y
-        x = 1j * detuning + gamma / 2
+        y = detuning + (1.0 + kappa_s) / 2
+        r_o = (detuning - 0.5 + kappa_s / 2) / y
+        x = detuning + gamma / 2
         g2 = g ** 2
         denom = x * y + g2
-        r_h = np.where(g == 0, r_o, 1 - kappa * x / denom)
+        r_h = np.where(g == 0, r_o, 1 - x / denom)
         # a non-finite kappa_s gives r_o = nan, a non-finite g a non-finite
         # g2, and a zero denominator a non-finite r_h
         bad = ~((kappa_s >= 0) & (g >= 0) & ((g == 0) | np.isfinite(g2))

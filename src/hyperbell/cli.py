@@ -201,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:  # the reader left early, as `| head -1` does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

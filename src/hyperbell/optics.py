@@ -671,14 +671,6 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
     return layout, branches, clicks
 
 
-def _evaluate(c: np.ndarray, s: complex, h: complex) -> np.ndarray:
-    """The layers of coefficients c at (s, h): a new (1, h-degrees, *state) array."""
-    s_len, h_len = c.shape[:2]
-    out = (s ** np.arange(s_len) @ c.reshape(s_len, -1)).reshape((1,) + c.shape[1:])
-    out *= (h ** np.arange(h_len)).reshape((1, h_len) + (1,) * (c.ndim - 2))
-    return out
-
-
 def _tracked_run(layout: StateLayout, branches, clicks) -> TrackedRun:
     """The TrackedRun of branch and click coefficients already at one pair,
     their s-degree axis of length 1."""

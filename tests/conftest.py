@@ -47,16 +47,25 @@ def apply_op(state: HybridState, op: str, pair=IDEAL_PAIR) -> HybridState:
     return branch.physical_state()
 
 
+def evaluate(c: np.ndarray, s: complex, h: complex) -> np.ndarray:
+    """The layers of polynomial-mode coefficients c at (s, h): a new
+    (1, h-degrees, *state) array."""
+    s_len, h_len = c.shape[:2]
+    out = (s ** np.arange(s_len) @ c.reshape(s_len, -1)).reshape((1,) + c.shape[1:])
+    out *= (h ** np.arange(h_len)).reshape((1, h_len) + (1,) * (c.ndim - 2))
+    return out
+
+
 def polynomial_run_at(circuit, state: HybridState, pair) -> optics.TrackedRun:
     """The runner's polynomial mode, optics._run with pair=None, evaluated at one
-    pair by optics._evaluate: the click-free branches and every click probability
+    pair by evaluate: the click-free branches and every click probability
     of the run_circuit_tracked run there, up to rounding and branches of weight at
     most the drop threshold. The mode stops each branch at its first click."""
     s, h = pair.success_amplitude, pair.herald_amplitude
     layout, branches, clicks = optics._run(circuit, state, None)
     run = optics._tracked_run(
-        layout, [(rec, optics._evaluate(c, s, h)) for rec, c in branches],
-        {label: [optics._evaluate(c, s, h) for c in cs] for label, cs in clicks.items()})
+        layout, [(rec, evaluate(c, s, h)) for rec, c in branches],
+        {label: [evaluate(c, s, h) for c in cs] for label, cs in clicks.items()})
     run.branches = [tb for tb in run.branches
                     if sum(map(optics._weight, tb.layers)) > optics._BRANCH_DROP]
     return run

@@ -357,7 +357,7 @@ def _first_scalar_error(grid):
         for g_over_sum in grid.g_over_sum:
             try:
                 reflection_coefficients(CavityParams(
-                    g=g_over_sum * (ks + 1.0), kappa=1.0, kappa_s=ks,
+                    g=g_over_sum * (ks + 1.0), kappa_s=ks,
                     gamma=grid.gamma_over_kappa, omega=grid.detuning))
             except (ConfigurationError, NumericDomainError) as exc:
                 return exc

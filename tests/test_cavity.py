@@ -43,10 +43,9 @@ class TestReflectionCoefficients:
         assert abs(pair.r_h.real - 0.951220) < 1e-6
 
     def test_oracle_agreement_off_resonance(self):
-        params = CavityParams(g=0.7, kappa_s=0.3, gamma=0.2,
-                              omega=0.4, omega_c=-0.1, omega_x=0.25)
-        pair = reflection_coefficients(params)
-        oracle = mp_reflection(0.7, 1.0, 0.3, 0.2, 0.4, -0.1, 0.25)
+        # the full formula, with kappa = 1 and the cavity and trion on resonance
+        pair = reflection_coefficients(CavityParams(g=0.7, kappa_s=0.3, gamma=0.2, omega=0.4))
+        oracle = mp_reflection(0.7, 1.0, 0.3, 0.2, 0.4, 0.0, 0.0)
         assert abs(pair.r_h - oracle) < 1e-14
 
     def test_strong_coupling_phase_difference_is_pi(self):
@@ -58,15 +57,20 @@ class TestReflectionCoefficients:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):
-            CavityParams(g=1.0, kappa=0.0)
-        with pytest.raises(ConfigurationError):
             CavityParams(g=-1.0)
         with pytest.raises(ConfigurationError):
             CavityParams(g=1.0, gamma=-0.1)
-        for field in ("g", "kappa", "kappa_s", "gamma", "omega", "omega_c", "omega_x"):
+        for field in ("g", "kappa_s", "gamma", "omega"):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigurationError, match=f"^{field} must be finite$"):
                     CavityParams(**{"g": 1.0, field: bad})
+
+    @pytest.mark.parametrize("params", [None, "x", 1.0, (1, 2), {"g": 1}],
+                             ids=["none", "str", "float", "tuple", "dict"])
+    def test_non_params_is_configuration_error(self, params):
+        message = f"^reflection_coefficients takes a CavityParams, not {type(params).__name__}$"
+        with pytest.raises(ConfigurationError, match=message):
+            reflection_coefficients(params)
 
     def test_overflow_is_numeric_domain_error(self):
         # g**2 overflows; and x * y overflows to a NaN coefficient
@@ -88,8 +92,6 @@ class TestReflectionCoefficients:
                 kappa_s=float(rng.uniform(0, 3)),
                 gamma=float(rng.uniform(0, 2)),
                 omega=float(rng.uniform(-5, 5)),
-                omega_c=float(rng.uniform(-5, 5)),
-                omega_x=float(rng.uniform(-5, 5)),
             )
             pair = reflection_coefficients(params)
             assert abs(pair.r_o) <= 1 + 1e-12
@@ -103,8 +105,6 @@ class TestReflectionCoefficients:
                 kappa_s=float(rng.uniform(0, 2)),
                 gamma=float(rng.uniform(0, 2)),
                 omega=float(rng.uniform(-5, 5)),
-                omega_c=float(rng.uniform(-5, 5)),
-                omega_x=float(rng.uniform(-5, 5)),
             )
             pair = reflection_coefficients(params)
             assert pair.r_h == pair.r_o
@@ -286,7 +286,7 @@ class TestValueTypes:
     @pytest.mark.parametrize("make, field", [
         (lambda: CavityParams(g=1j), "g"),
         (lambda: CavityParams(g="1"), "g"),
-        (lambda: CavityParams(g=1, kappa=1j), "kappa"),
+        (lambda: CavityParams(g=1, omega=1j), "omega"),
         (lambda: CavityParams(g=1, gamma="0.1"), "gamma"),
         (lambda: DephasingParams(1j, 1), "tau"),
         (lambda: DephasingParams("1", 1), "tau"),
@@ -300,7 +300,7 @@ class TestValueTypes:
         (lambda: CavityParams(g=1, gamma=(0.1,)), "gamma"),
         (lambda: DephasingParams(1, [300.0]), "big_gamma"),
         (lambda: DephasingParams((), 3.0), "tau"),
-    ], ids=["cavity-g-complex", "cavity-g-str", "cavity-kappa-complex", "cavity-gamma-str",
+    ], ids=["cavity-g-complex", "cavity-g-str", "cavity-omega-complex", "cavity-gamma-str",
             "dephasing-tau-complex", "dephasing-tau-str", "dephasing-gamma-str",
             "pair-r_h-str", "pair-r_o-str", "pair-r_h-str-array", "pair-r_o-list",
             "pair-r_h-tuple", "cavity-g-list", "cavity-gamma-tuple", "dephasing-gamma-list",
@@ -310,7 +310,7 @@ class TestValueTypes:
             make()
 
     def test_numbers_of_every_numeric_type_are_accepted(self):
-        assert CavityParams(g=np.float64(1.0), kappa=1, gamma=np.int64(0)).kappa == 1
+        assert CavityParams(g=np.float64(1.0), omega=1, gamma=np.int64(0)).omega == 1
         assert DephasingParams(np.float32(20.0), 300).big_gamma == 300
         for r_o, r_h in ((-1, 1.0), (np.complex128(-1), 1 + 0j), (np.array([-1]), np.ones(1))):
             assert ReflectionPair(r_o, r_h).success_amplitude == -1

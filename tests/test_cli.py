@@ -38,6 +38,32 @@ class TestCoeffs:
         assert abs(float(kv["phi_h"])) < 1e-12
         assert abs(float(kv["success_prob_per_passage"]) - (40 / 41) ** 2) < 1e-12
 
+    GOLDEN = {
+        (): """\
+r_o_re=-1.0
+r_o_im=0.0
+r_h_re=0.9512195121951219
+r_h_im=0.0
+phi_o=3.141592653589793
+phi_h=0.0
+success_prob_per_passage=0.9518143961927423
+""",
+        ("--g", "0.5", "--kappa-s", "0.3", "--gamma", "0.2", "--detuning", "0.4"): """\
+r_o_re=-0.11587982832618021
+r_o_im=-0.6866952789699571
+r_h_re=-0.1883358912519184
+r_h_im=0.2806402104801577
+phi_o=-1.7379713438879743
+phi_h=2.1618575749963975
+success_prob_per_passage=0.2352469575510979
+""",
+    }
+
+    @pytest.mark.parametrize("args", list(GOLDEN), ids=["default", "detuned"])
+    def test_golden_stdout(self, capsys, args):
+        # the exact bits of the scalar coefficient path, as printed
+        assert run_cli(capsys, "coeffs", *args) == (0, self.GOLDEN[args], "")
+
     def test_invalid_kappa_handled(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--g", "-1")
         assert code == 2
@@ -282,6 +308,21 @@ class TestExitCodes:
             monkeypatch.setattr(sys, "stdout", out)
             assert main(list(args)) == 1
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_output_pipe_leaks_no_descriptor(self, monkeypatch):
+        def call():
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with open(write_end, "w") as out:
+                monkeypatch.setattr(sys, "stdout", out)
+                assert main(["coeffs"]) == 1
+
+        call()  # anything opened once per process is open before the count
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            call()
+        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize("args", [
         ("coeffs", "--g", "nan"),

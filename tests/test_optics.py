@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import apply_op, one_op_circuit, polynomial_run_at, random_state
+from conftest import apply_op, evaluate, one_op_circuit, polynomial_run_at, random_state
 from hyperbell import optics
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import ConfigurationError, NumericDomainError
@@ -932,7 +932,7 @@ class TestDropRule:
             norms = np.array([optics._weight(c[:, k]) for k in range(c.shape[1])])
             s, h = rng.normal(size=2) + 1j * rng.normal(size=2)
             weights = np.abs(s ** degrees * h ** np.arange(c.shape[1])) ** 2 * norms
-            self._assert_agrees(weights, optics._evaluate(c, s, h))
+            self._assert_agrees(weights, evaluate(c, s, h))
 
 
 class TestPolarizationDetector:

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import evaluate
 from test_records import _superposition
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import (
@@ -20,7 +21,6 @@ from hyperbell.hilbert import HybridState, overlap, product_state
 from hyperbell.optics import (
     _BRANCH_DROP,
     ElementKind,
-    _evaluate,
     _surviving,
     _weight,
     layer_s_degrees,
@@ -686,7 +686,7 @@ class TestHbsaForms:
 def _dense_hbsa(forms, pair):
     """The oracle for run_hbsa: every monomial and branch of the forms
     evaluated at the pair, then the runner's drop rule."""
-    layers = _evaluate(forms, pair.success_amplitude, pair.herald_amplitude)[0]
+    layers = evaluate(forms, pair.success_amplitude, pair.herald_amplitude)[0]
     weights = (layers.real ** 2 + layers.imag ** 2).sum(axis=2)  # [h-degree, branch]
     dropped = ~_surviving(weights)[0]
     layers[dropped] = 0.0
@@ -998,7 +998,7 @@ class TestCircuitText:
             for cs in (at_pair[label], poly[label]):
                 assert isinstance(cs, list) and cs
                 assert all(a.shape[2:] == state.amps.shape for a in cs)
-            want = sum(_weight(_evaluate(c, s, h).sum(axis=(0, 1))) for c in poly[label])
+            want = sum(_weight(evaluate(c, s, h).sum(axis=(0, 1))) for c in poly[label])
             got = sum(_weight(c.sum(axis=(0, 1))) for c in at_pair[label])
             assert got == pytest.approx(want, rel=0, abs=1e-12)
 
