@@ -184,18 +184,6 @@ def _apply_photon_matrix(amps: np.ndarray, slot: int, mat: np.ndarray) -> np.nda
 _POLSPIN_AXES = {(p, q): (2 * p - 5, q - 2) for p in (0, 1) for q in (0, 1)}
 
 
-def _polspin(view: np.ndarray, slot: int, spin_slot: int, mat4: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 map on (photon polarization (x) one spin) to a one-path view.
-
-    view is ``amps[_path_slice(slot, path)]``; mat4 is in the pol-major
-    basis {R up, R down, L up, L down}. Returns a new array.
-    """
-    axes = _POLSPIN_AXES[slot, spin_slot]
-    moved = np.moveaxis(view, axes, (-2, -1))
-    out = moved.reshape(moved.shape[:-2] + (4,)) @ mat4.T
-    return np.moveaxis(out.reshape(moved.shape), (-2, -1), axes)
-
-
 def _path_slice(slot: int, path_idx: int, pol=slice(None)) -> tuple:
     """Index selecting the amplitudes with photon ``slot`` on one path,
     in one polarization (R or L) or in both (the default)."""
@@ -259,9 +247,11 @@ def apply_spin_conditional_op(state: HybridState, photon: str, spin: int,
     op = np.asarray(op, dtype=complex)
     if op.shape != (4, 4):
         raise ConfigurationError("spin-conditional operator must be 4x4")
-    amps = state.amps.copy()
+    amps, axes = state.amps.copy(), _POLSPIN_AXES[slot, spin - 1]
     on_path = _path_slice(slot, path_idx)
-    amps[on_path] = _polspin(amps[on_path], slot, spin - 1, op)
+    moved = np.moveaxis(amps[on_path], axes, (-2, -1))  # (pol, spin) last, pol-major
+    out = moved.reshape(moved.shape[:-2] + (4,)) @ op.T
+    amps[on_path] = np.moveaxis(out.reshape(moved.shape), (-2, -1), axes)
     return HybridState(state.layout, amps)
 
 

@@ -9,11 +9,12 @@ of (circuit, input, pair). The pair enters only through
 s = (r_o - r_h)/2 and h = (r_o + r_h)/2 at qdarm (s·success + h·leak on
 its path) and wfc (s on its path). The runner keeps each branch as one
 coefficient array indexed [s-degree, h-degree, *state axes] and takes s
-and h as coefficient tuples by degree: (s,) and (0, h) at one pair, so
-they are multiplied in, or (0, 1) for both, so that one run is a
-polynomial valid at every pair, read through protocols._no_click and
-layer_s_degrees. Both store a branch's first click under its label; at a
-pair the branch runs on, as a polynomial it stops (_no_click reads no more).
+and h as coefficient tuples by degree: (s,) and (0, h) at one pair, so they
+are multiplied in, or (0, 1) for both, so that one run is a polynomial valid
+at every pair. Each mode has one way in: run_circuit_tracked at a pair, and
+protocols._no_click, read through layer_s_degrees, as a polynomial. Both keep
+a branch's first click under its label; at a pair the branch runs on, as a
+polynomial it stops (_no_click reads no more).
 The runner applies each photon's passive elements as one matrix, their
 product, just before that photon's next qdarm, wfc or detector and at
 the end. This is exact up to rounding: a photon's matrix commutes with
@@ -624,7 +625,8 @@ def _outcomes(action, c: np.ndarray) -> list:
 
 
 def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
-    """The runner loop over _compile's actions: (layout, [(record, coefficients)], clicks).
+    """The runner loop over _compile's actions: ([(record, coefficients)], clicks). Its one
+    caller at a pair is run_circuit_tracked, and with pair=None, protocols._no_click.
 
     A branch is one array c[s-degree, h-degree, *state axes] of the
     coefficients of s^i h^k. s and h enter as coefficient tuples by degree:
@@ -668,7 +670,7 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
             branches = new_branches
     if pair is not None and not np.isfinite(sum(weights) + sum(_weight(c) for _, c in branches)):
         raise NumericDomainError(f"a branch weight overflows at {pair}")
-    return layout, branches, clicks
+    return branches, clicks
 
 
 def _tracked_run(layout: StateLayout, branches, clicks) -> TrackedRun:
@@ -687,9 +689,12 @@ def run_circuit_tracked(circuit: Circuit, state: HybridState,
     Detectors and spin measurements fork branches; every branch of weight
     above the drop threshold is kept, clicked or not, so at a lossless pair
     the branch probabilities sum to the input's squared norm, up to the
-    dropped weight.
+    dropped weight. Any pair but a ReflectionPair of two numbers is a ConfigurationError.
     """
-    return _tracked_run(*_run(circuit, state, pair))
+    if not isinstance(pair, ReflectionPair) or np.ndim(pair.r_o) + np.ndim(pair.r_h):
+        raise ConfigurationError(f"run_circuit_tracked takes a ReflectionPair of two numbers, "
+                                 f"not {pair!r}")
+    return _tracked_run(state.layout, *_run(circuit, state, pair))
 
 
 def monomial_support(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

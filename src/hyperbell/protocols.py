@@ -13,12 +13,13 @@ beam-splitter basis change, spatial phase on QD2 (restoring the rails with
 a second beam splitter); the remaining polarization Bell state is read out
 by single-photon Bell-state measurements (SPBSM) assisted by the now-known
 spatial state. Only stage 1, every op before the first spin measurement,
-sees the cavity. _no_click runs it at a pair or as a polynomial in (s, h)
-and keeps its no-click branch, for the analyzer and for the generator's
-forms in analysis; run_hbsg, which analysis.hbsg_branch_report reads, is
-the one per-pair generation run. One rule, _hbsa_forms, gives any input its
-forms: it runs stage 1 on the input as a polynomial and applies the fixed
-readout to that branch: the SPBSM's matrices, then both spins' X basis, whose outcome
+sees the cavity. _no_click runs it as a polynomial in (s, h) and keeps its
+no-click branch, for the analyzer and for the generator's forms in
+analysis. At a pair, run_hbsa_stage1 runs it through run_circuit_tracked,
+as run_hbsg, which analysis.hbsg_branch_report reads, runs the whole
+generation circuit. One rule, _hbsa_forms, gives any input its forms: it
+runs stage 1 on the input as a polynomial and applies the fixed readout to
+that branch: the SPBSM's matrices, then both spins' X basis, whose outcome
 is the spatial state (hilbert._x_amplitudes), so each of the 64 (spin
 outcome, detector pattern) branches keeps its amplitude as a polynomial.
 Each h-degree layer of it is one monomial s^i h^k, so run_hbsa reads an
@@ -68,7 +69,6 @@ from .hilbert import (
 from .optics import (
     Circuit,
     ElementKind,
-    TrackedBranch,
     _compile,
     _run,
     _surviving,
@@ -253,12 +253,11 @@ def _split_stage1(circuit: Circuit) -> tuple[Circuit, Circuit]:
     return replace(circuit, ops=circuit.ops[:at]), replace(circuit, ops=circuit.ops[at:])
 
 
-def _no_click(circuit: Circuit, state: HybridState, pair: ReflectionPair | None = None):
-    """Stage 1 of a circuit run on a state at a pair or, with pair=None, as a
-    polynomial in (s, h): its no-click branch's coefficients (all zero if the
-    runner dropped it) and its clicks, a list per detector label of the first
-    clicks' coefficient arrays; as a polynomial no clicked branch is run on."""
-    _, branches, clicks = _run(_split_stage1(circuit)[0], state, pair)
+def _no_click(circuit: Circuit, state: HybridState):
+    """Stage 1 of a circuit run on a state as a polynomial in (s, h), the runner's one
+    polynomial entry: its no-click branch's coefficients (all zero if the runner dropped it)
+    and its clicks, a list per detector label of the first clicks' coefficient arrays."""
+    branches, clicks = _run(_split_stage1(circuit)[0], state, None)
     return dict(branches).get((), np.zeros((1, 1) + state.amps.shape, dtype=complex)), clicks
 
 
@@ -423,10 +422,9 @@ def run_hbsa_stage1(state: HybridState,
     The photonic state is returned unchanged (exactly, for the unleaked
     component); for each basis input the two spins end in the definite
     X-basis states given by SPIN_TO_SPATIAL. Stage 1 measures nothing, so its
-    one branch is kept at every pair; at r_o = r_h = 0 it is zero.
+    one branch of run_circuit_tracked is kept at every pair; at r_o = r_h = 0 it is zero.
     """
-    c, _ = _no_click(hbsa_full_circuit(), state, pair)
-    tb = TrackedBranch((), state.layout, list(c[0]))
+    (tb,) = run_circuit_tracked(_split_stage1(hbsa_full_circuit())[0], state, pair).branches
     out = tb.physical_state()
     return Stage1Result(
         state=out,
@@ -594,8 +592,8 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     coefficients [layer, pol] gives the branch amplitudes, and a float view
     of them the probabilities. A label's support is derived once; a state
     input must lie in the span of the 16 basis inputs, and each call runs
-    its stage 1 afresh. Any other input is a ConfigurationError, and a pair
-    at which the evaluation overflows a NumericDomainError.
+    its stage 1 afresh. Any other input, or a pair but a ReflectionPair of two numbers, is a
+    ConfigurationError, and a pair at which the evaluation overflows a NumericDomainError.
     """
     if isinstance(state_or_label, HyperBellLabel):
         support = _hbsa_support(state_or_label, HBSA_FULL_TEXT)
@@ -605,7 +603,11 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
         raise ConfigurationError("run_hbsa takes a HyperBellLabel or a HybridState, "
                                  f"not {type(state_or_label).__name__}")
     monomials, norms, coef, spins, patterns, classified = support
-    s, h = complex(pair.success_amplitude), complex(pair.herald_amplitude)
+    try:
+        s, h = complex(pair.success_amplitude), complex(pair.herald_amplitude)
+    except (AttributeError, TypeError):
+        raise ConfigurationError(
+            f"run_hbsa takes a ReflectionPair of two numbers, not {pair!r}") from None
     try:
         v = [s ** i * h ** k for i, k in monomials]
         squares = [x.real * x.real + x.imag * x.imag for x in v]  # |v|^2 per layer

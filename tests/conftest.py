@@ -62,9 +62,9 @@ def polynomial_run_at(circuit, state: HybridState, pair) -> optics.TrackedRun:
     of the run_circuit_tracked run there, up to rounding and branches of weight at
     most the drop threshold. The mode stops each branch at its first click."""
     s, h = pair.success_amplitude, pair.herald_amplitude
-    layout, branches, clicks = optics._run(circuit, state, None)
+    branches, clicks = optics._run(circuit, state, None)
     run = optics._tracked_run(
-        layout, [(rec, evaluate(c, s, h)) for rec, c in branches],
+        state.layout, [(rec, evaluate(c, s, h)) for rec, c in branches],
         {label: [evaluate(c, s, h) for c in cs] for label, cs in clicks.items()})
     run.branches = [tb for tb in run.branches
                     if sum(map(optics._weight, tb.layers)) > optics._BRANCH_DROP]

@@ -18,8 +18,6 @@ from hyperbell.hilbert import (
     StateLayout,
     _apply_photon_matrix,
     _apply_spin_matrix,
-    _path_slice,
-    _polspin,
     _project_path,
     _x_amplitudes,
     apply_single_photon_op,
@@ -201,11 +199,7 @@ class TestKernelsBatchLeadingAxes:
             assert_batched(lambda a: _apply_photon_matrix(a, slot, mat))
             assert_batched(lambda a: _apply_spin_matrix(a, slot, mat2))
             for path_idx in range(len(layout.paths[slot])):
-                on_path = _path_slice(slot, path_idx)
                 assert_batched(lambda a: _project_path(a, slot, path_idx))
-                for spin_slot in (0, 1):
-                    mat4 = cplx(4, 4)
-                    assert_batched(lambda a: _polspin(a[on_path], slot, spin_slot, mat4))
 
 
 class TestMeasure:

@@ -1086,7 +1086,7 @@ class TestPolynomialRun:
         clicked = 0
         for _ in range(60):
             circuit = parse_circuit(random_circuit_text(rng))
-            _, branches, clicks = optics._run(circuit, random_state(circuit.layout(), rng), None)
+            branches, clicks = optics._run(circuit, random_state(circuit.layout(), rng), None)
             assert all(outcome != "click" for rec, _ in branches for _, outcome in rec)
             clicked += sum(map(len, clicks.values()))
         assert clicked  # some circuit had a click to stop at
@@ -1098,7 +1098,7 @@ class TestPolynomialRun:
                                 "photon A paths=a1,a2\nphoton B paths=b1,b2\n")
         state = random_state(small_layout, rng)
         before = state.amps.copy()
-        _, ((_, c),), _ = optics._run(circuit, state, None)  # as a polynomial in (s, h)
+        ((_, c),), _ = optics._run(circuit, state, None)  # as a polynomial in (s, h)
         state.amps[...] = np.nan
         np.testing.assert_array_equal(c, before[None, None])
 

@@ -10,6 +10,8 @@ import pytest
 
 from conftest import evaluate
 from test_records import _superposition
+from hyperbell.analysis import hbsa_leakage_rate
+from hyperbell.blocks import BlockConfig, heralded_block
 from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
 from hyperbell.errors import (
     ConfigurationError,
@@ -17,7 +19,7 @@ from hyperbell.errors import (
     NumericDomainError,
     PreconditionError,
 )
-from hyperbell.hilbert import HybridState, overlap, product_state
+from hyperbell.hilbert import HybridState, overlap, product_state, zero_state
 from hyperbell.optics import (
     _BRANCH_DROP,
     ElementKind,
@@ -29,7 +31,7 @@ from hyperbell.optics import (
     run_circuit_tracked,
     serialize_circuit,
 )
-from hyperbell import protocols
+from hyperbell import optics, protocols
 from hyperbell.protocols import (
     DEFAULT_RAILS,
     Bell,
@@ -382,6 +384,17 @@ class TestHbsaStage1:
         np.testing.assert_allclose(res.state.amps,
                                    (out_a.amps + out_b.amps) / SQ2, atol=1e-12)
 
+    @pytest.mark.parametrize("pair", [IDEAL_PAIR, EXAMPLE_PAIR, ReflectionPair(0, 0)],
+                             ids=["ideal", "lossy", "absorbing"])
+    def test_is_stage_1_branch_of_tracked_run(self, pair):
+        stage1 = protocols._split_stage1(hbsa_full_circuit())[0]
+        for label in all_labels():
+            state = hbsa_input(label)
+            res = run_hbsa_stage1(state, pair)
+            (tb,) = run_circuit_tracked(stage1, state, pair).branches
+            assert tb.record == ()
+            np.testing.assert_array_equal(res.state.amps, tb.physical_state().amps)
+            assert (res.clean_weight, res.leaked_weight) == (tb.clean_weight, tb.leaked_weight)
 
     def test_fully_absorbing_dots_give_zero_state(self):
         pair = reflection_coefficients(CavityParams(g=0.0, kappa_s=1.0))
@@ -905,12 +918,15 @@ class TestLeakPins:
 def _assert_lossless_output_is_unleaked_layer(text):
     """At the lossless pair h = 0 and s = -1, so a generation text's no-click
     branch there is its unleaked layer (-1)^i c[i, 0], one s-degree i
-    (layer_s_degrees): the sweep's conditional fidelity is 1 by construction."""
+    (layer_s_degrees): the sweep's conditional fidelity is 1 by construction.
+    Nothing clicks there, so stage 1's run at the pair keeps that one branch."""
     circuit = protocols._parsed(text)
     c, _ = protocols._no_click(circuit, hbsg_input(circuit))
     i0 = layer_s_degrees(c)[0]
-    at_pair, _ = protocols._no_click(circuit, hbsg_input(circuit), IDEAL_PAIR)
-    np.testing.assert_allclose(at_pair, (-1) ** i0 * c[None, None, i0, 0], rtol=0, atol=1e-12)
+    (at_pair,) = run_circuit_tracked(protocols._split_stage1(circuit)[0], hbsg_input(circuit),
+                                     IDEAL_PAIR).branches
+    assert at_pair.record == () and len(at_pair.layers) == 1
+    np.testing.assert_allclose(at_pair.layers[0], (-1) ** i0 * c[i0, 0], rtol=0, atol=1e-12)
 
 
 class TestCircuitText:
@@ -977,7 +993,13 @@ class TestCircuitText:
         # every branch of stage 1
         pair = reflection_coefficients(CavityParams(g=0.0, kappa_s=1.0))
         assert (pair.r_o, pair.r_h) == (0, 0)
-        c, clicks = protocols._no_click(hbsg_circuit(), hbsg_input(), pair)
+        stage1 = protocols._split_stage1(hbsg_circuit())[0]
+        branches, clicks = optics._run(stage1, hbsg_input(), pair)
+        assert branches == []
+        assert list(clicks) == ["D1A", "D1B"]
+        assert not any(a.any() for cs in clicks.values() for a in cs)
+        # as a polynomial the runner drops it on a zero input: _no_click's zero coefficients
+        c, clicks = protocols._no_click(hbsg_circuit(), zero_state(hbsg_input().layout))
         assert c.shape == (1, 1) + hbsg_input().amps.shape
         assert not c.any()
         assert list(clicks) == ["D1A", "D1B"]
@@ -990,7 +1012,7 @@ class TestCircuitText:
     @pytest.mark.parametrize("pair", [EXAMPLE_PAIR, IDEAL_PAIR], ids=["lossy", "ideal"])
     def test_no_click_clicks_are_coefficients_in_both_modes(self, pair):
         state = hbsg_input()
-        _, at_pair = protocols._no_click(hbsg_circuit(), state, pair)
+        _, at_pair = optics._run(protocols._split_stage1(hbsg_circuit())[0], state, pair)
         _, poly = protocols._no_click(hbsg_circuit(), state)
         assert list(at_pair) == list(poly) == ["D1A", "D1B"]
         s, h = pair.success_amplitude, pair.herald_amplitude
@@ -1041,3 +1063,25 @@ class TestCircuitText:
         for rule in rules:
             param = inspect.signature(rule).parameters["text"]
             assert param.default is inspect.Parameter.empty, rule.__name__
+
+
+_BAD_PAIRS = [None, "x", (1, 2), ReflectionPair(np.array([-0.9, -0.5]), np.array([0.9, 0.4]))]
+# each public runner that takes a pair, called with one
+_PAIR_RUNNERS = {
+    "run_circuit_tracked": lambda pair: run_circuit_tracked(hbsg_circuit(), hbsg_input(), pair),
+    "run_hbsg": run_hbsg,
+    "run_hbsa_stage1": lambda pair: run_hbsa_stage1(hbsa_input(all_labels()[0]), pair),
+    "heralded_block": lambda pair: heralded_block(
+        product_state(hbsg_input().layout, "L", "a1", "H", "b1"), "A", "a1",
+        BlockConfig(qd=1, pair=pair)),
+    "run_hbsa": lambda pair: run_hbsa(all_labels()[0], pair),
+    "hbsa_leakage_rate": hbsa_leakage_rate,
+}
+
+
+@pytest.mark.parametrize("pair", _BAD_PAIRS, ids=["none", "str", "tuple", "arrays"])
+@pytest.mark.parametrize("runner", list(_PAIR_RUNNERS))
+def test_pair_not_of_two_numbers_is_a_configuration_error(runner, pair):
+    # the pair enters a numeric run only through run_circuit_tracked and run_hbsa
+    with pytest.raises(ConfigurationError, match="takes a ReflectionPair of two numbers"):
+        _PAIR_RUNNERS[runner](pair)
