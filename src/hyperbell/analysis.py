@@ -34,6 +34,7 @@ from .cavity import (
     ReflectionPair,
     _check_real,
     _finite,
+    _pair_amplitudes,
     dephasing_penalty,
     reflection_coefficients,  # bound here for perfbench's tracer; the sweep uses the grid form
     reflection_coefficients_grid,
@@ -81,10 +82,13 @@ def fidelity(actual: HybridState, ideal: HybridState) -> float:
 def efficiency_closed_form(pair: ReflectionPair) -> float:
     """End-to-end success probability |s|^8, s = (r_o - r_h)/2 (success_amplitude).
 
-    Eight lossy passages (two photons through two stages of either a QD arm or its
-    matched corrector, squared); invariant under the overall sign convention. A pair
-    of coefficient arrays gives one value per point; an overflow is a NumericDomainError.
+    Eight lossy passages (two photons through two stages of either a QD arm or its matched
+    corrector, squared); invariant under the overall sign convention. A pair of arrays gives
+    one value per point; an overflow is a NumericDomainError, a non-pair a ConfigurationError.
     """
+    if not isinstance(pair, ReflectionPair):
+        raise ConfigurationError(
+            f"efficiency_closed_form takes a ReflectionPair, not {type(pair).__name__}")
     try:
         with np.errstate(over="raise"):
             return abs(pair.success_amplitude) ** 8
@@ -164,9 +168,9 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
 
 
 def hbsg_statistics(pair: ReflectionPair) -> GenerationStats:
-    """hbsg_statistics_grid at one pair."""
-    stats = hbsg_statistics_grid(np.array([pair.success_amplitude]),
-                                 np.array([pair.herald_amplitude]))
+    """hbsg_statistics_grid at one pair, a ReflectionPair of two numbers."""
+    s, h = _pair_amplitudes(pair, "hbsg_statistics")
+    stats = hbsg_statistics_grid(np.array([s]), np.array([h]))
     return GenerationStats(*(float(x[0]) for x in stats))
 
 

@@ -98,6 +98,15 @@ class ReflectionPair:
 IDEAL_PAIR = ReflectionPair(r_o=-1.0 + 0.0j, r_h=1.0 + 0.0j)
 
 
+def _pair_amplitudes(pair, caller: str) -> tuple[complex, complex]:
+    """(s, h) of a ReflectionPair of two numbers (0-d arrays included), as Python complex;
+    any other pair is a ConfigurationError naming the caller."""
+    if (not isinstance(pair, ReflectionPair) or isinstance(pair.r_o, np.ndarray) and pair.r_o.ndim
+            or isinstance(pair.r_h, np.ndarray) and pair.r_h.ndim):
+        raise ConfigurationError(f"{caller} takes a ReflectionPair of two numbers, not {pair!r}")
+    return complex(pair.success_amplitude), complex(pair.herald_amplitude)
+
+
 @dataclass(frozen=True)
 class DephasingParams:
     """Cavity photon lifetime tau and trion coherence time Gamma (picoseconds)."""
@@ -178,12 +187,16 @@ def reflection_coefficients_grid(kappa_s: np.ndarray, g: np.ndarray, gamma: floa
 def reflection_operator(pair: ReflectionPair) -> np.ndarray:
     """Spin-selective reflection map on {R up, R down, L up, L down}.
 
-    The uncoupled transitions (R, up) and (L, down) pick up r_o; the
-    coupled ones (R, down) and (L, up) pick up r_h.
+    The uncoupled transitions (R, up) and (L, down) pick up r_o; the coupled ones (R, down)
+    and (L, up) pick up r_h. Any pair but a ReflectionPair of two numbers is a ConfigurationError.
     """
+    _pair_amplitudes(pair, "reflection_operator")
     return np.diag([pair.r_o, pair.r_h, pair.r_h, pair.r_o]).astype(complex)
 
 
 def dephasing_penalty(d: DephasingParams) -> float:
     """Fidelity reduction 1 - exp(-tau/Gamma) from exciton dephasing."""
+    if not isinstance(d, DephasingParams):
+        raise ConfigurationError(
+            f"dephasing_penalty takes a DephasingParams, not {type(d).__name__}")
     return float(1.0 - np.exp(-d.tau / d.big_gamma))

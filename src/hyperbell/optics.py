@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import IDEAL_PAIR, ReflectionPair, reflection_operator
+from .cavity import IDEAL_PAIR, ReflectionPair, _pair_amplitudes, reflection_operator
 from .errors import ConfigurationError, NumericDomainError
 from .hilbert import (
     _HADAMARD,
@@ -185,15 +185,12 @@ def _built_matrix(kind: ElementKind, n: int, ins: tuple, outs: tuple) -> np.ndar
         mat = np.eye(2 * n, dtype=complex)
         mat[x[0]::n, x[0]::n] = _PLATES[kind]
     elif kind == ElementKind.BS:
-        disjoint = not set(x) & set(y)
         mat = np.eye(2 * n, dtype=complex)
         path_mat = mat[:n, :n]
         path_mat[x + y, x + y] = 0.0
-        for i in (0, 1):
-            for j in (0, 1):
-                path_mat[y[i], x[j]] = _HADAMARD[i, j]
-                if disjoint:
-                    path_mat[x[i], y[j]] = _HADAMARD[i, j]
+        path_mat[np.ix_(y, x)] = _HADAMARD
+        if not set(x) & set(y):
+            path_mat[np.ix_(x, y)] = _HADAMARD
         mat[n:, n:] = path_mat  # the same path map on R and on L
     elif kind == ElementKind.CPBS:
         cols = np.arange(n)
@@ -691,9 +688,7 @@ def run_circuit_tracked(circuit: Circuit, state: HybridState,
     the branch probabilities sum to the input's squared norm, up to the
     dropped weight. Any pair but a ReflectionPair of two numbers is a ConfigurationError.
     """
-    if not isinstance(pair, ReflectionPair) or np.ndim(pair.r_o) + np.ndim(pair.r_h):
-        raise ConfigurationError(f"run_circuit_tracked takes a ReflectionPair of two numbers, "
-                                 f"not {pair!r}")
+    _pair_amplitudes(pair, "run_circuit_tracked")
     return _tracked_run(state.layout, *_run(circuit, state, pair))
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import IDEAL_PAIR, ReflectionPair
+from .cavity import IDEAL_PAIR, ReflectionPair, _pair_amplitudes
 from .errors import (
     ConfigurationError,
     InconsistentOutcomeError,
@@ -188,14 +188,11 @@ def _photon_factor(state: HybridState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # generation
 
-_HBSG_DECLS = """\
+HBSG_CIRCUIT_TEXT = """\
 qd QD1 basis=+
 qd QD2 basis=+
 photon A paths=a1,a2,c1,c2
 photon B paths=b1,b2,d1,d2
-"""
-
-HBSG_CIRCUIT_TEXT = _HBSG_DECLS + """\
 # split polarization onto the two rails: R to the 2 rail, L to the 1 rail
 op cpbs photon=A in=a1 out=a1,a2
 block mode=heralded qd=QD1 photon=A path=a1 label=D1A
@@ -239,10 +236,6 @@ def _parsed(text: str) -> Circuit:
     return parse_circuit(text)
 
 
-def hbsg_circuit() -> Circuit:
-    return _parsed(HBSG_CIRCUIT_TEXT)
-
-
 def _split_stage1(circuit: Circuit) -> tuple[Circuit, Circuit]:
     """A circuit's stage 1, every op before its first spin measurement,
     and its readout, the ops from there on."""
@@ -263,7 +256,7 @@ def _no_click(circuit: Circuit, state: HybridState):
 
 def hbsg_input(circuit: Circuit | None = None) -> HybridState:
     """Both photons H-polarized on the entry rails, spins as declared."""
-    circuit = circuit or hbsg_circuit()
+    circuit = circuit or _parsed(HBSG_CIRCUIT_TEXT)
     return product_state(circuit.layout(), "H", "a1", "H", "b1",
                          *(qd.basis for qd in circuit.qds[:2]))
 
@@ -294,7 +287,7 @@ def run_hbsg(pair: ReflectionPair = IDEAL_PAIR) -> list[HbsgBranch]:
     Unheralded branches carry the four spin outcomes with probability
     |s|^8 / 4 each (s = (r_o - r_h)/2) and match HBSG_OUTPUT_TABLE.
     """
-    circuit = hbsg_circuit()
+    circuit = _parsed(HBSG_CIRCUIT_TEXT)
     return [HbsgBranch(SpinOutcome(*map(tb.spin_results().get, ("QD1", "QD2"))), tb.heralds(),
                        tb.physical_state().normalized(), tb.probability, tb.clean_weight,
                        tb.leaked_weight, tb.clean_state())
@@ -382,12 +375,8 @@ SPIN_TO_SPATIAL = {
 }
 
 
-def hbsa_full_circuit() -> Circuit:
-    return _parsed(HBSA_FULL_TEXT)
-
-
 def hbsa_layout() -> StateLayout:
-    return hbsa_full_circuit().layout()
+    return _parsed(HBSA_FULL_TEXT).layout()
 
 
 def hbsa_input(label: HyperBellLabel) -> HybridState:
@@ -424,7 +413,7 @@ def run_hbsa_stage1(state: HybridState,
     X-basis states given by SPIN_TO_SPATIAL. Stage 1 measures nothing, so its
     one branch of run_circuit_tracked is kept at every pair; at r_o = r_h = 0 it is zero.
     """
-    (tb,) = run_circuit_tracked(_split_stage1(hbsa_full_circuit())[0], state, pair).branches
+    (tb,) = run_circuit_tracked(_split_stage1(_parsed(HBSA_FULL_TEXT))[0], state, pair).branches
     out = tb.physical_state()
     return Stage1Result(
         state=out,
@@ -603,11 +592,7 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
         raise ConfigurationError("run_hbsa takes a HyperBellLabel or a HybridState, "
                                  f"not {type(state_or_label).__name__}")
     monomials, norms, coef, spins, patterns, classified = support
-    try:
-        s, h = complex(pair.success_amplitude), complex(pair.herald_amplitude)
-    except (AttributeError, TypeError):
-        raise ConfigurationError(
-            f"run_hbsa takes a ReflectionPair of two numbers, not {pair!r}") from None
+    s, h = _pair_amplitudes(pair, "run_hbsa")
     try:
         v = [s ** i * h ** k for i, k in monomials]
         squares = [x.real * x.real + x.imag * x.imag for x in v]  # |v|^2 per layer

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,14 +33,14 @@ from hyperbell.cavity import (
 )
 from hyperbell.errors import ConfigurationError, NumericDomainError
 from hyperbell.hilbert import zero_state
-from hyperbell.optics import _BRANCH_DROP, run_circuit_tracked
+from hyperbell.optics import _BRANCH_DROP, parse_circuit, run_circuit_tracked
 from hyperbell.protocols import (
+    HBSG_CIRCUIT_TEXT,
     HBSG_OUTPUT_RAILS,
     HBSG_OUTPUT_TABLE,
     Bell,
     HyperBellLabel,
     _split_stage1,
-    hbsg_circuit,
     hbsg_input,
     make_bell,
     run_hbsa,
@@ -86,7 +87,7 @@ class TestFidelity:
                                       ReflectionPair(0.5, 0.3)], ids=["example", "gain", "lossy"])
     def test_branch_report_is_the_runners_rows(self, pair):
         # the rows rebuilt straight from run_circuit_tracked, bit for bit
-        circuit = hbsg_circuit()
+        circuit = parse_circuit(HBSG_CIRCUIT_TEXT)
         want = []
         for tb in run_circuit_tracked(circuit, hbsg_input(circuit), pair).branches:
             if tb.heralds() or tb.clean_weight <= _BRANCH_DROP:
@@ -133,6 +134,17 @@ class TestEfficiencyClosedForm:
     def test_overflow_is_numeric_domain_error(self, pair):
         with pytest.raises(NumericDomainError, match="closed-form efficiency overflows"):
             efficiency_closed_form(pair)
+
+    @pytest.mark.parametrize("pair", [None, "x", (1, 2),
+                                      SimpleNamespace(success_amplitude=-1, herald_amplitude=0)],
+                             ids=["none", "str", "tuple", "namespace"])
+    def test_non_pair_is_configuration_error(self, pair):
+        message = f"^efficiency_closed_form takes a ReflectionPair, not {type(pair).__name__}$"
+        with pytest.raises(ConfigurationError, match=message):
+            efficiency_closed_form(pair)
+        # an array pair is not refused: run_sweep passes one
+        assert efficiency_closed_form(ReflectionPair(np.array([-1.0, 0.5]), np.array([1.0, 0.5]))
+                                      ).tolist() == [1.0, 0.0]
 
 
 class TestGenerationStatistics:
@@ -189,7 +201,7 @@ class TestGenerationStatistics:
 
 def _numeric_statistics(pair):
     """Reference: run the generation circuit at the pair and aggregate."""
-    circuit = _split_stage1(hbsg_circuit())[0]
+    circuit = _split_stage1(parse_circuit(HBSG_CIRCUIT_TEXT))[0]
     state = hbsg_input(circuit)
     (ideal,) = [tb.layers[0] for tb in run_circuit_tracked(circuit, state, IDEAL_PAIR).branches
                 if tb.record == ()]
@@ -246,7 +258,7 @@ class TestWholeGridMatchesNumericRun:
         assert abs(spot.eta_simulated - 0.820742) <= 1e-5
 
     def test_dropped_branch_matches_polynomial_run(self):
-        circuit = _split_stage1(hbsg_circuit())[0]
+        circuit = _split_stage1(parse_circuit(HBSG_CIRCUIT_TEXT))[0]
         for g, dropped in ((1e-3, False), (3e-4, False), (1e-4, True), (3e-5, True)):
             pair = reflection_coefficients(CavityParams(g=g, gamma=0.1))
             at = polynomial_run_at(circuit, hbsg_input(circuit), pair)

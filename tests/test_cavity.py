@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -217,6 +218,14 @@ class TestDephasingPenalty:
     def test_equal_times(self):
         penalty = dephasing_penalty(DephasingParams(tau=300.0, big_gamma=300.0))
         assert abs(penalty - (1.0 - 1.0 / math.e)) < 1e-15
+
+    @pytest.mark.parametrize("d", [None, "x", (20.0, 300.0),
+                                   SimpleNamespace(tau=20.0, big_gamma=300.0)],
+                             ids=["none", "str", "tuple", "namespace"])
+    def test_non_params_is_configuration_error(self, d):
+        message = f"^dephasing_penalty takes a DephasingParams, not {type(d).__name__}$"
+        with pytest.raises(ConfigurationError, match=message):
+            dephasing_penalty(d)
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigurationError):

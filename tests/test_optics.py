@@ -651,9 +651,9 @@ class TestRunCircuit:
         assert abs(sum(b.probability for b in branches) - state.norm2) < 1e-10
 
     def test_full_generation_circuit_completeness_at_ideal(self):
-        from hyperbell.protocols import hbsg_circuit, hbsg_input
+        from hyperbell.protocols import hbsg_input
 
-        circuit = hbsg_circuit()
+        circuit = parse_circuit(HBSG_CIRCUIT_TEXT)
         branches = run_circuit_tracked(circuit, hbsg_input(circuit), IDEAL_PAIR).branches
         assert abs(sum(b.probability for b in branches) - 1.0) < 1e-10
 

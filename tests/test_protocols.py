@@ -4,15 +4,22 @@ import math
 import re
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import evaluate
 from test_records import _superposition
-from hyperbell.analysis import hbsa_leakage_rate
+from hyperbell.analysis import hbsa_leakage_rate, hbsg_statistics
 from hyperbell.blocks import BlockConfig, heralded_block
-from hyperbell.cavity import IDEAL_PAIR, CavityParams, ReflectionPair, reflection_coefficients
+from hyperbell.cavity import (
+    IDEAL_PAIR,
+    CavityParams,
+    ReflectionPair,
+    reflection_coefficients,
+    reflection_operator,
+)
 from hyperbell.errors import (
     ConfigurationError,
     InconsistentOutcomeError,
@@ -36,6 +43,8 @@ from hyperbell.protocols import (
     DEFAULT_RAILS,
     Bell,
     DetectorPattern,
+    HBSA_FULL_TEXT,
+    HBSG_CIRCUIT_TEXT,
     HBSG_OUTPUT_RAILS,
     HBSG_OUTPUT_TABLE,
     HbsaBranch,
@@ -46,10 +55,8 @@ from hyperbell.protocols import (
     apply_local_correction,
     classification_table,
     classify,
-    hbsa_full_circuit,
     hbsa_input,
     hbsa_layout,
-    hbsg_circuit,
     hbsg_input,
     make_bell,
     parse_label,
@@ -157,7 +164,7 @@ class TestHbsg:
     @pytest.mark.parametrize("pair", [EXAMPLE_PAIR, ReflectionPair(1.7 + 0.2j, -0.4 + 1.1j)],
                              ids=["example", "gain"])
     def test_clean_state_is_the_runners_layer_0(self, pair):
-        circuit = hbsg_circuit()
+        circuit = parse_circuit(HBSG_CIRCUIT_TEXT)
         layers = {tb.record: tb.layers[0]
                   for tb in run_circuit_tracked(circuit, hbsg_input(circuit), pair).branches}
         unheralded = [b for b in run_hbsg(pair) if not b.heralds]
@@ -188,7 +195,7 @@ class TestHbsg:
         assert seen == set(HBSG_OUTPUT_TABLE)
 
     def test_ideal_run_has_zero_herald_probability(self):
-        circuit = hbsg_circuit()
+        circuit = parse_circuit(HBSG_CIRCUIT_TEXT)
         run = run_circuit_tracked(circuit, hbsg_input(circuit), IDEAL_PAIR)
         assert sum(run.click_probability.values()) < 1e-20
 
@@ -206,7 +213,7 @@ class TestHbsg:
 
     def test_state_before_rail_interference(self):
         # checkpoint: definite polarization per rail, spin 1 carrying parity
-        circuit = hbsg_circuit()
+        circuit = parse_circuit(HBSG_CIRCUIT_TEXT)
         first_bs = next(i for i, el in enumerate(circuit.ops)
                         if el.kind == ElementKind.BS)
         truncated = dataclasses.replace(circuit, ops=circuit.ops[:first_bs])
@@ -225,12 +232,12 @@ class TestHbsg:
         assert abs(abs(phase) - 1.0) < 1e-12
 
     def test_serialized_circuit_round_trips(self):
-        circuit = hbsg_circuit()
+        circuit = parse_circuit(HBSG_CIRCUIT_TEXT)
         assert parse_circuit(serialize_circuit(circuit)) == circuit
 
     def test_heralds_add_no_paths(self):
         # each stage-1 herald is an L detector on the block's own path
-        circuit = hbsg_circuit()
+        circuit = parse_circuit(HBSG_CIRCUIT_TEXT)
         assert circuit.layout().shape == (2, 4, 2, 4, 2, 2)
         lines = serialize_circuit(circuit).splitlines()
         assert "photon A paths=a1,a2,c1,c2" in lines
@@ -241,7 +248,7 @@ class TestHbsg:
         from pathlib import Path
 
         path = Path(__file__).resolve().parent.parent / "demos" / "hbsg.circ"
-        assert parse_circuit(path.read_text()) == hbsg_circuit()
+        assert parse_circuit(path.read_text()) == parse_circuit(HBSG_CIRCUIT_TEXT)
 
     def test_shipped_circuit_file_round_trips(self):
         # demos/hbsg.circ serializes to the same canonical text as HBSG_CIRCUIT_TEXT,
@@ -251,7 +258,7 @@ class TestHbsg:
         path = Path(__file__).resolve().parent.parent / "demos" / "hbsg.circ"
         text = serialize_circuit(parse_circuit(path.read_text()))
         assert text == serialize_circuit(parse_circuit(protocols.HBSG_CIRCUIT_TEXT))
-        assert parse_circuit(text) == hbsg_circuit()
+        assert parse_circuit(text) == parse_circuit(HBSG_CIRCUIT_TEXT)
         assert serialize_circuit(parse_circuit(text)) == text
 
 
@@ -387,7 +394,7 @@ class TestHbsaStage1:
     @pytest.mark.parametrize("pair", [IDEAL_PAIR, EXAMPLE_PAIR, ReflectionPair(0, 0)],
                              ids=["ideal", "lossy", "absorbing"])
     def test_is_stage_1_branch_of_tracked_run(self, pair):
-        stage1 = protocols._split_stage1(hbsa_full_circuit())[0]
+        stage1 = protocols._split_stage1(parse_circuit(HBSA_FULL_TEXT))[0]
         for label in all_labels():
             state = hbsa_input(label)
             res = run_hbsa_stage1(state, pair)
@@ -407,7 +414,7 @@ class TestHbsaStage1:
 class TestSpbsm:
     def test_single_photon_bell_state_hits_one_detector(self):
         # the readout alone: the analysis circuit's ops after its spin measurements
-        full = hbsa_full_circuit()
+        full = parse_circuit(HBSA_FULL_TEXT)
         kinds = [el.kind for el in full.ops]
         last_spin = len(kinds) - 1 - kinds[::-1].index(ElementKind.MEASURE_SPIN)
         readout = dataclasses.replace(full, ops=full.ops[last_spin + 1:])
@@ -607,7 +614,7 @@ def _full_circuit_rows(state, pair):
     """(spins, pattern, classification, probability, clean, leaked) of every
     branch of the runner forking the whole analysis circuit."""
     rows = []
-    for tb in run_circuit_tracked(hbsa_full_circuit(), state, pair).branches:
+    for tb in run_circuit_tracked(parse_circuit(HBSA_FULL_TEXT), state, pair).branches:
         spins = tb.spin_results()
         a, b = (name for name, outcome in tb.record if outcome == "click")
         outcome, pattern = SpinOutcome(spins["QD1"], spins["QD2"]), DetectorPattern(a, b)
@@ -844,7 +851,7 @@ class TestLeakPins:
             assert abs(ratio - self.FIRST_ORDER[str(label)]) < 1e-12, label
 
     def test_bare_hbsg_no_click_support_and_ratios(self):
-        c, _ = protocols._no_click(hbsg_circuit(), hbsg_input())
+        c, _ = protocols._no_click(parse_circuit(HBSG_CIRCUIT_TEXT), hbsg_input())
         mask, _ = monomial_support(c)
         assert {tuple(ik) for ik in np.argwhere(mask).tolist()} == {(4, 0), (3, 1), (2, 2)}
         assert abs(_weight(c[3, 1]) / _weight(c[4, 0]) - 3 / 2) < 1e-12
@@ -993,13 +1000,14 @@ class TestCircuitText:
         # every branch of stage 1
         pair = reflection_coefficients(CavityParams(g=0.0, kappa_s=1.0))
         assert (pair.r_o, pair.r_h) == (0, 0)
-        stage1 = protocols._split_stage1(hbsg_circuit())[0]
+        stage1 = protocols._split_stage1(parse_circuit(HBSG_CIRCUIT_TEXT))[0]
         branches, clicks = optics._run(stage1, hbsg_input(), pair)
         assert branches == []
         assert list(clicks) == ["D1A", "D1B"]
         assert not any(a.any() for cs in clicks.values() for a in cs)
         # as a polynomial the runner drops it on a zero input: _no_click's zero coefficients
-        c, clicks = protocols._no_click(hbsg_circuit(), zero_state(hbsg_input().layout))
+        c, clicks = protocols._no_click(parse_circuit(HBSG_CIRCUIT_TEXT),
+                                        zero_state(hbsg_input().layout))
         assert c.shape == (1, 1) + hbsg_input().amps.shape
         assert not c.any()
         assert list(clicks) == ["D1A", "D1B"]
@@ -1012,8 +1020,9 @@ class TestCircuitText:
     @pytest.mark.parametrize("pair", [EXAMPLE_PAIR, IDEAL_PAIR], ids=["lossy", "ideal"])
     def test_no_click_clicks_are_coefficients_in_both_modes(self, pair):
         state = hbsg_input()
-        _, at_pair = optics._run(protocols._split_stage1(hbsg_circuit())[0], state, pair)
-        _, poly = protocols._no_click(hbsg_circuit(), state)
+        circuit = parse_circuit(HBSG_CIRCUIT_TEXT)
+        _, at_pair = optics._run(protocols._split_stage1(circuit)[0], state, pair)
+        _, poly = protocols._no_click(circuit, state)
         assert list(at_pair) == list(poly) == ["D1A", "D1B"]
         s, h = pair.success_amplitude, pair.herald_amplitude
         for label in poly:
@@ -1065,10 +1074,12 @@ class TestCircuitText:
             assert param.default is inspect.Parameter.empty, rule.__name__
 
 
-_BAD_PAIRS = [None, "x", (1, 2), ReflectionPair(np.array([-0.9, -0.5]), np.array([0.9, 0.4]))]
-# each public runner that takes a pair, called with one
+_BAD_PAIRS = [None, "x", (1, 2), ReflectionPair(np.array([-0.9, -0.5]), np.array([0.9, 0.4])),
+              SimpleNamespace(success_amplitude=-1, herald_amplitude=0)]
+# each public callable that takes one pair, called with one
 _PAIR_RUNNERS = {
-    "run_circuit_tracked": lambda pair: run_circuit_tracked(hbsg_circuit(), hbsg_input(), pair),
+    "run_circuit_tracked": lambda pair: run_circuit_tracked(
+        parse_circuit(HBSG_CIRCUIT_TEXT), hbsg_input(), pair),
     "run_hbsg": run_hbsg,
     "run_hbsa_stage1": lambda pair: run_hbsa_stage1(hbsa_input(all_labels()[0]), pair),
     "heralded_block": lambda pair: heralded_block(
@@ -1076,12 +1087,14 @@ _PAIR_RUNNERS = {
         BlockConfig(qd=1, pair=pair)),
     "run_hbsa": lambda pair: run_hbsa(all_labels()[0], pair),
     "hbsa_leakage_rate": hbsa_leakage_rate,
+    "hbsg_statistics": hbsg_statistics,
+    "reflection_operator": reflection_operator,
 }
 
 
-@pytest.mark.parametrize("pair", _BAD_PAIRS, ids=["none", "str", "tuple", "arrays"])
+@pytest.mark.parametrize("pair", _BAD_PAIRS, ids=["none", "str", "tuple", "arrays", "namespace"])
 @pytest.mark.parametrize("runner", list(_PAIR_RUNNERS))
 def test_pair_not_of_two_numbers_is_a_configuration_error(runner, pair):
-    # the pair enters a numeric run only through run_circuit_tracked and run_hbsa
+    # every one of them decides the pair by cavity._pair_amplitudes
     with pytest.raises(ConfigurationError, match="takes a ReflectionPair of two numbers"):
         _PAIR_RUNNERS[runner](pair)
