@@ -55,6 +55,7 @@ from .protocols import (
 )
 from .optics import (
     _BRANCH_DROP,
+    _ring_value,
     _surviving,
     _weight,
     layer_s_degrees,
@@ -65,8 +66,6 @@ from .optics import (
 CSV_COLUMNS = ("kappa_s_over_kappa,g_over_sum,r_o_re,r_o_im,r_h_re,r_h_im,"
                "eta_closed,eta_sim,herald_rate,leakage_rate,cond_fidelity")
 _DEPHASING_COLUMNS = ",dephasing_penalty,cond_fidelity_dephased,cond_fidelity_exp_scaled"
-
-_CLICK_RESIDUE = 1e-15  # largest rounding residue tolerated in a click's h^0 coefficients
 
 
 def fidelity(actual: HybridState, ideal: HybridState) -> float:
@@ -114,14 +113,11 @@ def _generation_forms(text: str) -> tuple[np.ndarray, np.ndarray]:
     branch's h-degree layers in order, one monomial each, and clicks one per first click.
     A click with several monomials, or a layer with several s-degrees, is a ConfigurationError."""
     circuit = _parsed(text)
-    c, clicks = _no_click(circuit, hbsg_input(circuit))
+    m, c, clicks = _no_click(circuit, hbsg_input(circuit))
+    c, arrays = _ring_value(c, m), [_ring_value(a, m) for cs in clicks.values() for a in cs]
     degrees = layer_s_degrees(c)
-    arrays = [a for cs in clicks.values() for a in cs]
-    # a herald click needs a leak: its h^0 coefficients are rounding
-    # residue of the arm, dropped so that h = 0 gives a rate of exactly 0
-    residue = max((float(np.max(np.abs(a[:, 0]))) for a in arrays), default=0.0)
-    if residue > _CLICK_RESIDUE:
-        raise InconsistentOutcomeError(f"herald click without a leak ({residue:.3e})")
+    if any(a[:, 0].any() for a in arrays):  # a herald click needs a leak, so h = 0 gives rate 0
+        raise InconsistentOutcomeError("herald click without a leak")
     clicked = []
     for a in arrays:
         mask, _ = monomial_support(a[:, 1:])
@@ -153,8 +149,12 @@ def hbsg_statistics_grid(s: np.ndarray, h: np.ndarray):
     gives the unleaked layer one s-degree i, so it is s^i times one fixed
     vector, and at the lossless pair h = 0, so the output is that layer.
     hbsg_branch_report checks each branch of run_hbsg against its HBSG_OUTPUT_TABLE target.
-    A pair at which a weight or sum overflows is a NumericDomainError.
+    A pair at which a weight or sum overflows is a NumericDomainError; s and h other
+    than numeric arrays of one shape, a ConfigurationError.
     """
+    if not all(isinstance(x, np.ndarray) and x.dtype.kind in "biufc" and x.shape == s.shape
+               for x in (s, h)):
+        raise ConfigurationError("hbsg_statistics_grid takes numeric arrays s and h of one shape")
     layers, clicks = _generation_forms(HBSG_CIRCUIT_TEXT)
     try:
         with np.errstate(over="raise", invalid="raise"):

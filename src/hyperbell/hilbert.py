@@ -210,7 +210,7 @@ def _apply_spin_matrix(amps: np.ndarray, spin_slot: int, mat2: np.ndarray) -> np
 
 def _x_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Amplitudes [..., s1, s2] in the X basis of both spins, [..., e1, e2] with 0 for "+"
-    and 1 for "-". Only the sums round, never a 1/sqrt2: protocols._support cuts exact zeros."""
+    and 1 for "-": signs and one 0.5, so exact on the polynomial mode's dyadic coefficients."""
     return 0.5 * _apply_spin_matrix(_apply_spin_matrix(amps, 0, _SPIN_X_SIGNS), 1, _SPIN_X_SIGNS)
 
 

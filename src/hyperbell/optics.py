@@ -11,10 +11,10 @@ its path) and wfc (s on its path). The runner keeps each branch as one
 coefficient array indexed [s-degree, h-degree, *state axes] and takes s
 and h as coefficient tuples by degree: (s,) and (0, h) at one pair, so they
 are multiplied in, or (0, 1) for both, so that one run is a polynomial valid
-at every pair. Each mode has one way in: run_circuit_tracked at a pair, and
-protocols._no_click, read through layer_s_degrees, as a polynomial. Both keep
-a branch's first click under its label; at a pair the branch runs on, as a
-polynomial it stops (_no_click reads no more).
+at every pair, exact in Z[1/sqrt2] (_run). Each mode has one way in:
+run_circuit_tracked at a pair, and protocols._no_click, read through
+layer_s_degrees, as a polynomial. Both keep a branch's first click under its
+label; at a pair the branch runs on, as a polynomial it stops (_no_click reads no more).
 The runner applies each photon's passive elements as one matrix, their
 product, just before that photon's next qdarm, wfc or detector and at
 the end. This is exact up to rounding: a photon's matrix commutes with
@@ -68,6 +68,7 @@ from .cavity import IDEAL_PAIR, ReflectionPair, _pair_amplitudes, reflection_ope
 from .errors import ConfigurationError, NumericDomainError
 from .hilbert import (
     _HADAMARD,
+    _SQRT2,
     _SPIN_X_PROJ,
     L,
     R,
@@ -211,6 +212,18 @@ def _built_matrix(kind: ElementKind, n: int, ins: tuple, outs: tuple) -> np.ndar
     return mat
 
 
+@cache
+def _ring_matrix(kind: ElementKind, n: int, ins: tuple, outs: tuple) -> np.ndarray:
+    """_built_matrix's matrix A + C/sqrt2, A and C dyadic (its 1/sqrt2 entries, only hp's
+    and bs's, go to C as signs), as the real [[A, C/2], [C, A]], read-only: the map of
+    ring coefficients (a, b), a + b/sqrt2, so that a product of two is their ring product."""
+    mat = _built_matrix(kind, n, ins, outs)
+    root = np.sign(mat.real) * (abs(mat) == _HADAMARD[0, 0].real)
+    ring = np.block([[mat.real * (root == 0), root / 2], [root, mat.real * (root == 0)]])
+    ring.flags.writeable = False
+    return ring
+
+
 # ---------------------------------------------------------------------------
 # parser / serializer
 
@@ -249,8 +262,8 @@ def _kind(kind) -> ElementKind:
 def _check_element(el: Element, paths: dict, qds) -> tuple:
     """Raise the parser's message unless el has, in turn, a declared photon (paths maps it to
     its paths) and paths of it, the splitter port rule, its kind's keys, pol R or L, a QD in qds;
-    else return el's action less its slots and label: ("matrix", mat), ("qdarm"|"wfc", path
-    index), ("detector", path index, pol index) or ("spin",). Cached on all it reads."""
+    else return el's action less its slots and label: ("matrix", mat, its _built_matrix key),
+    ("qdarm"|"wfc", path index), ("detector", path, pol) or ("spin",), cached on all it reads."""
     try:
         return _checked(el, paths.get(el.photon), el.qd in qds)
     except TypeError:  # a field or path is unhashable, as a list is, or a port list not iterable
@@ -283,8 +296,9 @@ def _checked(el: Element, own: tuple | None, qd_declared: bool) -> tuple:
     if kind == ElementKind.MEASURE_SPIN:
         return ("spin",)
     if kind in _PLATES or kind in _PORTS:  # hp and z: no outs
-        return ("matrix", _built_matrix(kind, len(own), tuple(map(own.index, ins or (path,))),
-                                        tuple(map(own.index, outs or ()))))
+        key = (kind, len(own), tuple(map(own.index, ins or (path,))),
+               tuple(map(own.index, outs or ())))
+        return ("matrix", _built_matrix(*key), key)
     if kind == ElementKind.DETECTOR:
         return ("detector", own.index(path), _POL_INDEX.get(pol, slice(None)))
     return (kind.value, own.index(path))
@@ -522,11 +536,12 @@ class TrackedRun:
     click_probability: dict[str, float]
 
 
-def _compile(circuit: Circuit):
+def _compile(circuit: Circuit, ring: bool = False):
     """The one reader of a circuit: (its layout, its parameter-free actions), its declarations
     checked first, so they get the parser's messages, and each op once, by a check that returns
     its action's tail. A photon's passive matrices are multiplied together and emitted as one
-    matrix action just before that photon's next qdarm, wfc or detector, and at the end."""
+    matrix action just before that photon's next qdarm, wfc or detector, and at the end; with
+    ring, as _ring_matrix's, whose products are exact."""
     paths, qds = _declared(circuit)
     layout = circuit.layout()
     actions, labels = [], set()
@@ -538,7 +553,8 @@ def _compile(circuit: Circuit):
             continue
         slot = layout.photons.index(el.photon)
         if kind == "matrix":
-            pending[slot] = tail[0] if pending[slot] is None else tail[0] @ pending[slot]
+            mat = _ring_matrix(*tail[1]) if ring else tail[0]
+            pending[slot] = mat if pending[slot] is None else mat @ pending[slot]
             continue
         if pending[slot] is not None:
             actions.append(("matrix", slot, pending[slot]))
@@ -552,6 +568,26 @@ def _compile(circuit: Circuit):
             actions.append(("detector", slot, *tail, el.label))
     return layout, actions + [("matrix", slot, mat) for slot, mat in enumerate(pending)
                               if mat is not None]
+
+
+def _apply_ring_matrix(c: np.ndarray, slot: int, ring: np.ndarray) -> np.ndarray:
+    """A _ring_matrix on the (ring, pol, path) indices of the photon in slot of ring coefficients
+    c[s, h, ring, *state], in place (the runner owns every coefficient array): only the rows on
+    which it is not the identity change, from the columns they read, as a passive op moves few."""
+    moved = np.flatnonzero((ring != np.eye(len(ring))).any(axis=1))
+    if not moved.size:  # the identity, as z z is
+        return c
+    cols = np.flatnonzero(ring[moved].any(axis=0))
+    v = np.moveaxis(c, (2, 3 + 2 * slot, 4 + 2 * slot), (0, 1, 2))  # [ring, pol, path, rest]
+    x = v[np.unravel_index(cols, v.shape[:3])].reshape(len(cols), -1).view(float)  # real
+    y = (ring[np.ix_(moved, cols)] @ x).view(complex)
+    v[np.unravel_index(moved, v.shape[:3])] = y.reshape((len(moved),) + v.shape[3:])
+    return c
+
+
+def _ring_value(c: np.ndarray, m: float = 1.0) -> np.ndarray:
+    """m (a + b/sqrt2): the complex coefficients of ring coefficients c[s, h, ring, ...]."""
+    return m * (c[:, :, 0] + c[:, :, 1] / _SQRT2)
 
 
 def _weight(a: np.ndarray) -> float:
@@ -625,29 +661,32 @@ def _run(circuit: Circuit, state: HybridState, pair: ReflectionPair | None):
     """The runner loop over _compile's actions: ([(record, coefficients)], clicks). Its one
     caller at a pair is run_circuit_tracked, and with pair=None, protocols._no_click.
 
-    A branch is one array c[s-degree, h-degree, *state axes] of the
-    coefficients of s^i h^k. s and h enter as coefficient tuples by degree:
-    at a pair they are the numbers themselves, (s,) and (0, h), so the
-    s axis keeps length 1; with pair=None they are (0, 1) both, so every
-    passage raises a degree. A branch's first click is kept, as its coefficients, under its
-    detector's label; with pair=None the branch ends there. At a pair, a weight that is not
-    finite (of a measurement outcome, a click too, or a returned branch) is a NumericDomainError.
+    A branch is one array c[s-degree, h-degree, *state axes] of the coefficients of s^i h^k.
+    s and h enter as coefficient tuples by degree: at a pair they are the numbers themselves,
+    (s,) and (0, h), so the s axis keeps length 1; with pair=None they are (0, 1) both, so
+    every passage raises a degree, and c[s, h, ring, *state axes] holds ring coefficients
+    (a, b), a + b/sqrt2 with a and b dyadic (_ring_value), exact for an input of Gaussian
+    integers. A branch's first click is kept, as its coefficients, under its detector's
+    label; with pair=None the branch ends there. At a pair, a weight that is not finite (of
+    a measurement outcome, a click too, or a returned branch) is a NumericDomainError.
     """
-    layout, actions = _compile(circuit)  # checks every op, so each label is a string
+    layout, actions = _compile(circuit, ring=pair is None)  # checks every op and label
     if state.layout != layout:
         raise ConfigurationError("input state layout does not match circuit declarations")
     if pair is None:
         s = h = (0, 1)
+        amps, apply = np.stack([state.amps, np.zeros_like(state.amps)]), _apply_ring_matrix
     else:
         s, h = (pair.success_amplitude,), (0, pair.herald_amplitude)
+        amps, apply = state.amps.copy(), _apply_photon_matrix
     clicks = {action[-1]: [] for action in actions if action[0] == "detector"}
-    branches = [((), state.amps[None, None].copy())]
+    branches = [((), amps[None, None])]
     weights = []  # those compared with _BRANCH_DROP
     for action in actions:
         kind = action[0]
         if kind == "matrix":
             _, slot, mat = action
-            branches = [(rec, _apply_photon_matrix(c, slot, mat)) for rec, c in branches]
+            branches = [(rec, apply(c, slot, mat)) for rec, c in branches]
         elif kind in ("qdarm", "wfc"):
             branches = [(rec, _lossy_passage(action, c, s, h)) for rec, c in branches]
         else:  # detector or spin measurement: one branch per outcome

@@ -23,8 +23,8 @@ that branch: the SPBSM's matrices, then both spins' X basis, whose outcome
 is the spatial state (hilbert._x_amplitudes), so each of the 64 (spin
 outcome, detector pattern) branches keeps its amplitude as a polynomial.
 Each h-degree layer of it is one monomial s^i h^k, so run_hbsa reads an
-input's support, its exactly nonzero branches (a residue stays: no bound
-on |s|, |h| holds at every pair), as monomials: one value per layer, its
+input's support, its nonzero branches, exact as stage 1 runs in Z[1/sqrt2]
+(optics._run), as monomials: one value per nonzero layer, its
 squared norms per branch, and the coefficients branch-major, so that one
 batched product gives every kept amplitude. A label's support is derived
 once and cached, the only per-label cache. These rules take the circuit
@@ -70,6 +70,7 @@ from .optics import (
     Circuit,
     ElementKind,
     _compile,
+    _ring_value,
     _run,
     _surviving,
     _weight,
@@ -247,11 +248,14 @@ def _split_stage1(circuit: Circuit) -> tuple[Circuit, Circuit]:
 
 
 def _no_click(circuit: Circuit, state: HybridState):
-    """Stage 1 of a circuit run on a state as a polynomial in (s, h), the runner's one
-    polynomial entry: its no-click branch's coefficients (all zero if the runner dropped it)
-    and its clicks, a list per detector label of the first clicks' coefficient arrays."""
-    branches, clicks = _run(_split_stage1(circuit)[0], state, None)
-    return dict(branches).get((), np.zeros((1, 1) + state.amps.shape, dtype=complex)), clicks
+    """Stage 1 of a circuit run on a state over m, its largest amplitude magnitude (1 for a
+    zero state), as a polynomial in (s, h), the runner's one polynomial entry: m, its no-click
+    branch's ring coefficients (all zero if the runner dropped it) and its clicks, a list per
+    detector label of the first clicks' ring coefficients. A basis input over m is +-1, so its
+    coefficients are exact; _ring_value(c, m) makes them complex."""
+    m = float(np.abs(state.amps).max()) or 1.0
+    branches, clicks = _run(_split_stage1(circuit)[0], replace(state, amps=state.amps / m), None)
+    return m, dict(branches).get((), np.zeros((1, 1, 2) + state.amps.shape, dtype=complex)), clicks
 
 
 def hbsg_input(circuit: Circuit | None = None) -> HybridState:
@@ -481,7 +485,7 @@ def _read_out(amps: np.ndarray, readout) -> np.ndarray:
     x = _x_amplitudes(amps)
     out = np.stack([x[on_a][on_b][..., "+-".index(spins.e1), "+-".index(spins.e2)]
                     for spins, _, on_a, on_b, *_ in rows], axis=-3)
-    return out.reshape(out.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-2] + (4,))
 
 
 def classify(spins: SpinOutcome, pattern: DetectorPattern) -> HyperBellLabel:
@@ -529,18 +533,16 @@ def _hbsa_forms(state: HybridState, text: str) -> np.ndarray:
     a runner coefficient array with the branches as its state axes.
 
     Stage 1 is the only part of the analysis that sees the cavity, so it runs
-    once as a polynomial, and the readout acts on the coefficients of its
-    no-click branch. A state outside the span of the text's 16 basis inputs
-    is a ConfigurationError.
+    once as a polynomial, and the readout acts on the ring coefficients of its
+    no-click branch; they become complex once, at the end, so a basis input's
+    forms are exact up to the one rounding of that collapse, and exact zeros stay zero.
     """
-    c, _ = _no_click(_parsed(text), state)
-    basis = np.stack([make_bell(label.pol, label.spatial, state.layout).amps.ravel()
-                      for label in all_labels()])
-    outside = state.amps.ravel() - (basis.conj() @ state.amps.ravel()) @ basis
-    if np.sum(np.abs(outside) ** 2) > _SPAN_TOL * state.norm2:
-        raise ConfigurationError(
-            "input state is not a superposition of the 16 analysis basis inputs")
-    return _read_out(c, _readout(text))
+    m, c, _ = _no_click(_parsed(text), state)
+    readout = _readout(text)
+    mask, _ = monomial_support(c)  # the readout acts on its nonzero monomials only
+    forms = np.zeros(c.shape[:3] + (len(readout[1]), 4), dtype=complex)
+    forms[mask] = _read_out(c[mask], readout)
+    return _ring_value(forms, m)
 
 
 @lru_cache(maxsize=64)
@@ -552,15 +554,14 @@ def _hbsa_support(label: HyperBellLabel, text: str) -> tuple:
 
 
 def _support(forms: np.ndarray, text: str) -> tuple:
-    """What run_hbsa reads of forms [s, h, branch, pol] on their nonzero branches,
-    read-only: each h-degree layer's one monomial (i, k), s^i h^k (layer_s_degrees;
-    i + k = 4 on every analysis input), the squared norms [layer, branch] of its
-    coefficients and the coefficients branch-major, [branch, layer, pol] and
-    C-contiguous; and the spins, patterns and labels of the readout table.
-    Only exact zeros are cut: whether a rounding residue (1e-35 here) stays under
-    the drop threshold depends on |s| and |h|, and no bound on them holds at every pair."""
-    _, rows = monomial_support(forms)
-    i, k = layer_s_degrees(forms), np.arange(forms.shape[1])
+    """What run_hbsa reads of forms [s, h, branch, pol] on their nonzero branches and
+    layers, layer 0 always kept, read-only: each such h-degree layer's one monomial (i, k),
+    s^i h^k (layer_s_degrees; i + k = 4 on every analysis input), the squared norms
+    [layer, branch] of its coefficients and the coefficients branch-major, [branch, layer,
+    pol] and C-contiguous; and the spins, patterns and labels of the readout table."""
+    mask, rows = monomial_support(forms)
+    k = np.flatnonzero(mask.any(axis=0) | (np.arange(forms.shape[1]) == 0))
+    i = layer_s_degrees(forms)[k]
     coef = forms[i, k, rows[:, None]]
     norms = np.ascontiguousarray((coef.real ** 2 + coef.imag ** 2).sum(axis=2).T)
     norms.flags.writeable = coef.flags.writeable = False
@@ -587,7 +588,12 @@ def run_hbsa(state_or_label, pair: ReflectionPair = IDEAL_PAIR) -> list[HbsaBran
     if isinstance(state_or_label, HyperBellLabel):
         support = _hbsa_support(state_or_label, HBSA_FULL_TEXT)
     elif isinstance(state_or_label, HybridState):
-        support = _support(_hbsa_forms(state_or_label, HBSA_FULL_TEXT), HBSA_FULL_TEXT)
+        forms, amps = _hbsa_forms(state_or_label, HBSA_FULL_TEXT), state_or_label.amps.ravel()
+        basis = np.stack([hbsa_input(label).amps.ravel() for label in all_labels()])
+        if _weight(amps - (basis.conj() @ amps) @ basis) > _SPAN_TOL * state_or_label.norm2:
+            raise ConfigurationError(
+                "input state is not a superposition of the 16 analysis basis inputs")
+        support = _support(forms, HBSA_FULL_TEXT)
     else:
         raise ConfigurationError("run_hbsa takes a HyperBellLabel or a HybridState, "
                                  f"not {type(state_or_label).__name__}")

@@ -57,15 +57,20 @@ def evaluate(c: np.ndarray, s: complex, h: complex) -> np.ndarray:
 
 
 def polynomial_run_at(circuit, state: HybridState, pair) -> optics.TrackedRun:
-    """The runner's polynomial mode, optics._run with pair=None, evaluated at one
-    pair by evaluate: the click-free branches and every click probability
-    of the run_circuit_tracked run there, up to rounding and branches of weight at
-    most the drop threshold. The mode stops each branch at its first click."""
+    """The runner's polynomial mode, optics._run with pair=None, its ring coefficients
+    made complex (optics._ring_value) and evaluated at one pair by evaluate: the
+    click-free branches and every click probability of the run_circuit_tracked run
+    there, up to rounding and branches of weight at most the drop threshold. The
+    mode stops each branch at its first click."""
     s, h = pair.success_amplitude, pair.herald_amplitude
     branches, clicks = optics._run(circuit, state, None)
+
+    def at(c):
+        return evaluate(optics._ring_value(c), s, h)
+
     run = optics._tracked_run(
-        state.layout, [(rec, evaluate(c, s, h)) for rec, c in branches],
-        {label: [evaluate(c, s, h) for c in cs] for label, cs in clicks.items()})
+        state.layout, [(rec, at(c)) for rec, c in branches],
+        {label: [at(c) for c in cs] for label, cs in clicks.items()})
     run.branches = [tb for tb in run.branches
                     if sum(map(optics._weight, tb.layers)) > optics._BRANCH_DROP]
     return run

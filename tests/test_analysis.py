@@ -16,6 +16,7 @@ from hyperbell.analysis import (
     hbsa_leakage_rate,
     hbsg_branch_report,
     hbsg_statistics,
+    hbsg_statistics_grid,
     parse_csv,
     run_sweep,
     svg_cell_geometry,
@@ -190,6 +191,15 @@ class TestGenerationStatistics:
         # |r| > 1 stays legal where nothing overflows
         stats = hbsg_statistics(ReflectionPair(1e30, 1e30))
         assert stats.eta_simulated == 0.0 and math.isfinite(stats.herald_rate)
+
+    @pytest.mark.parametrize("s, h", [
+        (np.array([-0.9, -0.5]), np.array([0.1])),  # broadcast, both points on the one h
+        (None, None),
+        (np.array(["-0.9"]), np.array(["0.1"])),
+    ], ids=["unequal-shapes", "none", "strings"])
+    def test_grid_takes_numeric_arrays_of_one_shape(self, s, h):
+        with pytest.raises(ConfigurationError, match="^hbsg_statistics_grid takes numeric arrays s and h of one shape$"):
+            hbsg_statistics_grid(s, h)
 
     def test_branch_report_overflow_is_numeric_domain_error(self):
         # the forking runner's branch weights overflow at 1e200: the report was empty

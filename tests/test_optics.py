@@ -1100,7 +1100,7 @@ class TestPolynomialRun:
         before = state.amps.copy()
         ((_, c),), _ = optics._run(circuit, state, None)  # as a polynomial in (s, h)
         state.amps[...] = np.nan
-        np.testing.assert_array_equal(c, before[None, None])
+        np.testing.assert_array_equal(optics._ring_value(c), before[None, None])
 
     def test_monomial_support_is_the_exact_nonzeros(self):
         # a tiny coefficient is in the support, a signed zero is not

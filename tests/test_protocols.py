@@ -30,6 +30,7 @@ from hyperbell.hilbert import HybridState, overlap, product_state, zero_state
 from hyperbell.optics import (
     _BRANCH_DROP,
     ElementKind,
+    _ring_value,
     _surviving,
     _weight,
     layer_s_degrees,
@@ -756,19 +757,39 @@ class TestHbsaSupport:
         _assert_matches_oracle(run_hbsa(state, pair),
                                _dense_hbsa(protocols._hbsa_forms(state, text), pair))
 
+    # the support's branches per label, in all_labels() order, 416 in all
+    SUPPORT_ROWS = [48, 48, 32, 16, 16, 16, 16, 16] * 2
+    # the one all-zero leak layer below the top of four labels (TestLeakPins: 0 for phi+)
+    ZERO_LAYER = {"phi-,phi+": 1, "psi-,phi+": 1, "phi-,psi-": 2, "psi-,psi-": 2}
+
     def test_forms_vanish_off_total_degree_four(self):
         h_degrees = Counter()
-        for label in all_labels():
+        assert sum(self.SUPPORT_ROWS) == 416
+        for label, n_rows in zip(all_labels(), self.SUPPORT_ROWS):
             forms = protocols._hbsa_forms(hbsa_input(label), protocols.HBSA_FULL_TEXT)
             i, k = np.indices(forms.shape[:2])
             assert not forms[i + k != 4].any(), label
-            # one monomial per leak layer: s^(4-k) h^k for every h-degree k
+            # one monomial per leak layer: s^(4-k) h^k for every h-degree k but a zero one
             mask, rows = monomial_support(forms)
-            assert np.argwhere(mask).tolist() == [[4 - k, k]
-                                                  for k in reversed(range(forms.shape[1]))]
-            assert 30 <= len(rows) <= 64
+            assert np.argwhere(mask).tolist() == [
+                [4 - k, k] for k in reversed(range(forms.shape[1]))
+                if k != self.ZERO_LAYER.get(str(label))]
+            assert len(rows) == n_rows, label
+            # layer_s_degrees gives i + k = 4 on every nonzero layer, the layers the support keeps
+            nonzero, degrees = mask.any(axis=0), layer_s_degrees(forms)
+            assert (degrees + np.arange(len(degrees)))[nonzero].tolist() == [4] * nonzero.sum()
+            assert nonzero.sum() == len(protocols._hbsa_support(label, HBSA_FULL_TEXT)[0])
             h_degrees[forms.shape[1]] += 1
         assert h_degrees == {5: 8, 4: 4, 3: 4}
+
+    @pytest.mark.parametrize("pair, total", [
+        (IDEAL_PAIR, 64), (ReflectionPair(-0.6, 0.9), 416), (ReflectionPair(-1e3, 1e3), 64),
+        (ReflectionPair(1e4, 1e4), 64), (ReflectionPair(1e8, 1e8), 64),
+    ], ids=["ideal", "moderate", "1e3", "1e4", "1e8"])
+    def test_branch_totals_hold_no_rounding_residue(self, pair, total):
+        # a float run of stage 1 left residue rows, returned at large |r|: 328 branches
+        # at (-1e3, 1e3) and 128 at (1e4, 1e4) and (1e8, 1e8)
+        assert sum(len(run_hbsa(label, pair)) for label in all_labels()) == total
 
     def test_support_built_once_per_label_and_read_only(self):
         protocols._hbsa_support.cache_clear()
@@ -780,8 +801,8 @@ class TestHbsaSupport:
         for label in all_labels():
             monomials, norms, coef, *columns = protocols._hbsa_support(
                 label, protocols.HBSA_FULL_TEXT)
-            # one monomial s^(4-k) h^k per h-degree k on every label
-            assert monomials == tuple((4 - k, k) for k in range(len(monomials)))
+            # one monomial s^(4-k) h^k per nonzero h-degree k on every label, k = 0 first
+            assert monomials[0] == (4, 0) and all(i == 4 - k for i, k in monomials)
             # coefficients branch-major, [branch, layer, pol]; norms [layer, branch]
             assert coef.shape == norms.T.shape + (4,)
             assert coef.flags.c_contiguous
@@ -795,17 +816,17 @@ class TestHbsaSupport:
             assert all(isinstance(column, tuple) for column in columns)
 
     def test_mixed_kept_layers_match_dense_evaluation(self):
-        # at a lossy pair one label's branches keep different layers: a top
-        # layer holding only rounding residue goes where another branch keeps it
+        # at h = 6e-7 one label's branches keep different layers: the s^2 h^2 layer,
+        # of squared norm 1/16 or 1/4 by branch, straddles the drop threshold
         text = protocols.HBSA_FULL_TEXT
         label = HyperBellLabel(Bell.PHI_MINUS, Bell.PHI_PLUS)
-        pair = EXAMPLE_PAIR
+        pair = ReflectionPair(-0.9 + 6e-7, 0.9 + 6e-7)
         monomials, norms, *_ = protocols._hbsa_support(label, text)
         s, h = pair.success_amplitude, pair.herald_amplitude
         weights = np.array([abs(s ** i * h ** k) ** 2 for i, k in monomials])[:, None] * norms
         kept = _surviving(weights)[0]
-        residue_dropped = ~kept & (norms > 0) & (norms < 1e-30)
-        assert (residue_dropped.any(axis=1) & (kept & (norms > 1e-30)).any(axis=1)).any()
+        dropped = ~kept & (norms > 0)
+        assert (dropped.any(axis=1) & (kept & (norms > 0)).any(axis=1)).any()
         _assert_matches_oracle(run_hbsa(label, pair),
                                _dense_hbsa(protocols._hbsa_forms(hbsa_input(label), text), pair))
         # the ideal, absorbing and |r| > 1 pairs are test_matches_dense_evaluation's
@@ -851,11 +872,17 @@ class TestLeakPins:
             assert abs(ratio - self.FIRST_ORDER[str(label)]) < 1e-12, label
 
     def test_bare_hbsg_no_click_support_and_ratios(self):
-        c, _ = protocols._no_click(parse_circuit(HBSG_CIRCUIT_TEXT), hbsg_input())
+        c, _ = _no_click_values(parse_circuit(HBSG_CIRCUIT_TEXT), hbsg_input())
         mask, _ = monomial_support(c)
         assert {tuple(ik) for ik in np.argwhere(mask).tolist()} == {(4, 0), (3, 1), (2, 2)}
         assert abs(_weight(c[3, 1]) / _weight(c[4, 0]) - 3 / 2) < 1e-12
         assert abs(_weight(c[2, 2]) / _weight(c[4, 0]) - 1 / 4) < 1e-12
+
+    def test_bare_hbsg_clicks_have_no_h0_coefficient(self):
+        # a herald click needs a leak: exactly, not up to a rounding residue
+        _, clicks = _no_click_values(parse_circuit(HBSG_CIRCUIT_TEXT), hbsg_input())
+        arrays = [a for cs in clicks.values() for a in cs]
+        assert len(arrays) == 2 and all(a[:, 1:].any() and not a[:, 0].any() for a in arrays)
 
     def test_bare_hbsg_generation_monomials(self):
         from hyperbell import analysis
@@ -891,10 +918,10 @@ class TestLeakPins:
         text = protocols.HBSG_CIRCUIT_TEXT.replace("op wfc photon=A path=a2\n", "", 1)
         assert text != protocols.HBSG_CIRCUIT_TEXT
         circuit = protocols._parsed(text)
-        c, clicks = protocols._no_click(circuit, hbsg_input(circuit))
+        c, clicks = _no_click_values(circuit, hbsg_input(circuit))
         assert np.flatnonzero(monomial_support(c)[0][:, 0]).tolist() == [3, 4]
         (d1b,) = clicks["D1B"]
-        mask, _ = monomial_support(d1b[:, 1:])  # past the h^0 residue
+        mask, _ = monomial_support(d1b[:, 1:])  # past h^0, where a herald click is zero
         assert (np.argwhere(mask) + [0, 1]).tolist() == [[0, 1], [1, 1]]
         with pytest.raises(ConfigurationError, match="several s-degrees"):
             analysis._generation_forms(text)
@@ -913,13 +940,20 @@ class TestLeakPins:
         from hyperbell import analysis
 
         def no_click(circuit, state):
-            c, clicks = protocols._no_click(circuit, state)
+            m, c, clicks = protocols._no_click(circuit, state)
             (d1b,) = clicks["D1B"]
-            return c, {**clicks, "D1B": [np.concatenate([d1b, d1b[:, 1:]], axis=1)]}  # s h^2
+            return m, c, {**clicks, "D1B": [np.concatenate([d1b, d1b[:, 1:]], axis=1)]}  # s h^2
 
         monkeypatch.setattr(analysis, "_no_click", no_click)
         with pytest.raises(ConfigurationError, match="several monomials"):
             analysis._generation_forms.__wrapped__(protocols.HBSG_CIRCUIT_TEXT)
+
+
+def _no_click_values(circuit, state):
+    """protocols._no_click's no-click branch and clicks as complex coefficients."""
+    m, c, clicks = protocols._no_click(circuit, state)
+    return _ring_value(c, m), {label: [_ring_value(a, m) for a in cs]
+                               for label, cs in clicks.items()}
 
 
 def _assert_lossless_output_is_unleaked_layer(text):
@@ -928,7 +962,7 @@ def _assert_lossless_output_is_unleaked_layer(text):
     (layer_s_degrees): the sweep's conditional fidelity is 1 by construction.
     Nothing clicks there, so stage 1's run at the pair keeps that one branch."""
     circuit = protocols._parsed(text)
-    c, _ = protocols._no_click(circuit, hbsg_input(circuit))
+    c, _ = _no_click_values(circuit, hbsg_input(circuit))
     i0 = layer_s_degrees(c)[0]
     (at_pair,) = run_circuit_tracked(protocols._split_stage1(circuit)[0], hbsg_input(circuit),
                                      IDEAL_PAIR).branches
@@ -1006,8 +1040,8 @@ class TestCircuitText:
         assert list(clicks) == ["D1A", "D1B"]
         assert not any(a.any() for cs in clicks.values() for a in cs)
         # as a polynomial the runner drops it on a zero input: _no_click's zero coefficients
-        c, clicks = protocols._no_click(parse_circuit(HBSG_CIRCUIT_TEXT),
-                                        zero_state(hbsg_input().layout))
+        c, clicks = _no_click_values(parse_circuit(HBSG_CIRCUIT_TEXT),
+                                     zero_state(hbsg_input().layout))
         assert c.shape == (1, 1) + hbsg_input().amps.shape
         assert not c.any()
         assert list(clicks) == ["D1A", "D1B"]
@@ -1022,7 +1056,7 @@ class TestCircuitText:
         state = hbsg_input()
         circuit = parse_circuit(HBSG_CIRCUIT_TEXT)
         _, at_pair = optics._run(protocols._split_stage1(circuit)[0], state, pair)
-        _, poly = protocols._no_click(circuit, state)
+        _, poly = _no_click_values(circuit, state)
         assert list(at_pair) == list(poly) == ["D1A", "D1B"]
         s, h = pair.success_amplitude, pair.herald_amplitude
         for label in poly:
